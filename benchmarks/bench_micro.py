@@ -23,7 +23,6 @@ from repro.core.csr import IncrementalCsr
 from repro.core.fastpath import PairCostModel
 from repro.core.pairing import greedy_pairing, greedy_pairing_reference
 from repro.core.planner import PlannerStats, PrunedPlanner
-from repro.core.shard import ShardedPlanner
 from repro.core.profiling import profile_architecture
 from repro.core.timing import compute_round_timing
 from repro.core.workload import best_offload
@@ -137,11 +136,9 @@ PLANNER_TOP_K = 8
 #: The scaling grid.  The full topology stops at n=500: the benches time
 #: the planner, not networkx's O(n²) complete-graph construction (the
 #: planner itself handles complete graphs via the O(n·k) global pool).
-#: The sparse topologies extend to n=50 000, the first sharded-runtime
-#: population (the 500 000 point lives in the ``scale500k``-marked
-#: sharded benches below).  Population is the OUTER loop so every small
-#: case — including the gated random-k-5000 point — runs before the
-#: 50 000-agent cases dirty the process's memory state: the
+#: The sparse topologies extend to n=50 000.  Population is the OUTER
+#: loop so every small case — including the gated random-k-5000 point —
+#: runs before the 50 000-agent cases dirty the process's memory state: the
 #: --planner-dense-ratio gate compares medians within one run, and
 #: hundreds of MB of allocator churn between the two benches skews the
 #: pair by double-digit percentages.
@@ -160,7 +157,7 @@ def _planner_population(n: int) -> list[Agent]:
     per-agent draw order so their workloads — and the committed
     trajectory medians measured on them — stay comparable across
     snapshots.  Larger populations draw vectorized (the scalar loop's
-    three RNG calls per agent are prohibitive at 500 000).
+    three RNG calls per agent are slow at 50 000).
     """
     rng = np.random.default_rng(n)
     if n <= 5_000:
@@ -261,101 +258,6 @@ def test_planner_cold_build_speed(benchmark):
         return planner.plan(agents)
 
     decisions, _ = benchmark(cold_plan)
-    assert decisions
-
-
-# ----------------------------------------------------------------------
-# Sharded-runtime scaling (PR 8, extended to 1M in PR 9): 50k–1M agents
-# ----------------------------------------------------------------------
-#: Worker count of the sharded benches.  Explicit rather than "auto" so
-#: the bench measures the same configuration on every host (on a
-#: single-core box "auto" resolves to 1 and would silently bench the
-#: plain pruned path).
-SHARDED_BENCH_SHARDS = 2
-
-SHARDED_POPULATIONS = [
-    pytest.param(50_000, id="50000"),
-    pytest.param(500_000, id="500000", marks=pytest.mark.scale500k),
-    pytest.param(1_000_000, id="1000000", marks=pytest.mark.scale1m),
-]
-
-
-@pytest.mark.parametrize("n", SHARDED_POPULATIONS)
-def test_sharded_planner_round_speed(benchmark, n):
-    """Steady-state sharded round: 1% churn, coalesced replan over the pool.
-
-    Same workload shape as ``test_planner_round_speed`` so the trajectory
-    tool can report a same-run sharded-vs-single-process ratio at 50 000
-    agents (gated by ``--shard-ratio``).  The 500 000-agent point carries
-    the ``scale500k`` marker: it is the sharded runtime's headline
-    population but too slow for every CI run.  The 1 000 000-agent point
-    (``scale1m``) extends the curve one octave further; it exists to prove
-    the incremental CSR engine and double-buffered segments keep
-    steady-state rounds tractable where a full O(E) rescan per round would
-    not be, and its peak-memory columns bound the footprint of the shared
-    segments at that population.
-    """
-    profile = profile_architecture(resnet56_spec(), granularity=9)
-    agents = _planner_population(n)
-    link_model = _planner_link_model(agents, "random-k")
-    planner = ShardedPlanner(
-        profile,
-        link_model,
-        top_k=PLANNER_TOP_K,
-        shards=SHARDED_BENCH_SHARDS,
-        shard_min_population=0,
-    )
-    try:
-        planner.plan(agents)  # pool spin-up + cold build outside the timer
-        churned = max(1, n // 100)
-        rng = np.random.default_rng(99)
-
-        def dynamics_round():
-            indices = rng.choice(n, size=churned, replace=False)
-            cpu_shares = rng.choice(np.array([4.0, 2.0, 1.0, 0.5]), size=churned)
-            for index, cpu in zip(indices, cpu_shares):
-                agent = agents[int(index)]
-                agent.update_profile(
-                    ResourceProfile(float(cpu), agent.profile.bandwidth_mbps)
-                )
-            return planner.plan(agents)
-
-        decisions, taus_by_id = benchmark(dynamics_round)
-        attach_peak_memory(benchmark, dynamics_round)
-        benchmark.extra_info["sharded_rounds"] = planner.shard_stats.sharded_rounds
-        benchmark.extra_info["worker_failures"] = planner.shard_stats.worker_failures
-        benchmark.extra_info["cost_spread_max"] = round(
-            planner.shard_stats.cost_spread_max, 4
-        )
-        assert len(taus_by_id) == n
-        assert decisions
-        assert planner.shard_stats.sharded_rounds >= 1
-        assert planner.shard_stats.worker_failures == 0
-    finally:
-        planner.close()
-
-
-def test_sharded_planner_cold_build_speed(benchmark):
-    """Worst case at 50 000 agents: pool spin-up, parallel CSR build from
-    the raw topology, and a first full plan — no warm state at all."""
-    profile = profile_architecture(resnet56_spec(), granularity=9)
-    agents = _planner_population(50_000)
-    link_model = _planner_link_model(agents, "random-k")
-
-    def cold_plan():
-        planner = ShardedPlanner(
-            profile,
-            link_model,
-            top_k=PLANNER_TOP_K,
-            shards=SHARDED_BENCH_SHARDS,
-            shard_min_population=0,
-        )
-        try:
-            return planner.plan(agents)
-        finally:
-            planner.close()
-
-    decisions, _ = benchmark.pedantic(cold_plan, rounds=3, iterations=1)
     assert decisions
 
 

@@ -18,17 +18,6 @@ import resource
 import tracemalloc
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "scale500k: half-million-agent benches (slow; deselect with -m 'not scale500k')",
-    )
-    config.addinivalue_line(
-        "markers",
-        "scale1m: million-agent benches (slowest; deselect with -m 'not scale1m')",
-    )
-
-
 def run_once(benchmark, function, *args, **kwargs):
     """Run an experiment harness exactly once under pytest-benchmark."""
     return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)

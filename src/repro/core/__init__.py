@@ -14,13 +14,7 @@ from repro.core.fastpath import (
     sparse_bandwidth,
 )
 from repro.core.pairing import PairingDecision, greedy_pairing, greedy_pairing_reference
-from repro.core.planner import (
-    PlannerState,
-    PlannerStats,
-    PrunedPlanner,
-    build_planner,
-)
-from repro.core.shard import ShardStats, ShardedPlanner, stale_segment_names
+from repro.core.planner import PlannerState, PlannerStats, PrunedPlanner
 from repro.core.scheduler import DecentralizedPairingScheduler
 from repro.core.timing import PairTiming, RoundTiming, compute_round_timing
 from repro.core.config import ComDMLConfig
@@ -43,10 +37,6 @@ __all__ = [
     "PlannerState",
     "PlannerStats",
     "PrunedPlanner",
-    "build_planner",
-    "ShardStats",
-    "ShardedPlanner",
-    "stale_segment_names",
     "DecentralizedPairingScheduler",
     "PairTiming",
     "RoundTiming",

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from repro.agents.agent import Agent
 from repro.agents.registry import AgentRegistry
 from repro.core.config import ComDMLConfig
-from repro.core.planner import build_planner
+from repro.core.planner import PrunedPlanner
 from repro.core.profiling import SplitProfile, profile_architecture
 from repro.core.scheduler import DecentralizedPairingScheduler
 from repro.core.timing import bottleneck_bandwidth, compute_round_timing
@@ -73,16 +73,12 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
             else profile_architecture(spec, granularity=self.config.offload_granularity)
         )
         self.link_model = LinkModel(self.topology)
-        self.planner = build_planner(
+        self.planner = PrunedPlanner(
             self.profile,
             self.link_model,
-            mode=self.config.planner,
             top_k=self.config.planner_top_k,
-            threshold=self.config.planner_threshold,
+            engage_threshold=self.config.planner_threshold,
             improvement_threshold=self.config.improvement_threshold,
-            shards=self.config.planner_shards,
-            balance=self.config.planner_balance,
-            compaction_threshold=self.config.planner_csr_compaction,
         )
         #: Agent ids whose planner rows went stale since the last plan.
         #: Arrival/departure bursts coalesce here and flush as ONE
@@ -245,33 +241,23 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
                 rng=attachment.rng_for(agent.agent_id),
                 neighbors=neighbors,
             )
-        if self.planner is not None:
-            self._pending_invalidations.add(agent.agent_id)
+        self._pending_invalidations.add(agent.agent_id)
 
     def on_agent_departure(self, agent) -> None:
         """Drop a departed agent's topology links."""
         self.topology.remove_agent(agent.agent_id)
-        if self.planner is not None:
-            self._pending_invalidations.add(agent.agent_id)
+        self._pending_invalidations.add(agent.agent_id)
 
-    def planner_report(self) -> Optional[dict]:
-        """Operation counters of this run's planner, or ``None`` without one.
+    def planner_report(self) -> dict:
+        """Operation counters of this run's planner.
 
         The :class:`~repro.core.planner.PlannerStats` counters (rows
-        recomputed/reused, CSR edits/rebuilds/compactions), plus — when the
-        sharded planner is active — its :class:`~repro.core.shard.ShardStats`
-        under a ``"shards"`` key (per-shard cost split and spread).  Campaign
-        cells attach this to their payload so
+        recomputed/reused, CSR edits/rebuilds/compactions).  Campaign cells
+        attach this to their payload so
         :func:`repro.experiments.reporting.execution_report` can aggregate
-        planner behaviour, shard imbalance included, across the sweep.
+        planner behaviour across the sweep.
         """
-        if self.planner is None:
-            return None
-        report = self.planner.stats.report()
-        shard_stats = getattr(self.planner, "shard_stats", None)
-        if shard_stats is not None:
-            report["shards"] = shard_stats.report()
-        return report
+        return self.planner.stats.report()
 
     def _flush_invalidations(self) -> None:
         """Hand the coalesced dynamics dirty set to the planner, once.
@@ -281,7 +267,7 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
         — the planner applies the topology journal's O(Δ) edits to its
         CSR structure eagerly, off the next plan's critical path.
         """
-        if self.planner is not None and self._pending_invalidations:
+        if self._pending_invalidations:
             self.planner.invalidate_topology(sorted(self._pending_invalidations))
         self._pending_invalidations.clear()
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.utils.validation import check_positive, check_probability
 
@@ -12,40 +12,6 @@ EXECUTION_MODES = ("sync", "semi-sync", "async")
 
 #: Valid semi-sync quorum policies (see :mod:`repro.runtime.quorum`).
 QUORUM_POLICIES = ("fixed", "deadline", "adaptive")
-
-#: Valid round-planner selections (see :mod:`repro.core.planner` and
-#: :mod:`repro.core.shard`).
-PLANNER_MODES = ("dense", "pruned", "auto", "sharded")
-
-
-def normalize_planner_mode(mode: str) -> str:
-    """Canonicalise a planner-mode name (case-insensitive)."""
-    normalized = mode.lower()
-    if normalized not in PLANNER_MODES:
-        raise ValueError(f"planner must be one of {PLANNER_MODES}, got {mode!r}")
-    return normalized
-
-
-def normalize_planner_shards(shards: Union[int, str]) -> Union[int, str]:
-    """Validate a ``planner_shards`` setting: ``"auto"`` or a positive int.
-
-    The concrete worker count ``"auto"`` resolves to is decided by
-    :func:`repro.core.shard.resolve_shard_count` (CPU-count dependent);
-    this boundary only rejects nonsense values.
-    """
-    if isinstance(shards, str):
-        normalized = shards.lower()
-        if normalized != "auto":
-            raise ValueError(
-                f"planner_shards must be 'auto' or a positive integer, "
-                f"got {shards!r}"
-            )
-        return normalized
-    count = int(shards)
-    if count < 1:
-        raise ValueError(f"planner_shards must be >= 1, got {shards!r}")
-    return count
-
 
 def normalize_execution_mode(mode: str) -> str:
     """Canonicalise an execution-mode name (``semi_sync`` → ``semi-sync``)."""
@@ -96,35 +62,15 @@ class ComDMLConfig:
         Candidate split spacing in layers when profiling the architecture.
     improvement_threshold:
         Minimum relative improvement required to form a pair.
-    planner:
-        Round-planner selection (see :mod:`repro.core.planner`): ``"dense"``
-        always runs the exact O(n²·s) kernel, ``"pruned"`` always runs the
-        top-k pruned planner, ``"sharded"`` runs the process-parallel
-        shared-memory planner (:mod:`repro.core.shard`; decision-identical
-        to ``"pruned"``), and ``"auto"`` (default) switches to the pruned
-        planner only for rounds with at least ``planner_threshold``
-        participants — smaller rounds stay byte-identical to the dense
-        path.
     planner_top_k:
         Candidate budget per slow agent for the pruned planner (``k ≥ n−1``
         is decision-identical to the dense kernel).
     planner_threshold:
-        Participant count at which ``"auto"`` engages the pruned planner.
-    planner_shards:
-        Worker count of the ``"sharded"`` planner: a positive integer, or
-        ``"auto"`` (default) for a CPU-count-derived pool.  The pool only
-        engages above the planner's population threshold; a resolved count
-        below 2 keeps planning in-process.  Ignored by the other modes.
-    planner_balance:
-        Shard-boundary policy of the ``"sharded"`` planner: ``"cost"``
-        (default) cuts shard boundaries at equal prefix sums of estimated
-        per-row cost (candidate links × split options), ``"rows"`` at
-        equal row counts.  Decisions are identical either way; only the
-        work distribution across workers differs.
-    planner_csr_compaction:
-        Staged-delta volume, as a fraction of the incremental CSR's base
-        structure, at which the topology engine folds tombstones and
-        delta lists back into a fresh base (see :mod:`repro.core.csr`).
+        Participant count at or above which a round is planned by the
+        top-k pruned planner (:mod:`repro.core.planner`); smaller rounds
+        run the exact dense kernel, byte-identical to the scalar oracle.
+        ``1`` plans every round with the pruned planner; a value above the
+        population keeps every round on the dense kernel.
     churn_fraction / churn_interval_rounds:
         Dynamic resource churn (paper: 20 % of agents every 100 rounds).
     execution_mode:
@@ -197,12 +143,8 @@ class ComDMLConfig:
     aggregation_compression_bits: Optional[int] = None
     offload_granularity: int = 1
     improvement_threshold: float = 0.0
-    planner: str = "auto"
     planner_top_k: int = 32
     planner_threshold: int = 256
-    planner_shards: Union[int, str] = "auto"
-    planner_balance: str = "cost"
-    planner_csr_compaction: float = 0.25
     churn_fraction: float = 0.0
     churn_interval_rounds: int = 100
     execution_mode: str = "sync"
@@ -231,16 +173,8 @@ class ComDMLConfig:
         check_positive(self.batch_size, "batch_size")
         check_positive(self.local_epochs, "local_epochs")
         check_positive(self.offload_granularity, "offload_granularity")
-        self.planner = normalize_planner_mode(self.planner)
         check_positive(self.planner_top_k, "planner_top_k")
         check_positive(self.planner_threshold, "planner_threshold")
-        self.planner_shards = normalize_planner_shards(self.planner_shards)
-        if self.planner_balance not in ("cost", "rows"):
-            raise ValueError(
-                "planner_balance must be 'cost' or 'rows', "
-                f"got {self.planner_balance!r}"
-            )
-        check_positive(self.planner_csr_compaction, "planner_csr_compaction")
         check_probability(self.churn_fraction, "churn_fraction")
         check_positive(self.churn_interval_rounds, "churn_interval_rounds")
         self.execution_mode = normalize_execution_mode(self.execution_mode)

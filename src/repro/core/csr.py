@@ -26,14 +26,13 @@ invalidate it; a cheap vectorized translation (slot ↔ participant
 position) is all that changes between rounds.  Equivalence with a
 from-scratch build is enforced structurally: ``tests/test_csr.py`` drives
 random arrival/departure/rewire sequences through both paths and asserts
-identical materialised links (and identical planner decisions on every
-planner tier).
+identical materialised links (and identical planner decisions).
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -101,12 +100,6 @@ class IncrementalCsr:
         Optional counter sink with ``csr_edits`` / ``csr_rebuilds`` /
         ``csr_compactions`` attributes (the planner passes its
         :class:`~repro.core.planner.PlannerStats`).
-    builder:
-        Optional parallel base builder: called as ``builder(ids, edges)``
-        with the slot-ordered node-id array and the flat ``(E, 2)`` edge-id
-        array, it must return ``(link_rows, link_cols)`` in slot space,
-        both directions per edge, sorted by ``(row, col)``.  ``None`` uses
-        the serial vectorized build.
     """
 
     def __init__(
@@ -115,7 +108,6 @@ class IncrementalCsr:
         *,
         compaction_threshold: float = 0.25,
         stats=None,
-        builder: Optional[Callable] = None,
     ) -> None:
         if compaction_threshold <= 0:
             raise ValueError(
@@ -124,7 +116,6 @@ class IncrementalCsr:
         self.topology = topology
         self.compaction_threshold = compaction_threshold
         self.stats = stats if stats is not None else _NullStats()
-        self.builder = builder
         self._built = False
         self._cursor = 0
         #: Bumped on every rebuild / compaction (slots are renumbered);
@@ -222,10 +213,7 @@ class IncrementalCsr:
             dtype=np.int64,
             count=2 * self.edge_count,
         ).reshape(-1, 2)
-        if self.builder is not None and edges.shape[0]:
-            link_rows, link_cols = self.builder(self._ids, edges)
-        else:
-            link_rows, link_cols = _serial_links(self._ids, edges)
+        link_rows, link_cols = _serial_links(self._ids, edges)
         counts = np.bincount(link_rows, minlength=count)
         self._indptr = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(counts, out=self._indptr[1:])

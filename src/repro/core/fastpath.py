@@ -171,31 +171,6 @@ class AgentVectors:
     slow_speed: np.ndarray
     solo_times: np.ndarray
 
-    def to_rows(self, out: np.ndarray) -> None:
-        """Pack the vectors into the rows of a ``(len(VECTOR_FIELDS), n)``
-        matrix (a shared-memory segment in the sharded planning runtime)."""
-        for row, field in enumerate(VECTOR_FIELDS):
-            np.copyto(out[row], getattr(self, field))
-
-    @classmethod
-    def from_rows(cls, matrix: np.ndarray) -> "AgentVectors":
-        """Rebuild the vectors from :meth:`to_rows` packing (zero-copy:
-        the fields are row views into ``matrix``)."""
-        return cls(*(matrix[row] for row in range(len(VECTOR_FIELDS))))
-
-
-#: Field order of the :meth:`AgentVectors.to_rows` matrix packing.  Matches
-#: the dataclass field order, which ``from_rows`` relies on positionally.
-VECTOR_FIELDS = (
-    "throughput",
-    "batches",
-    "batch_sizes",
-    "flops",
-    "individual_times",
-    "slow_speed",
-    "solo_times",
-)
-
 
 @dataclass(frozen=True)
 class AgentAttrs:

@@ -39,12 +39,11 @@ their candidate selection), and any cached row still referencing it.  A
 round with ``d`` changed agents therefore evaluates O(d·k·s) pair times —
 :class:`PlannerStats` counts them so tests can assert the bound.
 
-Selection is wired through :func:`build_planner` /
-:class:`~repro.core.config.ComDMLConfig` (``planner`` = ``"dense"`` /
-``"pruned"`` / ``"auto"`` / ``"sharded"``): the scheduler keeps the
-byte-identical dense path whenever the planner does not engage.  The
-``"sharded"`` mode layers the process-parallel shared-memory runtime of
-:mod:`repro.core.shard` on top of this planner's exact block math.
+Selection is one threshold: :class:`~repro.core.comdml.ComDML` builds the
+planner with ``engage_threshold =``
+:attr:`~repro.core.config.ComDMLConfig.planner_threshold`, and the
+scheduler keeps the byte-identical dense path for every round the planner
+does not engage.
 """
 
 from __future__ import annotations
@@ -52,12 +51,11 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.agents.agent import Agent
-from repro.core.config import PLANNER_MODES, normalize_planner_mode
 from repro.core.csr import CsrTranslation, IncrementalCsr
 from repro.core.fastpath import (
     AgentVectors,
@@ -71,15 +69,7 @@ from repro.core.workload import OffloadEstimate
 from repro.network.link import LinkModel
 from repro.utils.validation import check_positive
 
-__all__ = [
-    "PLANNER_MODES",
-    "BlockArrays",
-    "PlannerState",
-    "PlannerStats",
-    "PrunedPlanner",
-    "build_planner",
-    "normalize_planner_mode",
-]
+__all__ = ["PlannerState", "PlannerStats", "PrunedPlanner"]
 
 
 @contextmanager
@@ -162,22 +152,6 @@ def _fast_solo_decision(agent_id: int, own_time: float) -> PairingDecision:
     return decision
 
 
-class BlockArrays(NamedTuple):
-    """The six ``(n, k)`` candidate-block arrays as one addressable bundle.
-
-    Both :class:`PlannerState` (in-process planning) and the shard workers'
-    shared-memory output segments present their blocks through this view, so
-    the reset/scatter helpers below write either target with the same code.
-    """
-
-    cand_pos: np.ndarray
-    cand_ids: np.ndarray
-    cand_bw: np.ndarray
-    best_times: np.ndarray
-    best_split: np.ndarray
-    valid: np.ndarray
-
-
 @dataclass
 class PlannerStats:
     """Operation counters of a :class:`PrunedPlanner` (for tests and reports).
@@ -251,20 +225,15 @@ class PlannerState:
     scan_pos: np.ndarray
     scan_cols: np.ndarray
 
-    def blocks(self) -> BlockArrays:
-        """The block arrays bundled for the shared reset/scatter helpers."""
-        return BlockArrays(
-            self.cand_pos,
-            self.cand_ids,
-            self.cand_bw,
-            self.best_times,
-            self.best_split,
-            self.valid,
-        )
-
 
 class PrunedPlanner:
     """Top-k pruned, sparse-bandwidth, incrementally replanning scheduler core.
+
+    The one production planner: :class:`~repro.core.comdml.ComDML` always
+    builds it, from ``ComDMLConfig.planner_top_k`` and
+    ``ComDMLConfig.planner_threshold``, and the scheduler asks
+    :meth:`engages` every round.  Rounds below the threshold run the dense
+    kernel instead; ``planner_threshold=1`` plans every round here.
 
     Parameters
     ----------
@@ -277,7 +246,7 @@ class PrunedPlanner:
         decision-identical to the dense kernel.
     engage_threshold:
         Population size at or above which :meth:`engages` returns true;
-        ``None`` engages at any size (the ``"pruned"`` mode).
+        ``None`` engages at any size.
     batch_size:
         Optional positive batch-size override (same semantics as the dense
         kernel; validated at this boundary).
@@ -294,21 +263,18 @@ class PrunedPlanner:
         engage_threshold: Optional[int] = None,
         batch_size: Optional[int] = None,
         improvement_threshold: float = 0.0,
-        compaction_threshold: float = 0.25,
     ) -> None:
         check_positive(top_k, "top_k")
         if engage_threshold is not None:
             check_positive(engage_threshold, "engage_threshold")
         if batch_size is not None:
             check_positive(batch_size, "batch_size")
-        check_positive(compaction_threshold, "compaction_threshold")
         self.profile = profile
         self.link_model = link_model
         self.top_k = top_k
         self.engage_threshold = engage_threshold
         self.batch_size = batch_size
         self.improvement_threshold = improvement_threshold
-        self.compaction_threshold = compaction_threshold
         self.latency_seconds = link_model.latency_seconds
         self.stats = PlannerStats()
         self.state: Optional[PlannerState] = None
@@ -386,19 +352,6 @@ class PrunedPlanner:
         self._translation = None
         self._counts_cache = None
 
-    def close(self) -> None:
-        """Release planner resources (no-op for the in-process planner).
-
-        Exists so callers can treat every planner uniformly; the sharded
-        subclass tears down its worker pool and shared-memory segments here.
-        """
-
-    def __enter__(self) -> "PrunedPlanner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
@@ -428,17 +381,12 @@ class PrunedPlanner:
         k = min(self.top_k, max(n - 1, 0))
 
         state, dirty_rows = self._realign(agents, ids, ids_array, sig, taus, k)
-        finish = self._begin_recompute(
-            state, agents, vectors, access, ids_array, dirty_rows
-        )
-        # Parent-side work that needs no block results overlaps the
-        # (possibly sharded) candidate evaluation window.
+        self._recompute_rows(state, agents, vectors, access, ids_array, dirty_rows)
+        self._refresh_scan_rows(state, dirty_rows)
         taus_by_id = dict(zip(ids, taus.tolist()))
         # Stable argsort on -τ̂ = descending τ̂ with ties in first-seen
         # order, exactly like the dense scheduler's stable reverse sort.
         order = np.argsort(-taus, kind="stable")
-        finish()
-        self._refresh_scan_rows(state, dirty_rows)
 
         dirty_count = int(dirty_rows.size)
         self.stats.rounds += 1
@@ -590,6 +538,14 @@ class PrunedPlanner:
         dirty_rows = np.nonzero(dirty_mask)[0]
         if dirty_rows.size == 0 and departed.size == 0:
             return dirty_mask
+        if self._complete_graph():
+            # Every participant neighbours every row, so the walk below
+            # would visit n neighbours per id only to mark every row.  With
+            # default links every row's candidates also come from one pool
+            # shared by all participants, which any dirty or departed agent
+            # can change, even one already removed from the graph.
+            dirty_mask[:] = True
+            return dirty_mask
         # The referencing check below keys on the *seed* dirty ids — the
         # agents whose own inputs changed.  Rows referencing a mere
         # neighbor of a dirty agent stay clean: the neighbor's τ̂ did not
@@ -679,20 +635,16 @@ class PrunedPlanner:
         self._counts_cache = (version, nodes, edges)
         return nodes, edges
 
+    def _complete_graph(self) -> bool:
+        """Whether the topology is a complete graph on at least two nodes."""
+        nodes, edges = self._topology_counts()
+        return nodes >= 2 and edges == nodes * (nodes - 1) // 2
+
     def _make_csr(self) -> IncrementalCsr:
         """Construct (and fully build) the incremental topology engine."""
-        csr = IncrementalCsr(
-            self.link_model.topology,
-            compaction_threshold=self.compaction_threshold,
-            stats=self.stats,
-            builder=self._csr_builder(),
-        )
+        csr = IncrementalCsr(self.link_model.topology, stats=self.stats)
         csr.rebuild()
         return csr
-
-    def _csr_builder(self) -> Optional[Callable]:
-        """Base-structure build callback (the sharded subclass parallelises)."""
-        return None
 
     def _participant_translation(self, state: PlannerState) -> CsrTranslation:
         """Cached slot ↔ position translation for the current participants."""
@@ -724,13 +676,7 @@ class PrunedPlanner:
         taus = state.taus
         k = state.k
         default_links = _uses_default_links(self.link_model)
-
-        node_count, edge_count = self._topology_counts()
-        if (
-            default_links
-            and node_count >= 2
-            and edge_count == node_count * (node_count - 1) // 2
-        ):
+        if default_links and self._complete_graph():
             # Complete graph: a neighbor structure would be O(n²); use the
             # shared global top-(k+1) pool instead (never builds the CSR).
             return _complete_graph_candidates(taus, access, rows, k)
@@ -777,25 +723,6 @@ class PrunedPlanner:
 
         return _top_k_by_tau(sel_rows, sel_cols, bandwidth, taus, len(agents), k)
 
-    def _begin_recompute(
-        self,
-        state: PlannerState,
-        agents: list[Agent],
-        vectors: AgentVectors,
-        access: np.ndarray,
-        ids_array: np.ndarray,
-        rows: np.ndarray,
-    ) -> Callable[[], None]:
-        """Start re-costing the dirty rows; the returned callable completes it.
-
-        The in-process planner computes synchronously and returns a no-op;
-        the sharded subclass dispatches to its worker pool here and blocks
-        on the replies only inside the returned ``finish`` — the window in
-        between overlaps parent-side work with candidate evaluation.
-        """
-        self._recompute_rows(state, agents, vectors, access, ids_array, rows)
-        return _noop_finish
-
     def _recompute_rows(
         self,
         state: PlannerState,
@@ -812,8 +739,7 @@ class PrunedPlanner:
         rows_flat, cols_flat, bw_flat = self._candidate_rows(
             state, agents, access, rows
         )
-        blocks = state.blocks()
-        _reset_rows(blocks, rows)
+        _reset_rows(state, rows)
 
         total = int(rows_flat.size)
         self.stats.last_pairs_evaluated = total * self.profile.num_options
@@ -825,7 +751,7 @@ class PrunedPlanner:
             self.latency_seconds,
         )
         _scatter_rows(
-            blocks, rows_flat, cols_flat, bw_flat, best_time, best_index,
+            state, rows_flat, cols_flat, bw_flat, best_time, best_index,
             ids_array, self.profile.options_array, len(agents),
         )
 
@@ -1018,10 +944,6 @@ class PrunedPlanner:
 # Internals
 # ----------------------------------------------------------------------
 
-def _noop_finish() -> None:
-    """Finish callable of a synchronously completed recompute."""
-
-
 def _empty_state(
     ids: tuple[int, ...],
     ids_array: np.ndarray,
@@ -1055,15 +977,8 @@ def _top_k_by_tau(
     taus: np.ndarray,
     n: int,
     k: int,
-    tau_rank: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Drop unusable links, then keep each row's ``k`` fastest candidates.
-
-    ``tau_rank`` may be passed precomputed (the sharded runtime computes it
-    once in the parent and ships it through shared memory); when omitted it
-    is derived lazily, and both derivations are the same deterministic
-    stable argsort of ``taus`` — so the selection is identical either way.
-    """
+    """Drop unusable links, then keep each row's ``k`` fastest candidates."""
     usable = bandwidth > 0.0
     if not usable.all():
         sel_rows = sel_rows[usable]
@@ -1078,8 +993,8 @@ def _top_k_by_tau(
         # Sorting by the packed unique key ``row·n + tau_rank[col]``
         # equals a stable lexsort on (row, τ̂): tau_rank orders equal
         # τ̂ values by ascending position, the dense tie-break order.
-        if tau_rank is None:
-            tau_rank = tau_rank_of(taus)
+        tau_rank = np.empty(n, dtype=np.int64)
+        tau_rank[np.argsort(taus, kind="stable")] = np.arange(n)
         order = np.argsort(sel_rows * np.int64(n) + tau_rank[sel_cols])
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
         ranks = np.arange(sel_rows.size) - starts[sel_rows[order]]
@@ -1093,25 +1008,18 @@ def _top_k_by_tau(
     return sel_rows, sel_cols, bandwidth
 
 
-def tau_rank_of(taus: np.ndarray) -> np.ndarray:
-    """Rank of each agent's τ̂ (stable: equal τ̂ rank by ascending position)."""
-    tau_rank = np.empty(len(taus), dtype=np.int64)
-    tau_rank[np.argsort(taus, kind="stable")] = np.arange(len(taus))
-    return tau_rank
-
-
-def _reset_rows(blocks: BlockArrays, rows_array: np.ndarray) -> None:
+def _reset_rows(state: PlannerState, rows_array: np.ndarray) -> None:
     """Reset the given rows to candidate-block padding."""
-    blocks.cand_pos[rows_array] = -1
-    blocks.cand_ids[rows_array] = -1
-    blocks.cand_bw[rows_array] = 0.0
-    blocks.best_times[rows_array] = np.inf
-    blocks.best_split[rows_array] = -1
-    blocks.valid[rows_array] = False
+    state.cand_pos[rows_array] = -1
+    state.cand_ids[rows_array] = -1
+    state.cand_bw[rows_array] = 0.0
+    state.best_times[rows_array] = np.inf
+    state.best_split[rows_array] = -1
+    state.valid[rows_array] = False
 
 
 def _scatter_rows(
-    blocks: BlockArrays,
+    state: PlannerState,
     rows_flat: np.ndarray,
     cols_flat: np.ndarray,
     bw_flat: np.ndarray,
@@ -1132,12 +1040,12 @@ def _scatter_rows(
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     offsets = np.arange(total) - starts[rows_flat]
     valid_flat = options_array[np.maximum(best_index, 0)] > 0
-    blocks.cand_pos[rows_flat, offsets] = cols_flat
-    blocks.cand_ids[rows_flat, offsets] = ids_array[cols_flat]
-    blocks.cand_bw[rows_flat, offsets] = bw_flat
-    blocks.best_times[rows_flat, offsets] = best_time
-    blocks.best_split[rows_flat, offsets] = best_index
-    blocks.valid[rows_flat, offsets] = valid_flat
+    state.cand_pos[rows_flat, offsets] = cols_flat
+    state.cand_ids[rows_flat, offsets] = ids_array[cols_flat]
+    state.cand_bw[rows_flat, offsets] = bw_flat
+    state.best_times[rows_flat, offsets] = best_time
+    state.best_split[rows_flat, offsets] = best_index
+    state.valid[rows_flat, offsets] = valid_flat
 
 
 def _complete_graph_candidates(
@@ -1245,62 +1153,3 @@ def _pair_block_times(
             best_time[better] = pair_time[better]
             best_index[better] = index
     return best_time, best_index
-
-
-# ----------------------------------------------------------------------
-# Config-driven selection
-# ----------------------------------------------------------------------
-
-def build_planner(
-    profile: SplitProfile,
-    link_model: LinkModel,
-    *,
-    mode: str = "auto",
-    top_k: int = 32,
-    threshold: int = 256,
-    batch_size: Optional[int] = None,
-    improvement_threshold: float = 0.0,
-    shards="auto",
-    balance: str = "cost",
-    compaction_threshold: float = 0.25,
-) -> Optional[PrunedPlanner]:
-    """Planner selection at the config boundary.
-
-    ``"dense"`` returns ``None`` (the scheduler keeps the exact dense
-    kernel for every round), ``"pruned"`` always engages the pruned
-    planner, ``"auto"`` engages it only for rounds with at least
-    ``threshold`` participants — small populations stay byte-identical to
-    the dense path — and ``"sharded"`` engages the process-parallel
-    :class:`~repro.core.shard.ShardedPlanner` at the same threshold
-    (``shards`` sets its worker count, ``balance`` its shard-boundary
-    policy; its pool additionally waits for the population to clear the
-    sharding floor, below which it plans exactly like ``"pruned"``).
-    ``compaction_threshold`` tunes the CSR engine's delta/tombstone
-    fold-back point on every planner tier.
-    """
-    mode = normalize_planner_mode(mode)
-    if mode == "dense":
-        return None
-    if mode == "sharded":
-        from repro.core.shard import ShardedPlanner
-
-        return ShardedPlanner(
-            profile,
-            link_model,
-            top_k=top_k,
-            engage_threshold=threshold,
-            batch_size=batch_size,
-            improvement_threshold=improvement_threshold,
-            shards=shards,
-            balance=balance,
-            compaction_threshold=compaction_threshold,
-        )
-    return PrunedPlanner(
-        profile,
-        link_model,
-        top_k=top_k,
-        engage_threshold=None if mode == "pruned" else threshold,
-        batch_size=batch_size,
-        improvement_threshold=improvement_threshold,
-        compaction_threshold=compaction_threshold,
-    )

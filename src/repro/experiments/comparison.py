@@ -97,9 +97,7 @@ def run_campaign_cell(
     }
     planner_report = getattr(trainer, "planner_report", None)
     if planner_report is not None:
-        report = planner_report()
-        if report is not None:
-            payload["planner"] = report
+        payload["planner"] = planner_report()
     return payload
 
 

@@ -352,32 +352,18 @@ def aggregate_planner_reports(
 
     Cells whose payload carries a ``"planner"`` dict (see
     :meth:`repro.core.comdml.ComDML.planner_report`) contribute to the
-    aggregate: counters sum across cells (recursively, so the sharded
-    planner's nested ``"shards"`` section folds the same way), while
-    ``cost_spread_*`` fields — shard imbalance ratios, where only the
-    worst observation matters — take the maximum.  Non-numeric fields
-    (e.g. the per-run ``last_shard_costs`` split) are dropped.  Returns
-    ``None`` when no cell reported planner stats.
+    aggregate: numeric counters sum across cells; anything else is
+    dropped.  Returns ``None`` when no cell reported planner stats.
     """
-
-    def fold(report: Mapping[str, Any], into: dict[str, Any]) -> None:
-        for key, value in report.items():
-            if isinstance(value, Mapping):
-                fold(value, into.setdefault(key, {}))
-            elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            elif key.startswith("cost_spread"):
-                into[key] = max(into.get(key, 0.0), value)
-            else:
-                into[key] = into.get(key, 0) + value
-
     aggregate: dict[str, Any] = {}
     reported = 0
     for payload in payloads:
         if isinstance(payload, Mapping) and isinstance(
             payload.get("planner"), Mapping
         ):
-            fold(payload["planner"], aggregate)
+            for key, value in payload["planner"].items():
+                if isinstance(value, (int, float)) and not isinstance(value, bool):
+                    aggregate[key] = aggregate.get(key, 0) + value
             reported += 1
     if not reported:
         return None
@@ -392,7 +378,7 @@ def execution_report(result: "CampaignResult") -> dict[str, Any]:
     backend ran the sweep, cache hit/miss counts, wall-clock time and
     speedup, per-cell status and compute time, for worker-pool
     runs how many workers joined and were lost mid-sweep, and — when
-    cells report planner stats — the aggregated planner/shard counters
+    cells report planner stats — the aggregated planner counters
     (``planner`` key, see :func:`aggregate_planner_reports`).
     """
     counts = result.event_counts

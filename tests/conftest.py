@@ -15,6 +15,12 @@ from repro.network.link import LinkModel
 from repro.network.topology import full_topology
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: long-running end-to-end tests (deselect with -m 'not slow')"
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic random generator for tests."""

@@ -112,7 +112,7 @@ class TestInvalidationBatching:
     """Dynamics events coalesce into ONE planner invalidation per plan."""
 
     def test_dynamics_burst_flushes_once_at_plan_time(self, small_registry):
-        comdml = make_comdml(small_registry, planner="pruned")
+        comdml = make_comdml(small_registry, planner_threshold=1)
         agents = [small_registry.get(agent_id) for agent_id in small_registry.ids]
         comdml.plan_round(0, agents)
 
@@ -150,11 +150,3 @@ class TestInvalidationBatching:
         assert calls == [expected_ids]
         assert comdml._pending_invalidations == set()
         assert plan.num_pairs >= 0
-
-    def test_flush_without_planner_is_a_noop(self, small_registry):
-        comdml = make_comdml(small_registry, planner="dense")
-        assert comdml.planner is None
-        agents = [small_registry.get(agent_id) for agent_id in small_registry.ids]
-        comdml.on_agent_departure(agents[-1])
-        assert comdml._pending_invalidations == set()
-        comdml.plan_round(0, agents[:-1])

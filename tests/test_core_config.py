@@ -4,6 +4,12 @@ import pytest
 
 from repro.core.config import ComDMLConfig
 
+#: Planner knobs that are no longer fields.  Spelled from their suffixes so
+#: that a search of the tree for the old names finds only stale callers.
+REMOVED_PLANNER_FIELDS = [
+    "planner" + suffix for suffix in ("", "_shards", "_balance", "_csr_compaction")
+]
+
 
 class TestComDMLConfig:
     def test_defaults_match_paper(self):
@@ -34,15 +40,10 @@ class TestComDMLConfig:
         with pytest.raises(ValueError):
             ComDMLConfig(churn_fraction=2.0)
 
-    def test_planner_shards_normalized(self):
-        assert ComDMLConfig().planner_shards == "auto"
-        assert ComDMLConfig(planner_shards="AUTO").planner_shards == "auto"
-        assert ComDMLConfig(planner_shards=4).planner_shards == 4
-
-    @pytest.mark.parametrize("shards", [0, -1, "bogus", "2"])
-    def test_invalid_planner_shards_rejected(self, shards):
-        with pytest.raises(ValueError):
-            ComDMLConfig(planner_shards=shards)
+    @pytest.mark.parametrize("name", REMOVED_PLANNER_FIELDS)
+    def test_removed_planner_fields_rejected(self, name):
+        with pytest.raises(TypeError, match=f"'{name}'"):
+            ComDMLConfig(**{name: 1})
 
     def test_valid_paper_table2_configuration(self):
         config = ComDMLConfig(

@@ -6,7 +6,7 @@ patching columns in place, compactions folding deltas back — the links it
 serves must be byte-identical to a from-scratch build of the same graph.
 The Hypothesis property here drives random arrival/departure/rewire event
 sequences against that contract, both on the raw structure and through
-every planner tier (pruned in-process, sharded with 1/2/4 workers).
+the pruned planner at every invalidation batching the runtime can produce.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.agents.resources import ResourceProfile
 from repro.core.csr import IncrementalCsr
 from repro.core.planner import PlannerStats, PrunedPlanner
 from repro.core.profiling import profile_architecture
-from repro.core.shard import ShardedPlanner
 from repro.models.resnet import resnet56_spec
 from repro.network.link import LinkModel
 from repro.network.topology import Topology, random_k_topology, ring_topology
@@ -206,17 +205,21 @@ def _participants(agents: dict[int, Agent], topology: Topology) -> list[Agent]:
 
 
 class TestPlannerTiersUnderEvents:
-    """Incremental planners over edited CSR ≡ from-scratch planners.
+    """An incremental planner over edited CSR ≡ a from-scratch planner.
 
     The persistent planner applies every wiring change as journal edits
     (through ``invalidate_topology``, exactly as the ComDML runtime
     flushes dynamics); the reference planner is built from scratch on the
     mutated graph each round.  Decisions and broadcast τ̂ maps must be
-    byte-identical at full candidate budget for the pruned tier and for
-    the sharded tier at 1, 2, and 4 workers.
+    byte-identical at full candidate budget.
+
+    The tiers are invalidation batchings: the runtime coalesces a burst of
+    arrivals and departures into one ``invalidate_topology`` flush before
+    the next plan, so the planner is driven with a flush and plan after
+    every 1, 2 or 4 events, and (``None``) once after the whole sequence.
     """
 
-    @pytest.mark.parametrize("shards", [None, 1, 2, 4])
+    @pytest.mark.parametrize("events_per_plan", [None, 1, 2, 4])
     @settings(
         max_examples=5,
         deadline=None,
@@ -227,7 +230,7 @@ class TestPlannerTiersUnderEvents:
         topology_seed=st.integers(min_value=0, max_value=20),
     )
     def test_event_sequences_match_from_scratch(
-        self, shards, events, topology_seed
+        self, events_per_plan, events, topology_seed
     ):
         ids = list(range(6))
         topology = random_k_topology(
@@ -236,82 +239,21 @@ class TestPlannerTiersUnderEvents:
         rng = np.random.default_rng(topology_seed + 1)
         agents = {agent_id: _make_agent(agent_id, rng) for agent_id in ids}
         link_model = LinkModel(topology)
-        if shards is None:
-            planner = PrunedPlanner(PROFILE, link_model, top_k=32)
-        else:
-            planner = ShardedPlanner(
-                PROFILE,
-                link_model,
-                top_k=32,
-                shards=shards,
-                shard_min_population=0,
-            )
-        try:
-            planner.plan(_participants(agents, topology))
-            next_id = len(ids)
-            for event in events:
-                next_id, touched = _apply_event(
+        planner = PrunedPlanner(PROFILE, link_model, top_k=32)
+        planner.plan(_participants(agents, topology))
+        batch = events_per_plan or len(events)
+        next_id = len(ids)
+        for start in range(0, len(events), batch):
+            touched: set[int] = set()
+            for event in events[start : start + batch]:
+                next_id, event_touched = _apply_event(
                     topology, agents, next_id, event
                 )
-                planner.invalidate_topology(touched)
-                participants = _participants(agents, topology)
-                decisions, taus = planner.plan(participants)
-                reference = PrunedPlanner(PROFILE, link_model, top_k=32)
-                fresh_decisions, fresh_taus = reference.plan(participants)
-                assert decisions == fresh_decisions
-                assert taus == fresh_taus
-        finally:
-            planner.close()
-
-
-class TestDoubleBufferDeterminism:
-    """Overlapping dirty sets across buffer flips stay deterministic.
-
-    Consecutive rounds churn overlapping agent subsets, so the parent
-    publishes each round's dirty rows and candidate links into alternating
-    shared-memory buffers while the previous round's inputs are still
-    mapped.  Every round must match a from-scratch planner on the same
-    mutated population — a stale or cross-wired buffer would diverge.
-    """
-
-    def test_overlapping_churn_rounds_match_fresh_planner(self):
-        rng = np.random.default_rng(11)
-        ids = list(range(16))
-        topology = random_k_topology(ids, 3, rng)
-        agents = {agent_id: _make_agent(agent_id, rng) for agent_id in ids}
-        link_model = LinkModel(topology)
-        planner = ShardedPlanner(
-            PROFILE,
-            link_model,
-            top_k=15,
-            shards=2,
-            shard_min_population=0,
-        )
-        try:
+                touched.update(event_touched)
+            planner.invalidate_topology(sorted(touched))
             participants = _participants(agents, topology)
-            planner.plan(participants)
-            buffers_seen = set()
-            for round_index in range(4):
-                # Window slides by 2 with width 6: 4 agents overlap the
-                # previous round's dirty set.
-                for index in range(round_index * 2, round_index * 2 + 6):
-                    agent = agents[ids[index % len(ids)]]
-                    cpu = float(1.0 + ((round_index + index) % 4))
-                    agent.update_profile(
-                        ResourceProfile(cpu, agent.profile.bandwidth_mbps)
-                    )
-                decisions, taus = planner.plan(participants)
-                buffers_seen.add(planner._back_buffer)
-                reference = PrunedPlanner(PROFILE, link_model, top_k=15)
-                fresh_decisions, fresh_taus = reference.plan(participants)
-                assert decisions == fresh_decisions
-                assert taus == fresh_taus
-            assert planner.shard_stats.sharded_rounds >= 4
-            # The flip actually alternated and both buffer generations
-            # were published.
-            assert buffers_seen == {0, 1}
-            assert {"rows0", "rows1", "links0", "links1"} <= set(
-                planner._runtime.segments
-            )
-        finally:
-            planner.close()
+            decisions, taus = planner.plan(participants)
+            reference = PrunedPlanner(PROFILE, link_model, top_k=32)
+            fresh_decisions, fresh_taus = reference.plan(participants)
+            assert decisions == fresh_decisions
+            assert taus == fresh_taus

@@ -332,24 +332,20 @@ class TestPlannerReporting:
         assert report["planner"]["cells_reporting"] == 1
         assert report["planner"]["rounds"] == planner["rounds"]
 
-    def test_aggregate_sums_counters_and_maxes_spread(self):
+    def test_aggregate_sums_flat_counters(self):
         from repro.experiments.reporting import aggregate_planner_reports
 
         payloads = [
-            {"planner": {"rounds": 2, "csr_edits": 3,
-                         "shards": {"sharded_rounds": 1, "cost_spread_max": 1.5,
-                                    "last_shard_costs": [5, 7]}}},
-            {"planner": {"rounds": 4, "csr_edits": 0,
-                         "shards": {"sharded_rounds": 2, "cost_spread_max": 1.2,
-                                    "last_shard_costs": [6, 6]}}},
+            {"planner": {"rounds": 2, "csr_edits": 3, "label": "a", "ok": True}},
+            {"planner": {"rounds": 4, "csr_edits": 0, "rows_reused": 7}},
             {"method": "AllReduce"},
             "not-a-dict",
         ]
         aggregate = aggregate_planner_reports(payloads)
-        assert aggregate["cells_reporting"] == 2
-        assert aggregate["rounds"] == 6
-        assert aggregate["csr_edits"] == 3
-        assert aggregate["shards"]["sharded_rounds"] == 3
-        assert aggregate["shards"]["cost_spread_max"] == 1.5
-        assert "last_shard_costs" not in aggregate["shards"]
+        assert aggregate == {
+            "rounds": 6,
+            "csr_edits": 3,
+            "rows_reused": 7,
+            "cells_reporting": 2,
+        }
         assert aggregate_planner_reports([{"x": 1}, "y"]) is None

@@ -17,12 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.agents.agent import Agent
 from repro.agents.resources import ResourceProfile
-from repro.core.config import ComDMLConfig, normalize_planner_mode
+from repro.core.comdml import ComDML
+from repro.core.config import ComDMLConfig
 from repro.core.pairing import greedy_pairing, greedy_pairing_reference
-from repro.core.planner import PrunedPlanner, build_planner
+from repro.core.planner import PrunedPlanner
 from repro.core.profiling import profile_architecture
 from repro.core.scheduler import DecentralizedPairingScheduler
-from repro.core.shard import ShardedPlanner
 from repro.core.workload import individual_training_time
 from repro.models.resnet import resnet56_spec
 from repro.network.link import LinkModel
@@ -76,7 +76,7 @@ def _full_budget_planner(agents, link_model, **kwargs) -> PrunedPlanner:
 
 
 # ----------------------------------------------------------------------
-# Tentpole property: sharded ≡ pruned ≡ dense ≡ scalar at full budget
+# Exactness: pruned ≡ dense ≡ scalar at full budget
 # ----------------------------------------------------------------------
 class TestPrunedDenseEquivalence:
     @given(
@@ -86,7 +86,7 @@ class TestPrunedDenseEquivalence:
         seed=st.integers(min_value=0, max_value=100),
     )
     @settings(max_examples=80, deadline=None)
-    def test_four_way_decision_identity(
+    def test_three_way_decision_identity(
         self, population, topology_kind, threshold, seed
     ):
         agents = _build_agents(population)
@@ -102,19 +102,6 @@ class TestPrunedDenseEquivalence:
             agents, link_model, PROFILE, improvement_threshold=threshold
         )
         assert pruned == dense == scalar
-        sharded_planner = ShardedPlanner(
-            PROFILE,
-            link_model,
-            top_k=max(len(agents) - 1, 1),
-            improvement_threshold=threshold,
-            shards=2,
-            shard_min_population=0,
-        )
-        try:
-            sharded, _ = sharded_planner.plan(agents)
-            assert sharded == pruned
-        finally:
-            sharded_planner.close()
 
     @given(
         population=st.lists(AGENT_STRATEGY, min_size=2, max_size=10),
@@ -305,6 +292,58 @@ class TestIncrementalReplanning:
             <= planner.stats.last_rows_recomputed * top_k * PROFILE.num_options
         )
 
+    def test_complete_graph_replan_skips_neighbor_walk(self):
+        """A new participant subset on a complete graph dirties every row at
+        once instead of walking n neighbours per dirty or departed agent."""
+        rng = np.random.default_rng(5)
+        population = [
+            (
+                float(rng.choice([4.0, 2.0, 1.0, 0.5])),
+                float(rng.choice([10.0, 50.0, 100.0])),
+                int(rng.integers(200, 3_000)),
+                100,
+            )
+            for _ in range(450)
+        ]
+        agents = _build_agents(population)
+        link_model = _link_model(agents, "full", 0)
+        graph = link_model.topology.graph
+        order = rng.permutation(len(agents))
+        planner = PrunedPlanner(PROFILE, link_model, top_k=8)
+        planner.plan([agents[i] for i in sorted(order[:300])])
+
+        participants = [agents[i] for i in sorted(order[150:])]
+        walked = []
+        original_neighbors = graph.neighbors
+
+        def counting_neighbors(node):
+            walked.append(node)
+            return original_neighbors(node)
+
+        graph.neighbors = counting_neighbors
+        try:
+            decisions, taus_by_id = planner.plan(participants)
+        finally:
+            del graph.neighbors
+        assert walked == []
+        assert planner.stats.last_rows_recomputed == len(participants)
+        fresh = PrunedPlanner(PROFILE, link_model, top_k=8)
+        assert (decisions, taus_by_id) == fresh.plan(participants)
+
+    def test_complete_graph_departure_matches_fresh_plan(self):
+        """A departure can change the shared candidate pool of a complete
+        graph even for rows whose cached candidates never named it."""
+        cpu_shares = [0.5, 2.0, 0.5, 0.5, 0.5, 4.0, 0.5, 4.0, 0.5, 4.0]
+        agents = _build_agents([(cpu, 50.0, 1_000, 100) for cpu in cpu_shares])
+        link_model = _link_model(agents, "full", 0)
+        planner = PrunedPlanner(PROFILE, link_model, top_k=2)
+        planner.plan(agents)
+        gone = agents.pop(9)
+        link_model.topology.remove_agent(gone.agent_id)
+        planner.invalidate_topology([gone.agent_id])
+        fresh = PrunedPlanner(PROFILE, link_model, top_k=2)
+        assert planner.plan(agents) == fresh.plan(agents)
+
     def test_invalidate_all_forces_full_rebuild(self):
         agents = _build_agents([(0.5, 50.0, 1_000, 100)] * 5)
         link_model = _link_model(agents, "full", 0)
@@ -333,25 +372,27 @@ class TestIncrementalReplanning:
 # Selection, configuration, and validation
 # ----------------------------------------------------------------------
 class TestPlannerSelection:
-    def test_dense_mode_builds_no_planner(self):
-        agents = _build_agents([(0.5, 50.0, 1_000, 100)] * 3)
-        link_model = _link_model(agents, "full", 0)
-        assert build_planner(PROFILE, link_model, mode="dense") is None
+    def test_pruned_mode_engages_at_any_size(self, small_registry):
+        """``planner_threshold=1`` plans every round with the pruned planner."""
+        comdml = ComDML(
+            small_registry,
+            resnet56_spec(),
+            ComDMLConfig(planner_threshold=1, offload_granularity=9),
+        )
+        assert comdml.planner.engages(1)
+        assert comdml.planner.engages(10_000)
+        comdml.plan_round(0, small_registry.agents)
+        assert comdml.planner.stats.rounds == 1
 
-    def test_pruned_mode_engages_at_any_size(self):
-        agents = _build_agents([(0.5, 50.0, 1_000, 100)] * 3)
-        link_model = _link_model(agents, "full", 0)
-        planner = build_planner(PROFILE, link_model, mode="pruned")
-        assert planner is not None
-        assert planner.engages(1)
-        assert planner.engages(10_000)
-
-    def test_auto_mode_engages_at_threshold(self):
-        agents = _build_agents([(0.5, 50.0, 1_000, 100)] * 3)
-        link_model = _link_model(agents, "full", 0)
-        planner = build_planner(PROFILE, link_model, mode="auto", threshold=256)
-        assert not planner.engages(255)
-        assert planner.engages(256)
+    def test_auto_mode_engages_at_threshold(self, small_registry):
+        """The default threshold keeps small rounds on the dense kernel."""
+        comdml = ComDML(
+            small_registry, resnet56_spec(), ComDMLConfig(offload_granularity=9)
+        )
+        assert not comdml.planner.engages(255)
+        assert comdml.planner.engages(256)
+        comdml.plan_round(0, small_registry.agents)
+        assert comdml.planner.stats.rounds == 0
 
     def test_scheduler_dense_and_engaged_planner_agree(
         self, small_registry, small_link_model, resnet56_profile
@@ -382,12 +423,6 @@ class TestPlannerSelection:
             == dense_scheduler.shared_training_times
         )
         assert planner.stats.rounds == 1
-
-    def test_config_normalizes_and_validates_planner_mode(self):
-        assert ComDMLConfig(planner="PRUNED").planner == "pruned"
-        assert normalize_planner_mode("Auto") == "auto"
-        with pytest.raises(ValueError, match="planner"):
-            ComDMLConfig(planner="bogus")
 
     @pytest.mark.parametrize(
         "field, value",

@@ -14,19 +14,14 @@ history that ``--check`` can gate on:
     # kernel's same-machine speedup over the scalar reference (the
     # machine-independent signal) fell below 4x, if the pruned planner's
     # scaling exponent drifted super-linear, if its 5000-agent round
-    # got slower than the dense kernel's 500-agent round, if the sharded
-    # planner's 50k round blew past its single-process partner, if the
-    # incremental CSR engine lost its 3x edge over the full rebuild, if
-    # the cost-balanced partitioner's realised per-shard spread skewed,
-    # or if a planner shared-memory segment leaked into /dev/shm.
-    # --quick skips the scale500k- and scale1m-marked benches.
+    # got slower than the dense kernel's 500-agent round, or if the
+    # incremental CSR engine lost its 3x edge over the full rebuild.
     PYTHONPATH=src python tools/bench_trajectory.py ci --out bench-ci.json \
         --check BENCH_9.json --max-ratio 2.0 --min-speedup 4.0 \
-        --max-exponent 1.3 --planner-dense-ratio 1.0 --shard-ratio 2.0 \
-        --csr-ratio 3.0 --balance-spread 1.5 --fail-on-shm-leak --quick
+        --max-exponent 1.3 --planner-dense-ratio 1.0 --csr-ratio 3.0
 
 Snapshot schema 2 adds per-bench ``extra`` columns (peak traced bytes and
-high-water RSS from the scaling benches, sharded-round counters).  See
+high-water RSS from the scaling benches, CSR edit counters).  See
 docs/performance.md for the file format and how to read it.
 """
 
@@ -62,16 +57,6 @@ PLANNER_DENSE_PAIR = (
     "test_dense_round_speed_500",
 )
 
-#: Same-run pair gated by --shard-ratio: the sharded planner's 50k-agent
-#: steady-state round against the single-process pruned planner on the
-#: identical workload.  On multi-core hosts the ratio should sit below
-#: 1.0; the CI gate is lenient (2.0) because single-core runners pay the
-#: IPC overhead without any parallel speedup to show for it.
-SHARD_PAIR = (
-    "test_sharded_planner_round_speed[50000]",
-    "test_planner_round_speed[random-k-50000]",
-)
-
 #: Same-run pair gated by --csr-ratio: the incremental CSR engine
 #: absorbing a 50k-population arrival wave as O(Δ) journal edits against
 #: the O(E) full rebuild of the same graph.  Unlike the other gates this
@@ -81,17 +66,6 @@ CSR_PAIR = (
     "test_csr_arrival_wave_rebuild_speed",
     "test_csr_arrival_wave_incremental_speed",
 )
-
-#: Bench whose ``cost_spread_max`` extra column --balance-spread gates:
-#: the realised max-over-mean per-shard row-cost ratio of the sharded
-#: 50k round (1.0 is a perfect split; the partitioner targets the
-#: prefix-sum optimum, so sustained skew means balancing regressed).
-SPREAD_BENCH = "test_sharded_planner_round_speed[50000]"
-
-#: Prefix of the sharded planner's /dev/shm segments (mirrors
-#: ``repro.core.shard.SHARD_SHM_PREFIX`` without importing the package,
-#: which this tool deliberately avoids).
-SHM_PREFIX = "comdml-shard-"
 
 SCHEMA = 2
 
@@ -265,18 +239,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--shard-ratio",
-        type=float,
-        default=None,
-        help=(
-            "fail when the sharded planner's 50k-agent round takes more than "
-            "this multiple of the single-process pruned planner's round on "
-            "the identical workload in THIS run (use a lenient bound like "
-            "2.0 on single-core runners, where the pool pays IPC overhead "
-            "without parallel speedup)"
-        ),
-    )
-    parser.add_argument(
         "--csr-ratio",
         type=float,
         default=None,
@@ -288,42 +250,13 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--balance-spread",
-        type=float,
-        default=None,
-        help=(
-            "fail when the sharded 50k round's realised max-over-mean "
-            "per-shard row-cost spread (its cost_spread_max extra column) "
-            "exceeds this in THIS run (1.0 is a perfect split)"
-        ),
-    )
-    parser.add_argument(
-        "--fail-on-shm-leak",
-        action="store_true",
-        help=(
-            "fail when a sharded-planner shared-memory segment "
-            f"({SHM_PREFIX}*) survives in /dev/shm after the suite"
-        ),
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help=(
-            "skip the scale500k-marked half-million-agent benches and the "
-            "scale1m-marked million-agent benches"
-        ),
-    )
-    parser.add_argument(
         "pytest_args",
         nargs="*",
         help="extra arguments forwarded to pytest (after --)",
     )
     args = parser.parse_args(argv)
 
-    pytest_args = list(args.pytest_args)
-    if args.quick:
-        pytest_args += ["-m", "not scale500k and not scale1m"]
-    raw = run_suite(pytest_args)
+    raw = run_suite(list(args.pytest_args))
     snap = snapshot(args.label, raw)
     out = args.out if args.out is not None else ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -388,28 +321,6 @@ def main(argv: list[str] | None = None) -> int:
             )
             status = 2
 
-    sharded, single = SHARD_PAIR
-    shard_ratio = None
-    if sharded in snap["benches"] and single in snap["benches"]:
-        shard_ratio = (
-            snap["benches"][sharded]["median_seconds"]
-            / snap["benches"][single]["median_seconds"]
-        )
-        print(
-            f"sharded 50k-agent round vs single-process round: "
-            f"{shard_ratio:.2f}x"
-        )
-    if args.shard_ratio is not None:
-        if shard_ratio is None:
-            print("check: sharded/single-process comparison benches missing")
-            status = 2
-        elif shard_ratio > args.shard_ratio:
-            print(
-                f"check: sharded/single ratio {shard_ratio:.2f}x above the "
-                f"{args.shard_ratio:.2f}x limit REGRESSION"
-            )
-            status = 2
-
     rebuild, incremental = CSR_PAIR
     csr_ratio = None
     if rebuild in snap["benches"] and incremental in snap["benches"]:
@@ -431,38 +342,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"{args.csr_ratio:.1f}x floor REGRESSION"
             )
             status = 2
-
-    spread = (
-        snap["benches"]
-        .get(SPREAD_BENCH, {})
-        .get("extra", {})
-        .get("cost_spread_max")
-    )
-    if spread is not None:
-        print(f"sharded 50k round max per-shard cost spread: {spread:.2f}x")
-    if args.balance_spread is not None:
-        if spread is None:
-            print("check: cost_spread_max column missing from the sharded bench")
-            status = 2
-        elif spread > args.balance_spread:
-            print(
-                f"check: shard cost spread {spread:.2f}x above the "
-                f"{args.balance_spread:.2f}x limit REGRESSION"
-            )
-            status = 2
-
-    if args.fail_on_shm_leak:
-        shm_dir = Path("/dev/shm")
-        leaked = (
-            sorted(path.name for path in shm_dir.glob(SHM_PREFIX + "*"))
-            if shm_dir.is_dir()
-            else []
-        )
-        if leaked:
-            print(f"check: leaked shared-memory segments in /dev/shm: {leaked}")
-            status = 2
-        else:
-            print("check: no sharded-planner segments left in /dev/shm ok")
 
     if args.check is not None:
         status = max(
