@@ -3,8 +3,9 @@
 These are not paper reproductions; they track the library's own performance:
 split profiling, the per-pair offload optimisation, round-timing assembly
 (both the vectorized kernel and the scalar reference it replaced, so every
-run records the speedup on the same machine), and one round of local-loss
-split training of the proxy model.
+run records the speedup on the same machine), one round of local-loss
+split training of the proxy model, and steady ``ComDML`` rounds in each
+execution mode.
 
 ``tools/bench_trajectory.py`` runs this suite and appends the medians to
 the repo's perf history (``BENCH_<n>.json``); see docs/performance.md.
@@ -19,6 +20,8 @@ from benchmarks.conftest import attach_peak_memory
 from repro.agents.agent import Agent
 from repro.agents.registry import AgentRegistry
 from repro.agents.resources import ResourceProfile
+from repro.core.comdml import ComDML
+from repro.core.config import ComDMLConfig
 from repro.core.csr import IncrementalCsr
 from repro.core.fastpath import PairCostModel
 from repro.core.pairing import greedy_pairing, greedy_pairing_reference
@@ -31,6 +34,7 @@ from repro.models.proxy import ProxyModelFactory
 from repro.models.resnet import resnet56_spec, resnet110_spec
 from repro.network.link import LinkModel
 from repro.network.topology import full_topology, random_k_topology, ring_topology
+from repro.runtime.dynamics import ArrivalAttachment, DynamicsSchedule
 from repro.training.local_loss import LocalLossSplitTrainer
 from repro.utils.units import mbps_to_bytes_per_second
 
@@ -354,3 +358,89 @@ def test_csr_arrival_wave_rebuild_speed(benchmark):
     assert nodes >= CSR_WAVE_POPULATION + CSR_WAVE_ARRIVALS
     assert (nodes - CSR_WAVE_POPULATION) % CSR_WAVE_ARRIVALS == 0
     assert links > 0
+
+
+# ----------------------------------------------------------------------
+# Steady ComDML rounds per execution mode: the event-driven runtime
+# ----------------------------------------------------------------------
+#: Population of the steady-round benches.
+RUNTIME_AGENTS = 4_000
+
+#: Timed rounds per bench, after an untimed cold round 0.
+RUNTIME_ROUNDS = 5
+
+#: Simulated seconds of dynamics schedule per round.  A semi-sync round of
+#: this population lasts about 220 simulated seconds, so the schedule,
+#: which covers two spare rounds, outlasts the bench.
+RUNTIME_SCHEDULE_SECONDS_PER_ROUND = 250.0
+
+
+def _runtime_schedule(ids: list[int]) -> DynamicsSchedule:
+    """Seeded Poisson arrivals and departures plus a 1 % churn event per 150 s."""
+    horizon = (RUNTIME_ROUNDS + 2) * RUNTIME_SCHEDULE_SECONDS_PER_ROUND
+    schedule = DynamicsSchedule.poisson(
+        horizon=horizon,
+        arrival_rate=0.2,
+        departure_rate=0.2,
+        seed=5,
+        departure_candidates=ids,
+        id_start=RUNTIME_AGENTS,
+        attachment=ArrivalAttachment(policy="random-k", k=6, seed=5),
+    )
+    for churn_time in np.arange(150.0, horizon, 150.0):
+        schedule.churn(float(churn_time), fraction=0.01)
+    return schedule
+
+
+def _steady_runtime_rounds(benchmark, mode: str) -> None:
+    """Time ``run_round`` on rounds 1.. of a 4 000-agent random-k(6) run.
+
+    Sync and async churn 1 % of the profiles at every round boundary; the
+    semi-sync run (fixed 0.8 quorum) gets its churn, arrivals and
+    departures mid-round from a seeded dynamics schedule instead, so it
+    runs the dynamics-aware path.  ``tools/bench_trajectory.py`` gates the
+    semi-sync and async medians against the sync one (``--event-sync-ratio``).
+    """
+    agents = _planner_population(RUNTIME_AGENTS)
+    ids = [agent.agent_id for agent in agents]
+    dynamic = mode == "semi-sync"
+    trainer = ComDML(
+        registry=AgentRegistry(agents),
+        spec=resnet56_spec(),
+        config=ComDMLConfig(
+            offload_granularity=9,
+            execution_mode=mode,
+            quorum_fraction=0.8,
+            churn_fraction=0.0 if dynamic else 0.01,
+            churn_interval_rounds=1,
+            max_rounds=RUNTIME_ROUNDS + 1,
+            target_accuracy=None,
+            seed=1,
+        ),
+        topology=random_k_topology(ids, 6, np.random.default_rng(1)),
+        dynamics=_runtime_schedule(ids) if dynamic else None,
+    )
+    trainer.run_round(0)  # cold planner build, outside the timer
+    rounds = iter(range(1, RUNTIME_ROUNDS + 1))
+
+    def steady_round():
+        return trainer.run_round(next(rounds))
+
+    record = benchmark.pedantic(steady_round, rounds=RUNTIME_ROUNDS, iterations=1)
+    assert record.duration_seconds > 0
+    trainer.trace.check_conservation()
+
+
+def test_runtime_round_speed_sync(benchmark):
+    """Closed-form sync round: the partner of the two ratio gates."""
+    _steady_runtime_rounds(benchmark, "sync")
+
+
+def test_runtime_round_speed_semi_sync(benchmark):
+    """Dynamics-aware semi-sync round: one completion event per unit."""
+    _steady_runtime_rounds(benchmark, "semi-sync")
+
+
+def test_runtime_round_speed_async(benchmark):
+    """Closed-form async round: one gossip aggregation per unit."""
+    _steady_runtime_rounds(benchmark, "async")

@@ -33,7 +33,10 @@ class Agent:
     profile:
         Current :class:`~repro.agents.resources.ResourceProfile`.
     num_samples:
-        Number of local training samples (the paper's ``N_i``).
+        Number of local training samples (the paper's ``N_i``).  Fixed
+        once the agent is registered: an
+        :class:`~repro.agents.registry.AgentRegistry` keeps a running
+        total of it.
     batch_size:
         Local mini-batch size (the paper uses 100).
     local_epochs:

@@ -24,6 +24,7 @@ class AgentRegistry:
 
     def __init__(self, agents: Optional[Iterable[Agent]] = None) -> None:
         self._agents: dict[int, Agent] = {}
+        self._total_samples = 0
         if agents is not None:
             for agent in agents:
                 self.add(agent)
@@ -78,6 +79,7 @@ class AgentRegistry:
         if agent.agent_id in self._agents:
             raise ValueError(f"duplicate agent id {agent.agent_id}")
         self._agents[agent.agent_id] = agent
+        self._total_samples += agent.num_samples
 
     def get(self, agent_id: int) -> Agent:
         """Look up an agent by id."""
@@ -89,9 +91,11 @@ class AgentRegistry:
     def remove(self, agent_id: int) -> Agent:
         """Remove and return an agent (mid-run departure)."""
         try:
-            return self._agents.pop(agent_id)
+            agent = self._agents.pop(agent_id)
         except KeyError:
             raise KeyError(f"unknown agent id {agent_id}") from None
+        self._total_samples -= agent.num_samples
+        return agent
 
     def __contains__(self, agent_id: int) -> bool:
         return agent_id in self._agents
@@ -114,8 +118,14 @@ class AgentRegistry:
 
     @property
     def total_samples(self) -> int:
-        """Total number of training samples across the population (``N``)."""
-        return sum(agent.num_samples for agent in self._agents.values())
+        """Total number of training samples across the population (``N``).
+
+        A running total that :meth:`add` and :meth:`remove` keep, so reading
+        it is O(1); async rounds read it once per unit.  It relies on an
+        agent's ``num_samples`` being fixed once the agent is registered.
+        Integer sums are exact, so it equals the sum over the agents.
+        """
+        return self._total_samples
 
     # ------------------------------------------------------------------
     # Participation sampling

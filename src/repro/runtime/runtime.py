@@ -185,6 +185,9 @@ class TrainingRuntime:
         # Mid-round execution state (only set while a dynamics-aware round
         # is in flight).
         self._flight: Optional[dict[int, _FlightEntry]] = None
+        # Agent id -> its in-flight entries in plan order, so a departure or
+        # churn event visits only the units it touches.
+        self._flight_by_agent: dict[int, list[_FlightEntry]] = {}
         self._current_plan: Optional[RoundPlan] = None
         self._current_round = 0
         self._round_start = 0.0
@@ -562,24 +565,22 @@ class TrainingRuntime:
 
     def _abandon_in_flight(self, agent_id: int) -> None:
         """Abandon in-flight units of a departed agent (their work is lost)."""
-        flight = self._flight
-        if flight is None:
+        if self._flight is None:
             return
-        for entry in flight.values():
+        for entry in self._flight_by_agent.get(agent_id, ()):
             if entry.done or entry.abandoned:
                 continue
-            if agent_id in entry.unit.agent_ids:
-                entry.abandoned = True
-                entry.version += 1  # invalidate the pending completion event
-                self.trace.record(
-                    self.engine.now,
-                    self._current_round,
-                    "unit_abandoned",
-                    entry.unit.agent_ids,
-                    detail={"departed": agent_id},
-                )
-                if self._on_abandon_hook is not None:
-                    self._on_abandon_hook(entry)
+            entry.abandoned = True
+            entry.version += 1  # invalidate the pending completion event
+            self.trace.record(
+                self.engine.now,
+                self._current_round,
+                "unit_abandoned",
+                entry.unit.agent_ids,
+                detail={"departed": agent_id},
+            )
+            if self._on_abandon_hook is not None:
+                self._on_abandon_hook(entry)
 
     def _reprice_in_flight(self, affected_ids: set[int]) -> None:
         """Re-cost in-flight units whose agents were just churned.
@@ -588,14 +589,21 @@ class TrainingRuntime:
         is re-priced at the strategy's fresh ``reprice_unit`` estimate and
         the unit's completion event is rescheduled.
         """
-        flight = self._flight
-        if flight is None or self._current_plan is None:
+        if self._flight is None or self._current_plan is None:
             return
         now = self.engine.now
-        for entry in flight.values():
+        by_agent = self._flight_by_agent
+        # Plan order, as a scan over the flight would visit them: units are
+        # enumerated by index, and a pair is reached once even if both of
+        # its agents churned.
+        affected = {
+            entry.unit.index: entry
+            for agent_id in affected_ids
+            for entry in by_agent.get(agent_id, ())
+        }
+        for unit_index in sorted(affected):
+            entry = affected[unit_index]
             if entry.done or entry.abandoned:
-                continue
-            if not affected_ids.intersection(entry.unit.agent_ids):
                 continue
             if entry.full_duration > 0:
                 entry.progress = min(
@@ -687,7 +695,12 @@ class TrainingRuntime:
             )
             for unit in plan.units
         }
+        by_agent: dict[int, list[_FlightEntry]] = {}
+        for entry in flight.values():
+            for agent_id in entry.unit.agent_ids:
+                by_agent.setdefault(agent_id, []).append(entry)
         self._flight = flight
+        self._flight_by_agent = by_agent
         for entry in flight.values():
             self._schedule_completion(entry)
         return start, plan, flight
@@ -706,17 +719,28 @@ class TrainingRuntime:
         """Full barrier over whatever survives arrivals/churn/departures."""
         start, plan, flight = self._start_dynamic_round(round_index)
         closure = {"closed": not flight, "time": start}
+        # A unit is pending, done or abandoned, and a done unit is never
+        # abandoned, so every live (non-abandoned) unit is done exactly
+        # when the two counters meet.
+        state = {"completed": 0, "live": len(flight)}
 
         def _check_all_done(at: float) -> None:
             if closure["closed"]:
                 return
-            live = [entry for entry in flight.values() if not entry.abandoned]
-            if all(entry.done for entry in live):
+            if state["completed"] == state["live"]:
                 closure["closed"] = True
                 closure["time"] = at
 
-        self._on_done_hook = lambda entry, event: _check_all_done(event.timestamp)
-        self._on_abandon_hook = lambda entry: _check_all_done(self.engine.now)
+        def _on_done(entry: _FlightEntry, event: Event) -> None:
+            state["completed"] += 1
+            _check_all_done(event.timestamp)
+
+        def _on_abandon(entry: _FlightEntry) -> None:
+            state["live"] -= 1
+            _check_all_done(self.engine.now)
+
+        self._on_done_hook = _on_done
+        self._on_abandon_hook = _on_abandon
         self._drive_until_closed(closure)
         return self._finish_dynamic_round(
             plan,
@@ -807,7 +831,9 @@ class TrainingRuntime:
             if decision is not None
             else 0
         )
-        state = {"completed": 0, "deadline_passed": False}
+        # Counters, as in the sync path: ``live`` units are not abandoned,
+        # and ``completed`` of them are done.
+        state = {"completed": 0, "live": len(flight), "deadline_passed": False}
         closure = {"closed": not flight, "time": start}
 
         def _close(at: float) -> None:
@@ -815,7 +841,6 @@ class TrainingRuntime:
                 return
             closure["closed"] = True
             closure["time"] = at
-            kept = sum(1 for entry in flight.values() if entry.done)
             pending = [
                 entry
                 for entry in flight.values()
@@ -826,7 +851,7 @@ class TrainingRuntime:
                 round_index,
                 "quorum_reached",
                 detail={
-                    "kept": kept,
+                    "kept": state["completed"],
                     "dropped": len(pending),
                     "policy": self.quorum_policy.name,
                 },
@@ -843,26 +868,30 @@ class TrainingRuntime:
                 )
 
         def _maybe_close(at: float) -> None:
+            # With every live unit done, completed == live >= the effective
+            # target, so the target test also closes a fully finished round.
             if closure["closed"]:
                 return
-            live = [entry for entry in flight.values() if not entry.abandoned]
+            live = state["live"]
             if not live:
                 _close(at)
                 return
-            effective_target = max(1, min(target, len(live)))
+            effective_target = max(1, min(target, live))
             if state["completed"] >= effective_target:
                 _close(at)
             elif state["deadline_passed"] and state["completed"] >= 1:
-                _close(at)
-            elif all(entry.done for entry in live):
                 _close(at)
 
         def _on_done(entry: _FlightEntry, event: Event) -> None:
             state["completed"] += 1
             _maybe_close(event.timestamp)
 
+        def _on_abandon(entry: _FlightEntry) -> None:
+            state["live"] -= 1
+            _maybe_close(self.engine.now)
+
         self._on_done_hook = _on_done
-        self._on_abandon_hook = lambda entry: _maybe_close(self.engine.now)
+        self._on_abandon_hook = _on_abandon
 
         if decision is not None and decision.deadline_seconds is not None:
 

@@ -1,6 +1,6 @@
 """Event primitives for the discrete-event engine.
 
-Events are ordered by ``(timestamp, priority, sequence)``.  The sequence
+Events fire in ``(timestamp, priority, sequence)`` order.  The sequence
 number is a monotonically increasing tiebreaker assigned by the queue so
 that events scheduled at the same instant fire in insertion order — this
 keeps runs deterministic regardless of payload contents.
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
     """A scheduled simulation event.
 
@@ -40,9 +40,9 @@ class Event:
         Insertion-order tiebreaker, assigned by :class:`EventQueue`.
     kind:
         Free-form event type string (e.g. ``"round_end"``,
-        ``"profile_churn"``); excluded from ordering.
+        ``"profile_churn"``); excluded from equality.
     payload:
-        Arbitrary data attached to the event; excluded from ordering.
+        Arbitrary data attached to the event; excluded from equality.
     callback:
         Optional callable invoked by the engine when the event fires.
     """
@@ -56,10 +56,18 @@ class Event:
 
 
 class EventQueue:
-    """Min-heap of :class:`Event` ordered by time, priority, insertion order."""
+    """Min-heap of :class:`Event` ordered by time, priority, insertion order.
+
+    The heap holds ``(timestamp, priority, sequence, event)`` tuples, so
+    every sift compares plain tuples in C instead of calling a Python
+    ``__lt__`` on the events.  Sequences are unique, so the comparison never
+    reaches the event itself and the pop order is exactly
+    ``(timestamp, priority, sequence)``.  An event's timestamp and priority
+    are read once, when it is pushed.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
@@ -70,8 +78,8 @@ class EventQueue:
 
     def push(self, event: Event) -> Event:
         """Insert an event, stamping its sequence number; returns the event."""
-        event.sequence = next(self._counter)
-        heapq.heappush(self._heap, event)
+        event.sequence = sequence = next(self._counter)
+        heapq.heappush(self._heap, (event.timestamp, event.priority, sequence, event))
         return event
 
     def schedule(
@@ -102,13 +110,13 @@ class EventQueue:
         """
         if not self._heap:
             raise IndexError("pop from empty EventQueue")
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self._heap)[3]
 
     def peek(self) -> Event:
         """Return (without removing) the earliest event."""
         if not self._heap:
             raise IndexError("peek on empty EventQueue")
-        return self._heap[0]
+        return self._heap[0][3]
 
     def clear(self) -> None:
         """Drop all pending events."""

@@ -1,7 +1,9 @@
 """Tests for the agent registry."""
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.agents.agent import Agent
 from repro.agents.registry import AgentRegistry
@@ -81,3 +83,43 @@ class TestParticipationSampling:
         registry = AgentRegistry.build(num_agents=5, rng=rng)
         with pytest.raises(ValueError):
             registry.sample_participants(1.5, rng)
+
+
+#: One registry operation: add an agent with a (possibly zero) sample
+#: count, or remove an id that may or may not be registered.
+REGISTRY_OPS = st.one_of(
+    st.tuples(
+        st.just("add"),
+        st.integers(min_value=0, max_value=7),
+        st.one_of(st.just(0), st.integers(min_value=0, max_value=5_000)),
+    ),
+    st.tuples(st.just("remove"), st.integers(min_value=0, max_value=7)),
+)
+
+
+class TestRunningSampleTotal:
+    @hypothesis.seed(20240713)
+    @given(ops=st.lists(REGISTRY_OPS, max_size=40))
+    @settings(max_examples=100, deadline=500)
+    def test_total_matches_sum_after_any_add_remove_sequence(self, ops):
+        registry = AgentRegistry()
+        for op in ops:
+            before = registry.total_samples
+            if op[0] == "add":
+                _, agent_id, samples = op
+                agent = Agent(agent_id, ResourceProfile(1.0, 10.0), num_samples=samples)
+                if agent_id in registry:
+                    with pytest.raises(ValueError):
+                        registry.add(agent)
+                    assert registry.total_samples == before
+                else:
+                    registry.add(agent)
+            else:
+                _, agent_id = op
+                if agent_id in registry:
+                    registry.remove(agent_id)
+                else:
+                    with pytest.raises(KeyError):
+                        registry.remove(agent_id)
+                    assert registry.total_samples == before
+            assert registry.total_samples == sum(a.num_samples for a in registry)

@@ -1,11 +1,14 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from datetime import timedelta
+
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import given, settings, strategies as st
 
 from repro.agents.agent import Agent
-from repro.agents.resources import ResourceProfile
+from repro.agents.resources import CPU_PROFILES, ResourceProfile
 from repro.core.pairing import greedy_pairing, pairing_makespan
 from repro.core.profiling import profile_architecture
 from repro.core.workload import estimate_offload_time, individual_training_time
@@ -472,3 +475,137 @@ def test_sync_runtime_history_deterministic_under_fixed_seed(seed, num_agents):
         return comdml.run()
 
     assert run_once().records == run_once().records
+
+
+# ----------------------------------------------------------------------
+# Round closure under mid-round dynamics, in every mode
+# ----------------------------------------------------------------------
+@st.composite
+def closure_runs(draw):
+    """A small population, a non-empty dynamics schedule and a run mode.
+
+    Agent 0 never departs: ComDML cannot plan a round once the whole
+    population has left.
+    """
+    num_agents = draw(st.integers(min_value=2, max_value=6))
+    times = st.floats(min_value=0.0, max_value=300.0, allow_nan=False)
+    arrivals = draw(st.lists(times, max_size=2))
+    departures = draw(
+        st.lists(
+            st.tuples(times, st.integers(min_value=1, max_value=num_agents - 1)),
+            max_size=2,
+        )
+    )
+    population = num_agents + len(arrivals)
+    churn_targets = st.one_of(
+        st.builds(dict, fraction=st.sampled_from((0.25, 0.5, 1.0))),
+        st.builds(
+            dict,
+            agent_ids=st.lists(
+                st.integers(min_value=0, max_value=population - 1),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            ),
+        ),
+    )
+    churns = draw(st.lists(st.tuples(times, churn_targets), max_size=3))
+    if not (arrivals or departures or churns):
+        churns = [(draw(times), {"fraction": 0.5})]
+    return {
+        "num_agents": num_agents,
+        "arrivals": arrivals,
+        "departures": departures,
+        "churns": churns,
+        "method": draw(st.sampled_from(("ComDML", "AllReduce"))),
+        "mode": draw(st.sampled_from(("sync", "semi-sync", "async"))),
+        "quorum_policy": draw(st.sampled_from(("fixed", "deadline"))),
+        "seed": draw(st.integers(min_value=0, max_value=2**16)),
+    }
+
+
+@hypothesis.seed(20240713)
+@given(run=closure_runs())
+@settings(max_examples=40, deadline=timedelta(seconds=2))
+def test_dynamic_round_closure_accounts_for_every_unit(run):
+    """Every planned unit ends a dynamics-aware round in exactly one state.
+
+    Per round: a sync barrier completes or abandons each unit, an async
+    round aggregates or abandons each, and a semi-sync quorum keeps, drops
+    or abandons each.  These are the counters the closures run on, checked
+    against the plan and the trace; the trace's sink accounting closes too.
+    """
+    from collections import Counter
+
+    from repro.agents.registry import AgentRegistry
+    from repro.baselines import AllReduceDML
+    from repro.core.comdml import ComDML
+    from repro.core.config import ComDMLConfig
+    from repro.runtime.dynamics import DynamicsSchedule
+
+    num_agents = run["num_agents"]
+    schedule = DynamicsSchedule()
+    for index, time in enumerate(run["arrivals"]):
+        schedule.arrival(
+            time,
+            Agent(
+                agent_id=num_agents + index,
+                profile=ResourceProfile(CPU_PROFILES[index], 50.0),
+                num_samples=300,
+                batch_size=100,
+            ),
+        )
+    for time, agent_id in run["departures"]:
+        schedule.departure(time, agent_id=agent_id)
+    for time, targets in run["churns"]:
+        schedule.churn(time, **targets)
+
+    trainer_cls = ComDML if run["method"] == "ComDML" else AllReduceDML
+    trainer = trainer_cls(
+        registry=AgentRegistry.build(
+            num_agents=num_agents,
+            rng=np.random.default_rng(run["seed"]),
+            samples_per_agent=400,
+            batch_size=100,
+        ),
+        spec=RESNET56,
+        config=ComDMLConfig(
+            max_rounds=3,
+            offload_granularity=9,
+            execution_mode=run["mode"],
+            quorum_policy=run["quorum_policy"],
+            quorum_deadline_factor=0.8,
+            seed=run["seed"],
+        ),
+        profile=PROFILE,
+        dynamics=schedule,
+    )
+    units_per_round: dict[int, int] = {}
+    plan_round = trainer.plan_round
+
+    def counting_plan_round(round_index, participants):
+        plan = plan_round(round_index, participants)
+        units_per_round[round_index] = len(plan.units)
+        return plan
+
+    trainer.plan_round = counting_plan_round
+    trainer.run()
+
+    trace = trainer.trace
+    assert sorted(units_per_round) == [0, 1, 2]
+    for round_index, units in units_per_round.items():
+        events = trace.for_round(round_index)
+        counts = Counter(event.kind for event in events)
+        abandoned = counts["unit_abandoned"]
+        if run["mode"] == "sync":
+            assert counts["unit_complete"] + abandoned == units
+        elif run["mode"] == "async":
+            assert counts["aggregation"] + abandoned == units
+        else:
+            quorum = [event for event in events if event.kind == "quorum_reached"]
+            assert len(quorum) == (1 if units else 0)
+            kept = sum(event.detail["kept"] for event in quorum)
+            dropped = sum(event.detail["dropped"] for event in quorum)
+            assert kept + dropped + abandoned == units
+            assert counts["straggler_dropped"] == dropped
+    trace.check_conservation()

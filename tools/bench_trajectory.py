@@ -14,11 +14,13 @@ history that ``--check`` can gate on:
     # kernel's same-machine speedup over the scalar reference (the
     # machine-independent signal) fell below 4x, if the pruned planner's
     # scaling exponent drifted super-linear, if its 5000-agent round
-    # got slower than the dense kernel's 500-agent round, or if the
-    # incremental CSR engine lost its 3x edge over the full rebuild.
+    # got slower than the dense kernel's 500-agent round, if the
+    # incremental CSR engine lost its 3x edge over the full rebuild, or
+    # if a steady semi-sync or async round took more than 3.5x a sync one.
     PYTHONPATH=src python tools/bench_trajectory.py ci --out bench-ci.json \
         --check BENCH_9.json --max-ratio 2.0 --min-speedup 4.0 \
-        --max-exponent 1.3 --planner-dense-ratio 1.0 --csr-ratio 3.0
+        --max-exponent 1.3 --planner-dense-ratio 1.0 --csr-ratio 3.0 \
+        --event-sync-ratio 3.5
 
 Snapshot schema 2 adds per-bench ``extra`` columns (peak traced bytes and
 high-water RSS from the scaling benches, CSR edit counters).  See
@@ -65,6 +67,16 @@ PLANNER_DENSE_PAIR = (
 CSR_PAIR = (
     "test_csr_arrival_wave_rebuild_speed",
     "test_csr_arrival_wave_incremental_speed",
+)
+
+#: Same-run pairs gated by --event-sync-ratio: a steady 4 000-agent ComDML
+#: round in each event-driven mode against the closed-form sync round of
+#: the same population.  Per-event work that scans the population makes
+#: the ratio grow with n; the semi-sync quorum's live-unit scan and the
+#: async path's per-unit registry sum once put these at 5x and 9-12x.
+EVENT_SYNC_PAIRS = (
+    ("test_runtime_round_speed_semi_sync", "test_runtime_round_speed_sync"),
+    ("test_runtime_round_speed_async", "test_runtime_round_speed_sync"),
 )
 
 SCHEMA = 2
@@ -250,6 +262,17 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
+        "--event-sync-ratio",
+        type=float,
+        default=None,
+        help=(
+            "fail when a steady semi-sync or async ComDML round takes more "
+            "than this multiple of the sync round of the same 4000-agent "
+            "population in THIS run; machine-independent, both medians "
+            "come from one process"
+        ),
+    )
+    parser.add_argument(
         "pytest_args",
         nargs="*",
         help="extra arguments forwarded to pytest (after --)",
@@ -342,6 +365,27 @@ def main(argv: list[str] | None = None) -> int:
                 f"{args.csr_ratio:.1f}x floor REGRESSION"
             )
             status = 2
+
+    event_ratios = {}
+    for event_bench, sync_bench in EVENT_SYNC_PAIRS:
+        if event_bench in snap["benches"] and sync_bench in snap["benches"]:
+            ratio = (
+                snap["benches"][event_bench]["median_seconds"]
+                / snap["benches"][sync_bench]["median_seconds"]
+            )
+            event_ratios[event_bench] = ratio
+            print(f"{event_bench} vs {sync_bench}: {ratio:.2f}x")
+    if args.event_sync_ratio is not None:
+        if len(event_ratios) < len(EVENT_SYNC_PAIRS):
+            print("check: runtime round benches missing from the suite")
+            status = 2
+        for event_bench, ratio in event_ratios.items():
+            if ratio > args.event_sync_ratio:
+                print(
+                    f"check: {event_bench} at {ratio:.2f}x the sync round, "
+                    f"above the {args.event_sync_ratio:.2f}x limit REGRESSION"
+                )
+                status = 2
 
     if args.check is not None:
         status = max(
