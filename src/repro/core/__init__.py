@@ -7,16 +7,11 @@ from repro.core.workload import (
     best_offload,
     exact_min_makespan,
 )
-from repro.core.fastpath import (
-    PairCostModel,
-    SparseBandwidth,
-    agent_vectors,
-    sparse_bandwidth,
-)
+from repro.core.fastpath import PairCostModel, agent_vectors
 from repro.core.pairing import PairingDecision, greedy_pairing, greedy_pairing_reference
 from repro.core.planner import PlannerState, PlannerStats, PrunedPlanner
 from repro.core.scheduler import DecentralizedPairingScheduler
-from repro.core.timing import PairTiming, RoundTiming, compute_round_timing
+from repro.core.timing import RoundTiming, compute_round_timing
 from repro.core.config import ComDMLConfig
 from repro.core.comdml import ComDML
 
@@ -28,9 +23,7 @@ __all__ = [
     "best_offload",
     "exact_min_makespan",
     "PairCostModel",
-    "SparseBandwidth",
     "agent_vectors",
-    "sparse_bandwidth",
     "PairingDecision",
     "greedy_pairing",
     "greedy_pairing_reference",
@@ -38,7 +31,6 @@ __all__ = [
     "PlannerStats",
     "PrunedPlanner",
     "DecentralizedPairingScheduler",
-    "PairTiming",
     "RoundTiming",
     "compute_round_timing",
     "ComDMLConfig",

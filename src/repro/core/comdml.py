@@ -6,8 +6,8 @@ sampling, the learning-rate schedule, accuracy tracking, the run history,
 and the event-driven execution modes — lives in
 :class:`~repro.runtime.TrainingRuntime`.  :class:`ComDML` contributes only
 what makes the method itself: **agent pairing** via the decentralized greedy
-scheduler and the **pairing-plan timing** (per-pair cost breakdown plus the
-decentralized AllReduce aggregation), packaged as a
+scheduler and the **pairing-plan timing** (the plan's makespan and offload
+traffic plus the decentralized AllReduce aggregation), packaged as a
 :class:`~repro.runtime.strategy.RoundPlan` whose work units are pairing
 decisions.
 
@@ -135,10 +135,9 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
         decisions = self.scheduler.plan_round(participants)
         timing = compute_round_timing(
             decisions,
-            registry=self.registry,
-            profile=self.profile,
+            participants,
+            self.profile,
             allreduce_algorithm=self.config.allreduce_algorithm,
-            num_aggregating_agents=len(participants),
             compressor=self._aggregation_compressor,
         )
         units = tuple(

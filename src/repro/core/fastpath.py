@@ -321,134 +321,6 @@ def agent_vectors(
     return agent_vectors_from_attrs(agent_attrs(agents), profile, batch_size)
 
 
-@dataclass(frozen=True)
-class SparseBandwidth:
-    """CSR neighbor-list view of a round's usable links.
-
-    Row ``i`` holds the participant *positions* reachable from position
-    ``i`` with a usable (> 0 bytes/s) link, ascending, together with the
-    effective bandwidth of each link.  Built from the topology's edge list,
-    so ring / random-k topologies cost O(E) to assemble instead of the
-    O(n²) dense :func:`bandwidth_matrix`.
-
-    Attributes
-    ----------
-    indptr:
-        ``(n + 1,)`` row pointers into ``indices`` / ``data``.
-    indices:
-        Neighbor positions, ascending within each row.
-    data:
-        Effective bandwidth (bytes/s) per stored link; strictly positive.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.indptr) - 1
-
-    @property
-    def num_links(self) -> int:
-        return len(self.indices)
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(neighbor positions, bandwidths)`` of row ``i``."""
-        start, stop = self.indptr[i], self.indptr[i + 1]
-        return self.indices[start:stop], self.data[start:stop]
-
-
-def sparse_bandwidth(
-    agents: Sequence[Agent], link_model: LinkModel
-) -> SparseBandwidth:
-    """Build the CSR neighbor-list bandwidth for a round's participants.
-
-    Stored entries equal ``link_model.bandwidth(agents[i], agents[j])``
-    exactly; pairs with no usable link are simply absent.  For link models
-    with the default semantics the per-edge bandwidth is the vectorized
-    ``min(access_i, access_j)``; custom link models are queried once per
-    ordered edge (O(E) calls).
-    """
-    n = len(agents)
-    ids = [agent.agent_id for agent in agents]
-    position = {agent_id: index for index, agent_id in enumerate(ids)}
-    graph = link_model.topology.graph
-    default_links = _uses_default_links(link_model)
-    access = np.array(
-        [agent.profile.bandwidth_bytes_per_second for agent in agents],
-        dtype=np.float64,
-    )
-
-    if default_links:
-        # C-driven edge extraction + vectorized id -> position mapping; the
-        # Python cost is one fromiter pass over the edge list, everything
-        # after is numpy.
-        edge_view = (
-            graph.edges() if n >= graph.number_of_nodes() else graph.edges(ids)
-        )
-        edges = np.fromiter(
-            (endpoint for edge in edge_view for endpoint in edge),
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        if n == 0 or len(edges) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return SparseBandwidth(
-                indptr=np.zeros(n + 1, dtype=np.int64),
-                indices=empty,
-                data=np.empty(0),
-            )
-        ids_array = np.fromiter(ids, dtype=np.int64, count=n)
-        sort_order = np.argsort(ids_array, kind="stable")
-        sorted_ids = ids_array[sort_order]
-        slots = np.searchsorted(sorted_ids, edges)
-        slots[slots >= n] = 0
-        keep = (sorted_ids[slots] == edges).all(axis=1)
-        endpoint_a = sort_order[slots[keep, 0]]
-        endpoint_b = sort_order[slots[keep, 1]]
-        keep_distinct = endpoint_a != endpoint_b
-        endpoint_a = endpoint_a[keep_distinct]
-        endpoint_b = endpoint_b[keep_distinct]
-        bandwidth = np.minimum(access[endpoint_a], access[endpoint_b])
-        usable = bandwidth > 0.0
-        endpoint_a = endpoint_a[usable]
-        endpoint_b = endpoint_b[usable]
-        bandwidth = bandwidth[usable]
-        row_array = np.concatenate([endpoint_a, endpoint_b])
-        col_array = np.concatenate([endpoint_b, endpoint_a])
-        val_array = np.concatenate([bandwidth, bandwidth])
-    else:
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for u, v in graph.edges(ids):
-            i = position.get(u)
-            j = position.get(v)
-            if i is None or j is None or i == j:
-                continue
-            forward = link_model.bandwidth(agents[i], agents[j])
-            if forward > 0.0:
-                rows.append(i)
-                cols.append(j)
-                vals.append(forward)
-            backward = link_model.bandwidth(agents[j], agents[i])
-            if backward > 0.0:
-                rows.append(j)
-                cols.append(i)
-                vals.append(backward)
-        row_array = np.asarray(rows, dtype=np.int64)
-        col_array = np.asarray(cols, dtype=np.int64)
-        val_array = np.asarray(vals, dtype=np.float64)
-    order = np.lexsort((col_array, row_array))
-    row_array = row_array[order]
-    col_array = col_array[order]
-    val_array = val_array[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, row_array + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return SparseBandwidth(indptr=indptr, indices=col_array, data=val_array)
-
-
 class PairCostModel:
     """Precomputed pair-time tensor for one round's participants.
 
@@ -605,13 +477,6 @@ class PairCostModel:
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    def individual_times_by_id(self) -> dict[int, float]:
-        """The shared training-time list ``{agent id: τ̂}`` of Algorithm 1."""
-        return {
-            agent.agent_id: float(time)
-            for agent, time in zip(self.agents, self.individual_times)
-        }
-
     def best_offloaded_layers(self, slow: int, fast: int) -> int:
         """Offload value ``m`` minimizing the pair time for positions (slow, fast)."""
         index = int(self.best_split_indices[slow, fast])

@@ -27,7 +27,7 @@ the trajectory benchmarks compare against.  Both produce *identical*
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,9 +39,6 @@ from repro.core.workload import (
     individual_training_time,
 )
 from repro.network.link import LinkModel
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.core.fastpath import PairCostModel
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,6 @@ def greedy_pairing(
     profile: SplitProfile,
     batch_size: Optional[int] = None,
     improvement_threshold: float = 0.0,
-    cost_model: Optional["PairCostModel"] = None,
 ) -> list[PairingDecision]:
     """Pair agents for one round using the paper's greedy scheduler.
 
@@ -95,10 +91,6 @@ def greedy_pairing(
         Minimum *relative* improvement over training alone required to form
         a pair (0 reproduces the paper; a small positive value avoids pairs
         that barely help, used in ablations).
-    cost_model:
-        Optional precomputed kernel for these exact participants (the
-        scheduler passes its own so the shared τ̂ list and the plan come
-        from one evaluation); built on demand when omitted.
 
     Returns
     -------
@@ -112,10 +104,9 @@ def greedy_pairing(
     agents = list(participants)
     if not agents:
         return []
-    if cost_model is None:
-        cost_model = PairCostModel(
-            agents, profile, link_model=link_model, batch_size=batch_size
-        )
+    cost_model = PairCostModel(
+        agents, profile, link_model=link_model, batch_size=batch_size
+    )
     taus = cost_model.individual_times
     # The shared list A: agent positions in descending order of completion
     # time (stable, so ties keep participant order like the scalar sort).

@@ -22,8 +22,8 @@ ties like the dense scan, and each formed pair's
 elementwise mirror, reproducing the scalar oracle bit for bit.
 
 **Sparse / blocked bandwidth.**  Adjacency and bandwidth are consumed as
-neighbor lists (the topology graph's native structure, or the CSR
-:class:`~repro.core.fastpath.SparseBandwidth` view) instead of the dense
+neighbor lists (the topology graph's native structure, or the
+:class:`~repro.core.csr.IncrementalCsr` link index) instead of the dense
 ``n × n`` :func:`~repro.core.fastpath.bandwidth_matrix`, so ring and
 random-k topologies cost O(E), not O(n²).  Complete graphs — where a
 neighbor list *is* O(n²) — short-circuit to a shared global top-(k+1)
@@ -355,20 +355,16 @@ class PrunedPlanner:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def plan(
-        self, participants: Sequence[Agent]
-    ) -> tuple[list[PairingDecision], dict[int, float]]:
-        """Plan one round; returns (decisions, broadcast τ̂ list by id)."""
+    def plan(self, participants: Sequence[Agent]) -> list[PairingDecision]:
+        """Plan one round; returns the pairing decisions."""
         agents = list(participants)
         n = len(agents)
         if n == 0:
-            return [], {}
+            return []
         with _gc_paused():
             return self._plan_body(agents, n)
 
-    def _plan_body(
-        self, agents: list[Agent], n: int
-    ) -> tuple[list[PairingDecision], dict[int, float]]:
+    def _plan_body(self, agents: list[Agent], n: int) -> list[PairingDecision]:
         """:meth:`plan` body, under the GC pause (see :func:`_gc_paused`)."""
         self._sync_topology()
         attrs = agent_attrs(agents)
@@ -383,7 +379,6 @@ class PrunedPlanner:
         state, dirty_rows = self._realign(agents, ids, ids_array, sig, taus, k)
         self._recompute_rows(state, agents, vectors, access, ids_array, dirty_rows)
         self._refresh_scan_rows(state, dirty_rows)
-        taus_by_id = dict(zip(ids, taus.tolist()))
         # Stable argsort on -τ̂ = descending τ̂ with ties in first-seen
         # order, exactly like the dense scheduler's stable reverse sort.
         order = np.argsort(-taus, kind="stable")
@@ -397,8 +392,7 @@ class PrunedPlanner:
         if dirty_count == n:
             self.stats.full_rebuilds += 1
 
-        decisions = self._greedy_scan(state, ids, taus, order, vectors, agents)
-        return decisions, taus_by_id
+        return self._greedy_scan(state, ids, taus, order, vectors, agents)
 
     # ------------------------------------------------------------------
     # Cache maintenance

@@ -1,9 +1,8 @@
 """Decentralized pairing scheduler.
 
-Thin stateful wrapper around :func:`~repro.core.pairing.greedy_pairing` that
-maintains the shared list of individual training times across rounds (the
-paper's list ``A``), applies per-round participation sampling, and records
-scheduling statistics for diagnostics/ablations.
+Thin wrapper around :func:`~repro.core.pairing.greedy_pairing` and the
+:class:`~repro.core.planner.PrunedPlanner` that applies per-round
+participation sampling and picks the planning path for each round.
 """
 
 from __future__ import annotations
@@ -15,18 +14,16 @@ import numpy as np
 
 from repro.agents.agent import Agent
 from repro.agents.registry import AgentRegistry
-from repro.core.fastpath import PairCostModel
-from repro.core.pairing import PairingDecision, greedy_pairing, pairing_makespan
+from repro.core.pairing import PairingDecision, greedy_pairing
 from repro.core.planner import PrunedPlanner
 from repro.core.profiling import SplitProfile
-from repro.core.workload import individual_training_time
 from repro.network.link import LinkModel
 from repro.utils.validation import check_probability
 
 
 @dataclass
 class SchedulerStats:
-    """Aggregate statistics over the rounds a scheduler has served.
+    """Running statistics of the observed round makespans.
 
     Makespans are folded into running sums (O(1) memory) so million-round
     runs do not accumulate an ever-growing list.  Besides the mean, the
@@ -36,9 +33,6 @@ class SchedulerStats:
     (see :mod:`repro.runtime.quorum`).
     """
 
-    rounds: int = 0
-    total_pairs: int = 0
-    total_solo: int = 0
     makespan_count: int = 0
     makespan_sum: float = 0.0
     makespan_sq_sum: float = 0.0
@@ -48,11 +42,6 @@ class SchedulerStats:
         self.makespan_count += 1
         self.makespan_sum += makespan
         self.makespan_sq_sum += makespan * makespan
-
-    @property
-    def average_pairs_per_round(self) -> float:
-        """Mean number of offloading pairs formed per round."""
-        return self.total_pairs / self.rounds if self.rounds else 0.0
 
     @property
     def average_makespan(self) -> float:
@@ -105,10 +94,6 @@ class DecentralizedPairingScheduler:
         #: kernel; otherwise the exact dense path below runs unchanged.
         self.planner = planner
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        self.stats = SchedulerStats()
-        #: The shared list of individual training times (agent id -> τ̂),
-        #: refreshed every round from broadcast speeds and dataset sizes.
-        self.shared_training_times: dict[int, float] = {}
 
     def select_participants(self) -> list[Agent]:
         """Sample this round's participants (all agents when fraction is 1)."""
@@ -116,47 +101,23 @@ class DecentralizedPairingScheduler:
             return self.registry.agents
         return self.registry.sample_participants(self.participation_fraction, self._rng)
 
-    def refresh_shared_times(self, participants: Sequence[Agent]) -> dict[int, float]:
-        """Recompute the shared training-time list from broadcast information."""
-        self.shared_training_times = {
-            agent.agent_id: individual_training_time(
-                agent, self.profile, agent.batch_size
-            )
-            for agent in participants
-        }
-        return self.shared_training_times
-
     def plan_round(
         self, participants: Optional[Sequence[Agent]] = None
     ) -> list[PairingDecision]:
         """Produce the pairing decisions for one round.
 
-        One :class:`~repro.core.fastpath.PairCostModel` evaluation per
-        round supplies both the broadcast τ̂ list (step 2 of Algorithm 1)
-        and the pair-time tensor the greedy scan reduces over.  When a
-        :class:`~repro.core.planner.PrunedPlanner` is attached and engages
-        for this population, it plans the round instead (top-k pruned
-        blocks, incremental across rounds); otherwise the dense path runs
-        exactly as before.
+        When a :class:`~repro.core.planner.PrunedPlanner` is attached and
+        engages for this population, it plans the round (top-k pruned
+        blocks, incremental across rounds); otherwise the exact dense
+        kernel, :func:`~repro.core.pairing.greedy_pairing`, does.
         """
         if participants is None:
             participants = self.select_participants()
         if self.planner is not None and self.planner.engages(len(participants)):
-            decisions, self.shared_training_times = self.planner.plan(participants)
-        else:
-            cost_model = PairCostModel(
-                participants, self.profile, link_model=self.link_model
-            )
-            self.shared_training_times = cost_model.individual_times_by_id()
-            decisions = greedy_pairing(
-                participants=participants,
-                link_model=self.link_model,
-                profile=self.profile,
-                improvement_threshold=self.improvement_threshold,
-                cost_model=cost_model,
-            )
-        self.stats.rounds += 1
-        self.stats.total_pairs += sum(1 for d in decisions if d.is_offloading)
-        self.stats.total_solo += sum(1 for d in decisions if not d.is_offloading)
-        self.stats.record_makespan(pairing_makespan(decisions))
-        return decisions
+            return self.planner.plan(participants)
+        return greedy_pairing(
+            participants=participants,
+            link_model=self.link_model,
+            profile=self.profile,
+            improvement_threshold=self.improvement_threshold,
+        )

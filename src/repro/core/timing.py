@@ -1,40 +1,24 @@
-"""Round timing: turn a pairing plan into simulated durations.
+"""Round timing: price a pairing plan.
 
-Converts a list of :class:`~repro.core.pairing.PairingDecision` into the
-per-agent busy/idle breakdown and the round makespan, then adds the
-decentralized AllReduce aggregation cost.  This is the timing plane shared
-by ComDML's orchestrator, the Table I decomposition, and the Figure 1
-illustration.
+Reduces a list of :class:`~repro.core.pairing.PairingDecision` to the
+round makespan, the offload communication total and the pair count, then
+adds the decentralized AllReduce aggregation cost over the round's
+participants.  This is the pricing ComDML's orchestrator runs every round;
+the Table I decomposition and the Figure 1 illustration read the per-pair
+:class:`~repro.core.workload.OffloadEstimate` directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.agents.agent import Agent
-from repro.agents.registry import AgentRegistry
 from repro.core.pairing import PairingDecision
 from repro.core.profiling import SplitProfile
 from repro.network.allreduce import allreduce_time
 from repro.network.compression import GradientCompressor
-from repro.sim.costs import DEFAULT_LINK_LATENCY_SECONDS
 from repro.utils.units import mbps_to_bytes_per_second
-
-
-@dataclass(frozen=True)
-class PairTiming:
-    """Timing breakdown of one pairing decision within a round."""
-
-    slow_id: int
-    fast_id: Optional[int]
-    offloaded_layers: int
-    slow_compute: float
-    fast_own_compute: float
-    fast_offload_compute: float
-    communication: float
-    pair_time: float
-    idle_time: float
 
 
 @dataclass(frozen=True)
@@ -43,34 +27,23 @@ class RoundTiming:
 
     Attributes
     ----------
-    pair_timings:
-        Per-decision breakdowns.
     makespan:
         Slowest pair/solo agent's completion time (local phase).
     aggregation_time:
-        AllReduce duration.
+        AllReduce duration (0 for a round with no participants).
     total_time:
         ``makespan + aggregation_time``.
-    total_compute_time:
-        Sum of all agents' busy compute time (for utilisation metrics).
     total_communication_time:
         Intermediate-activation/offload traffic time (excludes aggregation).
-    total_idle_time:
-        Combined idle time of all agents while waiting for the makespan.
+    num_pairs:
+        Number of decisions that paired the slow agent with a helper.
     """
 
-    pair_timings: tuple[PairTiming, ...]
     makespan: float
     aggregation_time: float
     total_time: float
-    total_compute_time: float
     total_communication_time: float
-    total_idle_time: float
-
-    @property
-    def num_pairs(self) -> int:
-        """Number of decisions that actually offloaded work."""
-        return sum(1 for timing in self.pair_timings if timing.fast_id is not None)
+    num_pairs: int
 
 
 def bottleneck_bandwidth(agents: Sequence[Agent]) -> float:
@@ -89,88 +62,45 @@ def bottleneck_bandwidth(agents: Sequence[Agent]) -> float:
 
 def compute_round_timing(
     decisions: Sequence[PairingDecision],
-    registry: AgentRegistry,
+    participants: Sequence[Agent],
     profile: SplitProfile,
     allreduce_algorithm: str = "halving_doubling",
-    num_aggregating_agents: Optional[int] = None,
-    latency_seconds: float = DEFAULT_LINK_LATENCY_SECONDS,
     compressor: Optional[GradientCompressor] = None,
 ) -> RoundTiming:
-    """Assemble a :class:`RoundTiming` from pairing decisions.
+    """Price a round from its pairing decisions.
 
-    ``num_aggregating_agents`` defaults to the number of agents involved in
-    the decisions (solo agents + both members of each pair); pass the full
-    population size when unsampled agents also join the aggregation.
-
-    The per-decision breakdowns, the makespan, and the compute and
-    communication totals are accumulated in a single pass over the
-    decisions (decision order, left-to-right additions — the exact float
-    sequence the sync golden regression pins down).
+    ``participants`` are the agents the decisions were planned over; every
+    one of them appears in exactly one decision, and all of them join the
+    AllReduce.  The makespan, the communication total and the pair count
+    are accumulated in one pass over the decisions (decision order,
+    left-to-right additions — the exact float sequence the sync golden
+    regression pins down).
     """
-    pair_timings: list[PairTiming] = []
-    involved_ids: set[int] = set()
     makespan = 0.0
-    total_compute = 0.0
     total_communication = 0.0
-
+    num_pairs = 0
     for decision in decisions:
         estimate = decision.estimate
-        is_pair = decision.fast_id is not None
-        involved_ids.add(decision.slow_id)
-        if is_pair:
-            involved_ids.add(decision.fast_id)
-        timing = PairTiming(
-            slow_id=decision.slow_id,
-            fast_id=decision.fast_id,
-            offloaded_layers=decision.offloaded_layers,
-            slow_compute=estimate.slow_time,
-            fast_own_compute=estimate.fast_own_time if is_pair else 0.0,
-            fast_offload_compute=estimate.fast_offload_time,
-            communication=estimate.communication_time,
-            pair_time=estimate.pair_time,
-            idle_time=estimate.idle_time if is_pair else 0.0,
+        makespan = max(makespan, estimate.pair_time)
+        total_communication += estimate.communication_time
+        if decision.fast_id is not None:
+            num_pairs += 1
+
+    aggregation = (
+        allreduce_time(
+            model_bytes=profile.full_model_bytes,
+            num_agents=len(participants),
+            bottleneck_bandwidth_bytes_per_second=bottleneck_bandwidth(participants),
+            algorithm=allreduce_algorithm,
+            compressor=compressor,
         )
-        pair_timings.append(timing)
-        makespan = max(makespan, timing.pair_time)
-        total_compute += (
-            timing.slow_compute + timing.fast_own_compute
-        ) + timing.fast_offload_compute
-        total_communication += timing.communication
-
-    participants = [registry.get(agent_id) for agent_id in involved_ids if agent_id in registry]
-    num_agents = (
-        num_aggregating_agents
-        if num_aggregating_agents is not None
-        else max(1, len(involved_ids))
-    )
-    aggregation = allreduce_time(
-        model_bytes=profile.full_model_bytes,
-        num_agents=num_agents,
-        bottleneck_bandwidth_bytes_per_second=bottleneck_bandwidth(participants)
         if participants
-        else mbps_to_bytes_per_second(10.0),
-        algorithm=allreduce_algorithm,
-        latency_seconds=latency_seconds,
-        compressor=compressor,
+        else 0.0
     )
-
-    # Idle time: every involved agent waits from its own completion until the
-    # makespan.  Within a pair the faster side additionally idles while its
-    # partner finishes, which is already captured by PairTiming.idle_time; on
-    # top of that the whole pair idles until the global makespan.  (Second
-    # pass: the idle terms need the final makespan.)
-    total_idle = 0.0
-    for timing in pair_timings:
-        total_idle += timing.idle_time
-        group_size = 2 if timing.fast_id is not None else 1
-        total_idle += group_size * (makespan - timing.pair_time)
-
     return RoundTiming(
-        pair_timings=tuple(pair_timings),
         makespan=makespan,
         aggregation_time=aggregation,
         total_time=makespan + aggregation,
-        total_compute_time=total_compute,
         total_communication_time=total_communication,
-        total_idle_time=total_idle,
+        num_pairs=num_pairs,
     )

@@ -283,7 +283,6 @@ class TrainingRuntime:
             "round_end",
             detail={"accuracy": accuracy, "duration": duration},
         )
-        self.stats.rounds += 1
         makespan = (
             observed_makespan if observed_makespan is not None else compute_seconds
         )

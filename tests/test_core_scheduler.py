@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.scheduler import DecentralizedPairingScheduler
+from repro.core.comdml import ComDML
+from repro.core.config import ComDMLConfig
+from repro.core.scheduler import DecentralizedPairingScheduler, SchedulerStats
 
 
 def make_scheduler(small_registry, small_link_model, resnet56_profile, **kwargs):
@@ -29,31 +31,19 @@ class TestScheduler:
                 involved.add(decision.fast_id)
         assert involved == set(small_registry.ids)
 
-    def test_shared_times_refreshed(self, small_registry, small_link_model, resnet56_profile):
-        scheduler = make_scheduler(small_registry, small_link_model, resnet56_profile)
-        scheduler.plan_round()
-        assert set(scheduler.shared_training_times) == set(small_registry.ids)
-        assert all(t > 0 for t in scheduler.shared_training_times.values())
-
-    def test_stats_accumulate(self, small_registry, small_link_model, resnet56_profile):
-        scheduler = make_scheduler(small_registry, small_link_model, resnet56_profile)
-        for _ in range(3):
-            scheduler.plan_round()
-        assert scheduler.stats.rounds == 3
-        assert scheduler.stats.makespan_count == 3
-        assert scheduler.stats.average_makespan > 0
-        assert scheduler.stats.average_pairs_per_round >= 0
-
-    def test_stats_memory_is_constant(self, small_registry, small_link_model, resnet56_profile):
-        """Makespans are folded into a running mean, not an unbounded list."""
-        scheduler = make_scheduler(small_registry, small_link_model, resnet56_profile)
-        for _ in range(5):
-            scheduler.plan_round()
-        stats_fields = vars(scheduler.stats)
-        assert not any(isinstance(value, list) for value in stats_fields.values())
-        assert scheduler.stats.makespan_sum == pytest.approx(
-            scheduler.stats.average_makespan * 5
+    def test_stats_memory_is_constant(self, small_registry, resnet56):
+        """The runtime folds makespans into a running mean, not a list."""
+        trainer = ComDML(
+            small_registry,
+            resnet56,
+            ComDMLConfig(max_rounds=5, target_accuracy=None, offload_granularity=9),
         )
+        trainer.run()
+        stats = trainer.runtime.stats
+        assert isinstance(stats, SchedulerStats)
+        assert not any(isinstance(value, list) for value in vars(stats).values())
+        assert stats.makespan_count == 5
+        assert stats.makespan_sum == pytest.approx(stats.average_makespan * 5)
 
     def test_participation_sampling(self, small_registry, small_link_model, resnet56_profile):
         scheduler = make_scheduler(

@@ -252,8 +252,6 @@ class TestPlannerTiersUnderEvents:
                 touched.update(event_touched)
             planner.invalidate_topology(sorted(touched))
             participants = _participants(agents, topology)
-            decisions, taus = planner.plan(participants)
+            decisions = planner.plan(participants)
             reference = PrunedPlanner(PROFILE, link_model, top_k=32)
-            fresh_decisions, fresh_taus = reference.plan(participants)
-            assert decisions == fresh_decisions
-            assert taus == fresh_taus
+            assert decisions == reference.plan(participants)

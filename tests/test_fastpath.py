@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.agents.agent import Agent
 from repro.agents.resources import ResourceProfile
-from repro.core.fastpath import PairCostModel, bandwidth_matrix, sparse_bandwidth
+from repro.core.fastpath import PairCostModel, bandwidth_matrix
 from repro.core.pairing import greedy_pairing, greedy_pairing_reference
 from repro.core.profiling import profile_architecture
 from repro.core.workload import (
@@ -394,36 +394,6 @@ class TestBandwidthRepresentations:
         monkeypatch.setattr(fastpath, "_adjacency", broken_adjacency)
         with pytest.raises(RuntimeError, match="adjacency bug"):
             bandwidth_matrix(small_registry.agents, small_link_model)
-
-    def test_sparse_bandwidth_matches_link_model(self, small_registry):
-        for kind in ("full", "ring", "random"):
-            link_model = _link_model(small_registry.agents, kind, 9)
-            sparse = sparse_bandwidth(small_registry.agents, link_model)
-            dense = bandwidth_matrix(small_registry.agents, link_model)
-            assert sparse.num_rows == len(small_registry.agents)
-            rebuilt = np.zeros_like(dense)
-            for i in range(sparse.num_rows):
-                cols, values = sparse.row(i)
-                assert (values > 0.0).all()
-                assert (np.diff(cols) > 0).all()  # ascending, no duplicates
-                rebuilt[i, cols] = values
-            assert (rebuilt == dense).all()
-
-    def test_sparse_bandwidth_with_custom_subclass(self, small_registry):
-        base = _link_model(small_registry.agents, "random", 9)
-        custom = _HalvedLinkModel(base.topology)
-        sparse = sparse_bandwidth(small_registry.agents, custom)
-        dense = bandwidth_matrix(small_registry.agents, custom)
-        rebuilt = np.zeros_like(dense)
-        for i in range(sparse.num_rows):
-            cols, values = sparse.row(i)
-            rebuilt[i, cols] = values
-        assert (rebuilt == dense).all()
-
-    def test_sparse_bandwidth_empty_population(self):
-        sparse = sparse_bandwidth([], LinkModel(full_topology([])))
-        assert sparse.num_rows == 0
-        assert sparse.num_links == 0
 
 
 class TestBatchSizeValidation:

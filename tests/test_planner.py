@@ -19,6 +19,7 @@ from repro.agents.agent import Agent
 from repro.agents.resources import ResourceProfile
 from repro.core.comdml import ComDML
 from repro.core.config import ComDMLConfig
+from repro.core.fastpath import agent_attrs, agent_vectors_from_attrs
 from repro.core.pairing import greedy_pairing, greedy_pairing_reference
 from repro.core.planner import PrunedPlanner
 from repro.core.profiling import profile_architecture
@@ -94,7 +95,7 @@ class TestPrunedDenseEquivalence:
         planner = _full_budget_planner(
             agents, link_model, improvement_threshold=threshold
         )
-        pruned, _ = planner.plan(agents)
+        pruned = planner.plan(agents)
         dense = greedy_pairing(
             agents, link_model, PROFILE, improvement_threshold=threshold
         )
@@ -112,19 +113,17 @@ class TestPrunedDenseEquivalence:
         agents = _build_agents(population)
         link_model = _link_model(agents, "full", 0)
         planner = _full_budget_planner(agents, link_model, batch_size=batch_size)
-        pruned, _ = planner.plan(agents)
+        pruned = planner.plan(agents)
         assert pruned == greedy_pairing(
             agents, link_model, PROFILE, batch_size=batch_size
         )
 
     def test_broadcast_times_match_scalar_oracle(self):
+        """The τ̂ list the planner orders and prices by is the scalar one."""
         agents = _build_agents([(0.5, 50.0, 1_000, 100), (2.0, 50.0, 500, 100)])
-        link_model = _link_model(agents, "full", 0)
-        _, taus_by_id = _full_budget_planner(agents, link_model).plan(agents)
-        for agent in agents:
-            assert taus_by_id[agent.agent_id] == individual_training_time(
-                agent, PROFILE, agent.batch_size
-            )
+        vectors = agent_vectors_from_attrs(agent_attrs(agents), PROFILE)
+        for agent, tau in zip(agents, vectors.individual_times.tolist()):
+            assert tau == individual_training_time(agent, PROFILE, agent.batch_size)
 
     @given(
         population=st.lists(AGENT_STRATEGY, min_size=6, max_size=14),
@@ -140,14 +139,17 @@ class TestPrunedDenseEquivalence:
         agents = _build_agents(population)
         link_model = _link_model(agents, topology_kind, seed)
         planner = PrunedPlanner(PROFILE, link_model, top_k=top_k)
-        decisions, taus_by_id = planner.plan(agents)
+        decisions = planner.plan(agents)
         covered: list[int] = []
         for decision in decisions:
             covered.append(decision.slow_id)
             if decision.fast_id is not None:
                 covered.append(decision.fast_id)
                 # A formed pair must beat the slow agent training alone.
-                assert decision.estimate.pair_time < taus_by_id[decision.slow_id]
+                slow = agents[decision.slow_id]
+                assert decision.estimate.pair_time < individual_training_time(
+                    slow, PROFILE, slow.batch_size
+                )
                 assert decision.offloaded_layers > 0
         assert sorted(covered) == [agent.agent_id for agent in agents]
 
@@ -168,12 +170,16 @@ class TestPrunedDenseEquivalence:
         full = LinkModel(full_topology([a.agent_id for a in agents]))
         top_k = 5
         planner = PrunedPlanner(PROFILE, full, top_k=top_k)
-        decisions, taus_by_id = planner.plan(agents)
-        pool_cutoff = sorted(taus_by_id.values())[top_k]
+        decisions = planner.plan(agents)
+        tau_of = {
+            agent.agent_id: individual_training_time(agent, PROFILE, agent.batch_size)
+            for agent in agents
+        }
+        pool_cutoff = sorted(tau_of.values())[top_k]
         paired = [d for d in decisions if d.fast_id is not None]
         assert paired  # heterogeneous speeds must produce offloading
         for decision in paired:
-            assert taus_by_id[decision.fast_id] <= pool_cutoff
+            assert tau_of[decision.fast_id] <= pool_cutoff
 
 
 # ----------------------------------------------------------------------
@@ -231,16 +237,16 @@ class TestIncrementalReplanning:
                 planner.invalidate_topology([gone.agent_id])
             # Full budget must follow the population as it grows.
             planner.top_k = max(len(agents) - 1, 1)
-            incremental, _ = planner.plan(agents)
-            fresh, _ = _full_budget_planner(agents, link_model).plan(agents)
+            incremental = planner.plan(agents)
+            fresh = _full_budget_planner(agents, link_model).plan(agents)
             assert incremental == fresh
 
     def test_unchanged_round_recomputes_nothing(self):
         agents = _build_agents([(0.5, 50.0, 1_000, 100)] * 4 + [(4.0, 100.0, 500, 50)])
         link_model = _link_model(agents, "random", 1)
         planner = _full_budget_planner(agents, link_model)
-        first, _ = planner.plan(agents)
-        second, _ = planner.plan(agents)
+        first = planner.plan(agents)
+        second = planner.plan(agents)
         assert second == first
         assert planner.stats.last_rows_recomputed == 0
         assert planner.stats.last_pairs_evaluated == 0
@@ -322,13 +328,13 @@ class TestIncrementalReplanning:
 
         graph.neighbors = counting_neighbors
         try:
-            decisions, taus_by_id = planner.plan(participants)
+            decisions = planner.plan(participants)
         finally:
             del graph.neighbors
         assert walked == []
         assert planner.stats.last_rows_recomputed == len(participants)
         fresh = PrunedPlanner(PROFILE, link_model, top_k=8)
-        assert (decisions, taus_by_id) == fresh.plan(participants)
+        assert decisions == fresh.plan(participants)
 
     def test_complete_graph_departure_matches_fresh_plan(self):
         """A departure can change the shared candidate pool of a complete
@@ -363,8 +369,8 @@ class TestIncrementalReplanning:
         planner = _full_budget_planner(agents, link_model)
         planner.plan(agents)
         agents.pop(1)
-        incremental, _ = planner.plan(agents)
-        fresh, _ = _full_budget_planner(agents, link_model).plan(agents)
+        incremental = planner.plan(agents)
+        fresh = _full_budget_planner(agents, link_model).plan(agents)
         assert incremental == fresh
 
 
@@ -397,8 +403,8 @@ class TestPlannerSelection:
     def test_scheduler_dense_and_engaged_planner_agree(
         self, small_registry, small_link_model, resnet56_profile
     ):
-        """The scheduler's planner branch returns the same decisions and
-        broadcast times as its dense branch when k covers every peer."""
+        """The scheduler's planner branch returns the same decisions as its
+        dense branch when k covers every peer."""
         dense_scheduler = DecentralizedPairingScheduler(
             registry=small_registry,
             link_model=small_link_model,
@@ -418,10 +424,6 @@ class TestPlannerSelection:
             planner=planner,
         )
         assert planner_scheduler.plan_round() == dense_scheduler.plan_round()
-        assert (
-            planner_scheduler.shared_training_times
-            == dense_scheduler.shared_training_times
-        )
         assert planner.stats.rounds == 1
 
     @pytest.mark.parametrize(
@@ -446,9 +448,7 @@ class TestPlannerSelection:
         agents = _build_agents([(0.5, 50.0, 1_000, 100)] * 2)
         link_model = _link_model(agents, "full", 0)
         planner = _full_budget_planner(agents, link_model)
-        decisions, taus_by_id = planner.plan([])
-        assert decisions == []
-        assert taus_by_id == {}
+        assert planner.plan([]) == []
 
 
 class TestFastDecisionPaths:

@@ -21,7 +21,7 @@ from repro.network.allreduce import (
 )
 from repro.network.compression import QuantizationCompressor
 from repro.network.link import LinkModel
-from repro.network.topology import full_topology
+from repro.network.topology import full_topology, random_k_topology, ring_topology
 from repro.nn.functional import one_hot, softmax
 from repro.privacy.differential_privacy import DifferentialPrivacy
 from repro.privacy.patch_shuffle import PatchShuffle
@@ -259,11 +259,22 @@ def test_greedy_pairing_invariants(population):
 @given(
     population=st.lists(AGENT_STRATEGY, min_size=2, max_size=8),
     seed=st.integers(min_value=0, max_value=200),
+    topology_kind=st.sampled_from(("full", "ring", "random-k")),
+    top_k=st.sampled_from((None, 1, 2, "n-1")),
+    participation=st.sampled_from((1.0, 0.75, 0.5, 0.25)),
 )
-@settings(max_examples=20, deadline=None)
-def test_scheduler_plan_covers_participants_exactly_once(population, seed):
-    """Every participant appears in exactly one PairingDecision of a plan."""
+@settings(max_examples=60, deadline=None)
+def test_scheduler_plan_covers_participants_exactly_once(
+    population, seed, topology_kind, top_k, participation
+):
+    """Every participant appears in exactly one PairingDecision of a plan.
+
+    Round timing prices the AllReduce over the participants on this
+    invariant, on either planning path: the dense kernel (``top_k`` None)
+    or a pruned planner engaged at any size.
+    """
     from repro.agents.registry import AgentRegistry
+    from repro.core.planner import PrunedPlanner
     from repro.core.scheduler import DecentralizedPairingScheduler
 
     registry = AgentRegistry(
@@ -272,24 +283,43 @@ def test_scheduler_plan_covers_participants_exactly_once(population, seed):
             for i, (cpu, bw, samples) in enumerate(population)
         ]
     )
+    rng = np.random.default_rng(seed)
+    if topology_kind == "ring":
+        topology = ring_topology(registry.ids)
+    elif topology_kind == "random-k":
+        topology = random_k_topology(registry.ids, 2, rng)
+    else:
+        topology = full_topology(registry.ids)
+    link_model = LinkModel(topology)
+    planner = None
+    if top_k is not None:
+        planner = PrunedPlanner(
+            PROFILE,
+            link_model,
+            top_k=len(registry) - 1 if top_k == "n-1" else top_k,
+            engage_threshold=1,
+        )
     scheduler = DecentralizedPairingScheduler(
         registry=registry,
-        link_model=LinkModel(full_topology(registry.ids)),
+        link_model=link_model,
         profile=PROFILE,
-        rng=np.random.default_rng(seed),
+        participation_fraction=participation,
+        rng=rng,
+        planner=planner,
     )
-    decisions = scheduler.plan_round()
+    participants = scheduler.select_participants()
+    decisions = scheduler.plan_round(participants)
 
     used: list[int] = []
     for decision in decisions:
         used.append(decision.slow_id)
         if decision.fast_id is not None:
             used.append(decision.fast_id)
-    assert sorted(used) == sorted(registry.ids)
+    assert sorted(used) == sorted(agent.agent_id for agent in participants)
 
     all_solo = max(
         individual_training_time(agent, PROFILE, agent.batch_size)
-        for agent in registry.agents
+        for agent in participants
     )
     assert pairing_makespan(decisions) <= all_solo + 1e-6
 
@@ -484,19 +514,22 @@ def test_sync_runtime_history_deterministic_under_fixed_seed(seed, num_agents):
 def closure_runs(draw):
     """A small population, a non-empty dynamics schedule and a run mode.
 
-    Agent 0 never departs: ComDML cannot plan a round once the whole
-    population has left.
+    Departures may draw any agent, and an optional drawn time makes every
+    agent depart at once, so rounds may run on an emptied population.
     """
     num_agents = draw(st.integers(min_value=2, max_value=6))
     times = st.floats(min_value=0.0, max_value=300.0, allow_nan=False)
     arrivals = draw(st.lists(times, max_size=2))
     departures = draw(
         st.lists(
-            st.tuples(times, st.integers(min_value=1, max_value=num_agents - 1)),
+            st.tuples(times, st.integers(min_value=0, max_value=num_agents - 1)),
             max_size=2,
         )
     )
     population = num_agents + len(arrivals)
+    everyone_departs = draw(st.none() | times)
+    if everyone_departs is not None:
+        departures += [(everyone_departs, agent_id) for agent_id in range(population)]
     churn_targets = st.one_of(
         st.builds(dict, fraction=st.sampled_from((0.25, 0.5, 1.0))),
         st.builds(

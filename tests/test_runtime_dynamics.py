@@ -8,7 +8,7 @@ from repro.agents.registry import AgentRegistry
 from repro.agents.resources import ResourceProfile
 from repro.core.comdml import ComDML
 from repro.core.config import ComDMLConfig
-from repro.baselines import FedAvg
+from repro.baselines import AllReduceDML, FedAvg
 from repro.models.resnet import resnet56_spec
 from repro.runtime.dynamics import DynamicsEvent, DynamicsSchedule
 
@@ -174,6 +174,34 @@ class TestDepartures:
             if 5 in e.agent_ids and e.timestamp > departures[0].timestamp
         ]
         assert not after
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_emptied_population_runs_empty_rounds(self, mode):
+        """Once every agent has left, ComDML runs empty rounds like AllReduce."""
+
+        def run(trainer_cls):
+            schedule = DynamicsSchedule()
+            for agent_id in range(4):
+                schedule.departure(0.0, agent_id=agent_id)
+            trainer = trainer_cls(
+                registry=fresh_registry(4),
+                spec=resnet56_spec(),
+                config=ComDMLConfig(
+                    max_rounds=3, offload_granularity=9, seed=3, execution_mode=mode
+                ),
+                dynamics=schedule,
+            )
+            history = trainer.run()
+            rounds = [
+                (r.duration_seconds, r.accuracy, r.num_pairs, r.aggregation_seconds)
+                for r in history.records
+            ]
+            return rounds, trainer.trace.kind_counts()
+
+        rounds, kinds = run(ComDML)
+        assert rounds == [(0.0, 0.0, 0, 0.0)] * 3
+        assert kinds == {"departure": 4, "round_start": 3, "round_end": 3}
+        assert (rounds, kinds) == run(AllReduceDML)
 
     def test_departure_of_unknown_agent_is_noop(self):
         schedule = DynamicsSchedule()
