@@ -5,7 +5,7 @@ split profiling, the per-pair offload optimisation, round-timing assembly
 (both the vectorized kernel and the scalar reference it replaced, so every
 run records the speedup on the same machine), one round of local-loss
 split training of the proxy model, and steady ``ComDML`` rounds in each
-execution mode.
+execution mode at two populations.
 
 ``tools/bench_trajectory.py`` runs this suite and appends the medians to
 the repo's perf history (``BENCH_<n>.json``); see docs/performance.md.
@@ -24,7 +24,7 @@ from repro.core.comdml import ComDML
 from repro.core.config import ComDMLConfig
 from repro.core.csr import IncrementalCsr
 from repro.core.fastpath import PairCostModel
-from repro.core.pairing import greedy_pairing, greedy_pairing_reference
+from repro.core.pairing import PairingPlan, greedy_pairing, greedy_pairing_reference
 from repro.core.planner import PlannerStats, PrunedPlanner
 from repro.core.profiling import profile_architecture
 from repro.core.timing import compute_round_timing
@@ -76,13 +76,18 @@ def _round_planning_workload():
 def test_round_timing_speed(benchmark):
     """Cost of planning and timing one 50-agent round (vectorized kernel).
 
+    The dense kernel's decisions become the round's columns, as in the
+    scheduler's dense path, before timing reduces them.
+
     This is the gated trajectory bench: CI fails if its median regresses
     more than 2x against the committed ``BENCH_5.json`` baseline.
     """
     registry, profile, link_model = _round_planning_workload()
 
     def plan_and_time():
-        decisions = greedy_pairing(registry.agents, link_model, profile)
+        decisions = PairingPlan.from_decisions(
+            greedy_pairing(registry.agents, link_model, profile)
+        )
         return compute_round_timing(decisions, registry.agents, profile)
 
     timing = benchmark(plan_and_time)
@@ -98,7 +103,9 @@ def test_round_timing_speed_scalar(benchmark):
     registry, profile, link_model = _round_planning_workload()
 
     def plan_and_time_scalar():
-        decisions = greedy_pairing_reference(registry.agents, link_model, profile)
+        decisions = PairingPlan.from_decisions(
+            greedy_pairing_reference(registry.agents, link_model, profile)
+        )
         return compute_round_timing(decisions, registry.agents, profile)
 
     timing = benchmark(plan_and_time_scalar)
@@ -245,11 +252,9 @@ def test_planner_round_speed(benchmark, kind, n):
             )
         return planner.plan(agents)
 
-    decisions = benchmark(dynamics_round)
+    plan = benchmark(dynamics_round)
     attach_peak_memory(benchmark, dynamics_round)
-    covered = [d.slow_id for d in decisions]
-    covered += [d.fast_id for d in decisions if d.fast_id is not None]
-    assert sorted(covered) == [agent.agent_id for agent in agents]
+    assert sorted(plan.agent_ids()) == [agent.agent_id for agent in agents]
 
 
 def test_planner_cold_build_speed(benchmark):
@@ -364,28 +369,36 @@ def test_csr_arrival_wave_rebuild_speed(benchmark):
 # ----------------------------------------------------------------------
 # Steady ComDML rounds per execution mode: the event-driven runtime
 # ----------------------------------------------------------------------
-#: Population of the steady-round benches.
-RUNTIME_AGENTS = 4_000
+#: Populations of the steady-round benches, 8x apart: the
+#: ``--event-exponent`` gate fits how the event-driven modes' cost over
+#: the sync round grows between them.
+RUNTIME_POPULATIONS = (1_000, 8_000)
 
 #: Timed rounds per bench, after an untimed cold round 0.
 RUNTIME_ROUNDS = 5
 
 #: Simulated seconds of dynamics schedule per round.  A semi-sync round of
-#: this population lasts about 220 simulated seconds, so the schedule,
+#: these populations lasts about 220 simulated seconds, so the schedule,
 #: which covers two spare rounds, outlasts the bench.
 RUNTIME_SCHEDULE_SECONDS_PER_ROUND = 250.0
+
+#: Poisson arrival and departure rate per agent and simulated second
+#: (0.2/s each at 4 000 agents), so every population sees the same
+#: dynamics events per unit.
+RUNTIME_EVENT_RATE_PER_AGENT = 0.2 / 4_000
 
 
 def _runtime_schedule(ids: list[int]) -> DynamicsSchedule:
     """Seeded Poisson arrivals and departures plus a 1 % churn event per 150 s."""
     horizon = (RUNTIME_ROUNDS + 2) * RUNTIME_SCHEDULE_SECONDS_PER_ROUND
+    rate = RUNTIME_EVENT_RATE_PER_AGENT * len(ids)
     schedule = DynamicsSchedule.poisson(
         horizon=horizon,
-        arrival_rate=0.2,
-        departure_rate=0.2,
+        arrival_rate=rate,
+        departure_rate=rate,
         seed=5,
         departure_candidates=ids,
-        id_start=RUNTIME_AGENTS,
+        id_start=len(ids),
         attachment=ArrivalAttachment(policy="random-k", k=6, seed=5),
     )
     for churn_time in np.arange(150.0, horizon, 150.0):
@@ -393,16 +406,17 @@ def _runtime_schedule(ids: list[int]) -> DynamicsSchedule:
     return schedule
 
 
-def _steady_runtime_rounds(benchmark, mode: str) -> None:
-    """Time ``run_round`` on rounds 1.. of a 4 000-agent random-k(6) run.
+def _steady_runtime_rounds(benchmark, mode: str, population: int) -> None:
+    """Time ``run_round`` on rounds 1.. of a random-k(6) run.
 
     Sync and async churn 1 % of the profiles at every round boundary; the
     semi-sync run (fixed 0.8 quorum) gets its churn, arrivals and
     departures mid-round from a seeded dynamics schedule instead, so it
-    runs the dynamics-aware path.  ``tools/bench_trajectory.py`` gates the
-    semi-sync and async medians against the sync one (``--event-sync-ratio``).
+    runs the dynamics-aware path.  ``tools/bench_trajectory.py`` fits the
+    growth of the semi-sync and async medians over the sync one across
+    the populations (``--event-exponent``).
     """
-    agents = _planner_population(RUNTIME_AGENTS)
+    agents = _planner_population(population)
     ids = [agent.agent_id for agent in agents]
     dynamic = mode == "semi-sync"
     trainer = ComDML(
@@ -432,16 +446,20 @@ def _steady_runtime_rounds(benchmark, mode: str) -> None:
     trainer.trace.check_conservation()
 
 
-def test_runtime_round_speed_sync(benchmark):
-    """Closed-form sync round: the partner of the two ratio gates."""
-    _steady_runtime_rounds(benchmark, "sync")
+@pytest.mark.parametrize(
+    "population, mode",
+    [
+        pytest.param(population, mode, id=f"{mode}-{population}")
+        for population in RUNTIME_POPULATIONS
+        for mode in ("sync", "semi-sync", "async")
+    ],
+)
+def test_runtime_round_speed(benchmark, population, mode):
+    """Steady ComDML rounds: closed-form sync, dynamics-aware semi-sync
+    (one completion event per unit) and closed-form async (one gossip
+    aggregation per unit).
 
-
-def test_runtime_round_speed_semi_sync(benchmark):
-    """Dynamics-aware semi-sync round: one completion event per unit."""
-    _steady_runtime_rounds(benchmark, "semi-sync")
-
-
-def test_runtime_round_speed_async(benchmark):
-    """Closed-form async round: one gossip aggregation per unit."""
-    _steady_runtime_rounds(benchmark, "async")
+    Population is the outer loop, so the three modes of one population
+    run back to back and a drift in the host's speed shifts all three.
+    """
+    _steady_runtime_rounds(benchmark, mode, population)

@@ -127,6 +127,13 @@ class AgentRegistry:
         """
         return self._total_samples
 
+    def samples_of(self, agent_ids: Iterable[int]) -> int:
+        """Total samples of the given agents; unregistered ids count 0."""
+        agents = self._agents
+        return sum(
+            agents[agent_id].num_samples for agent_id in agent_ids if agent_id in agents
+        )
+
     # ------------------------------------------------------------------
     # Participation sampling
     # ------------------------------------------------------------------

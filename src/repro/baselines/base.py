@@ -9,17 +9,20 @@ event-driven execution modes — is owned by
 hook (and, optionally, a per-agent :meth:`BaselineTrainer.unit_duration`),
 which this base class packages as a
 :class:`~repro.runtime.strategy.RoundPlan` of one solo work unit per
-participant (no workload balancing — every agent trains the full model).
+participant (no workload balancing — every agent trains the full model):
+an all-solo :class:`~repro.core.pairing.PairingPlan` plus the units'
+durations.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.agents.agent import Agent
 from repro.agents.registry import AgentRegistry
 from repro.core.config import ComDMLConfig
-from repro.core.pairing import PairingDecision
 from repro.core.profiling import SplitProfile, profile_architecture
 from repro.core.workload import individual_training_time
 from repro.models.spec import ArchitectureSpec
@@ -96,15 +99,15 @@ class BaselineTrainer(StrategyDefaults, RuntimeDelegate):
         """Return ``(total, compute, communication)`` seconds for one round."""
         raise NotImplementedError
 
-    def unit_duration(self, agent: Agent, decision: PairingDecision) -> float:
+    def unit_duration(self, agent: Agent, training_time: float) -> float:
         """How long one participant's unit of local work takes.
 
-        Defaults to the solo decision's already-computed training time;
-        methods whose agents also block on per-agent communication (e.g.
-        FedAvg's download/upload chain) override this so the
-        ``semi-sync``/``async`` modes see the real completion times.
+        Defaults to the agent's already-computed full-model
+        ``training_time``; methods whose agents also block on per-agent
+        communication (e.g. FedAvg's download/upload chain) override this
+        so the ``semi-sync``/``async`` modes see the real completion times.
         """
-        return decision.estimate.pair_time
+        return training_time
 
     # ------------------------------------------------------------------
     # Mid-round dynamics hooks
@@ -112,7 +115,7 @@ class BaselineTrainer(StrategyDefaults, RuntimeDelegate):
     def reprice_unit(self, plan: RoundPlan, unit: WorkUnit) -> float:
         """Fresh price of one participant's unit under its present profile.
 
-        Rebuilds the solo decision from the agent's *current* resources and
+        Re-prices the agent's training time from its *current* resources and
         runs it back through :meth:`unit_duration`, so methods that chain
         per-agent communication (FedAvg) see churned bandwidths too.
         """
@@ -120,8 +123,7 @@ class BaselineTrainer(StrategyDefaults, RuntimeDelegate):
         if agent_id not in self.registry:
             return unit.duration
         agent = self.registry.get(agent_id)
-        decision = solo_decisions([agent], self.profile)[0]
-        return self.unit_duration(agent, decision)
+        return self.unit_duration(agent, self.full_model_training_time(agent))
 
     def on_agent_arrival(self, agent: Agent, neighbors=None, attachment=None) -> None:
         """Wire a mid-run arrival into the communication topology."""
@@ -167,20 +169,15 @@ class BaselineTrainer(StrategyDefaults, RuntimeDelegate):
     ) -> RoundPlan:
         """Price the round with the baseline's timing pattern, one solo unit per agent."""
         total, compute, communication = self.round_timing(participants)
-        decisions = tuple(solo_decisions(participants, self.profile))
-        units = tuple(
-            WorkUnit(
-                index=index,
-                agent_ids=(agent.agent_id,),
-                duration=self.unit_duration(agent, decisions[index]),
-                decisions=(decisions[index],),
-            )
-            for index, agent in enumerate(participants)
-        )
+        decisions = solo_decisions(participants, self.profile)
+        durations = [
+            self.unit_duration(agent, training_time)
+            for agent, training_time in zip(participants, decisions.pair_time.tolist())
+        ]
         return RoundPlan(
             round_index=round_index,
             decisions=decisions,
-            units=units,
+            durations=np.array(durations, dtype=np.float64),
             aggregation_seconds=max(0.0, total - compute),
             duration_seconds=total,
             compute_seconds=compute,

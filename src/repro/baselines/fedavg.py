@@ -15,7 +15,6 @@ from typing import Sequence
 
 from repro.agents.agent import Agent
 from repro.baselines.base import BaselineTrainer
-from repro.core.pairing import PairingDecision
 from repro.sim.costs import DEFAULT_LINK_LATENCY_SECONDS
 
 
@@ -39,7 +38,7 @@ class FedAvg(BaselineTrainer):
         )
         return compute + communication, compute, communication
 
-    def unit_duration(self, agent: Agent, decision: PairingDecision) -> float:
+    def unit_duration(self, agent: Agent, training_time: float) -> float:
         """An agent's unit completes after its full download+train+upload chain.
 
         Disconnected agents contribute a zero-cost chain (the server skips
@@ -48,7 +47,7 @@ class FedAvg(BaselineTrainer):
         crowd out agents that are actually training.
         """
         total = self.agent_round_time(agent)[0]
-        return total if total > 0 else decision.estimate.pair_time
+        return total if total > 0 else training_time
 
     # FedAvg's communication is priced inside each agent's chain (and thus in
     # unit_duration); the server's averaging itself is free.  Without these

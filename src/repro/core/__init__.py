@@ -8,7 +8,12 @@ from repro.core.workload import (
     exact_min_makespan,
 )
 from repro.core.fastpath import PairCostModel, agent_vectors
-from repro.core.pairing import PairingDecision, greedy_pairing, greedy_pairing_reference
+from repro.core.pairing import (
+    PairingDecision,
+    PairingPlan,
+    greedy_pairing,
+    greedy_pairing_reference,
+)
 from repro.core.planner import PlannerState, PlannerStats, PrunedPlanner
 from repro.core.scheduler import DecentralizedPairingScheduler
 from repro.core.timing import RoundTiming, compute_round_timing
@@ -25,6 +30,7 @@ __all__ = [
     "PairCostModel",
     "agent_vectors",
     "PairingDecision",
+    "PairingPlan",
     "greedy_pairing",
     "greedy_pairing_reference",
     "PlannerState",

@@ -8,8 +8,9 @@ and the event-driven execution modes — lives in
 what makes the method itself: **agent pairing** via the decentralized greedy
 scheduler and the **pairing-plan timing** (the plan's makespan and offload
 traffic plus the decentralized AllReduce aggregation), packaged as a
-:class:`~repro.runtime.strategy.RoundPlan` whose work units are pairing
-decisions.
+:class:`~repro.runtime.strategy.RoundPlan` that carries the scheduler's
+:class:`~repro.core.pairing.PairingPlan` columns: one work unit per
+pairing decision, lasting the decision's pair time.
 
 ``ComDML.run`` delegates to the runtime and supports all three execution
 modes (``sync`` / ``semi-sync`` / ``async``) selected through
@@ -140,21 +141,10 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
             allreduce_algorithm=self.config.allreduce_algorithm,
             compressor=self._aggregation_compressor,
         )
-        units = tuple(
-            WorkUnit(
-                index=index,
-                agent_ids=(decision.slow_id,)
-                if decision.fast_id is None
-                else (decision.slow_id, decision.fast_id),
-                duration=decision.estimate.pair_time,
-                decisions=(decision,),
-            )
-            for index, decision in enumerate(decisions)
-        )
         return RoundPlan(
             round_index=round_index,
-            decisions=tuple(decisions),
-            units=units,
+            decisions=decisions,
+            durations=decisions.pair_time,
             aggregation_seconds=timing.aggregation_time,
             duration_seconds=timing.total_time,
             compute_seconds=timing.makespan,

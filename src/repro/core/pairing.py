@@ -22,11 +22,18 @@ kernel; the pure-Python loop is kept as
 :func:`greedy_pairing_reference`, the oracle the equivalence tests and
 the trajectory benchmarks compare against.  Both produce *identical*
 ``PairingDecision`` lists — same floats, same tie-breaking.
+
+A round's plan travels through the system as one :class:`PairingPlan`: the
+decisions as struct-of-arrays columns, which round timing and the runtime
+reduce without building a per-decision object.  It is also a
+``Sequence[PairingDecision]`` whose decisions are views built on demand.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -66,6 +73,178 @@ class PairingDecision:
     def is_offloading(self) -> bool:
         """Whether this decision actually offloads work."""
         return self.fast_id is not None and self.offloaded_layers > 0
+
+
+@dataclass(frozen=True, eq=False)
+class PairingPlan(Sequence[PairingDecision]):
+    """One round's pairing decisions as struct-of-arrays columns.
+
+    Row ``r`` of every column is the ``r``-th decision, in the order the
+    scheduler made them.  ``fast_id`` is ``-1`` where the slow agent trains
+    alone; the five float columns are the decision's
+    :class:`~repro.core.workload.OffloadEstimate` fields.
+
+    Round timing and the runtime read the columns.  As a
+    ``Sequence[PairingDecision]`` the plan builds decisions on demand: the
+    first iteration builds all of them in one pass (``tolist`` once per
+    column) and keeps them as :attr:`views`; indexing builds one.  Every
+    value a view carries is a builtin ``int`` or ``float``, so decisions
+    stay JSON-serialisable.  Equality is identity; compare ``list(plan)``
+    to compare decisions.
+    """
+
+    slow_id: np.ndarray
+    fast_id: np.ndarray
+    offloaded_layers: np.ndarray
+    slow_time: np.ndarray
+    fast_own_time: np.ndarray
+    communication_time: np.ndarray
+    fast_offload_time: np.ndarray
+    pair_time: np.ndarray
+
+    @classmethod
+    def from_decisions(cls, decisions: Sequence[PairingDecision]) -> "PairingPlan":
+        """Columns of a list of decisions (the dense and scalar planners' output)."""
+        count = len(decisions)
+
+        def column(values, dtype):
+            return np.fromiter(values, dtype=dtype, count=count)
+
+        estimates = [decision.estimate for decision in decisions]
+        return cls(
+            slow_id=column((d.slow_id for d in decisions), np.int64),
+            fast_id=column(
+                (-1 if d.fast_id is None else d.fast_id for d in decisions), np.int64
+            ),
+            offloaded_layers=column((d.offloaded_layers for d in decisions), np.int64),
+            slow_time=column((e.slow_time for e in estimates), np.float64),
+            fast_own_time=column((e.fast_own_time for e in estimates), np.float64),
+            communication_time=column(
+                (e.communication_time for e in estimates), np.float64
+            ),
+            fast_offload_time=column((e.fast_offload_time for e in estimates), np.float64),
+            pair_time=column((e.pair_time for e in estimates), np.float64),
+        )
+
+    @classmethod
+    def solo(cls, agent_ids: Sequence[int], times: np.ndarray) -> "PairingPlan":
+        """Every agent trains the full model alone, in ``times[r]`` seconds."""
+        count = len(agent_ids)
+        zeros = np.zeros(count)
+        return cls(
+            slow_id=np.fromiter(agent_ids, dtype=np.int64, count=count),
+            fast_id=np.full(count, -1, dtype=np.int64),
+            offloaded_layers=np.zeros(count, dtype=np.int64),
+            slow_time=times,
+            fast_own_time=zeros,
+            communication_time=zeros,
+            fast_offload_time=zeros,
+            pair_time=times,
+        )
+
+    @classmethod
+    def empty(cls) -> "PairingPlan":
+        """The plan of a round without participants."""
+        return cls.solo((), np.zeros(0))
+
+    def take(self, rows: np.ndarray) -> "PairingPlan":
+        """The plan made of the given rows, in the given order."""
+        return PairingPlan(*(column[rows] for column in self._columns()))
+
+    # ------------------------------------------------------------------
+    # Reductions (the float order the round-timing goldens pin)
+    # ------------------------------------------------------------------
+    def makespan(self) -> float:
+        """Slowest decision's ``pair_time`` (0.0 for an empty plan)."""
+        if not len(self.pair_time):
+            return 0.0
+        return float(max(0.0, np.maximum.reduce(self.pair_time)))
+
+    def total_communication(self) -> float:
+        """Offload traffic time, added left to right in decision order.
+
+        ``np.cumsum`` adds sequentially, like a ``+=`` loop; ``np.sum``
+        adds pairwise and builtin ``sum`` is compensated from Python 3.12
+        on, and both can round differently.
+        """
+        if not len(self.communication_time):
+            return 0.0
+        return float(np.cumsum(self.communication_time)[-1])
+
+    def num_pairs(self) -> int:
+        """Number of decisions that pair the slow agent with a helper."""
+        return int(np.count_nonzero(self.fast_id >= 0))
+
+    def unit_agent_ids(self) -> list[tuple[int, ...]]:
+        """Each decision's agents: ``(slow,)`` or ``(slow, fast)``."""
+        return [
+            (slow,) if fast < 0 else (slow, fast)
+            for slow, fast in zip(self.slow_id.tolist(), self.fast_id.tolist())
+        ]
+
+    def agent_ids(self) -> list[int]:
+        """Every agent the plan involves: the slow ids, then the helpers."""
+        fast = self.fast_id
+        return self.slow_id.tolist() + fast[fast >= 0].tolist()
+
+    # ------------------------------------------------------------------
+    # Sequence[PairingDecision]
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self.slow_id)
+
+    def __getitem__(self, index: int) -> PairingDecision:
+        row = range(len(self))[index]
+        return _decision_view(*(column[row].item() for column in self._columns()))
+
+    def __iter__(self) -> Iterator[PairingDecision]:
+        return iter(self.views)
+
+    @cached_property
+    def views(self) -> list[PairingDecision]:
+        """Every decision as a view, built in one pass on first use."""
+        return list(
+            map(_decision_view, *(column.tolist() for column in self._columns()))
+        )
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+
+def _decision_view(
+    slow: int,
+    fast: int,
+    layers: int,
+    slow_time: float,
+    own: float,
+    comm: float,
+    offload: float,
+    pair: float,
+) -> PairingDecision:
+    """A :class:`PairingDecision` without the frozen-dataclass ``__init__``.
+
+    The generated ``__init__`` of a frozen dataclass routes every field
+    through ``object.__setattr__``; filling the instance ``__dict__``
+    wholesale builds an equal object (neither class defines
+    ``__post_init__`` or ``__slots__``) in about 60 % of the time.
+    """
+    estimate = object.__new__(OffloadEstimate)
+    estimate.__dict__.update(
+        offloaded_layers=layers,
+        slow_time=slow_time,
+        fast_own_time=own,
+        communication_time=comm,
+        fast_offload_time=offload,
+        pair_time=pair,
+    )
+    decision = object.__new__(PairingDecision)
+    decision.__dict__.update(
+        slow_id=slow,
+        fast_id=None if fast < 0 else fast,
+        offloaded_layers=layers,
+        estimate=estimate,
+    )
+    return decision
 
 
 def greedy_pairing(
@@ -149,19 +328,7 @@ def greedy_pairing(
 
 def _solo_decision(agent_id: int, own_time: float) -> PairingDecision:
     """Decision for an agent that trains the full model alone."""
-    return PairingDecision(
-        slow_id=agent_id,
-        fast_id=None,
-        offloaded_layers=0,
-        estimate=OffloadEstimate(
-            offloaded_layers=0,
-            slow_time=own_time,
-            fast_own_time=0.0,
-            communication_time=0.0,
-            fast_offload_time=0.0,
-            pair_time=own_time,
-        ),
-    )
+    return _decision_view(agent_id, -1, 0, own_time, 0.0, 0.0, 0.0, own_time)
 
 
 def greedy_pairing_reference(

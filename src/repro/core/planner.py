@@ -18,8 +18,9 @@ operation order of :func:`~repro.core.workload.estimate_offload_time`, the
 split reduction uses strict-``<`` first-minimum tie-breaking, candidate
 lists are kept ascending by participant position so the row argmin breaks
 ties like the dense scan, and each formed pair's
-:class:`~repro.core.workload.OffloadEstimate` is built from the same
-elementwise mirror, reproducing the scalar oracle bit for bit.
+:class:`~repro.core.workload.OffloadEstimate` fields are computed from the
+same elementwise mirror, reproducing the scalar oracle bit for bit.  The
+plan comes out as one :class:`~repro.core.pairing.PairingPlan` of columns.
 
 **Sparse / blocked bandwidth.**  Adjacency and bandwidth are consumed as
 neighbor lists (the topology graph's native structure, or the
@@ -48,8 +49,6 @@ does not engage.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -63,93 +62,12 @@ from repro.core.fastpath import (
     agent_attrs,
     agent_vectors_from_attrs,
 )
-from repro.core.pairing import PairingDecision
+from repro.core.pairing import PairingPlan
 from repro.core.profiling import SplitProfile
-from repro.core.workload import OffloadEstimate
 from repro.network.link import LinkModel
 from repro.utils.validation import check_positive
 
 __all__ = ["PlannerState", "PlannerStats", "PrunedPlanner"]
-
-
-@contextmanager
-def _gc_paused():
-    """Pause generational GC over an allocation burst.
-
-    The greedy scan builds one decision object pair per formed pair; at
-    hundreds of thousands of agents those allocations trip gen-0
-    collections every few hundred objects, and each collection re-scans a
-    live heap that holds the whole population.  None of the objects built
-    here are garbage, so the collections can only waste time — pause
-    collection for the burst and restore the collector's prior state
-    after (nothing is re-enabled for callers that run with GC off).
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
-def _fast_pair_decision(
-    slow_id: int,
-    fast_id: int,
-    layers: int,
-    slow_time: float,
-    fast_own_time: float,
-    communication: float,
-    fast_offload: float,
-    pair_time: float,
-) -> PairingDecision:
-    """Build one pair decision without the frozen-dataclass ``__init__``.
-
-    ``PairingDecision`` and ``OffloadEstimate`` are frozen, so their
-    generated ``__init__`` routes every field through
-    ``object.__setattr__`` — measurably the planner's hottest call at
-    scale (two objects per formed pair).  Filling the instance
-    ``__dict__`` wholesale produces an identical object (same fields,
-    equality, and hash; neither class defines ``__post_init__`` or
-    ``__slots__``) at half the cost.  ``test_fast_decision_paths_match``
-    pins the equivalence.
-    """
-    estimate = object.__new__(OffloadEstimate)
-    estimate.__dict__.update(
-        offloaded_layers=layers,
-        slow_time=slow_time,
-        fast_own_time=fast_own_time,
-        communication_time=communication,
-        fast_offload_time=fast_offload,
-        pair_time=pair_time,
-    )
-    decision = object.__new__(PairingDecision)
-    decision.__dict__.update(
-        slow_id=slow_id,
-        fast_id=fast_id,
-        offloaded_layers=layers,
-        estimate=estimate,
-    )
-    return decision
-
-
-def _fast_solo_decision(agent_id: int, own_time: float) -> PairingDecision:
-    """:func:`repro.core.pairing._solo_decision` on the fast build path."""
-    estimate = object.__new__(OffloadEstimate)
-    estimate.__dict__.update(
-        offloaded_layers=0,
-        slow_time=own_time,
-        fast_own_time=0.0,
-        communication_time=0.0,
-        fast_offload_time=0.0,
-        pair_time=own_time,
-    )
-    decision = object.__new__(PairingDecision)
-    decision.__dict__.update(
-        slow_id=agent_id, fast_id=None, offloaded_layers=0, estimate=estimate
-    )
-    return decision
 
 
 @dataclass
@@ -355,17 +273,12 @@ class PrunedPlanner:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def plan(self, participants: Sequence[Agent]) -> list[PairingDecision]:
-        """Plan one round; returns the pairing decisions."""
+    def plan(self, participants: Sequence[Agent]) -> PairingPlan:
+        """Plan one round; returns the pairing decisions as columns."""
         agents = list(participants)
         n = len(agents)
         if n == 0:
-            return []
-        with _gc_paused():
-            return self._plan_body(agents, n)
-
-    def _plan_body(self, agents: list[Agent], n: int) -> list[PairingDecision]:
-        """:meth:`plan` body, under the GC pause (see :func:`_gc_paused`)."""
+            return PairingPlan.empty()
         self._sync_topology()
         attrs = agent_attrs(agents)
         vectors = agent_vectors_from_attrs(attrs, self.profile, self.batch_size)
@@ -392,7 +305,7 @@ class PrunedPlanner:
         if dirty_count == n:
             self.stats.full_rebuilds += 1
 
-        return self._greedy_scan(state, ids, taus, order, vectors, agents)
+        return self._greedy_scan(state, ids_array, taus, order, vectors)
 
     # ------------------------------------------------------------------
     # Cache maintenance
@@ -778,12 +691,11 @@ class PrunedPlanner:
     def _greedy_scan(
         self,
         state: PlannerState,
-        ids: tuple[int, ...],
+        ids_array: np.ndarray,
         taus: np.ndarray,
         order: np.ndarray,
         vectors: AgentVectors,
-        agents: list[Agent],
-    ) -> list[PairingDecision]:
+    ) -> PairingPlan:
         """Algorithm 1's greedy pairing over the pruned candidate blocks.
 
         Walks the precomputed per-row scan order (``scan_*`` arrays, kept
@@ -793,11 +705,11 @@ class PrunedPlanner:
         vast majority of rows resolve at scan column 0 (their fastest
         candidate is still alive), so the loop touches three precomputed
         column-0 lists and falls back to the full row walk only when the
-        fastest candidate was already claimed.  The chosen pairs'
-        :class:`~repro.core.workload.OffloadEstimate`s are then built in
-        one vectorized batch mirroring the scalar oracle.
+        fastest candidate was already claimed.  The loop records row
+        indices only; :meth:`_plan_columns` turns them into the plan's
+        columns in one vectorized pass.
         """
-        n = len(ids)
+        n = len(ids_array)
         k = state.k
         taus_list = taus.tolist()
         infinity = float("inf")
@@ -814,10 +726,11 @@ class PrunedPlanner:
         scan_cols = state.scan_cols
         alive = [True] * n
         improvement = 1.0 - self.improvement_threshold
-        decisions: list[Optional[PairingDecision]] = []
-        chosen_slow: list[int] = []
-        chosen_col: list[int] = []
-        chosen_fast: list[int] = []
+        # Per decision, in decision order: the slow row and the helper row
+        # (-1 when training alone); per pair: the chosen candidate column.
+        slow_rows: list[int] = []
+        fast_rows: list[int] = []
+        pair_columns: list[int] = []
 
         for i in order.tolist():
             if not alive[i]:
@@ -844,94 +757,99 @@ class PrunedPlanner:
                             best_time = time_row[column]
                             best_column = int(scan_cols[i, column])
                             break
+            slow_rows.append(i)
+            alive[i] = False
             if best_time < own_time * improvement:
-                decisions.append(None)
-                chosen_slow.append(i)
-                chosen_col.append(best_column)
-                chosen_fast.append(j)
-                alive[i] = False
+                fast_rows.append(j)
+                pair_columns.append(best_column)
                 alive[j] = False
             else:
-                decisions.append(_fast_solo_decision(ids[i], own_time))
-                alive[i] = False
+                fast_rows.append(-1)
 
-        if chosen_slow:
-            pair_decisions = iter(
-                self._pair_decisions(
-                    state, agents, vectors, taus, chosen_slow, chosen_col, chosen_fast
-                )
-            )
-            for index, decision in enumerate(decisions):
-                if decision is None:
-                    decisions[index] = next(pair_decisions)
-        return decisions
+        return self._plan_columns(
+            state, ids_array, taus, vectors, slow_rows, fast_rows, pair_columns
+        )
 
-    def _pair_decisions(
+    def _plan_columns(
         self,
         state: PlannerState,
-        agents: list[Agent],
-        vectors: AgentVectors,
+        ids_array: np.ndarray,
         taus: np.ndarray,
-        slow: list[int],
-        columns: list[int],
-        fast: list[int],
-    ) -> list[PairingDecision]:
-        """Vectorized :func:`~repro.core.workload.estimate_offload_time`.
+        vectors: AgentVectors,
+        slow_rows: list[int],
+        fast_rows: list[int],
+        pair_columns: list[int],
+    ) -> PairingPlan:
+        """The plan's columns from the scan's row lists.
 
-        Computes every float with the scalar oracle's exact operation
-        order (same IEEE-754 results element for element), batched over
-        the round's formed pairs instead of one oracle call per pair.
-        Chosen splits always offload (> 0 layers), so only the oracle's
-        offloading branch is mirrored.
+        Solo rows carry their τ̂ as slow and pair time.  The pairs'
+        estimates are a vectorized
+        :func:`~repro.core.workload.estimate_offload_time`: every float is
+        computed with the scalar oracle's exact operation order (same
+        IEEE-754 results element for element), batched over the round's
+        formed pairs instead of one oracle call per pair.  Chosen splits
+        always offload (> 0 layers), so only the oracle's offloading branch
+        is mirrored.
         """
-        profile = self.profile
-        slow_idx = np.asarray(slow, dtype=np.int64)
-        col_idx = np.asarray(columns, dtype=np.int64)
-        fast_idx = np.asarray(fast, dtype=np.int64)
-        split_idx = state.best_split[slow_idx, col_idx]
-        layers = profile.options_array[split_idx]
-        bandwidth = state.cand_bw[slow_idx, col_idx]
-        busy = taus[fast_idx]
+        slow_all = np.asarray(slow_rows, dtype=np.int64)
+        fast_all = np.asarray(fast_rows, dtype=np.int64)
+        count = len(slow_all)
+        paired = fast_all >= 0
+        fast_id = np.full(count, -1, dtype=np.int64)
+        layers = np.zeros(count, dtype=np.int64)
+        slow_time = taus[slow_all]
+        fast_own_time = np.zeros(count)
+        communication_time = np.zeros(count)
+        fast_offload_time = np.zeros(count)
+        pair_time = slow_time.copy()
 
-        slow_batches = vectors.batches[slow_idx]
-        slow_speed = vectors.slow_speed[slow_idx]
-        fast_speed = vectors.throughput[fast_idx] / vectors.flops[slow_idx]
-        slow_factor = profile.slow_time_array[split_idx]
-        fast_factor = profile.fast_time_array[split_idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slow_time = np.where(
-                slow_factor > 0, slow_batches * slow_factor / slow_speed, 0.0
-            )
-            fast_offload = np.where(
-                fast_factor > 0, slow_batches * fast_factor / fast_speed, 0.0
-            )
-            intermediate_bytes = (
-                profile.intermediate_bytes_array[split_idx]
-                * vectors.batch_sizes[slow_idx]
-            )
-            communication = slow_batches * (
-                self.latency_seconds + intermediate_bytes / bandwidth
-            ) + (2.0 * profile.offloaded_bytes_array[split_idx]) / bandwidth
-            fast_chain = busy + communication + fast_offload
-            pair_time = np.maximum(slow_time, fast_chain)
+        if pair_columns:
+            profile = self.profile
+            slow_idx = slow_all[paired]
+            fast_idx = fast_all[paired]
+            split_idx = state.best_split[slow_idx, np.asarray(pair_columns)]
+            bandwidth = state.cand_bw[slow_idx, np.asarray(pair_columns)]
+            busy = taus[fast_idx]
 
-        # tolist() once: Python-float lists index an order of magnitude
-        # faster than element-wise numpy access in the build loop below.
-        return [
-            _fast_pair_decision(
-                agents[i].agent_id, agents[j].agent_id, m, st, own, comm, fo, pt
-            )
-            for i, j, m, st, own, comm, fo, pt in zip(
-                slow,
-                fast,
-                layers.tolist(),
-                slow_time.tolist(),
-                busy.tolist(),
-                communication.tolist(),
-                fast_offload.tolist(),
-                pair_time.tolist(),
-            )
-        ]
+            slow_batches = vectors.batches[slow_idx]
+            slow_speed = vectors.slow_speed[slow_idx]
+            fast_speed = vectors.throughput[fast_idx] / vectors.flops[slow_idx]
+            slow_factor = profile.slow_time_array[split_idx]
+            fast_factor = profile.fast_time_array[split_idx]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                pair_slow = np.where(
+                    slow_factor > 0, slow_batches * slow_factor / slow_speed, 0.0
+                )
+                fast_offload = np.where(
+                    fast_factor > 0, slow_batches * fast_factor / fast_speed, 0.0
+                )
+                intermediate_bytes = (
+                    profile.intermediate_bytes_array[split_idx]
+                    * vectors.batch_sizes[slow_idx]
+                )
+                communication = slow_batches * (
+                    self.latency_seconds + intermediate_bytes / bandwidth
+                ) + (2.0 * profile.offloaded_bytes_array[split_idx]) / bandwidth
+                fast_chain = busy + communication + fast_offload
+                pair_time[paired] = np.maximum(pair_slow, fast_chain)
+
+            fast_id[paired] = ids_array[fast_idx]
+            layers[paired] = profile.options_array[split_idx]
+            slow_time[paired] = pair_slow
+            fast_own_time[paired] = busy
+            communication_time[paired] = communication
+            fast_offload_time[paired] = fast_offload
+
+        return PairingPlan(
+            slow_id=ids_array[slow_all],
+            fast_id=fast_id,
+            offloaded_layers=layers,
+            slow_time=slow_time,
+            fast_own_time=fast_own_time,
+            communication_time=communication_time,
+            fast_offload_time=fast_offload_time,
+            pair_time=pair_time,
+        )
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Thin wrapper around :func:`~repro.core.pairing.greedy_pairing` and the
 :class:`~repro.core.planner.PrunedPlanner` that applies per-round
-participation sampling and picks the planning path for each round.
+participation sampling and picks the planning path for each round.  Both
+paths return the round's decisions as one
+:class:`~repro.core.pairing.PairingPlan`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from repro.agents.agent import Agent
 from repro.agents.registry import AgentRegistry
-from repro.core.pairing import PairingDecision, greedy_pairing
+from repro.core.pairing import PairingPlan, greedy_pairing
 from repro.core.planner import PrunedPlanner
 from repro.core.profiling import SplitProfile
 from repro.network.link import LinkModel
@@ -103,7 +105,7 @@ class DecentralizedPairingScheduler:
 
     def plan_round(
         self, participants: Optional[Sequence[Agent]] = None
-    ) -> list[PairingDecision]:
+    ) -> PairingPlan:
         """Produce the pairing decisions for one round.
 
         When a :class:`~repro.core.planner.PrunedPlanner` is attached and
@@ -115,9 +117,11 @@ class DecentralizedPairingScheduler:
             participants = self.select_participants()
         if self.planner is not None and self.planner.engages(len(participants)):
             return self.planner.plan(participants)
-        return greedy_pairing(
-            participants=participants,
-            link_model=self.link_model,
-            profile=self.profile,
-            improvement_threshold=self.improvement_threshold,
+        return PairingPlan.from_decisions(
+            greedy_pairing(
+                participants=participants,
+                link_model=self.link_model,
+                profile=self.profile,
+                improvement_threshold=self.improvement_threshold,
+            )
         )

@@ -1,6 +1,6 @@
 """Round timing: price a pairing plan.
 
-Reduces a list of :class:`~repro.core.pairing.PairingDecision` to the
+Reduces the columns of a :class:`~repro.core.pairing.PairingPlan` to the
 round makespan, the offload communication total and the pair count, then
 adds the decentralized AllReduce aggregation cost over the round's
 participants.  This is the pricing ComDML's orchestrator runs every round;
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.agents.agent import Agent
-from repro.core.pairing import PairingDecision
+from repro.core.pairing import PairingPlan
 from repro.core.profiling import SplitProfile
 from repro.network.allreduce import allreduce_time
 from repro.network.compression import GradientCompressor
@@ -47,45 +47,36 @@ class RoundTiming:
 
 
 def bottleneck_bandwidth(agents: Sequence[Agent]) -> float:
-    """Slowest connected agent's link speed (bytes/s) among the participants."""
-    connected = [
-        agent.profile.bandwidth_bytes_per_second
-        for agent in agents
-        if agent.is_connected
-    ]
-    if not connected:
-        # No usable links: fall back to the slowest nominal profile (10 Mbps)
-        # so the aggregation still completes in the simulation.
-        return mbps_to_bytes_per_second(10.0)
-    return min(connected)
+    """Slowest connected agent's link speed (bytes/s) among the participants.
+
+    The minimum is taken in Mbps and converted once: the correctly rounded
+    ``x * 10**6 / 8`` is monotone in ``x``, so this equals the minimum of
+    the converted speeds.
+    """
+    speeds = (agent.profile.bandwidth_mbps for agent in agents)
+    # No usable links: fall back to the slowest nominal profile (10 Mbps)
+    # so the aggregation still completes in the simulation.
+    slowest = min((mbps for mbps in speeds if mbps > 0), default=10.0)
+    return mbps_to_bytes_per_second(slowest)
 
 
 def compute_round_timing(
-    decisions: Sequence[PairingDecision],
+    decisions: PairingPlan,
     participants: Sequence[Agent],
     profile: SplitProfile,
     allreduce_algorithm: str = "halving_doubling",
     compressor: Optional[GradientCompressor] = None,
 ) -> RoundTiming:
-    """Price a round from its pairing decisions.
+    """Price a round from its pairing plan.
 
     ``participants`` are the agents the decisions were planned over; every
     one of them appears in exactly one decision, and all of them join the
     AllReduce.  The makespan, the communication total and the pair count
-    are accumulated in one pass over the decisions (decision order,
-    left-to-right additions — the exact float sequence the sync golden
-    regression pins down).
+    are column reductions (see :class:`~repro.core.pairing.PairingPlan`);
+    the communication total adds left to right in decision order, the
+    exact float sequence the sync golden regression pins down.
     """
-    makespan = 0.0
-    total_communication = 0.0
-    num_pairs = 0
-    for decision in decisions:
-        estimate = decision.estimate
-        makespan = max(makespan, estimate.pair_time)
-        total_communication += estimate.communication_time
-        if decision.fast_id is not None:
-            num_pairs += 1
-
+    makespan = decisions.makespan()
     aggregation = (
         allreduce_time(
             model_bytes=profile.full_model_bytes,
@@ -101,6 +92,6 @@ def compute_round_timing(
         makespan=makespan,
         aggregation_time=aggregation,
         total_time=makespan + aggregation,
-        total_communication_time=total_communication,
-        num_pairs=num_pairs,
+        total_communication_time=decisions.total_communication(),
+        num_pairs=decisions.num_pairs(),
     )

@@ -46,7 +46,7 @@ import numpy as np
 from repro.agents.dynamics import ResourceChurn, churn_agent_profiles
 from repro.agents.registry import AgentRegistry
 from repro.core.config import ComDMLConfig
-from repro.core.pairing import PairingDecision
+from repro.core.pairing import PairingPlan
 from repro.core.scheduler import SchedulerStats
 from repro.nn.schedule import ReduceOnPlateau
 from repro.runtime.dynamics import DynamicsEvent, DynamicsSchedule
@@ -294,25 +294,28 @@ class TrainingRuntime:
         self._last_accuracy = accuracy
         return record
 
-    def _communication_for(
-        self, plan: RoundPlan, kept_decisions: Sequence[PairingDecision]
-    ) -> float:
+    def _communication_for(self, plan: RoundPlan, kept: PairingPlan) -> float:
         """Communication accounting for a round that kept only some decisions.
 
         When the plan's decisions carry per-decision traffic (ComDML's
         offload streams), sum the kept ones — even a truthful zero for an
-        all-solo quorum.  Baselines price communication at round level only,
-        so their plan figure is used as-is; it is an upper bound when the
-        round dropped the communication-heaviest agent.
+        all-solo quorum — left to right in ``kept``'s order, like round
+        timing (builtin ``sum`` rounds differently from Python 3.12 on).
+        Baselines price communication at round level only, so their plan
+        figure is used as-is; it is an upper bound when the round dropped
+        the communication-heaviest agent.
         """
-        plan_has_decision_comm = any(
-            decision.estimate.communication_time > 0 for decision in plan.decisions
-        )
-        if plan_has_decision_comm:
-            return sum(
-                decision.estimate.communication_time for decision in kept_decisions
-            )
+        if np.any(plan.decisions.communication_time > 0):
+            return kept.total_communication()
         return plan.communication_seconds
+
+    @staticmethod
+    def _kept_decisions(plan: RoundPlan, kept_units: Sequence[WorkUnit]) -> PairingPlan:
+        """The decisions of the given units, in the units' order."""
+        rows = np.fromiter(
+            (unit.index for unit in kept_units), dtype=np.int64, count=len(kept_units)
+        )
+        return plan.decisions.take(rows)
 
     def _advance_learning_plane(self, plan: RoundPlan, decisions) -> float:
         """One accuracy-tracker step over the given decisions."""
@@ -334,16 +337,20 @@ class TrainingRuntime:
         accuracy = self._advance_learning_plane(plan, plan.decisions)
 
         end = start + plan.duration_seconds
+        # Completion order: by duration, ties by unit index (a stable sort).
         # Clamp to the barrier so the trace stays chronological even when a
         # unit's standalone duration exceeds the round (e.g. a disconnected
         # FedAvg agent the server skips); the raw duration stays in `detail`.
-        for unit in sorted(plan.units, key=lambda u: (u.duration, u.index)):
+        durations = plan.durations.tolist()
+        agent_ids = plan.decisions.unit_agent_ids()
+        for index in np.argsort(plan.durations, kind="stable").tolist():
+            duration = durations[index]
             self.trace.record(
-                min(start + unit.duration, end),
+                min(start + duration, end),
                 round_index,
                 "unit_complete",
-                unit.agent_ids,
-                detail={"duration": unit.duration},
+                agent_ids[index],
+                detail={"duration": duration},
             )
         if plan.aggregation_seconds > 0:
             # Stamped at its completion (= the barrier) so it never precedes
@@ -365,7 +372,10 @@ class TrainingRuntime:
         plan = self._plan(round_index)
         self.trace.record(start, round_index, "round_start")
 
-        units = sorted(plan.units, key=lambda unit: (unit.duration, unit.index))
+        # Completion order: by duration, ties by unit index (a stable sort).
+        order = np.argsort(plan.durations, kind="stable")
+        plan_units = plan.units
+        units = [plan_units[index] for index in order.tolist()]
         if units:
             decision = self.quorum_policy.decide(
                 [unit.duration for unit in units], self.stats
@@ -422,20 +432,16 @@ class TrainingRuntime:
         self.engine.schedule_at(end, kind="round_end", priority=2, payload=round_index)
         self.engine.run_until(end)
 
-        kept_decisions = tuple(
-            decision for unit in kept for decision in unit.decisions
-        )
+        kept_decisions = plan.decisions.take(order[:quorum])
         accuracy = self._advance_learning_plane(plan, kept_decisions)
-        num_pairs = sum(1 for d in kept_decisions if d.fast_id is not None)
-        kept_communication = self._communication_for(plan, kept_decisions)
         return self._finish_round(
             plan,
             accuracy,
             duration=end - start,
             compute_seconds=local,
             aggregation_seconds=aggregation,
-            num_pairs=num_pairs,
-            communication_seconds=kept_communication,
+            num_pairs=kept_decisions.num_pairs(),
+            communication_seconds=self._communication_for(plan, kept_decisions),
             observed_makespan=units[-1].duration if units else 0.0,
         )
 
@@ -767,10 +773,8 @@ class TrainingRuntime:
         surviving decisions, and appends the round record.
         """
         close_time = max(close_time, start)
-        kept_units = sorted(
-            (entry.unit for entry in flight.values() if entry.done),
-            key=lambda unit: unit.index,
-        )
+        # The flight is keyed in unit order, so the kept units are too.
+        kept_units = [entry.unit for entry in flight.values() if entry.done]
         self._flight = None
         # Price aggregation over the surviving set through the strategy's
         # kept-units hook: methods that bill communication inside their unit
@@ -789,22 +793,19 @@ class TrainingRuntime:
         # inside (close_time, end) keep the trace chronological.
         if trace_aggregation and aggregation > 0:
             self.trace.record(end, round_index, "aggregation")
-        kept_decisions = tuple(
-            decision for unit in kept_units for decision in unit.decisions
-        )
+        kept_decisions = self._kept_decisions(plan, kept_units)
         accuracy = (
             self._advance_learning_plane(plan, kept_decisions)
-            if kept_decisions
+            if kept_units
             else self._last_accuracy
         )
-        num_pairs = sum(1 for d in kept_decisions if d.fast_id is not None)
         return self._finish_round(
             plan,
             accuracy,
             duration=end - start,
             compute_seconds=close_time - start,
             aggregation_seconds=aggregation,
-            num_pairs=num_pairs,
+            num_pairs=kept_decisions.num_pairs(),
             communication_seconds=self._communication_for(plan, kept_decisions),
             observed_makespan=observed_makespan,
         )
@@ -995,11 +996,8 @@ class TrainingRuntime:
         # Like the other dynamic paths, the record reflects only the units
         # that actually ran: an abandoned pair contributes neither its pair
         # count nor its offload traffic.
-        kept_decisions = tuple(
-            decision
-            for entry in flight.values()
-            if entry.done
-            for decision in entry.unit.decisions
+        kept_decisions = self._kept_decisions(
+            plan, [entry.unit for entry in flight.values() if entry.done]
         )
         self._flight = None
         self.engine.run_until(end)
@@ -1011,7 +1009,7 @@ class TrainingRuntime:
             duration=end - start,
             compute_seconds=compute,
             aggregation_seconds=max(0.0, (end - start) - compute),
-            num_pairs=sum(1 for d in kept_decisions if d.fast_id is not None),
+            num_pairs=kept_decisions.num_pairs(),
             communication_seconds=self._communication_for(plan, kept_decisions),
         )
 

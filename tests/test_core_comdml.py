@@ -1,5 +1,7 @@
 """Tests for the ComDML orchestrator."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,10 @@ from repro.agents.agent import Agent
 from repro.agents.resources import ResourceProfile
 from repro.core.comdml import ComDML
 from repro.core.config import ComDMLConfig
+from repro.core.pairing import PairingDecision
+from repro.core.workload import OffloadEstimate
 from repro.models.resnet import resnet56_spec
+from repro.runtime.strategy import WorkUnit
 from repro.training.accuracy import CurveAccuracyTracker
 from repro.training.curves import LearningCurveModel, curve_preset_for
 
@@ -42,6 +47,30 @@ class TestComDMLRound:
         comdml = make_comdml(small_registry)
         record = comdml.run_round(0)
         assert record.num_pairs >= 1
+
+    def test_pruned_plan_round_builds_no_per_unit_objects(self, small_registry):
+        """At or above ``planner_threshold`` a round plan is columns only.
+
+        No ``PairingDecision``, ``OffloadEstimate`` or ``WorkUnit`` is built
+        until a consumer asks for unit views.
+        """
+        comdml = make_comdml(small_registry, planner_threshold=1)
+        per_unit = (PairingDecision, OffloadEstimate, WorkUnit)
+
+        def live_per_unit_objects():
+            gc.collect()
+            return [obj for obj in gc.get_objects() if type(obj) in per_unit]
+
+        # Holding the pre-existing objects keeps their ids from being reused.
+        before = live_per_unit_objects()
+        before_ids = {id(obj) for obj in before}
+        plan = comdml.plan_round(0, small_registry.agents)
+        assert plan.num_pairs >= 1
+        assert [
+            obj for obj in live_per_unit_objects() if id(obj) not in before_ids
+        ] == []
+        assert len(plan.units) == len(plan.decisions) == len(plan.durations)
+        assert [obj for obj in live_per_unit_objects() if id(obj) not in before_ids]
 
     def test_target_accuracy_stops_early(self, small_registry):
         comdml = make_comdml(small_registry, max_rounds=500, target_accuracy=0.5)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.pairing import greedy_pairing
+from repro.core.pairing import PairingPlan, greedy_pairing
 from repro.core.timing import compute_round_timing
 from repro.core.workload import individual_training_time
 
@@ -10,7 +10,9 @@ from repro.core.workload import individual_training_time
 class TestComputeRoundTiming:
     @pytest.fixture
     def decisions(self, small_registry, small_link_model, resnet56_profile):
-        return greedy_pairing(small_registry.agents, small_link_model, resnet56_profile)
+        return PairingPlan.from_decisions(
+            greedy_pairing(small_registry.agents, small_link_model, resnet56_profile)
+        )
 
     def test_total_is_makespan_plus_aggregation(
         self, decisions, small_registry, resnet56_profile
@@ -59,20 +61,24 @@ class TestComputeRoundTiming:
         """The AllReduce runs over exactly the participants passed in."""
         subset = small_registry.agents[:2]
         small = compute_round_timing(
-            greedy_pairing(subset, small_link_model, resnet56_profile),
+            PairingPlan.from_decisions(
+                greedy_pairing(subset, small_link_model, resnet56_profile)
+            ),
             subset,
             resnet56_profile,
         )
         everyone = small_registry.agents
         large = compute_round_timing(
-            greedy_pairing(everyone, small_link_model, resnet56_profile),
+            PairingPlan.from_decisions(
+                greedy_pairing(everyone, small_link_model, resnet56_profile)
+            ),
             everyone,
             resnet56_profile,
         )
         assert 0 < small.aggregation_time < large.aggregation_time
 
     def test_empty_decisions(self, resnet56_profile):
-        timing = compute_round_timing([], [], resnet56_profile)
+        timing = compute_round_timing(PairingPlan.empty(), [], resnet56_profile)
         assert timing.makespan == 0.0
         assert timing.num_pairs == 0
         assert timing.aggregation_time == timing.total_time == 0.0

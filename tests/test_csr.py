@@ -254,4 +254,4 @@ class TestPlannerTiersUnderEvents:
             participants = _participants(agents, topology)
             decisions = planner.plan(participants)
             reference = PrunedPlanner(PROFILE, link_model, top_k=32)
-            assert decisions == reference.plan(participants)
+            assert list(decisions) == list(reference.plan(participants))

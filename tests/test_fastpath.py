@@ -8,14 +8,20 @@ profile, and bandwidth structure.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.agents.agent import Agent
+from repro.agents.registry import AgentRegistry
 from repro.agents.resources import ResourceProfile
+from repro.core.comdml import ComDML
+from repro.core.config import ComDMLConfig
 from repro.core.fastpath import PairCostModel, bandwidth_matrix
 from repro.core.pairing import greedy_pairing, greedy_pairing_reference
+from repro.core.planner import PrunedPlanner
 from repro.core.profiling import profile_architecture
 from repro.core.workload import (
     _pair_partitions,
@@ -64,6 +70,17 @@ def _link_model(agents, topology_kind: str, seed: int) -> LinkModel:
             random_topology(ids, 0.4, np.random.default_rng(seed))
         )
     return LinkModel(full_topology(ids))
+
+
+def _assert_builtin_decision(decision) -> None:
+    """Every field of a decision view is a builtin int/float (or None)."""
+    assert type(decision.slow_id) is int
+    assert decision.fast_id is None or type(decision.fast_id) is int
+    assert type(decision.offloaded_layers) is int
+    for field in dataclasses.fields(decision.estimate):
+        value = getattr(decision.estimate, field.name)
+        expected = int if field.name == "offloaded_layers" else float
+        assert type(value) is expected, (field.name, value)
 
 
 LAYER_STRATEGY = st.tuples(
@@ -171,7 +188,14 @@ class TestGreedyEquivalence:
         )
 
     def test_estimates_are_python_floats(self):
-        """Kernel-built decisions must stay JSON-serializable (no np.float64)."""
+        """Decisions, unit views and trace payloads carry builtin scalars.
+
+        An ``np.int64`` is not JSON-serialisable (it breaks the sealed
+        trace sink and ``RunHistory.digest``); an ``np.float64`` would pass
+        unnoticed.  Checked on kernel-built decisions, a pruned plan's
+        views, a round plan's unit views, and the trace events and records
+        of runtime rounds in every mode.
+        """
         agents = _build_agents([(0.2, 50.0, 2_000, 100), (4.0, 100.0, 1_000, 100)])
         link_model = _link_model(agents, "full", 0)
         (decision,) = [
@@ -183,6 +207,52 @@ class TestGreedyEquivalence:
             decision.estimate.communication_time,
         ):
             assert type(value) is float
+
+        population = [
+            (cpu, bandwidth, 1_000, 100)
+            for cpu in (0.2, 0.5, 1.0, 2.0, 4.0)
+            for bandwidth in (10.0, 50.0, 100.0)
+        ]
+        agents = _build_agents(population)
+        link_model = _link_model(agents, "ring", 0)
+        plan = PrunedPlanner(PROFILE, link_model, top_k=4).plan(agents)
+        views = list(plan) + [plan[row] for row in range(len(plan))]
+        assert any(view.is_offloading for view in views)
+        assert any(view.fast_id is None for view in views)
+        for view in views:
+            _assert_builtin_decision(view)
+
+        for mode in ("sync", "semi-sync", "async"):
+            comdml = ComDML(
+                AgentRegistry(_build_agents(population)),
+                RESNET56,
+                ComDMLConfig(
+                    planner_threshold=1,
+                    planner_top_k=4,
+                    offload_granularity=9,
+                    execution_mode=mode,
+                    max_rounds=2,
+                    target_accuracy=None,
+                ),
+                topology=ring_topology(list(range(len(population)))),
+                profile=PROFILE,
+            )
+            round_plan = comdml.plan_round(0, comdml.registry.agents)
+            assert round_plan.units
+            for unit in round_plan.units:
+                assert type(unit.index) is int
+                assert type(unit.duration) is float
+                assert all(type(agent_id) is int for agent_id in unit.agent_ids)
+                for unit_decision in unit.decisions:
+                    _assert_builtin_decision(unit_decision)
+            history = comdml.run()
+            for event in comdml.trace:
+                assert all(type(agent_id) is int for agent_id in event.agent_ids)
+                for value in (event.detail or {}).values():
+                    assert type(value) in (int, float, str), (event.kind, value)
+            for record in history.records:
+                for value in dataclasses.asdict(record).values():
+                    assert type(value) in (int, float), value
 
 
 # ----------------------------------------------------------------------

@@ -95,7 +95,7 @@ class TestPrunedDenseEquivalence:
         planner = _full_budget_planner(
             agents, link_model, improvement_threshold=threshold
         )
-        pruned = planner.plan(agents)
+        pruned = list(planner.plan(agents))
         dense = greedy_pairing(
             agents, link_model, PROFILE, improvement_threshold=threshold
         )
@@ -113,7 +113,7 @@ class TestPrunedDenseEquivalence:
         agents = _build_agents(population)
         link_model = _link_model(agents, "full", 0)
         planner = _full_budget_planner(agents, link_model, batch_size=batch_size)
-        pruned = planner.plan(agents)
+        pruned = list(planner.plan(agents))
         assert pruned == greedy_pairing(
             agents, link_model, PROFILE, batch_size=batch_size
         )
@@ -237,16 +237,16 @@ class TestIncrementalReplanning:
                 planner.invalidate_topology([gone.agent_id])
             # Full budget must follow the population as it grows.
             planner.top_k = max(len(agents) - 1, 1)
-            incremental = planner.plan(agents)
-            fresh = _full_budget_planner(agents, link_model).plan(agents)
+            incremental = list(planner.plan(agents))
+            fresh = list(_full_budget_planner(agents, link_model).plan(agents))
             assert incremental == fresh
 
     def test_unchanged_round_recomputes_nothing(self):
         agents = _build_agents([(0.5, 50.0, 1_000, 100)] * 4 + [(4.0, 100.0, 500, 50)])
         link_model = _link_model(agents, "random", 1)
         planner = _full_budget_planner(agents, link_model)
-        first = planner.plan(agents)
-        second = planner.plan(agents)
+        first = list(planner.plan(agents))
+        second = list(planner.plan(agents))
         assert second == first
         assert planner.stats.last_rows_recomputed == 0
         assert planner.stats.last_pairs_evaluated == 0
@@ -334,7 +334,7 @@ class TestIncrementalReplanning:
         assert walked == []
         assert planner.stats.last_rows_recomputed == len(participants)
         fresh = PrunedPlanner(PROFILE, link_model, top_k=8)
-        assert decisions == fresh.plan(participants)
+        assert list(decisions) == list(fresh.plan(participants))
 
     def test_complete_graph_departure_matches_fresh_plan(self):
         """A departure can change the shared candidate pool of a complete
@@ -348,7 +348,7 @@ class TestIncrementalReplanning:
         link_model.topology.remove_agent(gone.agent_id)
         planner.invalidate_topology([gone.agent_id])
         fresh = PrunedPlanner(PROFILE, link_model, top_k=2)
-        assert planner.plan(agents) == fresh.plan(agents)
+        assert list(planner.plan(agents)) == list(fresh.plan(agents))
 
     def test_invalidate_all_forces_full_rebuild(self):
         agents = _build_agents([(0.5, 50.0, 1_000, 100)] * 5)
@@ -369,8 +369,8 @@ class TestIncrementalReplanning:
         planner = _full_budget_planner(agents, link_model)
         planner.plan(agents)
         agents.pop(1)
-        incremental = planner.plan(agents)
-        fresh = _full_budget_planner(agents, link_model).plan(agents)
+        incremental = list(planner.plan(agents))
+        fresh = list(_full_budget_planner(agents, link_model).plan(agents))
         assert incremental == fresh
 
 
@@ -423,7 +423,7 @@ class TestPlannerSelection:
             rng=np.random.default_rng(0),
             planner=planner,
         )
-        assert planner_scheduler.plan_round() == dense_scheduler.plan_round()
+        assert list(planner_scheduler.plan_round()) == list(dense_scheduler.plan_round())
         assert planner.stats.rounds == 1
 
     @pytest.mark.parametrize(
@@ -448,19 +448,19 @@ class TestPlannerSelection:
         agents = _build_agents([(0.5, 50.0, 1_000, 100)] * 2)
         link_model = _link_model(agents, "full", 0)
         planner = _full_budget_planner(agents, link_model)
-        assert planner.plan([]) == []
+        assert list(planner.plan([])) == []
 
 
 class TestFastDecisionPaths:
-    """The ``__dict__``-filling decision constructors match the dataclasses."""
+    """The ``__dict__``-filled decision views (``PairingPlan``'s and the dense
+    kernel's solo decisions) match the dataclasses."""
 
     def test_fast_decision_paths_match(self):
-        from repro.core.pairing import _solo_decision
-        from repro.core.planner import _fast_pair_decision, _fast_solo_decision
-        from repro.core.workload import OffloadEstimate
-        from repro.core.pairing import PairingDecision
+        import dataclasses
 
-        fast = _fast_pair_decision(7, 3, 25, 1.5, 0.25, 0.125, 0.75, 2.0)
+        from repro.core.pairing import PairingDecision, PairingPlan, _solo_decision
+        from repro.core.workload import OffloadEstimate
+
         plain = PairingDecision(
             slow_id=7,
             fast_id=3,
@@ -474,22 +474,40 @@ class TestFastDecisionPaths:
                 pair_time=2.0,
             ),
         )
-        assert fast == plain
-        assert hash(fast) == hash(plain)
-        assert fast.estimate.fast_chain_time == plain.estimate.fast_chain_time
-        assert vars(fast) == vars(plain)
-        assert vars(fast.estimate) == vars(plain.estimate)
-
-        fast_solo = _fast_solo_decision(11, 4.5)
-        plain_solo = _solo_decision(11, 4.5)
-        assert fast_solo == plain_solo
-        assert vars(fast_solo) == vars(plain_solo)
-        assert vars(fast_solo.estimate) == vars(plain_solo.estimate)
-        # The fast path cannot silently diverge if the dataclasses grow
-        # fields: the wholesale __dict__ fill must cover every field.
-        import dataclasses
-
+        plain_solo = PairingDecision(
+            slow_id=11,
+            fast_id=None,
+            offloaded_layers=0,
+            estimate=OffloadEstimate(
+                offloaded_layers=0,
+                slow_time=4.5,
+                fast_own_time=0.0,
+                communication_time=0.0,
+                fast_offload_time=0.0,
+                pair_time=4.5,
+            ),
+        )
+        plan = PairingPlan.from_decisions([plain, plain_solo])
+        built = (
+            list(plan),
+            [plan[0], plan[-1]],
+            [plan[0], _solo_decision(11, 4.5)],
+        )
+        for views in built:
+            fast, fast_solo = views
+            assert fast == plain
+            assert hash(fast) == hash(plain)
+            assert fast.estimate.fast_chain_time == plain.estimate.fast_chain_time
+            assert vars(fast) == vars(plain)
+            assert vars(fast.estimate) == vars(plain.estimate)
+            assert fast_solo == plain_solo
+            assert vars(fast_solo) == vars(plain_solo)
+            assert vars(fast_solo.estimate) == vars(plain_solo.estimate)
+        # The views cannot silently diverge if the dataclasses grow fields:
+        # the wholesale __dict__ fill must cover every field.
         assert set(vars(fast)) == {f.name for f in dataclasses.fields(PairingDecision)}
         assert set(vars(fast.estimate)) == {
             f.name for f in dataclasses.fields(OffloadEstimate)
         }
+        with pytest.raises(IndexError):
+            plan[2]

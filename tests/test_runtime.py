@@ -8,16 +8,18 @@ RunHistory values bit-for-bit for ComDML and all five baselines.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.baselines import AllReduceDML, FedAvg
 from repro.core.comdml import ComDML
 from repro.core.config import ComDMLConfig
+from repro.core.pairing import PairingPlan
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import ScenarioConfig
 from repro.models.resnet import resnet56_spec
 from repro.runtime import EventTrace, TrainingRuntime, participation_fraction
-from repro.runtime.strategy import solo_decisions
+from repro.runtime.strategy import RoundPlan, solo_decisions
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "runtime_sync_golden.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -193,6 +195,43 @@ class TestSharedHelpers:
         assert 0.0 < fraction < 1.0
         expected = sum(a.num_samples for a in small_registry.agents[:3])
         assert fraction == pytest.approx(expected / small_registry.total_samples)
+
+    def test_kept_traffic_adds_left_to_right(self, small_registry):
+        """Kept offload traffic adds in the kept order, one addition at a time.
+
+        Builtin ``sum`` is compensated from Python 3.12 on and gives
+        ``1.0000000000000002e16`` here; round timing's left-to-right
+        order gives ``1e16`` on every version.
+        """
+        traffic = np.array([1e16, 1.0, 1.0])
+        decisions = PairingPlan(
+            slow_id=np.array([0, 1, 2]),
+            fast_id=np.array([3, 4, 5]),
+            offloaded_layers=np.full(3, 9),
+            slow_time=np.ones(3),
+            fast_own_time=np.ones(3),
+            communication_time=traffic,
+            fast_offload_time=np.ones(3),
+            pair_time=np.ones(3),
+        )
+        plan = RoundPlan(
+            round_index=0,
+            decisions=decisions,
+            durations=decisions.pair_time,
+            aggregation_seconds=0.0,
+            duration_seconds=1.0,
+            compute_seconds=1.0,
+            communication_seconds=decisions.total_communication(),
+            num_pairs=3,
+        )
+        runtime = ComDML(
+            small_registry, resnet56_spec(), ComDMLConfig(offload_granularity=9)
+        ).runtime
+        kept = runtime._communication_for(plan, decisions)
+        assert kept == 1e16
+        assert type(kept) is float
+        assert runtime._communication_for(plan, decisions.take(np.array([2, 1]))) == 2.0
+        assert plan.communication_seconds == 1e16
 
     def test_solo_decisions_cover_everyone_once(self, small_registry):
         decisions = solo_decisions(small_registry.agents, _profile())

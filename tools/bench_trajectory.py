@@ -16,11 +16,12 @@ history that ``--check`` can gate on:
     # scaling exponent drifted super-linear, if its 5000-agent round
     # got slower than the dense kernel's 500-agent round, if the
     # incremental CSR engine lost its 3x edge over the full rebuild, or
-    # if a steady semi-sync or async round took more than 3.5x a sync one.
+    # if the semi-sync or async overhead over the sync round grew faster
+    # than n**1.5 between 1 000 and 8 000 agents.
     PYTHONPATH=src python tools/bench_trajectory.py ci --out bench-ci.json \
         --check BENCH_9.json --max-ratio 2.0 --min-speedup 4.0 \
         --max-exponent 1.3 --planner-dense-ratio 1.0 --csr-ratio 3.0 \
-        --event-sync-ratio 3.5
+        --event-exponent 1.5
 
 Snapshot schema 2 adds per-bench ``extra`` columns (peak traced bytes and
 high-water RSS from the scaling benches, CSR edit counters).  See
@@ -69,15 +70,20 @@ CSR_PAIR = (
     "test_csr_arrival_wave_incremental_speed",
 )
 
-#: Same-run pairs gated by --event-sync-ratio: a steady 4 000-agent ComDML
-#: round in each event-driven mode against the closed-form sync round of
-#: the same population.  Per-event work that scans the population makes
-#: the ratio grow with n; the semi-sync quorum's live-unit scan and the
-#: async path's per-unit registry sum once put these at 5x and 9-12x.
-EVENT_SYNC_PAIRS = (
-    ("test_runtime_round_speed_semi_sync", "test_runtime_round_speed_sync"),
-    ("test_runtime_round_speed_async", "test_runtime_round_speed_sync"),
-)
+#: Benches gated by --event-exponent: steady ComDML rounds per execution
+#: mode at two populations 8x apart.  The gate fits how each event-driven
+#: mode's overhead over the sync round (mode median minus sync median)
+#: grows between them: linear per-event work gives an exponent near 1, a
+#: per-event scan of the population (the semi-sync quorum's live-unit
+#: scan and the async path's per-unit registry sum once did this) near 2.
+#: A ratio to the sync round would also move whenever the planning and
+#: timing work that every mode shares got faster or slower.
+#: The fit uses each bench's fastest round: at 1 000 agents the overhead
+#: is a difference of two rounds of a few tens of ms, and a busy host only
+#: ever adds time to a round.
+EVENT_BENCH = "test_runtime_round_speed"
+EVENT_MODES = ("semi-sync", "async")
+EVENT_POPULATIONS = (1_000, 8_000)
 
 SCHEMA = 2
 
@@ -104,6 +110,33 @@ def scaling_exponent(benches: dict) -> float | None:
     mean_y = sum(y for _, y in points) / len(points)
     denominator = sum((x - mean_x) ** 2 for x, _ in points)
     return sum((x - mean_x) * (y - mean_y) for x, y in points) / denominator
+
+
+def event_overhead_exponents(benches: dict) -> dict[str, float | None] | None:
+    """Log-log slope of (mode min - sync min) between the two populations.
+
+    ``None`` when a bench is missing; a mode's value is ``None`` when its
+    overhead is not positive at either population (no slope to fit).
+    """
+    import math
+
+    small, large = EVENT_POPULATIONS
+    exponents: dict[str, float | None] = {}
+    for mode in EVENT_MODES:
+        overheads = []
+        for population in (small, large):
+            event = benches.get(f"{EVENT_BENCH}[{mode}-{population}]")
+            sync = benches.get(f"{EVENT_BENCH}[sync-{population}]")
+            if event is None or sync is None:
+                return None
+            overheads.append(event["min_seconds"] - sync["min_seconds"])
+        if min(overheads) <= 0:
+            exponents[mode] = None
+        else:
+            exponents[mode] = math.log(overheads[1] / overheads[0]) / math.log(
+                large / small
+            )
+    return exponents
 
 
 def _git(*args: str) -> str:
@@ -149,6 +182,7 @@ def snapshot(label: str, raw: dict) -> dict:
         stats = entry["stats"]
         row = {
             "median_seconds": stats["median"],
+            "min_seconds": stats["min"],
             "stddev_seconds": stats["stddev"],
             "mean_seconds": stats["mean"],
             "rounds": stats["rounds"],
@@ -262,14 +296,14 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--event-sync-ratio",
+        "--event-exponent",
         type=float,
         default=None,
         help=(
-            "fail when a steady semi-sync or async ComDML round takes more "
-            "than this multiple of the sync round of the same 4000-agent "
-            "population in THIS run; machine-independent, both medians "
-            "come from one process"
+            "fail when a semi-sync or async ComDML round's overhead over the "
+            "sync round grows faster than n**this between the 1000- and "
+            "8000-agent benches of THIS run; catches per-event work that "
+            "scans the population, independently of the machine's speed"
         ),
     )
     parser.add_argument(
@@ -366,24 +400,27 @@ def main(argv: list[str] | None = None) -> int:
             )
             status = 2
 
-    event_ratios = {}
-    for event_bench, sync_bench in EVENT_SYNC_PAIRS:
-        if event_bench in snap["benches"] and sync_bench in snap["benches"]:
-            ratio = (
-                snap["benches"][event_bench]["median_seconds"]
-                / snap["benches"][sync_bench]["median_seconds"]
-            )
-            event_ratios[event_bench] = ratio
-            print(f"{event_bench} vs {sync_bench}: {ratio:.2f}x")
-    if args.event_sync_ratio is not None:
-        if len(event_ratios) < len(EVENT_SYNC_PAIRS):
+    exponents = event_overhead_exponents(snap["benches"])
+    for mode, exponent in (exponents or {}).items():
+        shown = "undefined (no overhead over the sync round)"
+        if exponent is not None:
+            shown = f"{exponent:.2f}"
+        print(
+            f"{mode} round overhead over the sync round, exponent "
+            f"(n={'/'.join(map(str, EVENT_POPULATIONS))}): {shown}"
+        )
+    if args.event_exponent is not None:
+        if exponents is None:
             print("check: runtime round benches missing from the suite")
             status = 2
-        for event_bench, ratio in event_ratios.items():
-            if ratio > args.event_sync_ratio:
+        for mode, exponent in (exponents or {}).items():
+            if exponent is None:
+                print(f"check: {mode} overhead exponent undefined REGRESSION")
+                status = 2
+            elif exponent > args.event_exponent:
                 print(
-                    f"check: {event_bench} at {ratio:.2f}x the sync round, "
-                    f"above the {args.event_sync_ratio:.2f}x limit REGRESSION"
+                    f"check: {mode} overhead exponent {exponent:.2f} above the "
+                    f"{args.event_exponent:.2f} ceiling REGRESSION"
                 )
                 status = 2
 
