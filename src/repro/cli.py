@@ -4,20 +4,18 @@ Installed as the ``comdml`` console script (also runnable as
 ``python -m repro.cli``).  Every experiment subcommand is a thin alias that
 builds a :class:`~repro.experiments.campaign.CampaignSpec` and executes it
 on the shared :class:`~repro.experiments.campaign.CampaignExecutor`, so all
-of them accept the campaign execution flags: ``--jobs``, ``--cache-dir``
-(default also via ``$COMDML_CACHE_DIR``), ``--backend``
-(``serial``/``thread``/``process``/``worker-pool``), and
-``--progress/--no-progress`` (live cell-level event streaming to stderr):
+of them accept the campaign execution flags: ``--jobs`` (1 runs cells
+inline, N > 1 on a pool of N processes), ``--cache-dir`` (default also via
+``$COMDML_CACHE_DIR``), and ``--progress/--no-progress`` (cell-level
+event streaming to stderr):
 
 .. code-block:: console
 
    comdml compare  --agents 10 --dataset cifar10 --target 0.9
    comdml compare  --mode semi-sync --quorum-policy deadline --schedule sched.json
    comdml table2   --datasets cifar10 --methods ComDML FedAvg --jobs 4
-   comdml table3   --models resnet56 --agent-counts 20 50 --backend thread --jobs 8
+   comdml table3   --models resnet56 --agent-counts 20 50 --jobs 2
    comdml campaign run table2 --jobs 4 --progress
-   comdml campaign run my_sweep.json --backend worker-pool --bind 0.0.0.0:8765
-   comdml worker serve --host coordinator.example --port 8765     # on each host
    comdml campaign show my_sweep.json
    comdml campaign clean
    comdml schedule poisson --horizon 20000 --arrival-rate 0.001 --out sched.json
@@ -34,11 +32,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.experiments import comparison, fig1, fig3, privacy, table1, table2, table3
-from repro.experiments.backends import (
-    EXECUTION_BACKENDS,
-    WorkerPoolBackend,
-    serve_worker,
-)
 from repro.experiments.campaign import (
     CAMPAIGN_PRESETS,
     CampaignCache,
@@ -83,12 +76,23 @@ def _add_common_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="experiment seed")
 
 
+def _job_count(text: str) -> int:
+    """argparse type of ``--jobs``: an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return jobs
+
+
 def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_job_count,
         default=1,
-        help="parallelism for the thread/process backends (1 = run inline)",
+        help="processes to run cells on (1 = run inline)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -97,51 +101,12 @@ def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
         "(defaults to $COMDML_CACHE_DIR when set)",
     )
     parser.add_argument(
-        "--backend",
-        choices=sorted(EXECUTION_BACKENDS),
-        default=None,
-        help="execution backend (default: process when --jobs > 1, else serial)",
-    )
-    parser.add_argument(
-        "--bind",
-        default="127.0.0.1:0",
-        help="worker-pool only: coordinator bind address HOST:PORT "
-        "(port 0 picks a free port, printed at startup)",
-    )
-    parser.add_argument(
         "--progress",
         action=argparse.BooleanOptionalAction,
         default=None,
         help="stream cell-level progress events to stderr "
         "(default: only when stderr is a TTY)",
     )
-
-
-def _parse_bind(bind: str) -> tuple[str, int]:
-    host, _, port = bind.rpartition(":")
-    if not port.isdigit() or not 0 <= int(port) <= 65535:
-        raise SystemExit(
-            f"error: --bind must look like HOST:PORT (port 0-65535), got {bind!r}"
-        )
-    return host or "127.0.0.1", int(port)
-
-
-def _resolve_backend_arg(args: argparse.Namespace):
-    """Turn ``--backend``/``--bind`` into what the executor accepts."""
-    if args.backend != "worker-pool":
-        return args.backend
-    host, port = _parse_bind(args.bind)
-    backend = WorkerPoolBackend(host=host, port=port)
-    host, port = backend.address
-    # A wildcard bind is reachable on every interface but dialable on none —
-    # tell the operator to substitute a real coordinator address.
-    reach = "<coordinator-host>" if host in ("0.0.0.0", "::", "") else host
-    print(
-        f"worker-pool coordinator listening on {host}:{port} — attach workers "
-        f"with: comdml worker serve --host {reach} --port {port}",
-        file=sys.stderr,
-    )
-    return backend
 
 
 def _campaign_execution(
@@ -154,7 +119,6 @@ def _campaign_execution(
     kwargs = {
         "jobs": args.jobs,
         "cache_dir": resolve_cache_dir(args.cache_dir, cache_fallback),
-        "backend": _resolve_backend_arg(args),
         "on_event": renderer,
     }
     return kwargs, renderer
@@ -368,30 +332,6 @@ def _cmd_campaign_clean(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# Worker pool
-# ----------------------------------------------------------------------
-
-def _cmd_worker_serve(args: argparse.Namespace) -> int:
-    try:
-        computed = serve_worker(
-            args.host,
-            args.port,
-            name=args.name,
-            capacity=args.capacity,
-            retry_seconds=args.retry_seconds,
-        )
-    except OSError as error:
-        print(
-            f"error: could not attach to coordinator at {args.host}:{args.port}: "
-            f"{error}",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"worker detached after computing {computed} cell(s)")
-    return 0
-
-
-# ----------------------------------------------------------------------
 # Sealed traces
 # ----------------------------------------------------------------------
 
@@ -596,12 +536,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--summary-json",
         default=None,
         help="write the deterministic result summary (cell keys + payload digests; "
-        "identical bytes for any backend/jobs/cache state) here",
+        "identical bytes for any --jobs or cache state) here",
     )
     run_parser.add_argument(
         "--report-json",
         default=None,
-        help="write the execution report (backend, cache hits, timing, workers) here",
+        help="write the execution report (execution path, cache hits, timing) here",
     )
     run_parser.add_argument(
         "--json", dest="json_path", default=None, help="write cell payloads here"
@@ -626,31 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache root (defaults to $COMDML_CACHE_DIR, then .comdml-cache)",
     )
     clean_parser.set_defaults(handler=_cmd_campaign_clean)
-
-    worker = subparsers.add_parser(
-        "worker", help="run a worker-pool execution worker"
-    )
-    worker_sub = worker.add_subparsers(dest="worker_command", required=True)
-    serve_parser = worker_sub.add_parser(
-        "serve",
-        help="attach to a campaign coordinator and compute cells until shutdown",
-    )
-    serve_parser.add_argument("--host", default="127.0.0.1", help="coordinator host")
-    serve_parser.add_argument("--port", type=int, required=True, help="coordinator port")
-    serve_parser.add_argument(
-        "--name", default=None, help="worker name (default: hostname-pid)"
-    )
-    serve_parser.add_argument(
-        "--capacity", type=int, default=1, help="cells this worker runs concurrently"
-    )
-    serve_parser.add_argument(
-        "--retry-seconds",
-        type=float,
-        default=10.0,
-        help="keep retrying the initial connection this long "
-        "(workers may be started before the campaign)",
-    )
-    serve_parser.set_defaults(handler=_cmd_worker_serve)
 
     trace = subparsers.add_parser(
         "trace", help="record and verify tamper-evident sealed event traces"

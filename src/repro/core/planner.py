@@ -702,12 +702,14 @@ class PrunedPlanner:
         incrementally by :meth:`_refresh_scan_rows`): each row's candidates
         ascending by (pair time, candidate column), so the first alive
         candidate *is* the row's first minimum — the dense tie-break.  The
-        vast majority of rows resolve at scan column 0 (their fastest
-        candidate is still alive), so the loop touches three precomputed
-        column-0 lists and falls back to the full row walk only when the
-        fastest candidate was already claimed.  The loop records row
-        indices only; :meth:`_plan_columns` turns them into the plan's
-        columns in one vectorized pass.
+        loop first tries scan column 0 through three precomputed column-0
+        lists and falls back to the full row walk when that fastest
+        candidate was already claimed.  That fallback is the common case
+        on random-k graphs: at 50k agents with ``top_k = 8``, 20 975 of
+        the 27 466 visited rows (76 %) found their first candidate
+        claimed, against 5 312 of 29 457 (18 %) on a ring.  The loop
+        records row indices only; :meth:`_plan_columns` turns them into
+        the plan's columns in one vectorized pass.
         """
         n = len(ids_array)
         k = state.k

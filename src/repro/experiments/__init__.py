@@ -7,11 +7,6 @@ parallel, cached, resumable
 :class:`~repro.experiments.campaign.CampaignExecutor`.
 """
 
-from repro.experiments.backends import (
-    EXECUTION_BACKENDS,
-    ExecutionBackend,
-    create_backend,
-)
 from repro.experiments.campaign import (
     CampaignCache,
     CampaignExecutor,
@@ -46,9 +41,6 @@ __all__ = [
     "CampaignProgressRenderer",
     "CampaignResult",
     "CampaignSpec",
-    "EXECUTION_BACKENDS",
-    "ExecutionBackend",
-    "create_backend",
     "execute_campaign",
     "execution_report",
     "aggregate_planner_reports",

@@ -1,103 +1,44 @@
-"""Pluggable campaign execution backends.
+"""How campaign cells execute: inline or on a process pool.
 
 The campaign layer (:mod:`repro.experiments.campaign`) owns *what* to run
-— spec expansion, cache probes, result assembly; this package owns *how*:
-an :class:`ExecutionBackend` turns a sequence of
-:class:`~repro.experiments.backends.events.CellTask` objects into a
-stream of typed :class:`~repro.experiments.backends.events.BackendEvent`
-objects.  Four implementations ship:
+— spec expansion, cache probes, result assembly; this package owns *how*.
+Given the uncached cells as
+:class:`~repro.experiments.backends.events.CellTask` objects, an execution
+path yields a stream of typed
+:class:`~repro.experiments.backends.events.BackendEvent` objects.  There
+are two paths, and ``jobs`` alone chooses between them:
 
 =============  ========================================================
-``serial``     In-process, zero overhead — the debugging backend.
-``thread``     Thread pool; live mid-cell progress, no pickling.
-``process``    ``ProcessPoolExecutor`` — the classic ``--jobs N`` path.
-``worker-pool``  TCP coordinator + ``comdml worker serve`` processes on
-               any number of hosts; heartbeats, per-worker failure
-               isolation, automatic requeue from dead workers.
+``serial``     :func:`run_serial` — inline, zero overhead; used when
+               ``jobs == 1`` or at most one cell needs computing.
+``process``    :func:`run_process` — a windowed ``ProcessPoolExecutor``
+               of ``jobs`` processes; used otherwise.
 =============  ========================================================
 
-Because cells are pure functions of their parameters, every backend
-produces byte-identical campaign results — the backend choice is purely
-an operational one (see ``docs/campaigns.md`` for the selection matrix).
+Because cells are pure functions of their parameters, both paths produce
+byte-identical campaign results.
 """
 
 from __future__ import annotations
-
-from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.experiments.backends.events import (
     BackendEvent,
     CellCached,
     CellFailed,
     CellFinished,
-    CellProgress,
     CellStarted,
     CellTask,
-    WorkerJoined,
-    WorkerLost,
 )
-from repro.experiments.backends.invoke import report_cell_progress, resolve_dotted
-from repro.experiments.backends.local import ProcessBackend, SerialBackend, ThreadBackend
-from repro.experiments.backends.worker_pool import WorkerPoolBackend, serve_worker
-
-
-@runtime_checkable
-class ExecutionBackend(Protocol):
-    """The contract every backend implements.
-
-    ``submit`` consumes the uncached cells of a campaign and yields
-    events until each task has produced exactly one terminal event
-    (``cell_finished`` or ``cell_failed``).  A failing cell must not
-    abort the stream; remaining cells keep executing so they still reach
-    the cache.
-    """
-
-    name: str
-
-    def submit(self, tasks: Sequence[CellTask]) -> Iterator[BackendEvent]:
-        ...
-
-
-#: Backend registry: CLI/name -> class.  Constructors accept ``jobs``
-#: (ignored where it has no meaning) plus backend-specific options.
-EXECUTION_BACKENDS: dict[str, type] = {
-    SerialBackend.name: SerialBackend,
-    ThreadBackend.name: ThreadBackend,
-    ProcessBackend.name: ProcessBackend,
-    WorkerPoolBackend.name: WorkerPoolBackend,
-}
-
-
-def create_backend(name: str, jobs: int = 1, **options) -> ExecutionBackend:
-    """Instantiate a registered backend by name."""
-    try:
-        factory = EXECUTION_BACKENDS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown execution backend {name!r}; expected one of "
-            f"{sorted(EXECUTION_BACKENDS)}"
-        ) from None
-    return factory(jobs=jobs, **options)
-
+from repro.experiments.backends.local import resolve_dotted, run_process, run_serial
 
 __all__ = [
     "BackendEvent",
     "CellCached",
     "CellFailed",
     "CellFinished",
-    "CellProgress",
     "CellStarted",
     "CellTask",
-    "ExecutionBackend",
-    "EXECUTION_BACKENDS",
-    "ProcessBackend",
-    "SerialBackend",
-    "ThreadBackend",
-    "WorkerJoined",
-    "WorkerLost",
-    "WorkerPoolBackend",
-    "create_backend",
-    "report_cell_progress",
     "resolve_dotted",
-    "serve_worker",
+    "run_process",
+    "run_serial",
 ]

@@ -1,47 +1,31 @@
 """The ``demo-cell`` runner: a controllable cell for smoke tests and demos.
 
 Registered in :data:`repro.experiments.campaign.CELL_RUNNERS`, so
-``comdml campaign run`` can exercise any backend — including a freshly
-deployed worker pool — without paying for a real experiment:
+``comdml campaign run`` can exercise the execution paths without paying
+for a real experiment:
 
 .. code-block:: python
 
     CampaignSpec.create(
-        name="pool-check", runner="demo-cell",
+        name="demo", runner="demo-cell",
         axes={"cell_id": tuple(range(8))},
-        base={"sleep_seconds": 0.2, "progress_steps": 4},
+        base={"fail_ids": [3]},
     )
 
-The payload is a pure function of the parameters (identical across
-backends and retries); ``sleep_seconds`` makes cells long enough to
-observe live progress or to kill a worker mid-cell, and ``fail_ids``
-turns selected cells into deterministic failures.
+The payload is a pure function of the parameters (identical on either
+execution path), and ``fail_ids`` turns selected cells into
+deterministic failures.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 from typing import Optional, Sequence
 
-from repro.experiments.backends.invoke import report_cell_progress
 
-
-def demo_cell(
-    cell_id: int,
-    sleep_seconds: float = 0.0,
-    progress_steps: int = 0,
-    fail_ids: Optional[Sequence[int]] = None,
-) -> dict:
-    """Sleep, optionally stream progress, and return a deterministic payload."""
+def demo_cell(cell_id: int, fail_ids: Optional[Sequence[int]] = None) -> dict:
+    """Return a deterministic payload, or raise if ``cell_id`` is in ``fail_ids``."""
     if fail_ids and cell_id in fail_ids:
         raise RuntimeError(f"demo cell {cell_id} asked to fail")
-    steps = max(int(progress_steps), 0)
-    for step in range(steps):
-        if sleep_seconds:
-            time.sleep(sleep_seconds / max(steps, 1))
-        report_cell_progress((step + 1) / steps, f"step {step + 1}/{steps}")
-    if not steps and sleep_seconds:
-        time.sleep(sleep_seconds)
     token = hashlib.sha256(f"demo-cell:{cell_id}".encode("utf-8")).hexdigest()[:16]
     return {"cell_id": cell_id, "token": token}

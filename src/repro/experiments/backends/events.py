@@ -1,30 +1,21 @@
-"""Typed events and the unit of work shared by every execution backend.
+"""Typed events and the unit of work of campaign execution.
 
-A backend receives a sequence of :class:`CellTask` objects and yields a
-stream of :class:`BackendEvent` subclasses — the *only* channel through
-which execution progress reaches the campaign layer and its renderers.
-The event vocabulary:
+The executor hands a sequence of :class:`CellTask` objects to one of the
+two execution paths in :mod:`repro.experiments.backends.local`, which
+yields a stream of :class:`BackendEvent` subclasses — the *only* channel
+through which execution progress reaches the campaign layer and its
+renderers.  The event vocabulary:
 
 ``cell_started``
-    A cell began executing (may repeat if a dead worker's cell is
-    requeued onto a live one).
-``cell_progress``
-    Mid-cell progress reported by the runner via
-    :func:`repro.experiments.backends.invoke.report_cell_progress`.
-    Streaming backends (thread, worker-pool) deliver these live; the
-    serial backend buffers them until the cell returns; the process
-    backend cannot observe them (separate address space, no channel).
+    A cell began executing.
 ``cell_finished``
     A cell completed; carries the JSON payload and the compute time.
 ``cell_failed``
-    The cell's runner raised; carries the stringified error (and, for
-    in-process backends, the original exception object).
+    The cell's runner raised; carries the stringified error and the
+    original exception object.
 ``cell_cached``
-    Emitted by the executor — never by a backend — when a cell is
-    served from the on-disk cache.
-``worker_joined`` / ``worker_lost``
-    Worker-pool membership changes; ``worker_lost`` names the cells
-    that were in flight on the dead worker and have been requeued.
+    Emitted by the executor — never by an execution path — when a cell
+    is served from the on-disk cache.
 
 Events are frozen dataclasses so renderers and tests can rely on their
 shape; every event exposes a ``kind`` string for dispatch and counting.
@@ -33,29 +24,27 @@ shape; every event exposes a ``kind`` string for dispatch and counting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Optional
+from typing import Any, ClassVar
 
 
 @dataclass(frozen=True)
 class CellTask:
     """One schedulable unit of a campaign: a cell the cache did not cover.
 
-    ``runner`` is the registry name (for reports), ``dotted`` the
-    ``"module:function"`` path backends actually resolve — workers in
-    other processes or on other hosts cannot see runners registered at
-    runtime in the coordinator, so the dotted path travels with the task.
+    ``dotted`` is the ``"module:function"`` path of the cell runner; it
+    travels with the task because pool processes resolve the callable
+    themselves.
     """
 
     index: int
     params: dict[str, Any]
     key: str
-    runner: str
     dotted: str
 
 
 @dataclass(frozen=True)
 class BackendEvent:
-    """Base class of everything a backend may yield."""
+    """Base class of everything an execution path may yield."""
 
     kind: ClassVar[str] = "event"
 
@@ -67,18 +56,6 @@ class CellStarted(BackendEvent):
     index: int
     key: str
     params: dict[str, Any] = field(default_factory=dict)
-    worker: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class CellProgress(BackendEvent):
-    kind: ClassVar[str] = "cell_progress"
-
-    index: int
-    key: str
-    fraction: float
-    message: str = ""
-    worker: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -89,7 +66,6 @@ class CellFinished(BackendEvent):
     key: str
     payload: Any = None
     elapsed_seconds: float = 0.0
-    worker: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -98,12 +74,8 @@ class CellFailed(BackendEvent):
 
     index: int
     key: str
-    error: str = ""
-    #: The original exception when the backend shares our address space
-    #: (serial/thread/process); ``None`` for worker-pool failures, which
-    #: arrive as strings over the wire.
-    exception: Optional[BaseException] = None
-    worker: Optional[str] = None
+    error: str
+    exception: Exception
 
 
 @dataclass(frozen=True)
@@ -113,20 +85,3 @@ class CellCached(BackendEvent):
     index: int
     key: str
     elapsed_seconds: float = 0.0
-
-
-@dataclass(frozen=True)
-class WorkerJoined(BackendEvent):
-    kind: ClassVar[str] = "worker_joined"
-
-    worker: str
-    capacity: int = 1
-
-
-@dataclass(frozen=True)
-class WorkerLost(BackendEvent):
-    kind: ClassVar[str] = "worker_lost"
-
-    worker: str
-    reason: str = ""
-    requeued: tuple[int, ...] = ()

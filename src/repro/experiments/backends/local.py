@@ -1,166 +1,106 @@
-"""Single-host execution backends: serial, thread pool, process pool.
+"""The two execution paths: inline and a process pool.
 
-All three speak the same :class:`~repro.experiments.backends.ExecutionBackend`
-protocol — ``submit(tasks)`` yields typed events until every task has
-either finished or failed.  A failing cell never aborts the stream:
-remaining cells keep executing (and therefore keep reaching the cache),
-and the campaign executor re-raises the first failure only after the
-stream is drained.
+Both take the uncached cells of a campaign and yield typed events until
+every task has either finished or failed.  A failing cell never aborts
+the stream: remaining cells keep executing (and therefore keep reaching
+the cache), and the campaign executor re-raises the first failure only
+after the stream is drained.  Only :class:`Exception` counts as a cell
+failure — ``KeyboardInterrupt`` and ``SystemExit`` stop the campaign at
+once.
+
+This module does not import the campaign module (the campaign module
+imports *it*); everything it needs to run a cell — resolving the dotted
+runner path and timing the call — lives here.
 """
 
 from __future__ import annotations
 
-import queue
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
-from typing import Iterator, Sequence
+import importlib
+import time
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.experiments.backends.events import (
     BackendEvent,
     CellFailed,
     CellFinished,
-    CellProgress,
     CellStarted,
     CellTask,
 )
-from repro.experiments.backends.invoke import execute_task, timed_call
 
 
-class SerialBackend:
+def resolve_dotted(dotted: str) -> Callable[..., Any]:
+    """Import a ``"module:function"`` reference."""
+    module_name, _, attribute = dotted.partition(":")
+    module = importlib.import_module(module_name)
+    return getattr(module, attribute)
+
+
+def timed_call(dotted: str, params: dict[str, Any]) -> tuple[Any, float]:
+    """Run one cell; returns ``(payload, elapsed_seconds)``.
+
+    Also the process-pool entry point, so it must stay module-level.
+    """
+    started = time.perf_counter()
+    payload = resolve_dotted(dotted)(**params)
+    return payload, time.perf_counter() - started
+
+
+def run_serial(tasks: Sequence[CellTask]) -> Iterator[BackendEvent]:
     """Run cells inline in the calling thread — zero overhead, trivially
-    debuggable (a ``pdb`` breakpoint in a runner just works).
-
-    Mid-cell progress is buffered and yielded between the cell's
-    ``cell_started`` and ``cell_finished`` events (a single thread cannot
-    interleave a generator with a running cell).
-    """
-
-    name = "serial"
-
-    def __init__(self, jobs: int = 1) -> None:
-        del jobs  # accepted for registry uniformity; serial is always 1
-
-    def submit(self, tasks: Sequence[CellTask]) -> Iterator[BackendEvent]:
-        for task in tasks:
-            yield CellStarted(index=task.index, key=task.key, params=task.params)
-            buffered: list[CellProgress] = []
-            try:
-                payload, elapsed = execute_task(task, progress=buffered.append)
-            except BaseException as error:  # noqa: BLE001 - surfaced as an event
-                yield from buffered
-                yield CellFailed(
-                    index=task.index, key=task.key, error=str(error), exception=error
-                )
-                continue
-            yield from buffered
-            yield CellFinished(
-                index=task.index, key=task.key, payload=payload, elapsed_seconds=elapsed
+    debuggable (a ``pdb`` breakpoint in a runner just works)."""
+    for task in tasks:
+        yield CellStarted(index=task.index, key=task.key, params=task.params)
+        try:
+            payload, elapsed = timed_call(task.dotted, task.params)
+        except Exception as error:  # noqa: BLE001 - surfaced as an event
+            yield CellFailed(
+                index=task.index, key=task.key, error=str(error), exception=error
             )
+            continue
+        yield CellFinished(
+            index=task.index, key=task.key, payload=payload, elapsed_seconds=elapsed
+        )
 
 
-class ThreadBackend:
-    """Run cells on a thread pool; events (including live mid-cell
-    progress) stream through a queue as they happen.
-
-    Correct because cells are pure functions of their parameters with
-    instance-local RNGs — nothing in a runner touches global random or
-    module state — so thread interleaving cannot change payloads.
-    """
-
-    name = "thread"
-
-    def __init__(self, jobs: int = 2) -> None:
-        if jobs < 1:
-            raise ValueError(f"thread backend needs jobs >= 1, got {jobs}")
-        self.jobs = jobs
-
-    def submit(self, tasks: Sequence[CellTask]) -> Iterator[BackendEvent]:
-        if not tasks:
-            return
-        events: "queue.Queue[BackendEvent]" = queue.Queue()
-
-        def run(task: CellTask) -> None:
-            events.put(CellStarted(index=task.index, key=task.key, params=task.params))
-            try:
-                payload, elapsed = execute_task(task, progress=events.put)
-            except BaseException as error:  # noqa: BLE001 - surfaced as an event
-                events.put(
-                    CellFailed(
-                        index=task.index, key=task.key, error=str(error), exception=error
-                    )
-                )
-                return
-            events.put(
-                CellFinished(
-                    index=task.index,
-                    key=task.key,
-                    payload=payload,
-                    elapsed_seconds=elapsed,
-                )
-            )
-
-        with ThreadPoolExecutor(max_workers=min(self.jobs, len(tasks))) as pool:
-            for task in tasks:
-                pool.submit(run, task)
-            remaining = len(tasks)
-            while remaining:
-                event = events.get()
-                if event.kind in ("cell_finished", "cell_failed"):
-                    remaining -= 1
-                yield event
-
-
-class ProcessBackend:
-    """Run cells on a ``ProcessPoolExecutor`` — the pre-refactor behaviour.
+def run_process(tasks: Sequence[CellTask], jobs: int) -> Iterator[BackendEvent]:
+    """Run cells on a ``ProcessPoolExecutor`` of ``jobs`` processes.
 
     Tasks are dispatched in a window of ``jobs`` so ``cell_started``
-    events track actual execution rather than enqueueing; mid-cell
-    progress is not observable across the process boundary.
+    events track actual execution rather than enqueueing.
     """
+    if not tasks:
+        return
+    backlog = list(tasks)
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        outstanding = {}
 
-    name = "process"
+        def dispatch() -> CellStarted:
+            task = backlog.pop(0)
+            outstanding[pool.submit(timed_call, task.dotted, task.params)] = task
+            return CellStarted(index=task.index, key=task.key, params=task.params)
 
-    def __init__(self, jobs: int = 2) -> None:
-        if jobs < 1:
-            raise ValueError(f"process backend needs jobs >= 1, got {jobs}")
-        self.jobs = jobs
-
-    def submit(self, tasks: Sequence[CellTask]) -> Iterator[BackendEvent]:
-        if not tasks:
-            return
-        backlog = list(tasks)
-        with ProcessPoolExecutor(max_workers=min(self.jobs, len(tasks))) as pool:
-            outstanding = {}
-            while backlog and len(outstanding) < self.jobs:
-                task = backlog.pop(0)
-                outstanding[pool.submit(timed_call, task.dotted, task.params)] = task
-                yield CellStarted(index=task.index, key=task.key, params=task.params)
-            while outstanding:
-                done, _ = wait(outstanding, return_when=FIRST_COMPLETED)
-                for future in done:
-                    task = outstanding.pop(future)
-                    try:
-                        payload, elapsed = future.result()
-                    except BaseException as error:  # noqa: BLE001 - event below
-                        yield CellFailed(
-                            index=task.index,
-                            key=task.key,
-                            error=str(error),
-                            exception=error,
-                        )
-                    else:
-                        yield CellFinished(
-                            index=task.index,
-                            key=task.key,
-                            payload=payload,
-                            elapsed_seconds=elapsed,
-                        )
-                    if backlog:
-                        next_task = backlog.pop(0)
-                        outstanding[
-                            pool.submit(timed_call, next_task.dotted, next_task.params)
-                        ] = next_task
-                        yield CellStarted(
-                            index=next_task.index,
-                            key=next_task.key,
-                            params=next_task.params,
-                        )
+        while backlog and len(outstanding) < jobs:
+            yield dispatch()
+        while outstanding:
+            done, _ = wait(outstanding, return_when=FIRST_COMPLETED)
+            for future in done:
+                task = outstanding.pop(future)
+                try:
+                    payload, elapsed = future.result()
+                except Exception as error:  # noqa: BLE001 - surfaced as an event
+                    yield CellFailed(
+                        index=task.index,
+                        key=task.key,
+                        error=str(error),
+                        exception=error,
+                    )
+                else:
+                    yield CellFinished(
+                        index=task.index,
+                        key=task.key,
+                        payload=payload,
+                        elapsed_seconds=elapsed,
+                    )
+                if backlog:
+                    yield dispatch()

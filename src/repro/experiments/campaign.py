@@ -9,15 +9,16 @@ configuration) and a :class:`CampaignExecutor` executes its cells:
 * **expansion** — :meth:`CampaignSpec.expand` materialises the Cartesian
   product of the axes into per-cell parameter dictionaries, in a
   deterministic order (axes vary right-to-left, like nested loops);
-* **execution** — cells run on a pluggable
-  :class:`~repro.experiments.backends.ExecutionBackend` (``serial``,
-  ``thread``, ``process``, or the multi-host ``worker-pool``); backends
-  stream typed events (``cell_started`` … ``worker_lost``) that the
-  executor forwards to an optional ``on_event`` consumer, e.g. the live
-  renderer in :mod:`repro.experiments.reporting`.  Because every cell is
-  a pure function of its parameters (each carries its own seed), results
-  are byte-identical regardless of backend, worker count, or completion
-  order;
+* **execution** — ``jobs`` is the only execution choice: cells run
+  inline when ``jobs == 1`` or at most one cell needs computing, and on a
+  process pool of ``jobs`` processes otherwise
+  (:mod:`repro.experiments.backends`).  Both paths stream typed events
+  (``cell_started``, ``cell_finished``, ``cell_failed``; the executor
+  adds ``cell_cached``) that the executor forwards to an optional
+  ``on_event`` consumer, e.g. the live renderer in
+  :mod:`repro.experiments.reporting`.  Because every cell is a pure
+  function of its parameters (each carries its own seed), results are
+  byte-identical regardless of job count or completion order;
 * **memoisation** — each finished cell is written to an on-disk
   content-addressed cache keyed by a stable hash of the cell parameters
   plus the *runner's source fingerprint*
@@ -59,16 +60,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.experiments.backends import (
     CellCached,
     CellFailed,
     CellFinished,
     CellTask,
-    ExecutionBackend,
-    create_backend,
     resolve_dotted,
+    run_process,
+    run_serial,
 )
 from repro.experiments.fingerprint import runner_fingerprint
 from repro.utils.logging import get_logger
@@ -96,8 +97,8 @@ _KEY_FILE_RE = re.compile(r"[0-9a-f]{64}\.json")
 _CORRUPT_FILE_RE = re.compile(r"[0-9a-f]{64}\.json\.corrupt")
 
 #: Registered cell runners: name -> dotted "module:function" path.  The
-#: indirection keeps this module import-light and cycle-free; workers
-#: resolve the callable lazily inside the subprocess.
+#: indirection keeps this module import-light and cycle-free; pool
+#: processes resolve the callable lazily inside the subprocess.
 CELL_RUNNERS: dict[str, str] = {
     "table1-setting": "repro.experiments.table1:run_campaign_cell",
     "table2-cell": "repro.experiments.table2:run_campaign_cell",
@@ -554,9 +555,10 @@ class CampaignResult:
     wall_seconds: float
     jobs: int
     cache_dir: Optional[str] = None
+    #: Which execution path ran the pending cells: ``"serial"`` or
+    #: ``"process"``.
     backend: str = "serial"
-    #: How many of each backend event kind the run produced (includes
-    #: ``worker_joined``/``worker_lost`` for worker-pool runs).
+    #: How many of each event kind the run produced.
     event_counts: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -587,7 +589,7 @@ class CampaignResult:
 
 
 class CampaignExecutor:
-    """Expands a :class:`CampaignSpec` and runs its cells on a backend.
+    """Expands a :class:`CampaignSpec` and runs its uncached cells.
 
     Parameters
     ----------
@@ -597,20 +599,10 @@ class CampaignExecutor:
         Root of the on-disk cell cache; ``None`` disables caching (every
         cell recomputes).
     jobs:
-        Parallelism for the ``thread``/``process`` backends; ignored by
-        ``serial`` and by ``worker-pool`` (whose parallelism is the sum
-        of attached worker capacities).
-    backend:
-        An :class:`~repro.experiments.backends.ExecutionBackend` instance,
-        a registered backend name, or ``None`` to pick the classic
-        behaviour: ``process`` when ``jobs > 1`` and more than one cell
-        needs computing, else ``serial`` (a single pending cell always
-        runs inline — no pool spin-up on a warm resume).  Explicit
-        backends are constructed eagerly, so a ``"worker-pool"`` string
-        binds its socket here — read the address from
-        :attr:`execution_backend` before :meth:`run` to attach workers
-        (or construct the
-        :class:`~repro.experiments.backends.WorkerPoolBackend` yourself).
+        The only execution choice: pending cells run on a process pool of
+        ``jobs`` processes when ``jobs > 1`` and more than one cell needs
+        computing, and inline otherwise (a single pending cell always
+        runs inline — no pool spin-up on a warm resume).
     on_event:
         Optional callable receiving every
         :class:`~repro.experiments.backends.events.BackendEvent` as it
@@ -623,7 +615,6 @@ class CampaignExecutor:
         spec: CampaignSpec,
         cache_dir: Optional[str | Path] = None,
         jobs: int = 1,
-        backend: Union[ExecutionBackend, str, None] = None,
         on_event: Optional[Callable[[Any], None]] = None,
     ) -> None:
         if jobs < 1:
@@ -635,14 +626,6 @@ class CampaignExecutor:
             )
         self.spec = spec
         self.jobs = jobs
-        self.backend = backend
-        #: The resolved backend instance for explicit selections; ``None``
-        #: means "choose per run" (serial/process depending on workload).
-        self.execution_backend: Optional[ExecutionBackend] = None
-        if isinstance(backend, str):
-            self.execution_backend = create_backend(backend, jobs=jobs)
-        elif backend is not None:
-            self.execution_backend = backend
         self.on_event = on_event
         self.cache = CampaignCache(cache_dir) if cache_dir is not None else None
 
@@ -656,14 +639,6 @@ class CampaignExecutor:
             rows.append((index, params, key, entry))
         return rows
 
-    def _resolve_backend(self, num_pending: int) -> ExecutionBackend:
-        if self.execution_backend is not None:
-            return self.execution_backend
-        # Default selection: a pool only pays off for 2+ cells to compute;
-        # a warm resume with one missing cell runs inline.
-        name = "process" if self.jobs > 1 and num_pending > 1 else "serial"
-        return create_backend(name, jobs=self.jobs)
-
     def run(
         self,
         force: bool = False,
@@ -676,7 +651,8 @@ class CampaignExecutor:
         resumes by recomputing only the missing ones.  A failing cell does
         not abort the sweep — the remaining cells still execute (and reach
         the cache) before the first failure is re-raised, so a resumed run
-        recomputes only the failed cells.
+        recomputes only the failed cells.  ``KeyboardInterrupt`` and
+        ``SystemExit`` are not cell failures: they stop the run at once.
         """
         emit = on_event or self.on_event or (lambda event: None)
         started = time.perf_counter()
@@ -704,12 +680,16 @@ class CampaignExecutor:
                         index=index,
                         params=params,
                         key=key,
-                        runner=self.spec.runner,
                         dotted=CELL_RUNNERS[self.spec.runner],
                     )
                 )
 
-        backend = self._resolve_backend(len(pending))
+        # A pool only pays off for 2+ cells to compute; a warm resume with
+        # one missing cell runs inline.
+        if self.jobs > 1 and len(pending) > 1:
+            backend, events = "process", run_process(pending, self.jobs)
+        else:
+            backend, events = "serial", run_serial(pending)
         if pending:
             logger.info(
                 "campaign %s: %d/%d cells to compute (%d cached), backend=%s jobs=%d",
@@ -717,16 +697,12 @@ class CampaignExecutor:
                 len(pending),
                 len(plan),
                 len(plan) - len(pending),
-                backend.name,
+                backend,
                 self.jobs,
             )
         tasks_by_index = {task.index: task for task in pending}
         failures: list[CellFailed] = []
-        # Submit even an empty pending list: backends that own resources
-        # (the worker-pool's listening socket and attached workers) release
-        # them on their empty-submit path, so a fully-cached run must not
-        # leave a coordinator dangling.
-        for event in backend.submit(pending):
+        for event in events:
             event_counts[event.kind] += 1
             if isinstance(event, CellFinished):
                 task = tasks_by_index[event.index]
@@ -757,12 +733,7 @@ class CampaignExecutor:
                 failures.append(event)
             emit(event)
         if failures:
-            first = failures[0]
-            if first.exception is not None:
-                raise first.exception
-            raise RuntimeError(
-                f"cell {first.index} failed on backend {backend.name}: {first.error}"
-            )
+            raise failures[0].exception
 
         return CampaignResult(
             spec=self.spec,
@@ -770,7 +741,7 @@ class CampaignExecutor:
             wall_seconds=time.perf_counter() - started,
             jobs=self.jobs,
             cache_dir=str(self.cache.root) if self.cache is not None else None,
-            backend=backend.name,
+            backend=backend,
             event_counts=dict(event_counts),
         )
 
@@ -780,10 +751,9 @@ def execute_campaign(
     jobs: int = 1,
     cache_dir: Optional[str | Path] = None,
     force: bool = False,
-    backend: Union[ExecutionBackend, str, None] = None,
     on_event: Optional[Callable[[Any], None]] = None,
 ) -> CampaignResult:
     """One-shot convenience wrapper around :class:`CampaignExecutor`."""
     return CampaignExecutor(
-        spec, cache_dir=cache_dir, jobs=jobs, backend=backend, on_event=on_event
+        spec, cache_dir=cache_dir, jobs=jobs, on_event=on_event
     ).run(force=force)

@@ -146,7 +146,6 @@ def run_fig3(
     seed: int = 0,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend=None,
     on_event=None,
 ) -> list[Fig3Bar]:
     """Run the full Figure 3 series (all datasets, all methods)."""
@@ -157,9 +156,7 @@ def run_fig3(
         max_rounds=max_rounds,
         seed=seed,
     )
-    result = execute_campaign(
-        spec, jobs=jobs, cache_dir=cache_dir, backend=backend, on_event=on_event
-    )
+    result = execute_campaign(spec, jobs=jobs, cache_dir=cache_dir, on_event=on_event)
     return bars_from_campaign(result)
 
 

@@ -216,16 +216,13 @@ def run_privacy_comparison(
     seed: int = 0,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend=None,
     on_event=None,
 ) -> list[PrivacyResult]:
     """Run every privacy configuration and return the accuracy comparison."""
     spec = campaign_spec(
         mechanisms=tuple(mechanisms), num_agents=num_agents, rounds=rounds, seed=seed
     )
-    result = execute_campaign(
-        spec, jobs=jobs, cache_dir=cache_dir, backend=backend, on_event=on_event
-    )
+    result = execute_campaign(spec, jobs=jobs, cache_dir=cache_dir, on_event=on_event)
     return results_from_campaign(result)
 
 

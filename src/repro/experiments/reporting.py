@@ -12,16 +12,16 @@ surfaces with deliberately different guarantees:
 
 * :func:`campaign_summary` — the *deterministic* result summary
   (per-cell payload digests and an overall campaign digest).  Its bytes
-  are identical for the same spec regardless of backend, job count, or
-  cache state, which is what the CI backend matrix asserts on.
-* :func:`execution_report` — the *run-dependent* facts: backend, cache
-  hit/miss counts, wall-clock time and speedup, per-cell status and
-  timings, worker membership changes.
+  are identical for the same spec regardless of job count, execution
+  path, or cache state, which is what the CI campaign smoke asserts on.
+* :func:`execution_report` — the *run-dependent* facts: execution path,
+  cache hit/miss counts, wall-clock time and speedup, per-cell status and
+  timings.
 
 Live campaigns stream through :class:`CampaignProgressRenderer`, the
-consumer for backend events (``cell_started``, ``cell_progress``,
-``cell_finished``, ``cell_cached``, ``worker_joined``/``worker_lost``):
-a refreshing status line on a TTY, one line per event otherwise.
+consumer for cell events (``cell_started``, ``cell_finished``,
+``cell_failed``, ``cell_cached``): a refreshing status line on a TTY, one
+line per event otherwise.
 """
 
 from __future__ import annotations
@@ -310,9 +310,9 @@ def campaign_summary(result: "CampaignResult") -> dict[str, Any]:
     Contains only facts that are a pure function of the spec and the
     runner code — cell keys and payload digests, folded through the audit
     hash chain of :mod:`repro.runtime.audit` — and none of how the run
-    happened (backend, jobs, cache state, timing: see
-    :func:`execution_report`).  The CI backend matrix asserts these bytes
-    are identical across ``serial``/``thread``/``process``/``worker-pool``.
+    happened (execution path, jobs, cache state, timing: see
+    :func:`execution_report`).  The CI campaign smoke asserts these bytes
+    are identical for the ``serial`` and ``process`` paths.
 
     Each ``per_cell`` row carries its payload digest (streamed from the
     executor as results arrive, re-derived here as a fallback) plus the
@@ -375,13 +375,12 @@ def execution_report(result: "CampaignResult") -> dict[str, Any]:
     """The *run-dependent* report of one campaign execution.
 
     Everything :func:`campaign_summary` deliberately leaves out: which
-    backend ran the sweep, cache hit/miss counts, wall-clock time and
-    speedup, per-cell status and compute time, for worker-pool
-    runs how many workers joined and were lost mid-sweep, and — when
-    cells report planner stats — the aggregated planner counters
-    (``planner`` key, see :func:`aggregate_planner_reports`).
+    execution path ran the sweep (``backend``: ``serial`` or ``process``),
+    cache hit/miss counts, wall-clock time and speedup, per-cell status
+    and compute time, and — when cells report planner stats — the
+    aggregated planner counters (``planner`` key, see
+    :func:`aggregate_planner_reports`).
     """
-    counts = result.event_counts
     axes = [axis for axis, _ in result.spec.axes]
     return {
         "name": result.spec.name,
@@ -394,9 +393,7 @@ def execution_report(result: "CampaignResult") -> dict[str, Any]:
         "wall_seconds": result.wall_seconds,
         "cell_seconds": result.cell_seconds,
         "speedup": result.speedup,
-        "workers_joined": counts.get("worker_joined", 0),
-        "workers_lost": counts.get("worker_lost", 0),
-        "events": dict(counts),
+        "events": dict(result.event_counts),
         "planner": aggregate_planner_reports(
             [cell.payload for cell in result.cells]
         ),
@@ -423,11 +420,6 @@ def format_campaign_summary(result: "CampaignResult", verbose: bool = False) -> 
         f"[backend={report['backend']}, jobs={report['jobs']}, "
         f"{report['speedup']:.2f}x vs serial cold run]"
     )
-    if report["workers_lost"]:
-        headline += (
-            f" · {report['workers_lost']} worker(s) lost, "
-            f"{result.event_counts.get('worker_joined', 0)} joined"
-        )
     lines = [headline]
     if verbose and report["per_cell"]:
         lines.append(format_table(report["per_cell"], float_format="{:.3f}"))
@@ -439,11 +431,10 @@ def format_campaign_summary(result: "CampaignResult", verbose: bool = False) -> 
 # ----------------------------------------------------------------------
 
 class CampaignProgressRenderer:
-    """Stream backend events to a terminal as the campaign executes.
+    """Stream cell events to a terminal as the campaign executes.
 
     On a TTY (``live=True``) a single status line is redrawn in place —
-    done/cached/failed counters, the number of in-flight cells, worker
-    membership, and the latest progress message; worker joins/losses and
+    computed/cached/failed counters and the number of in-flight cells;
     cell failures still get a full line each so they survive in the
     scrollback.  On a non-TTY (CI logs, redirects) every event becomes
     one plain line.  Pass the instance as ``on_event`` to
@@ -470,9 +461,6 @@ class CampaignProgressRenderer:
         self.cached = 0
         self.failed = 0
         self.running: set[int] = set()
-        self.workers: set[str] = set()
-        self.lost_workers = 0
-        self.last_message = ""
         self._labels: dict[int, str] = {}
         self._status_shown = False
 
@@ -500,10 +488,6 @@ class CampaignProgressRenderer:
             parts.append(f"{self.failed} FAILED")
         if self.running:
             parts.append(f"{len(self.running)} running")
-        if self.workers or self.lost_workers:
-            parts.append(f"workers {len(self.workers)} (+{self.lost_workers} lost)")
-        if self.last_message:
-            parts.append(self.last_message)
         self.stream.write("\r\x1b[2K" + " · ".join(parts))
         self._status_shown = True
         self.stream.flush()
@@ -516,19 +500,9 @@ class CampaignProgressRenderer:
             self.running.add(event.index)
             if not self.live:
                 self._println(
-                    f"[{self.name}] cell {event.index} started"
-                    + (f" on {event.worker}" if event.worker else "")
-                    + f" ({self._label(event.index)})"
+                    f"[{self.name}] cell {event.index} started "
+                    f"({self._label(event.index)})"
                 )
-            else:
-                self._render_status()
-        elif kind == "cell_progress":
-            self.last_message = (
-                f"cell {event.index} {event.fraction * 100.0:.0f}%"
-                + (f" {event.message}" if event.message else "")
-            )
-            if not self.live:
-                self._println(f"[{self.name}] {self.last_message}")
             else:
                 self._render_status()
         elif kind == "cell_finished":
@@ -552,25 +526,6 @@ class CampaignProgressRenderer:
             self.failed += 1
             self._println(
                 f"[{self.name}] cell {event.index} FAILED: {event.error}"
-            )
-        elif kind == "worker_joined":
-            self.workers.add(event.worker)
-            self._println(
-                f"[{self.name}] worker {event.worker} joined "
-                f"(capacity {event.capacity})"
-            )
-        elif kind == "worker_lost":
-            self.workers.discard(event.worker)
-            self.lost_workers += 1
-            for index in event.requeued:
-                self.running.discard(index)
-            requeued = (
-                f"; requeued cells {', '.join(str(i) for i in event.requeued)}"
-                if event.requeued
-                else ""
-            )
-            self._println(
-                f"[{self.name}] worker {event.worker} LOST ({event.reason}){requeued}"
             )
 
     def close(self) -> None:

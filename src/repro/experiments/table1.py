@@ -198,14 +198,11 @@ def run_table1(
     seed: int = 0,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend=None,
     on_event=None,
 ) -> dict[str, list[Table1Row]]:
     """Run both settings of Table I; returns ``{setting name: rows}``."""
     spec = campaign_spec(samples_per_agent=samples_per_agent, seed=seed)
-    result = execute_campaign(
-        spec, jobs=jobs, cache_dir=cache_dir, backend=backend, on_event=on_event
-    )
+    result = execute_campaign(spec, jobs=jobs, cache_dir=cache_dir, on_event=on_event)
     return results_from_campaign(result)
 
 

@@ -168,7 +168,6 @@ def run_table2(
     seed: int = 0,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend=None,
     on_event=None,
 ) -> list[Table2Cell]:
     """Run the full Table II grid; returns one cell per (method, dataset, iid)."""
@@ -180,9 +179,7 @@ def run_table2(
         max_rounds=max_rounds,
         seed=seed,
     )
-    result = execute_campaign(
-        spec, jobs=jobs, cache_dir=cache_dir, backend=backend, on_event=on_event
-    )
+    result = execute_campaign(spec, jobs=jobs, cache_dir=cache_dir, on_event=on_event)
     return cells_from_campaign(result)
 
 

@@ -152,7 +152,6 @@ def run_table3(
     seed: int = 0,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend=None,
     on_event=None,
 ) -> list[Table3Cell]:
     """Run the full Table III grid."""
@@ -163,9 +162,7 @@ def run_table3(
         max_rounds=max_rounds,
         seed=seed,
     )
-    result = execute_campaign(
-        spec, jobs=jobs, cache_dir=cache_dir, backend=backend, on_event=on_event
-    )
+    result = execute_campaign(spec, jobs=jobs, cache_dir=cache_dir, on_event=on_event)
     return cells_from_campaign(result)
 
 

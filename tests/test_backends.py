@@ -1,37 +1,18 @@
-"""Tests for the pluggable execution backends (serial/thread/process/worker-pool).
+"""Tests for the two execution paths: inline (serial) and the process pool.
 
 The load-bearing invariant: a campaign's results are a pure function of
-its spec — identical payloads and ``RunHistory`` digests no matter which
-backend ran the cells, at any parallelism, through worker crashes.
+its spec — identical payloads no matter which path ran the cells, at any
+job count.
 """
 
-import json
-import os
-import socket
-import subprocess
-import sys
-import threading
-
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.experiments import comparison
-from repro.experiments.backends import (
-    EXECUTION_BACKENDS,
-    create_backend,
-    report_cell_progress,
-)
-from repro.experiments.backends.worker_pool import (
-    PROTOCOL_VERSION,
-    WorkerPoolBackend,
-    serve_worker,
-)
+from repro.experiments.backends import demo
 from repro.experiments.campaign import (
     CampaignCache,
     CampaignSpec,
     execute_campaign,
 )
-from repro.experiments.reporting import execution_report
 
 
 def demo_spec(n: int = 4, **base) -> CampaignSpec:
@@ -44,60 +25,20 @@ def demo_spec(n: int = 4, **base) -> CampaignSpec:
     )
 
 
-def run_on_worker_pool(spec, workers: int = 2, **exec_kwargs):
-    """Execute a campaign on a local pool of in-thread workers."""
-    backend = WorkerPoolBackend(port=0, start_timeout=30.0)
-    host, port = backend.address
-    threads = [
-        threading.Thread(
-            target=serve_worker,
-            args=(host, port),
-            kwargs={"name": f"w{i}", "retry_seconds": 15.0},
-            daemon=True,
-        )
-        for i in range(workers)
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        return execute_campaign(spec, backend=backend, **exec_kwargs)
-    finally:
-        for thread in threads:
-            thread.join(timeout=10.0)
-
-
-class TestRegistry:
-    def test_all_four_backends_registered(self):
-        assert set(EXECUTION_BACKENDS) == {"serial", "thread", "process", "worker-pool"}
-
-    def test_create_backend_by_name(self):
-        for name in ("serial", "thread", "process"):
-            assert create_backend(name, jobs=2).name == name
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(KeyError, match="unknown execution backend"):
-            create_backend("gpu")
-
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(ValueError):
-            create_backend("thread", jobs=0)
-
-
 class TestLocalBackendEquivalence:
     def test_payloads_identical_across_local_backends(self):
         spec = demo_spec(6)
         serial = execute_campaign(spec).payloads()
-        assert execute_campaign(spec, backend="thread", jobs=3).payloads() == serial
-        assert execute_campaign(spec, backend="process", jobs=3).payloads() == serial
+        assert execute_campaign(spec, jobs=3).payloads() == serial
 
     def test_event_stream_covers_every_cell(self):
         spec = demo_spec(3)
-        for backend in ("serial", "thread", "process"):
+        for jobs in (1, 2):
             events = []
-            execute_campaign(spec, backend=backend, jobs=2, on_event=events.append)
+            execute_campaign(spec, jobs=jobs, on_event=events.append)
             kinds = [event.kind for event in events]
-            assert kinds.count("cell_started") == 3, backend
-            assert kinds.count("cell_finished") == 3, backend
+            assert kinds.count("cell_started") == 3, jobs
+            assert kinds.count("cell_finished") == 3, jobs
 
     def test_jobs_one_defaults_to_serial_and_many_to_process(self):
         spec = demo_spec(2)
@@ -115,30 +56,14 @@ class TestLocalBackendEquivalence:
         assert resumed.payloads() == first.payloads()
 
 
-class TestProgressStreaming:
-    def test_serial_and_thread_deliver_progress_events(self):
-        spec = demo_spec(2, progress_steps=3)
-        for backend in ("serial", "thread"):
-            events = []
-            execute_campaign(spec, backend=backend, jobs=2, on_event=events.append)
-            progress = [event for event in events if event.kind == "cell_progress"]
-            assert len(progress) == 2 * 3, backend
-            fractions = sorted(
-                event.fraction for event in progress if event.index == 0
-            )
-            assert fractions == pytest.approx([1 / 3, 2 / 3, 1.0])
-            assert progress[0].message.startswith("step ")
-
-    def test_report_progress_outside_a_cell_is_a_noop(self):
-        report_cell_progress(0.5, "nobody listening")  # must not raise
-
-
 class TestFailureSemantics:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_failure_drains_and_caches_survivors(self, backend, tmp_path):
+    @pytest.mark.parametrize(
+        "jobs", [pytest.param(1, id="serial"), pytest.param(2, id="process")]
+    )
+    def test_failure_drains_and_caches_survivors(self, jobs, tmp_path):
         spec = demo_spec(4, fail_ids=[2])
         with pytest.raises(RuntimeError, match="demo cell 2"):
-            execute_campaign(spec, backend=backend, jobs=2, cache_dir=tmp_path)
+            execute_campaign(spec, jobs=jobs, cache_dir=tmp_path)
         # The three healthy cells still reached the cache.
         assert len(CampaignCache(tmp_path)) == 3
 
@@ -150,286 +75,23 @@ class TestFailureSemantics:
         [failure] = [event for event in events if event.kind == "cell_failed"]
         assert isinstance(failure.exception, RuntimeError)
 
-
-class TestWorkerPool:
-    def test_two_workers_match_serial(self, tmp_path):
-        spec = demo_spec(6)
-        serial = execute_campaign(spec).payloads()
-        result = run_on_worker_pool(spec, workers=2, cache_dir=tmp_path)
-        assert result.payloads() == serial
-        assert result.backend == "worker-pool"
-        assert result.event_counts.get("worker_joined") == 2
-        assert len(CampaignCache(tmp_path)) == 6
-
-    def test_progress_streams_over_the_wire(self):
-        spec = demo_spec(2, progress_steps=2)
-        events = []
-        run_on_worker_pool(spec, workers=1, on_event=events.append)
-        progress = [event for event in events if event.kind == "cell_progress"]
-        assert len(progress) == 4
-        assert all(event.worker == "w0" for event in progress)
-
-    def test_cell_failure_is_isolated_not_fatal_to_worker(self, tmp_path):
-        spec = demo_spec(4, fail_ids=[0])
-        with pytest.raises(RuntimeError, match="demo cell 0"):
-            run_on_worker_pool(spec, workers=1, cache_dir=tmp_path)
-        # The same (single) worker still computed the healthy cells.
-        assert len(CampaignCache(tmp_path)) == 3
-
-    def test_capacity_runs_cells_concurrently(self):
-        """A capacity-2 worker must genuinely overlap two sleeping cells."""
-        spec = demo_spec(2, sleep_seconds=0.6)
-        backend = WorkerPoolBackend(port=0, start_timeout=30.0)
-        host, port = backend.address
-        worker = threading.Thread(
-            target=serve_worker,
-            args=(host, port),
-            kwargs={"name": "wide", "capacity": 2, "retry_seconds": 15.0},
-            daemon=True,
-        )
-        worker.start()
-        result = execute_campaign(spec, backend=backend)
-        worker.join(timeout=10.0)
-        assert len(result.cells) == 2
-        # Overlap proof that tolerates slow CI: sequential execution implies
-        # wall >= sum of per-cell compute time; concurrency inverts that.
-        assert result.cell_seconds > result.wall_seconds
-
-    def test_fully_cached_run_releases_coordinator_and_workers(self, tmp_path):
-        """A warm run computes nothing, but must still close the coordinator
-        socket and let attached workers terminate."""
-        spec = demo_spec(2)
-        execute_campaign(spec, cache_dir=tmp_path)
-        backend = WorkerPoolBackend(port=0, start_timeout=30.0)
-        host, port = backend.address
-
-        def attach_quietly():
-            # The coordinator may close before we ever connect (that is the
-            # point of the test); a refused connection is a fine outcome.
-            try:
-                serve_worker(host, port, name="idle", retry_seconds=5.0)
-            except OSError:
-                pass
-
-        worker = threading.Thread(target=attach_quietly, daemon=True)
-        worker.start()
-        result = execute_campaign(spec, backend=backend, cache_dir=tmp_path)
-        assert result.hits == 2 and result.misses == 0
-        worker.join(timeout=10.0)
-        assert not worker.is_alive(), "worker still blocked after a warm run"
-
-    def test_no_workers_raises_after_start_timeout(self):
-        backend = WorkerPoolBackend(port=0, start_timeout=0.5)
-        with pytest.raises(RuntimeError, match="no live workers"):
-            execute_campaign(demo_spec(1), backend=backend)
-
-    def test_duplicate_worker_names_are_disambiguated(self):
-        backend = WorkerPoolBackend(port=0, start_timeout=30.0)
-        host, port = backend.address
-        threads = [
-            threading.Thread(
-                target=serve_worker,
-                args=(host, port),
-                kwargs={"name": "twin", "retry_seconds": 15.0},
-                daemon=True,
-            )
-            for _ in range(2)
-        ]
-        for thread in threads:
-            thread.start()
-        events = []
-        # Sleeping cells keep the sweep alive long enough for both twins to
-        # attach even when one thread starts slowly.
-        execute_campaign(
-            demo_spec(4, sleep_seconds=0.4), backend=backend, on_event=events.append
-        )
-        joined = {event.worker for event in events if event.kind == "worker_joined"}
-        assert len(joined) == 2 and "twin" in joined
-        for thread in threads:
-            thread.join(timeout=10.0)
-
-
-class TestCodeEquivalenceGuards:
-    def test_rejecting_worker_is_dropped_and_cells_requeued(self):
-        """A worker whose checkout fingerprints differently must not compute:
-        it rejects, is dropped, and its cell lands on an up-to-date worker."""
-        backend = WorkerPoolBackend(port=0, start_timeout=30.0)
-        host, port = backend.address
-
-        def stale_worker():
-            sock = socket.create_connection((host, port), timeout=10.0)
-            rfile = sock.makefile("r", encoding="utf-8", newline="\n")
-            wfile = sock.makefile("w", encoding="utf-8", newline="\n")
-            wfile.write(
-                json.dumps(
-                    {
-                        "type": "hello",
-                        "worker": "stale",
-                        "capacity": 1,
-                        "protocol": PROTOCOL_VERSION,
-                    }
-                )
-                + "\n"
-            )
-            wfile.flush()
-            frame = json.loads(rfile.readline() or "{}")
-            if frame.get("type") == "cell":
-                wfile.write(
-                    json.dumps(
-                        {
-                            "type": "reject",
-                            "cell": frame["cell"],
-                            "reason": "stale checkout",
-                        }
-                    )
-                    + "\n"
-                )
-                wfile.flush()
-            rfile.readline()  # wait for the coordinator to cut us loose
-            sock.close()
-
-        stale = threading.Thread(target=stale_worker, daemon=True)
-        stale.start()
-        events = []
-        good_started = threading.Event()
-
-        def on_event(event):
-            events.append(event)
-            # Only bring up the good worker once the stale one was dropped,
-            # so the reject path is exercised deterministically.
-            if event.kind == "worker_lost" and not good_started.is_set():
-                good_started.set()
-                threading.Thread(
-                    target=serve_worker,
-                    args=(host, port),
-                    kwargs={"name": "good", "retry_seconds": 15.0},
-                    daemon=True,
-                ).start()
-
-        result = execute_campaign(demo_spec(2), backend=backend, on_event=on_event)
-        stale.join(timeout=10.0)
-        assert len(result.cells) == 2
-        assert result.payloads() == execute_campaign(demo_spec(2)).payloads()
-        [lost] = [event for event in events if event.kind == "worker_lost"]
-        assert lost.worker == "stale" and "code mismatch" in lost.reason
-        assert lost.requeued  # the dispatched cell went back to the queue
-
-    def test_wrong_protocol_hello_is_refused(self):
-        backend = WorkerPoolBackend(port=0, start_timeout=1.5)
-        host, port = backend.address
-        outcome = {}
-
-        def ancient_worker():
-            sock = socket.create_connection((host, port), timeout=10.0)
-            rfile = sock.makefile("r", encoding="utf-8", newline="\n")
-            wfile = sock.makefile("w", encoding="utf-8", newline="\n")
-            wfile.write(
-                json.dumps({"type": "hello", "worker": "ancient", "protocol": -1})
-                + "\n"
-            )
-            wfile.flush()
-            outcome["eof"] = rfile.readline() == ""
-            sock.close()
-
-        thread = threading.Thread(target=ancient_worker, daemon=True)
-        thread.start()
-        with pytest.raises(RuntimeError, match="no live workers"):
-            execute_campaign(demo_spec(1), backend=backend)
-        thread.join(timeout=10.0)
-        assert outcome.get("eof"), "mismatched worker was not disconnected"
-
-    def test_backend_is_single_use(self, tmp_path):
-        spec = demo_spec(2)
-        execute_campaign(spec, cache_dir=tmp_path)
-        backend = WorkerPoolBackend(port=0, start_timeout=5.0)
-        warm = execute_campaign(spec, backend=backend, cache_dir=tmp_path)
-        assert warm.hits == 2
-        with pytest.raises(RuntimeError, match="already run"):
-            execute_campaign(spec, backend=backend, cache_dir=tmp_path, force=True)
-
-
-class TestWorkerCrash:
-    def test_killing_a_worker_requeues_its_cells(self, tmp_path):
-        """Kill one of two real worker processes mid-sweep: the coordinator
-        must requeue its in-flight cells, finish the campaign with correct
-        payloads, and report the loss."""
-        spec = demo_spec(6, sleep_seconds=0.6)
-        backend = WorkerPoolBackend(port=0, start_timeout=60.0)
-        host, port = backend.address
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-        procs = {}
-        for name in ("stable", "crashme"):
-            code = (
-                "from repro.experiments.backends.worker_pool import serve_worker; "
-                f"serve_worker('127.0.0.1', {port}, name={name!r}, retry_seconds=45)"
-            )
-            procs[name] = subprocess.Popen([sys.executable, "-c", code], env=env)
-        killed = threading.Event()
-        events = []
-
-        def on_event(event):
-            events.append(event)
-            if (
-                event.kind == "cell_started"
-                and event.worker == "crashme"
-                and not killed.is_set()
-            ):
-                killed.set()
-                procs["crashme"].kill()
-
-        try:
-            result = execute_campaign(
-                spec, backend=backend, cache_dir=tmp_path, on_event=on_event
-            )
-        finally:
-            for proc in procs.values():
-                proc.kill()
-                proc.wait(timeout=10)
-        assert killed.is_set(), "crashme never received a cell"
-        # Payload content depends only on cell_id, so a sleepless serial run
-        # gives the expected payloads cheaply.
-        assert result.payloads() == execute_campaign(demo_spec(6)).payloads()
-        assert result.event_counts.get("worker_lost", 0) >= 1
-        report = execution_report(result)
-        assert report["workers_lost"] >= 1
-        assert report["workers_joined"] == 2
-        lost = [event for event in events if event.kind == "worker_lost"]
-        assert any(event.requeued for event in lost)
-        assert len(result.cells) == 6
-
-
-class TestBackendEquivalenceProperty:
-    @settings(
-        max_examples=3,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        seed=st.integers(min_value=0, max_value=30),
-        num_agents=st.integers(min_value=3, max_value=6),
-    )
-    def test_history_digests_identical_across_all_four_backends(
-        self, seed, num_agents
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_stops_a_serial_campaign_at_once(
+        self, interrupt, monkeypatch, tmp_path
     ):
-        """CampaignResults are RunHistory.digest()-identical on every backend."""
-        spec = comparison.campaign_spec(
-            methods=("ComDML", "AllReduce"),
-            num_agents=num_agents,
-            max_rounds=3,
-            target_accuracy=None,
-            offload_granularity=9,
-            seed=seed,
-        )
-        reference = [
-            row["history_digest"] for row in execute_campaign(spec).payloads()
-        ]
-        for backend in ("thread", "process"):
-            digests = [
-                row["history_digest"]
-                for row in execute_campaign(spec, jobs=2, backend=backend).payloads()
-            ]
-            assert digests == reference, backend
-        pool = run_on_worker_pool(spec, workers=2)
-        assert [row["history_digest"] for row in pool.payloads()] == reference
+        """Ctrl-C in a cell is not a cell failure: no later cell runs."""
+        calls = []
+
+        def interrupted_cell(cell_id):
+            calls.append(cell_id)
+            if cell_id == 0:
+                raise interrupt
+            return {"cell_id": cell_id}
+
+        monkeypatch.setattr(demo, "demo_cell", interrupted_cell)
+        events = []
+        with pytest.raises(interrupt):
+            execute_campaign(demo_spec(4), cache_dir=tmp_path, on_event=events.append)
+        assert calls == [0]
+        assert [event.kind for event in events] == ["cell_started"]
+        assert len(CampaignCache(tmp_path)) == 0

@@ -153,31 +153,35 @@ class TestCampaignCommands:
         assert summary["cells"] == len(summary["per_cell"])
         assert all(len(row["payload_digest"]) == 64 for row in summary["per_cell"])
 
-    def test_backend_flag_thread_matches_serial(self, tmp_path, capsys):
+    def test_jobs_flag_process_matches_serial(self, tmp_path, capsys):
         argv = ["campaign", "run", "ablation-allreduce", "--cache-dir"]
         assert main(
             argv
-            + [str(tmp_path / "c1"), "--summary-json", str(tmp_path / "serial.json")]
+            + [
+                str(tmp_path / "c1"),
+                "--jobs",
+                "1",
+                "--summary-json",
+                str(tmp_path / "serial.json"),
+            ]
         ) == 0
         assert main(
             argv
             + [
                 str(tmp_path / "c2"),
-                "--backend",
-                "thread",
                 "--jobs",
                 "3",
                 "--summary-json",
-                str(tmp_path / "thread.json"),
+                str(tmp_path / "process.json"),
                 "--report-json",
-                str(tmp_path / "thread-report.json"),
+                str(tmp_path / "process-report.json"),
             ]
         ) == 0
         assert (tmp_path / "serial.json").read_bytes() == (
-            tmp_path / "thread.json"
+            tmp_path / "process.json"
         ).read_bytes()
-        report = json.loads((tmp_path / "thread-report.json").read_text())
-        assert report["backend"] == "thread"
+        report = json.loads((tmp_path / "process-report.json").read_text())
+        assert report["backend"] == "process"
 
     def test_progress_flag_streams_events(self, tmp_path, capsys):
         assert (
@@ -278,33 +282,21 @@ class TestCampaignCommands:
         with pytest.raises(SystemExit):
             main(["campaign", "run", "not-a-preset-or-file"])
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["campaign", "run", "table2", "--backend", "gpu"])
-
-
-class TestWorkerCommands:
-    def test_serve_requires_port(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["worker", "serve"])
-
-    def test_serve_fails_cleanly_when_no_coordinator(self, capsys):
-        # Nothing listens on this port; the worker should give up after the
-        # (short) retry window and exit non-zero with a readable error.
-        code = main(
-            [
-                "worker",
-                "serve",
-                "--host",
-                "127.0.0.1",
-                "--port",
-                "1",
-                "--retry-seconds",
-                "0.1",
-            ]
-        )
-        assert code == 1
-        assert "could not attach" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "run", "table2", "--jobs", "0"],
+            ["table2", "--jobs", "-3"],
+            ["compare", "--jobs", "two"],
+        ],
+        ids=["zero", "negative", "not-an-integer"],
+    )
+    def test_invalid_jobs_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "argument --jobs: must be an integer >= 1" in err
 
 
 class TestScheduleCommands:

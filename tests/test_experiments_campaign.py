@@ -297,8 +297,9 @@ class TestSummary:
         spec = tiny_spec()
         cold = campaign_summary(execute_campaign(spec, cache_dir=tmp_path))
         warm = campaign_summary(execute_campaign(spec, cache_dir=tmp_path))
-        threaded = campaign_summary(execute_campaign(spec, backend="thread", jobs=2))
-        assert cold == warm == threaded
+        pooled = execute_campaign(spec, jobs=2)
+        assert pooled.backend == "process"
+        assert cold == warm == campaign_summary(pooled)
         assert cold["digest"] and len(cold["digest"]) == 64
 
     def test_payload_order_matches_expansion(self, tmp_path):

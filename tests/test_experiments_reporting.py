@@ -1,8 +1,12 @@
-"""Tests for the EventTrace rendering/export helpers in experiments.reporting."""
+"""Tests for the rendering/export helpers in experiments.reporting: EventTrace
+timelines and summaries, and the live campaign progress renderer."""
 
+import io
 import json
 
+from repro.experiments.backends import CellCached, CellFailed, CellFinished, CellStarted
 from repro.experiments.reporting import (
+    CampaignProgressRenderer,
     dynamics_annotation,
     export_trace_json,
     format_agent_timeline,
@@ -72,3 +76,48 @@ class TestPlainTextRendering:
         assert "agent 1 timeline" in rendered
         assert "... and 1 more" in rendered
         assert format_agent_timeline(sample_trace(), 99) == "(no events for agent 99)"
+
+
+def drive_renderer(live: bool) -> tuple[CampaignProgressRenderer, str]:
+    """Feed one of each cell event kind to a renderer writing to a buffer."""
+    stream = io.StringIO()
+    renderer = CampaignProgressRenderer(
+        total_cells=4, name="demo", axes=["cell_id"], stream=stream, live=live
+    )
+    for event in (
+        CellCached(index=0, key="k0", elapsed_seconds=3.0),
+        CellStarted(index=1, key="k1", params={"cell_id": 1}),
+        CellStarted(index=2, key="k2", params={"cell_id": 2}),
+        CellFinished(index=1, key="k1", payload={}, elapsed_seconds=0.25),
+        CellFailed(index=2, key="k2", error="boom", exception=RuntimeError("boom")),
+    ):
+        renderer(event)
+    renderer.close()
+    return renderer, stream.getvalue()
+
+
+class TestCampaignProgressRenderer:
+    def test_plain_mode_writes_one_line_per_event(self):
+        renderer, text = drive_renderer(live=False)
+        assert text == (
+            "[demo] cell 0 cached\n"
+            "[demo] cell 1 started (cell_id=1)\n"
+            "[demo] cell 2 started (cell_id=2)\n"
+            "[demo] cell 1 finished in 0.25s (cell_id=1)\n"
+            "[demo] cell 2 FAILED: boom\n"
+        )
+        assert (renderer.done, renderer.cached, renderer.failed) == (1, 1, 1)
+        assert renderer.running == set()
+
+    def test_live_mode_redraws_the_status_line_and_keeps_failures(self):
+        _, text = drive_renderer(live=True)
+        clear = "\r\x1b[2K"
+        assert text == (
+            clear + "demo: 1/4 · 0 computed · 1 cached"
+            + clear + "demo: 1/4 · 0 computed · 1 cached · 1 running"
+            + clear + "demo: 1/4 · 0 computed · 1 cached · 2 running"
+            + clear + "demo: 2/4 · 1 computed · 1 cached · 1 running"
+            + clear + "[demo] cell 2 FAILED: boom\n"
+            + clear + "demo: 3/4 · 1 computed · 1 cached · 1 FAILED"
+            + "\n"
+        )

@@ -40,7 +40,7 @@ def demo_package(tmp_path, monkeypatch):
     (pkg / "runner.py").write_text(
         textwrap.dedent(
             """
-            from repro.experiments.backends.invoke import report_cell_progress
+            from repro.experiments.backends.events import CellTask
 
             def cell(x=0):
                 return {"x": x}

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Campaign backend-matrix + cache smoke check (run in CI).
+"""Campaign execution-path + cache smoke check (run in CI).
 
 Three independent guarantees, exercised end to end through the real CLI:
 
-1. **Backend matrix** — a 2×2 mini-campaign (two datasets × two methods
-   of the Table II grid) runs on every execution backend: ``serial``,
-   ``thread``, ``process``, and ``worker-pool`` (the last via two real
-   ``comdml worker serve`` subprocesses attached over localhost TCP).
-   All four ``--summary-json`` files must be byte-identical.
+1. **Serial vs process pool** — a 2×2 mini-campaign (two datasets × two
+   methods of the Table II grid) runs inline (``--jobs 1``) and on the
+   process pool (``--jobs 2``).  Both ``--summary-json`` files and both
+   payload exports must be byte-identical, and each execution report must
+   name the path that ran (``serial`` / ``process``).
 2. **Cache semantics** — the first (serial) run computes every cell,
    a repeat run over the same cache is 100 % hits, and its summary is
    *still* byte-identical (the summary is a pure function of the spec).
@@ -27,7 +27,6 @@ import json
 import os
 import re
 import shutil
-import socket
 import subprocess
 import sys
 import tempfile
@@ -39,7 +38,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.cli import main  # noqa: E402  (needs src on sys.path first)
 from repro.experiments import table2  # noqa: E402
 
-BACKENDS = ("serial", "thread", "process", "worker-pool")
+#: Execution path -> the ``--jobs`` value that selects it.
+JOBS = {"serial": 1, "process": 2}
 
 
 def check(condition: bool, message: str, failures: list[str]) -> None:
@@ -48,16 +48,14 @@ def check(condition: bool, message: str, failures: list[str]) -> None:
         failures.append(message)
 
 
-def free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def run_backend(
+def run_path(
     backend: str, spec_path: Path, tmp_path: Path
-) -> tuple[dict, dict, list]:
-    """One cold ``campaign run`` on ``backend``; returns (summary, report, payloads)."""
+) -> tuple[bytes, dict, bytes]:
+    """One cold ``campaign run`` on ``backend``.
+
+    Returns the ``--summary-json`` bytes, the parsed execution report and
+    the ``--json`` payload bytes.
+    """
     cache_dir = tmp_path / f"cache-{backend}"
     summary = tmp_path / f"summary-{backend}.json"
     report = tmp_path / f"report-{backend}.json"
@@ -66,10 +64,8 @@ def run_backend(
         "campaign",
         "run",
         str(spec_path),
-        "--backend",
-        backend,
         "--jobs",
-        "2",
+        str(JOBS[backend]),
         "--cache-dir",
         str(cache_dir),
         "--summary-json",
@@ -80,56 +76,17 @@ def run_backend(
         str(payloads),
         "--no-progress",
     ]
-    workers: list[subprocess.Popen] = []
-    if backend == "worker-pool":
-        port = free_port()
-        argv += ["--bind", f"127.0.0.1:{port}"]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-        for index in range(2):
-            workers.append(
-                subprocess.Popen(
-                    [
-                        sys.executable,
-                        "-m",
-                        "repro.cli",
-                        "worker",
-                        "serve",
-                        "--host",
-                        "127.0.0.1",
-                        "--port",
-                        str(port),
-                        "--name",
-                        f"smoke-w{index}",
-                        "--retry-seconds",
-                        "60",
-                    ],
-                    env=env,
-                )
-            )
-    try:
-        code = main(argv)
-    finally:
-        # On the success path workers have already been sent shutdown;
-        # terminate() is then a no-op but fails fast when the coordinator
-        # died and workers would otherwise retry for their full window.
-        for proc in workers:
-            proc.terminate()
-        for proc in workers:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
+    code = main(argv)
     if code != 0:
-        raise SystemExit(f"campaign run --backend {backend} exited with {code}")
+        raise SystemExit(f"campaign run --jobs {JOBS[backend]} exited with {code}")
     return (
-        json.loads(summary.read_text(encoding="utf-8")),
+        summary.read_bytes(),
         json.loads(report.read_text(encoding="utf-8")),
-        json.loads(payloads.read_text(encoding="utf-8")),
+        payloads.read_bytes(),
     )
 
 
-def backend_matrix(tmp_path: Path, failures: list[str]) -> None:
+def serial_vs_process(tmp_path: Path, failures: list[str]) -> None:
     spec = table2.campaign_spec(
         datasets=("cifar10", "cifar100"),
         distributions=(True,),
@@ -139,12 +96,16 @@ def backend_matrix(tmp_path: Path, failures: list[str]) -> None:
     spec_path = tmp_path / "mini.json"
     spec.save(spec_path)
 
-    summaries, payload_sets = {}, {}
-    for backend in BACKENDS:
-        summary, report, payloads = run_backend(backend, spec_path, tmp_path)
-        summaries[backend] = (tmp_path / f"summary-{backend}.json").read_bytes()
-        payload_sets[backend] = payloads
-        check(summary["cells"] == 4, f"[{backend}] expands to 2x2 = 4 cells", failures)
+    summaries, payloads = {}, {}
+    for backend in JOBS:
+        summaries[backend], report, payloads[backend] = run_path(
+            backend, spec_path, tmp_path
+        )
+        check(
+            json.loads(summaries[backend])["cells"] == 4,
+            f"[{backend}] expands to 2x2 = 4 cells",
+            failures,
+        )
         check(
             report["cache_misses"] == report["cells"],
             f"[{backend}] cold run computes every cell",
@@ -152,32 +113,25 @@ def backend_matrix(tmp_path: Path, failures: list[str]) -> None:
         )
         check(
             report["backend"] == backend,
-            f"[{backend}] report names the backend",
+            f"[{backend}] report names the execution path",
             failures,
         )
-        if backend == "worker-pool":
-            check(
-                report["workers_joined"] == 2,
-                "[worker-pool] both localhost workers joined",
-                failures,
-            )
         print(
             f"    {backend}: {report['wall_seconds']:.2f}s wall "
             f"({report['speedup']:.2f}x vs serial cold run)"
         )
 
     reference = summaries["serial"]
-    for backend in BACKENDS[1:]:
-        check(
-            summaries[backend] == reference,
-            f"[{backend}] --summary-json byte-identical to serial",
-            failures,
-        )
-        check(
-            payload_sets[backend] == payload_sets["serial"],
-            f"[{backend}] payloads identical to serial",
-            failures,
-        )
+    check(
+        summaries["process"] == reference,
+        "[process] --summary-json byte-identical to serial",
+        failures,
+    )
+    check(
+        payloads["process"] == payloads["serial"],
+        "[process] --json payloads byte-identical to serial",
+        failures,
+    )
 
     # Warm re-run over the serial cache: 100 % hits, summary unchanged.
     warm_summary = tmp_path / "summary-warm.json"
@@ -313,7 +267,7 @@ def main_smoke() -> int:
     failures: list[str] = []
     with tempfile.TemporaryDirectory(prefix="campaign-smoke-") as tmp:
         tmp_path = Path(tmp)
-        backend_matrix(tmp_path, failures)
+        serial_vs_process(tmp_path, failures)
         cache_stability(tmp_path, failures)
     if failures:
         for message in failures:
