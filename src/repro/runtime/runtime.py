@@ -341,17 +341,16 @@ class TrainingRuntime:
         # Clamp to the barrier so the trace stays chronological even when a
         # unit's standalone duration exceeds the round (e.g. a disconnected
         # FedAvg agent the server skips); the raw duration stays in `detail`.
-        durations = plan.durations.tolist()
-        agent_ids = plan.decisions.unit_agent_ids()
-        for index in np.argsort(plan.durations, kind="stable").tolist():
-            duration = durations[index]
-            self.trace.record(
-                min(start + duration, end),
-                round_index,
-                "unit_complete",
-                agent_ids[index],
-                detail={"duration": duration},
-            )
+        order = np.argsort(plan.durations, kind="stable")
+        durations = plan.durations[order]
+        self.trace.record_block(
+            round_index,
+            "unit_complete",
+            np.minimum(start + durations, end),
+            plan.decisions.slow_id[order],
+            plan.decisions.fast_id[order],
+            durations,
+        )
         if plan.aggregation_seconds > 0:
             # Stamped at its completion (= the barrier) so it never precedes
             # unit completions whose chains overlap the aggregation window.

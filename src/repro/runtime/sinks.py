@@ -15,6 +15,11 @@ its bounded buffer and deliver in batches, so the simulation loop never
 blocks on I/O for each event.  In-memory and callback sinks are delivered
 synchronously.
 
+The in-memory sink also takes a round's unit completions as one
+:class:`UnitBlock` of columns and builds their events only when they are
+read; every other sink sees those events one by one (see
+:meth:`~repro.runtime.trace.EventTrace.record_block`).
+
 Sinks are constructed directly or from a compact spec string via
 :func:`make_sink` — ``"memory"``, ``"memory:5000"``, ``"jsonl:trace.jsonl"``,
 ``"sqlite:trace.db"`` — which is what configuration surfaces use.
@@ -23,8 +28,11 @@ Sinks are constructed directly or from a compact spec string via
 from __future__ import annotations
 
 import sqlite3
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Union
+
+import numpy as np
 
 from repro.runtime.audit import (
     ChainState,
@@ -78,12 +86,106 @@ class TraceSink:
         """Release resources and seal/commit durable state."""
 
 
+@dataclass(frozen=True, eq=False)
+class UnitBlock:
+    """Events of one kind and one round, one per work unit, as columns.
+
+    Row ``r`` is the event ``(timestamps[r], round_index, kind, agents,
+    {"duration": durations[r]})`` whose agents are ``(slow_ids[r],)``, or
+    ``(slow_ids[r], fast_ids[r])`` when ``fast_ids[r] >= 0`` — the id
+    encoding of :class:`~repro.core.pairing.PairingPlan`.  Use
+    :meth:`of` to build one: it copies the columns, so a later change to
+    the caller's arrays cannot rewrite recorded history.
+    """
+
+    round_index: int
+    kind: str
+    timestamps: np.ndarray
+    slow_ids: np.ndarray
+    fast_ids: np.ndarray
+    durations: np.ndarray
+
+    @classmethod
+    def of(
+        cls, round_index: int, kind: str, timestamps, slow_ids, fast_ids, durations
+    ) -> "UnitBlock":
+        """A block owning copies of four equal-length 1-D columns."""
+        columns = (
+            np.array(timestamps, dtype=np.float64),
+            np.array(slow_ids, dtype=np.int64),
+            np.array(fast_ids, dtype=np.int64),
+            np.array(durations, dtype=np.float64),
+        )
+        if any(column.ndim != 1 for column in columns) or len(
+            {len(column) for column in columns}
+        ) > 1:
+            raise ValueError(
+                "a unit block needs four 1-D columns of equal length, got shapes "
+                f"{[column.shape for column in columns]}"
+            )
+        return cls(round_index, kind, *columns)
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def prefix(self, count: int) -> "UnitBlock":
+        """The block of the first ``count`` rows."""
+        return UnitBlock(
+            self.round_index,
+            self.kind,
+            self.timestamps[:count],
+            self.slow_ids[:count],
+            self.fast_ids[:count],
+            self.durations[:count],
+        )
+
+    def rows(self) -> Iterator[tuple[float, tuple[int, ...], float]]:
+        """Each row's ``(timestamp, agent_ids, duration)`` as builtins."""
+        agents = [
+            (slow,) if fast < 0 else (slow, fast)
+            for slow, fast in zip(self.slow_ids.tolist(), self.fast_ids.tolist())
+        ]
+        return zip(self.timestamps.tolist(), agents, self.durations.tolist())
+
+    def events(self) -> list["TraceEvent"]:
+        """Every row as a :class:`~repro.runtime.trace.TraceEvent`.
+
+        Each equals the event ``EventTrace.record`` builds from the same
+        row, with a fresh ``detail`` dict.  The instance ``__dict__`` is
+        filled directly instead of calling the frozen dataclass
+        ``__init__``, which routes every field through
+        ``object.__setattr__``; the events are equal either way.
+        """
+        from repro.runtime.trace import TraceEvent
+
+        new = object.__new__
+        round_index, kind = self.round_index, self.kind
+        events = []
+        for timestamp, agent_ids, duration in self.rows():
+            event = new(TraceEvent)
+            event.__dict__.update(
+                timestamp=timestamp,
+                round_index=round_index,
+                kind=kind,
+                agent_ids=agent_ids,
+                detail={"duration": duration},
+            )
+            events.append(event)
+        return events
+
+
 class MemorySink(TraceSink):
     """Bounded in-memory event store — the legacy ``EventTrace`` backing.
 
     Mirrors the original semantics exactly: at capacity, *new* events are
     dropped (and counted), never old ones evicted, so the stored prefix of
     a capped trace is identical to the uncapped trace's prefix.
+
+    Unit blocks (:meth:`emit_block`) are stored as columns.  Their events
+    are built, in recorded order, the first time :attr:`events` is read
+    after them; :attr:`events` is always the same list, extended in place.
+    :attr:`delivered` (the retained count) and :meth:`kind_counts` build
+    no event.
     """
 
     name = "memory"
@@ -93,15 +195,62 @@ class MemorySink(TraceSink):
         if max_events is not None and max_events <= 0:
             raise ValueError(f"max_events must be positive, got {max_events}")
         self.max_events = max_events
-        self.events: list["TraceEvent"] = []
+        self._events: list["TraceEvent"] = []
+        #: Events and blocks retained after ``_events``, in order, not yet built.
+        self._pending: list[Union["TraceEvent", UnitBlock]] = []
+
+    @property
+    def events(self) -> list["TraceEvent"]:
+        """Every retained event, in order (builds pending blocks' events)."""
+        if self._pending:
+            pending, self._pending = self._pending, []
+            for item in pending:
+                if isinstance(item, UnitBlock):
+                    self._events.extend(item.events())
+                else:
+                    self._events.append(item)
+        return self._events
+
+    def kind_counts(self) -> dict[str, int]:
+        """Retained events per kind, in order of each kind's first event.
+
+        A pending block counts by its length, so counting builds no event.
+        Counted here rather than in :meth:`emit`, which stays as cheap as
+        the plain list append it always was.
+        """
+        counts: dict[str, int] = {}
+        for event in self._events:
+            counts[event.kind] = counts.get(event.kind, 0) + 1
+        for item in self._pending:
+            size = len(item) if isinstance(item, UnitBlock) else 1
+            counts[item.kind] = counts.get(item.kind, 0) + size
+        return counts
 
     def emit(self, event: "TraceEvent") -> bool:
-        if self.max_events is not None and len(self.events) >= self.max_events:
+        if self.max_events is not None and self.delivered >= self.max_events:
             self.dropped += 1
             return False
-        self.events.append(event)
+        if self._pending:
+            self._pending.append(event)
+        else:
+            self._events.append(event)
         self.delivered += 1
         return True
+
+    def emit_block(self, block: UnitBlock) -> None:
+        """Store a block's rows up to the cap, unbuilt.
+
+        Keeps exactly the prefix that emitting the rows one by one keeps,
+        and counts the rest as dropped.
+        """
+        count = len(block)
+        room = count
+        if self.max_events is not None:
+            room = max(0, min(count, self.max_events - self.delivered))
+        if room:
+            self._pending.append(block if room == count else block.prefix(room))
+            self.delivered += room
+        self.dropped += count - room
 
 
 class CallbackSink(TraceSink):
@@ -157,13 +306,17 @@ class JSONLSink(TraceSink):
         if self._closed:
             self.dropped += 1
             return False
-        index = self.chain.index
+        # Fold into a copy: an event whose line was never written must not
+        # advance the chain, or every later line fails verification.
+        advanced = ChainState(self.chain.index, self.chain.head)
+        payload = event_payload(event)
         try:
-            head = self.chain.update(event_payload(event))
-            self._handle.write(event_line(index, event_payload(event), head) + "\n")
+            head = advanced.update(payload)
+            self._handle.write(event_line(self.chain.index, payload, head) + "\n")
         except (OSError, ValueError):
             self.dropped += 1
             return False
+        self.chain = advanced
         self.delivered += 1
         if (
             self.segment_events is not None

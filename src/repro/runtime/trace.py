@@ -23,12 +23,20 @@ reduces *exactly* to the pre-pipeline behaviour (golden regressions assert
 byte-identity), so existing callers and experiments are unaffected until
 they opt in via the ``trace_*`` fields of
 :class:`~repro.core.config.ComDMLConfig` (see :func:`build_event_trace`).
+
+A sync round records its unit completions with one
+:meth:`EventTrace.record_block` call.  Under the default configuration the
+in-memory sink keeps the block as columns and builds its events only when
+the trace is read; any other pipeline receives the block's events one by
+one through :meth:`EventTrace.record`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
+
+from numpy.typing import ArrayLike
 
 from repro.runtime.filters import (
     AdaptiveSamplingFilter,
@@ -41,6 +49,7 @@ from repro.runtime.sinks import (
     MemorySink,
     SQLiteSink,
     TraceSink,
+    UnitBlock,
     event_payload,
 )
 
@@ -120,6 +129,13 @@ class PipelineStats:
 class EventTrace:
     """Streaming trace pipeline behind the legacy bounded-trace API.
 
+    Events enter one at a time through :meth:`record`, or a round's unit
+    completions at once through :meth:`record_block`.  The queries read
+    the in-memory sink: :attr:`events`, iteration, :meth:`of_kind`,
+    :meth:`for_agent`, :meth:`for_round`, :meth:`agent_ids` and
+    :meth:`to_dicts` build any events still held as columns, while
+    ``len()`` and :meth:`kind_counts` build none.
+
     Parameters
     ----------
     max_events:
@@ -186,7 +202,11 @@ class EventTrace:
     # ------------------------------------------------------------------
     @property
     def events(self) -> list[TraceEvent]:
-        """Events retained by the in-memory sink, in order."""
+        """Events retained by the in-memory sink, in order.
+
+        Always the same list, extended in place as events are recorded and
+        read.
+        """
         return self._memory.events
 
     @property
@@ -199,7 +219,7 @@ class EventTrace:
         return self.stats.filtered_total + self._memory.dropped
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self._memory.delivered
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
@@ -259,6 +279,39 @@ class EventTrace:
                 ):
                     self._drain_buffer()
         return event if in_memory else None
+
+    def record_block(
+        self,
+        round_index: int,
+        kind: str,
+        timestamps: ArrayLike,
+        slow_ids: ArrayLike,
+        fast_ids: ArrayLike,
+        durations: ArrayLike,
+    ) -> None:
+        """Offer one event per row of four equal-length columns, in row order.
+
+        Row ``r`` is the event ``record(timestamps[r], round_index, kind,
+        agents, {"duration": durations[r]})``, where ``agents`` is
+        ``(slow_ids[r],)`` or, when ``fast_ids[r] >= 0``,
+        ``(slow_ids[r], fast_ids[r])``.  With no filters and no sink but
+        the in-memory one, the sink stores the rows as columns (see
+        :class:`~repro.runtime.sinks.UnitBlock`) and builds the events when
+        they are read.  Any other pipeline replays the rows through
+        :meth:`record`, so filters and sinks see exactly the per-event
+        stream.
+        """
+        block = UnitBlock.of(
+            round_index, kind, timestamps, slow_ids, fast_ids, durations
+        )
+        if self.filters or len(self.sinks) > 1:
+            for timestamp, agent_ids, duration in block.rows():
+                self.record(
+                    timestamp, round_index, kind, agent_ids, {"duration": duration}
+                )
+            return
+        self.stats.emitted += len(block)
+        self._memory.emit_block(block)
 
     def _emit(self, sink: TraceSink, event: TraceEvent) -> bool:
         """Guarded delivery: a failing sink drops (and counts) the event."""
@@ -352,11 +405,11 @@ class EventTrace:
         return sorted(ids)
 
     def kind_counts(self) -> dict[str, int]:
-        """Histogram of retained event kinds (useful in assertions/reports)."""
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
+        """Histogram of retained event kinds (useful in assertions/reports).
+
+        Keys follow the order of each kind's first retained event.
+        """
+        return self._memory.kind_counts()
 
     def to_dicts(self) -> list[dict[str, Any]]:
         """Plain-dict form of the retained events (JSON-serialisable)."""

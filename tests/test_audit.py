@@ -30,6 +30,8 @@ from repro.runtime.audit import (
     verify_history_record,
     verify_sealed_jsonl,
 )
+from repro.runtime.sinks import JSONLSink
+from repro.runtime.trace import EventTrace
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "runtime_sync_golden.json"
 SCENARIO = json.loads(GOLDEN_PATH.read_text())["scenario"]
@@ -105,6 +107,40 @@ class TestCleanVerification:
         result = verify_sealed_jsonl(tmp_path / "absent.jsonl")
         assert not result.ok
         assert "unreadable" in result.error
+
+    def test_failed_write_is_a_counted_drop_not_a_broken_chain(self, tmp_path):
+        """An event whose line was never written must not advance the chain."""
+
+        class FailingWrites:
+            """File handle whose ``fail_on``-th ``write`` raises ENOSPC."""
+
+            def __init__(self, handle, fail_on):
+                self.handle, self.fail_on, self.calls = handle, fail_on, 0
+
+            def write(self, text):
+                self.calls += 1
+                if self.calls == self.fail_on:
+                    raise OSError(28, "No space left on device")
+                return self.handle.write(text)
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+        path = tmp_path / "faulty.jsonl"
+        sink = JSONLSink(path, segment_events=4)
+        sink._handle = FailingWrites(sink._handle, fail_on=3)
+        trace = EventTrace(sinks=(sink,))
+        for index in range(6):
+            trace.record(float(index), 0, "unit_complete", (index,))
+        trace.close()
+        assert (sink.delivered, sink.dropped) == (5, 1)
+        trace.check_conservation()
+        result = verify_sealed_jsonl(path)
+        assert result.ok, result.error
+        assert result.events == 5
+        assert [event["agent_ids"] for event in read_sealed_events(path)] == [
+            [0], [1], [3], [4], [5]
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro.core.pairing import PairingDecision
 from repro.core.workload import OffloadEstimate
 from repro.models.resnet import resnet56_spec
 from repro.runtime.strategy import WorkUnit
+from repro.runtime.trace import TraceEvent
 from repro.training.accuracy import CurveAccuracyTracker
 from repro.training.curves import LearningCurveModel, curve_preset_for
 
@@ -71,6 +72,43 @@ class TestComDMLRound:
         ] == []
         assert len(plan.units) == len(plan.decisions) == len(plan.durations)
         assert [obj for obj in live_per_unit_objects() if id(obj) not in before_ids]
+
+    def test_sync_round_trace_builds_no_per_unit_events(self, small_registry):
+        """A sync round keeps its unit completions in the trace as columns.
+
+        Running a steady round builds only the round-level ``TraceEvent``s;
+        reading the trace then builds one event per unit completion, so the
+        trace holds exactly ``len(trace)`` events.
+        """
+        comdml = make_comdml(small_registry)
+        comdml.run_round(0)
+
+        def live_events():
+            gc.collect()
+            return [obj for obj in gc.get_objects() if type(obj) is TraceEvent]
+
+        # Holding the pre-existing events keeps their ids from being reused.
+        before = live_events()
+        seen = {id(event) for event in before}
+        comdml.run_round(1)
+        built = [event for event in live_events() if id(event) not in seen]
+        assert {event.kind for event in built} <= {
+            "round_start",
+            "churn",
+            "aggregation",
+            "round_end",
+        }
+        assert [event.kind for event in built].count("round_start") == 1
+        seen.update(id(event) for event in built)
+
+        events = comdml.trace.events
+        read = [event for event in live_events() if id(event) not in seen]
+        units = comdml.trace.kind_counts()["unit_complete"]
+        assert units >= 2
+        assert len(read) == units
+        assert {event.kind for event in read} == {"unit_complete"}
+        assert len(events) == len({id(event) for event in events}) == len(comdml.trace)
+        assert comdml.trace.events is events
 
     def test_target_accuracy_stops_early(self, small_registry):
         comdml = make_comdml(small_registry, max_rounds=500, target_accuracy=0.5)

@@ -512,12 +512,27 @@ def test_sync_runtime_history_deterministic_under_fixed_seed(seed, num_agents):
 # ----------------------------------------------------------------------
 @st.composite
 def closure_runs(draw):
-    """A small population, a non-empty dynamics schedule and a run mode.
+    """A small population, an optional dynamics schedule and a run mode.
 
-    Departures may draw any agent, and an optional drawn time makes every
-    agent depart at once, so rounds may run on an emptied population.
+    Without a schedule the run takes the closed-form round paths.  With
+    one, the schedule is non-empty: departures may draw any agent, and an
+    optional drawn time makes every agent depart at once, so rounds may
+    run on an emptied population.
     """
     num_agents = draw(st.integers(min_value=2, max_value=6))
+    run = {
+        "num_agents": num_agents,
+        "dynamics": draw(st.booleans()),
+        "arrivals": [],
+        "departures": [],
+        "churns": [],
+        "method": draw(st.sampled_from(("ComDML", "AllReduce"))),
+        "mode": draw(st.sampled_from(("sync", "semi-sync", "async"))),
+        "quorum_policy": draw(st.sampled_from(("fixed", "deadline"))),
+        "seed": draw(st.integers(min_value=0, max_value=2**16)),
+    }
+    if not run["dynamics"]:
+        return run
     times = st.floats(min_value=0.0, max_value=300.0, allow_nan=False)
     arrivals = draw(st.lists(times, max_size=2))
     departures = draw(
@@ -545,28 +560,22 @@ def closure_runs(draw):
     churns = draw(st.lists(st.tuples(times, churn_targets), max_size=3))
     if not (arrivals or departures or churns):
         churns = [(draw(times), {"fraction": 0.5})]
-    return {
-        "num_agents": num_agents,
-        "arrivals": arrivals,
-        "departures": departures,
-        "churns": churns,
-        "method": draw(st.sampled_from(("ComDML", "AllReduce"))),
-        "mode": draw(st.sampled_from(("sync", "semi-sync", "async"))),
-        "quorum_policy": draw(st.sampled_from(("fixed", "deadline"))),
-        "seed": draw(st.integers(min_value=0, max_value=2**16)),
-    }
+    return dict(run, arrivals=arrivals, departures=departures, churns=churns)
 
 
 @hypothesis.seed(20240713)
 @given(run=closure_runs())
 @settings(max_examples=40, deadline=timedelta(seconds=2))
 def test_dynamic_round_closure_accounts_for_every_unit(run):
-    """Every planned unit ends a dynamics-aware round in exactly one state.
+    """Every planned unit ends a round in exactly one state, in every path.
 
     Per round: a sync barrier completes or abandons each unit, an async
     round aggregates or abandons each, and a semi-sync quorum keeps, drops
     or abandons each.  These are the counters the closures run on, checked
     against the plan and the trace; the trace's sink accounting closes too.
+    Without a dynamics schedule (the closed-form paths) nothing is
+    abandoned, and the sync round's completions, recorded as one block,
+    cover the round's participants exactly once.
     """
     from collections import Counter
 
@@ -611,14 +620,16 @@ def test_dynamic_round_closure_accounts_for_every_unit(run):
             seed=run["seed"],
         ),
         profile=PROFILE,
-        dynamics=schedule,
+        dynamics=schedule if run["dynamics"] else None,
     )
     units_per_round: dict[int, int] = {}
+    participants_per_round: dict[int, list[int]] = {}
     plan_round = trainer.plan_round
 
     def counting_plan_round(round_index, participants):
         plan = plan_round(round_index, participants)
         units_per_round[round_index] = len(plan.units)
+        participants_per_round[round_index] = [agent.agent_id for agent in participants]
         return plan
 
     trainer.plan_round = counting_plan_round
@@ -630,8 +641,18 @@ def test_dynamic_round_closure_accounts_for_every_unit(run):
         events = trace.for_round(round_index)
         counts = Counter(event.kind for event in events)
         abandoned = counts["unit_abandoned"]
+        if not run["dynamics"]:
+            assert abandoned == 0
         if run["mode"] == "sync":
             assert counts["unit_complete"] + abandoned == units
+            if not run["dynamics"]:
+                covered = [
+                    agent_id
+                    for event in events
+                    if event.kind == "unit_complete"
+                    for agent_id in event.agent_ids
+                ]
+                assert sorted(covered) == sorted(participants_per_round[round_index])
         elif run["mode"] == "async":
             assert counts["aggregation"] + abandoned == units
         else:

@@ -7,16 +7,19 @@ stages; sink round-trip equality (JSONL and SQLite vs the in-memory
 view); adaptive sampling under a deterministic synthetic burst; buffer
 overflow policies; fault injection on a failing sink; and the legacy /
 golden guarantees — a default pipeline config reduces byte-identically
-to the pre-pipeline bounded list.
+to the pre-pipeline bounded list.  ``record_block`` must equal the loop
+of ``record`` it replaces under every cap, filter stack and sink set.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 #: tmp_path is function-scoped but the sinks under test recreate their
@@ -49,6 +52,7 @@ from repro.runtime.sinks import (
     SQLiteSink,
     TraceSink,
     load_sqlite_trace,
+    event_payload,
     make_sink,
 )
 from repro.runtime.trace import EventTrace, build_event_trace
@@ -285,6 +289,169 @@ class TestConservationProperty:
         # the memory sink is unaffected by the flaky sibling
         assert len(trace.events) == 10
         trace.check_conservation()
+
+
+# ----------------------------------------------------------------------
+# Unit blocks: record_block is the record loop, whatever the pipeline
+# ----------------------------------------------------------------------
+
+@st.composite
+def block_streams(draw):
+    """Interleaved single events, unit blocks and trace reads, in time order.
+
+    Returns ``(ops, cap)``.  The cap is ``None``, reached before a block
+    (possibly exactly at its first row), inside a block, or beyond every
+    event — positions counted in the unfiltered stream.
+    """
+    ops, spans, position, now = [], [], 0, 0.0
+    gaps = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
+    ids = st.integers(min_value=0, max_value=40)
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        op = draw(st.sampled_from(("event", "block", "read")))
+        if op == "event":
+            now += draw(gaps)
+            agents = tuple(draw(st.lists(ids, max_size=2)))
+            kind = draw(st.sampled_from(ALL_KINDS))
+            ops.append(("event", now, int(now // 10), kind, agents))
+            position += 1
+        elif op == "block":
+            count = draw(st.integers(min_value=0, max_value=8))
+            start = now
+            offsets = sorted(draw(st.lists(gaps, min_size=count, max_size=count)))
+            rows = [
+                (
+                    start + offset,
+                    draw(ids),
+                    draw(st.just(-1) | ids),
+                    draw(st.floats(min_value=0.0, max_value=30.0, allow_nan=False)),
+                )
+                for offset in offsets
+            ]
+            now = max([now] + [row[0] for row in rows])
+            kind = draw(st.sampled_from(ALL_KINDS))
+            ops.append(("block", int(start // 10), kind, rows))
+            spans.append((position, count))
+            position += count
+        else:
+            ops.append(("read",))
+    where = draw(st.sampled_from(("none", "before", "inside", "beyond")))
+    cap = None
+    firsts = [first for first, _ in spans if first > 0]
+    cut = [(first, count) for first, count in spans if count > 1]
+    if where == "before" and firsts:
+        cap = draw(st.integers(min_value=1, max_value=draw(st.sampled_from(firsts))))
+    elif where == "inside" and cut:
+        first, count = draw(st.sampled_from(cut))
+        cap = first + draw(st.integers(min_value=1, max_value=count - 1))
+    elif where == "beyond":
+        cap = position + draw(st.integers(min_value=1, max_value=5))
+    return ops, cap
+
+
+def replay_stream(ops, trace: EventTrace, blocks: bool):
+    """Feed ``ops`` to ``trace``; blocks via ``record_block`` or a record loop.
+
+    Returns what the caller observes: each single event's ``record`` result
+    and a snapshot of :attr:`EventTrace.events` at every read.
+    """
+    observed, retained = [], None
+    for op in ops:
+        if op[0] == "event":
+            _, timestamp, round_index, kind, agents = op
+            event = trace.record(
+                timestamp, round_index, kind, agents, {"t": timestamp}
+            )
+            observed.append(event is not None)
+        elif op[0] == "block":
+            _, round_index, kind, rows = op
+            if blocks:
+                columns = [np.array(column) for column in zip(*rows)] or [[]] * 4
+                trace.record_block(round_index, kind, *columns)
+            else:
+                for timestamp, slow, fast, duration in rows:
+                    agents = (slow,) if fast < 0 else (slow, fast)
+                    trace.record(
+                        timestamp, round_index, kind, agents, {"duration": duration}
+                    )
+        else:
+            events = trace.events
+            assert retained is None or events is retained
+            retained = events
+            observed.append(json.dumps([event_payload(e) for e in events]))
+    return observed
+
+
+class TestRecordBlock:
+    @seed(20261017)
+    # Half the draws, or more, take the default pipeline: the one path
+    # where the memory sink stores the block as columns.
+    @given(
+        stream=block_streams(),
+        filters=st.just([]) | filter_stacks(),
+        sinks=st.just("none")
+        | st.sampled_from(("none", "callback", "jsonl-flush", "jsonl-drop")),
+        buffer_capacity=st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=150, deadline=None, suppress_health_check=FIXTURE_OK)
+    def test_record_block_equals_the_record_loop(
+        self, stream, filters, sinks, buffer_capacity, tmp_path
+    ):
+        ops, cap = stream
+        outcomes = []
+        for blocks in (True, False):
+            received: list = []
+            extra: tuple = ()
+            options: dict = {}
+            if sinks == "callback":
+                extra = (CallbackSink(received.append),)
+            elif sinks.startswith("jsonl"):
+                extra = (JSONLSink(tmp_path / f"{blocks}.jsonl", segment_events=5),)
+                options = dict(buffer_capacity=buffer_capacity, overflow=sinks[6:])
+            trace = EventTrace(
+                max_events=cap, filters=copy.deepcopy(filters), sinks=extra, **options
+            )
+            observed = replay_stream(ops, trace, blocks)
+            trace.close()
+            # Counted before anything is built, then again after.
+            counts = (len(trace), list(trace.kind_counts().items()))
+            outcomes.append(
+                {
+                    "observed": observed,
+                    "counts": counts,
+                    "dicts": json.dumps(trace.to_dicts()),
+                    "dropped_events": trace.dropped_events,
+                    "accounting": trace.accounting(),
+                    "callback": received,
+                    "chain": [getattr(sink, "chain", None) for sink in extra],
+                }
+            )
+            assert (len(trace.events), list(trace.kind_counts().items())) == counts
+            trace.check_conservation()
+        assert outcomes[0] == outcomes[1]
+
+    def test_default_pipeline_stores_owned_columns_and_cuts_at_the_cap(self):
+        trace = EventTrace(max_events=4)
+        trace.record(0.0, 0, "round_start")
+        slow = np.array([5, 6])
+        trace.record_block(0, "unit_complete", [1.0, 2.0], slow, [-1, 8], [1.0, 2.0])
+        slow[0] = 99  # the block owns its columns
+        trace.record_block(0, "unit_complete", [3.0, 4.0], [7, 9], [-1, -1], [3.0, 4.0])
+        assert len(trace) == 4
+        assert trace.kind_counts() == {"round_start": 1, "unit_complete": 3}
+        assert (trace.stats.emitted, trace.dropped_events) == (5, 1)
+        assert [e.agent_ids for e in trace.of_kind("unit_complete")] == [
+            (5,),
+            (6, 8),
+            (7,),
+        ]
+        event = trace.events[2]
+        assert type(event.timestamp) is float and type(event.agent_ids[1]) is int
+        assert event.detail == {"duration": 2.0}
+        trace.check_conservation()
+
+    def test_unequal_columns_are_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            EventTrace().record_block(0, "unit_complete", [1.0], [1, 2], [-1], [1.0])
 
 
 # ----------------------------------------------------------------------
