@@ -456,8 +456,9 @@ def _steady_runtime_rounds(benchmark, mode: str, population: int) -> None:
 )
 def test_runtime_round_speed(benchmark, population, mode):
     """Steady ComDML rounds: closed-form sync, dynamics-aware semi-sync
-    (one completion event per unit) and closed-form async (one gossip
-    aggregation per unit).
+    (its completions one engine batch, one engine step per unit) and
+    closed-form async (one completion and one gossip aggregation event
+    per unit).
 
     Population is the outer loop, so the three modes of one population
     run back to back and a drift in the host's speed shifts all three.

@@ -53,7 +53,7 @@ class FedAvg(BaselineTrainer):
     # unit_duration); the server's averaging itself is free.  Without these
     # overrides the default mode pricing would re-add the round-level
     # communication on top of the chains, double-counting it.
-    def semi_sync_aggregation_seconds(self, plan, kept_units) -> float:
+    def semi_sync_aggregation_seconds(self, plan, kept) -> float:
         return 0.0
 
     def async_unit_aggregation_seconds(self, plan, unit) -> float:

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 from repro.agents.agent import Agent
 from repro.agents.registry import AgentRegistry
 from repro.core.config import ComDMLConfig
+from repro.core.pairing import PairingPlan
 from repro.core.planner import PrunedPlanner
 from repro.core.profiling import SplitProfile, profile_architecture
 from repro.core.scheduler import DecentralizedPairingScheduler
@@ -160,12 +161,10 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
         ]
 
     def semi_sync_aggregation_seconds(
-        self, plan: RoundPlan, kept_units: Sequence[WorkUnit]
+        self, plan: RoundPlan, kept: PairingPlan
     ) -> float:
         """Re-price the AllReduce over only the agents that made the quorum."""
-        involved = {
-            agent_id for unit in kept_units for agent_id in unit.agent_ids
-        }
+        involved = set(kept.agent_ids())
         agents = self._registered_agents(involved)
         if not agents:
             return 0.0
@@ -199,7 +198,7 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
         pair's link (a member went to 0 Mbps), the offload is effectively
         lost and the slow agent is priced as finishing alone.
         """
-        decision = unit.decisions[0]
+        decision = plan.decisions[unit.index]
         if decision.slow_id not in self.registry:
             return unit.duration
         slow = self.registry.get(decision.slow_id)

@@ -12,10 +12,16 @@ event list consumers (the planner's incremental CSR engine,
 O(Δ) edits instead of rebuilding their structures from the full graph.
 Mutating ``topology.graph`` directly bypasses the journal — callers doing
 so must fall back to ``planner.invalidate_all()`` exactly as before.
+
+Arrivals read the node ids in ascending order (the ring's ends, the
+random-k pool).  The topology keeps that order as a list, updated by
+bisection as its own methods add and remove nodes, so an arrival costs no
+sort of the whole graph.
 """
 
 from __future__ import annotations
 
+import bisect
 from typing import Iterable, Optional, Sequence
 
 import networkx as nx
@@ -39,6 +45,9 @@ class Topology:
         #: version ``_events_base + i`` to ``_events_base + i + 1``.
         self._events: list[tuple] = []
         self._events_base = 0
+        #: Every node id in ascending order, or ``None`` until an arrival
+        #: needs it again (see :attr:`graph`).
+        self._sorted_ids: Optional[list[int]] = None
 
     # ------------------------------------------------------------------
     # Edge-delta journal
@@ -73,6 +82,8 @@ class Topology:
         if node in self._graph:
             return False
         self._graph.add_node(node)
+        if self._sorted_ids is not None:
+            bisect.insort(self._sorted_ids, node)
         self._record(("add_node", node))
         return True
 
@@ -92,8 +103,20 @@ class Topology:
 
     @property
     def graph(self) -> nx.Graph:
-        """The underlying :class:`networkx.Graph`."""
+        """The underlying :class:`networkx.Graph`.
+
+        A mutation made through it bypasses the journal and the sorted id
+        list, so handing it out drops the list; the next arrival sorts the
+        nodes afresh.
+        """
+        self._sorted_ids = None
         return self._graph
+
+    def _ids_in_order(self) -> list[int]:
+        """Every node id in ascending order (the live list: do not mutate)."""
+        if self._sorted_ids is None:
+            self._sorted_ids = sorted(self._graph.nodes)
+        return self._sorted_ids
 
     @property
     def num_nodes(self) -> int:
@@ -163,12 +186,11 @@ class Topology:
             existing node (the full-graph arrival used by flash-crowd
             scenarios).  Unknown neighbour ids are ignored.
         """
-        existing = set(self._graph.nodes)
-        self._journal_add_node(agent_id)
         if neighbors is None:
-            targets = existing - {agent_id}
+            targets = set(self._graph.nodes) - {agent_id}
         else:
-            targets = {n for n in neighbors if n in existing and n != agent_id}
+            targets = {n for n in neighbors if n in self._graph and n != agent_id}
+        self._journal_add_node(agent_id)
         for target in targets:
             self._journal_add_edge(agent_id, target)
 
@@ -198,7 +220,9 @@ class Topology:
         if neighbors is not None:
             self.add_agent(agent_id, neighbors)
             return self.neighbors(agent_id)
-        existing = sorted(node for node in self._graph.nodes if node != agent_id)
+        existing = self._ids_in_order()
+        if agent_id in self._graph:
+            existing = [node for node in existing if node != agent_id]
         if policy == "full" or len(existing) <= 1:
             self.add_agent(agent_id, None)
         elif policy == "ring":
@@ -223,6 +247,9 @@ class Topology:
         if agent_id in self._graph:
             neighbors = tuple(self._graph.neighbors(agent_id))
             self._graph.remove_node(agent_id)
+            if self._sorted_ids is not None:
+                ids = self._sorted_ids
+                del ids[bisect.bisect_left(ids, agent_id)]
             self._record(("remove_node", agent_id, neighbors))
 
     def __repr__(self) -> str:

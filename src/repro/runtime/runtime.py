@@ -38,8 +38,8 @@ remain bit-for-bit identical to the seed loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+import functools
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -67,32 +67,80 @@ from repro.utils.logging import get_logger
 logger = get_logger("runtime")
 
 
-@dataclass
-class _FlightEntry:
-    """Book-keeping for one work unit while its round is in flight.
+#: Row states of a :class:`_Flight`.
+_PENDING, _DONE, _ABANDONED = 0, 1, 2
 
-    A unit is modelled as one abstract unit of work: ``progress`` is the
-    completed fraction, ``full_duration`` the current price of the whole
-    unit under present agent profiles, and ``updated_at`` the simulated
-    time at which ``progress`` was last brought up to date.  Mid-round
-    churn re-costs a unit by folding elapsed time into ``progress``,
-    re-pricing ``full_duration`` via the strategy's ``reprice_unit`` hook,
-    and rescheduling the completion event under a bumped ``version`` (stale
-    events are recognised and ignored when they fire).
+
+class _Flight:
+    """A dynamics-aware round's units while it is in flight, one column per field.
+
+    Row ``r`` is unit ``r`` of the round's plan.  A unit is modelled as one
+    abstract unit of work: ``progress`` is its completed fraction, ``price``
+    the current price of the whole unit under present agent profiles, and
+    ``updated_at`` the simulated time at which ``progress`` was last brought
+    up to date.  ``due`` is the unit's projected completion as of its last
+    (re-)pricing, and for a done unit the time it completed.  ``state`` holds
+    each row's ``_PENDING``, ``_DONE`` or ``_ABANDONED``.
+
+    The round's batch fires each row's completion under version 0.
+    Mid-round churn re-costs a unit by folding elapsed time into
+    ``progress``, re-pricing it through the strategy's ``reprice_unit`` hook
+    and scheduling a completion event under a bumped ``version``; a
+    departure abandons it and bumps the version too.  A completion whose
+    version is not the row's current one is stale and ignored when it fires.
+
+    ``row_of`` maps each participant to its row: every participant is in
+    exactly one unit.  Completions wait in ``done_times`` and ``done_rows``
+    until the runtime records them as one trace block.
     """
 
-    unit: WorkUnit
-    progress: float
-    full_duration: float
-    updated_at: float
-    version: int = 0
-    done: bool = False
-    abandoned: bool = False
+    def __init__(self, plan: RoundPlan, start: float, due: np.ndarray) -> None:
+        decisions = plan.decisions
+        count = len(plan.durations)
+        self.plan = plan
+        self.round_index = plan.round_index
+        self.start = start
+        self.slow_ids: list[int] = decisions.slow_id.tolist()
+        self.fast_ids: list[int] = decisions.fast_id.tolist()
+        self.progress = [0.0] * count
+        self.price: list[float] = plan.durations.tolist()
+        self.updated_at = [start] * count
+        self.due: list[float] = due.tolist()
+        self.version = [0] * count
+        self.state = bytearray(count)
+        self.row_of = dict(zip(self.slow_ids, range(count)))
+        helper_rows = np.flatnonzero(decisions.fast_id >= 0)
+        self.row_of.update(
+            zip(decisions.fast_id[helper_rows].tolist(), helper_rows.tolist())
+        )
+        if len(self.row_of) != count + len(helper_rows):
+            raise ValueError(
+                f"round {plan.round_index}: an agent is in more than one unit "
+                "of the plan"
+            )
+        self.done_times: list[float] = []
+        self.done_rows: list[int] = []
+        self.on_done: Optional[Callable[[int, float], None]] = None
+        self.on_abandon: Optional[Callable[[int], None]] = None
 
-    @property
-    def completion(self) -> float:
-        """Projected completion time under the current price."""
-        return self.updated_at + max(0.0, 1.0 - self.progress) * self.full_duration
+    def __len__(self) -> int:
+        return len(self.state)
+
+    def agent_ids(self, row: int) -> tuple[int, ...]:
+        """The unit's agents: ``(slow,)`` or ``(slow, fast)``."""
+        fast = self.fast_ids[row]
+        return (self.slow_ids[row],) if fast < 0 else (self.slow_ids[row], fast)
+
+    def completion(self, row: int) -> float:
+        """Projected completion of a pending unit under its current price."""
+        return (
+            self.updated_at[row]
+            + max(0.0, 1.0 - self.progress[row]) * self.price[row]
+        )
+
+    def rows_in(self, state: int) -> np.ndarray:
+        """The rows in the given state, in row order."""
+        return np.flatnonzero(np.frombuffer(self.state, dtype=np.uint8) == state)
 
 
 class RuntimeDelegate:
@@ -182,17 +230,9 @@ class TrainingRuntime:
             quorum_policy if quorum_policy is not None else make_quorum_policy(config)
         )
         self.dynamics = dynamics
-        # Mid-round execution state (only set while a dynamics-aware round
-        # is in flight).
-        self._flight: Optional[dict[int, _FlightEntry]] = None
-        # Agent id -> its in-flight entries in plan order, so a departure or
-        # churn event visits only the units it touches.
-        self._flight_by_agent: dict[int, list[_FlightEntry]] = {}
-        self._current_plan: Optional[RoundPlan] = None
+        # The units of the dynamics-aware round in flight, if any.
+        self._flight: Optional[_Flight] = None
         self._current_round = 0
-        self._round_start = 0.0
-        self._on_done_hook: Optional[Callable[[_FlightEntry, Event], None]] = None
-        self._on_abandon_hook: Optional[Callable[[_FlightEntry], None]] = None
         if self.dynamics:
             self.dynamics.register(self.engine, self._apply_dynamics_event)
 
@@ -220,11 +260,48 @@ class TrainingRuntime:
         filter at ``INFO`` or above these are counted as filter drops, so
         the raw engine feed never inflates the in-memory view silently.
         """
-        self.trace.record(
+        self._record(
             event.timestamp,
             self._current_round,
             "engine_event",
             detail={"engine_kind": event.kind},
+        )
+
+    def _record(
+        self,
+        timestamp: float,
+        round_index: int,
+        kind: str,
+        agent_ids: tuple[int, ...] = (),
+        detail: Optional[dict] = None,
+    ) -> None:
+        """Record one trace event, after the completions the flight buffers.
+
+        A dynamics-aware round's unit completions wait in its flight table
+        and reach the trace as one block.  Every other trace record that
+        can happen while a round is in flight goes through here, so the
+        trace keeps event order.
+        """
+        self._flush_completions()
+        self.trace.record(timestamp, round_index, kind, agent_ids, detail)
+
+    def _flush_completions(self) -> None:
+        """Record the completions the flight has buffered as one trace block."""
+        flight = self._flight
+        if flight is None or not flight.done_rows:
+            return
+        rows = np.array(flight.done_rows, dtype=np.int64)
+        times = np.array(flight.done_times, dtype=np.float64)
+        flight.done_rows.clear()
+        flight.done_times.clear()
+        decisions = flight.plan.decisions
+        self.trace.record_block(
+            flight.round_index,
+            "unit_complete",
+            times,
+            decisions.slow_id[rows],
+            decisions.fast_id[rows],
+            times - flight.start,
         )
 
     # ------------------------------------------------------------------
@@ -238,9 +315,7 @@ class TrainingRuntime:
                 logger.debug(
                     "round %d: churned profiles of agents %s", round_index, changed
                 )
-                self.trace.record(
-                    self.engine.now, round_index, "churn", tuple(changed)
-                )
+                self._record(self.engine.now, round_index, "churn", tuple(changed))
         participants = self.strategy.select_participants()
         return self.strategy.plan_round(round_index, participants)
 
@@ -277,7 +352,7 @@ class TrainingRuntime:
             num_pairs=num_pairs,
         )
         self.history.append(record)
-        self.trace.record(
+        self._record(
             self.engine.now,
             plan.round_index,
             "round_end",
@@ -308,14 +383,6 @@ class TrainingRuntime:
         if np.any(plan.decisions.communication_time > 0):
             return kept.total_communication()
         return plan.communication_seconds
-
-    @staticmethod
-    def _kept_decisions(plan: RoundPlan, kept_units: Sequence[WorkUnit]) -> PairingPlan:
-        """The decisions of the given units, in the units' order."""
-        rows = np.fromiter(
-            (unit.index for unit in kept_units), dtype=np.int64, count=len(kept_units)
-        )
-        return plan.decisions.take(rows)
 
     def _advance_learning_plane(self, plan: RoundPlan, decisions) -> float:
         """One accuracy-tracker step over the given decisions."""
@@ -400,7 +467,8 @@ class TrainingRuntime:
                     detail={"duration": u.duration},
                 ),
             )
-        aggregation = self.strategy.semi_sync_aggregation_seconds(plan, kept)
+        kept_decisions = plan.decisions.take(order[:quorum])
+        aggregation = self.strategy.semi_sync_aggregation_seconds(plan, kept_decisions)
         end = quorum_time + aggregation
 
         def _on_quorum(event) -> None:
@@ -431,7 +499,6 @@ class TrainingRuntime:
         self.engine.schedule_at(end, kind="round_end", priority=2, payload=round_index)
         self.engine.run_until(end)
 
-        kept_decisions = plan.decisions.take(order[:quorum])
         accuracy = self._advance_learning_plane(plan, kept_decisions)
         return self._finish_round(
             plan,
@@ -533,7 +600,7 @@ class TrainingRuntime:
                 return
             self.registry.add(agent)
             self.strategy.on_agent_arrival(agent, dyn.neighbors, dyn.attachment)
-            self.trace.record(
+            self._record(
                 now,
                 round_index,
                 "arrival",
@@ -545,7 +612,7 @@ class TrainingRuntime:
                 return
             agent = self.registry.remove(dyn.agent_id)
             self.strategy.on_agent_departure(agent)
-            self.trace.record(now, round_index, "departure", (dyn.agent_id,))
+            self._record(now, round_index, "departure", (dyn.agent_id,))
             self._abandon_in_flight(dyn.agent_id)
         else:  # churn
             if dyn.agent_ids is not None:
@@ -558,7 +625,7 @@ class TrainingRuntime:
                 )
             if not changed:
                 return
-            self.trace.record(
+            self._record(
                 now,
                 round_index,
                 "churn",
@@ -568,146 +635,127 @@ class TrainingRuntime:
             self._reprice_in_flight(set(changed))
 
     def _abandon_in_flight(self, agent_id: int) -> None:
-        """Abandon in-flight units of a departed agent (their work is lost)."""
-        if self._flight is None:
+        """Abandon the in-flight unit of a departed agent (its work is lost)."""
+        flight = self._flight
+        if flight is None:
             return
-        for entry in self._flight_by_agent.get(agent_id, ()):
-            if entry.done or entry.abandoned:
-                continue
-            entry.abandoned = True
-            entry.version += 1  # invalidate the pending completion event
-            self.trace.record(
-                self.engine.now,
-                self._current_round,
-                "unit_abandoned",
-                entry.unit.agent_ids,
-                detail={"departed": agent_id},
-            )
-            if self._on_abandon_hook is not None:
-                self._on_abandon_hook(entry)
+        row = flight.row_of.get(agent_id)
+        if row is None or flight.state[row] != _PENDING:
+            return
+        flight.state[row] = _ABANDONED
+        flight.version[row] += 1  # invalidate the pending completion
+        self._record(
+            self.engine.now,
+            flight.round_index,
+            "unit_abandoned",
+            flight.agent_ids(row),
+            detail={"departed": agent_id},
+        )
+        if flight.on_abandon is not None:
+            flight.on_abandon(row)
 
     def _reprice_in_flight(self, affected_ids: set[int]) -> None:
         """Re-cost in-flight units whose agents were just churned.
 
         The completed fraction of each affected unit is kept; the remainder
         is re-priced at the strategy's fresh ``reprice_unit`` estimate and
-        the unit's completion event is rescheduled.
+        the unit's completion is rescheduled under a bumped version.
         """
-        if self._flight is None or self._current_plan is None:
+        flight = self._flight
+        if flight is None:
             return
         now = self.engine.now
-        by_agent = self._flight_by_agent
-        # Plan order, as a scan over the flight would visit them: units are
-        # enumerated by index, and a pair is reached once even if both of
-        # its agents churned.
-        affected = {
-            entry.unit.index: entry
-            for agent_id in affected_ids
-            for entry in by_agent.get(agent_id, ())
-        }
-        for unit_index in sorted(affected):
-            entry = affected[unit_index]
-            if entry.done or entry.abandoned:
+        row_of = flight.row_of
+        # In row order, and a pair once even if both of its agents churned.
+        rows = sorted(
+            {row_of[agent_id] for agent_id in affected_ids if agent_id in row_of}
+        )
+        for row in rows:
+            if flight.state[row] != _PENDING:
                 continue
-            if entry.full_duration > 0:
-                entry.progress = min(
-                    1.0,
-                    entry.progress + (now - entry.updated_at) / entry.full_duration,
+            price = flight.price[row]
+            if price > 0:
+                flight.progress[row] = min(
+                    1.0, flight.progress[row] + (now - flight.updated_at[row]) / price
                 )
             else:
-                entry.progress = 1.0
-            entry.updated_at = now
-            old_completion = entry.completion
-            entry.full_duration = max(
-                0.0, self.strategy.reprice_unit(self._current_plan, entry.unit)
+                flight.progress[row] = 1.0
+            flight.updated_at[row] = now
+            old_completion = flight.completion(row)
+            flight.price[row] = max(
+                0.0, self.strategy.reprice_unit(flight.plan, flight.plan.unit(row))
             )
-            self._schedule_completion(entry)
-            self.trace.record(
+            due = flight.due[row] = flight.completion(row)
+            flight.version[row] += 1
+            self.engine.schedule_at(
+                due,
+                kind="unit_complete",
+                payload=(flight, row, flight.version[row]),
+                callback=self._on_repriced_completion,
+            )
+            self._record(
                 now,
-                self._current_round,
+                flight.round_index,
                 "unit_repriced",
-                entry.unit.agent_ids,
-                detail={
-                    "old_completion": old_completion,
-                    "new_completion": entry.completion,
-                },
+                flight.agent_ids(row),
+                detail={"old_completion": old_completion, "new_completion": due},
             )
 
-    def _schedule_completion(self, entry: _FlightEntry) -> None:
-        """(Re-)schedule a unit's completion under a fresh event version."""
-        entry.version += 1
-        self.engine.schedule_at(
-            entry.completion,
-            kind="unit_complete",
-            payload=(self._current_round, entry.unit.index, entry.version),
-            callback=self._on_unit_complete_event,
-        )
+    def _on_completion(
+        self, flight: _Flight, version: int, timestamp: float, row: int
+    ) -> None:
+        """A unit's completion fired; it counts if the unit is pending at ``version``.
 
-    def _on_unit_complete_event(self, event: Event) -> None:
-        """Handle a (possibly stale) unit-completion event."""
-        round_index, unit_index, version = event.payload
-        flight = self._flight
-        if flight is None or round_index != self._current_round:
-            return  # a dropped straggler from an earlier round
-        entry = flight.get(unit_index)
+        The round's batch fires every row at version 0; a re-costed unit's
+        own event carries its bumped version.  Anything else is stale: the
+        unit was re-costed, abandoned, or belongs to a closed round.
+        """
         if (
-            entry is None
-            or entry.done
-            or entry.abandoned
-            or version != entry.version
+            flight is not self._flight
+            or flight.version[row] != version
+            or flight.state[row] != _PENDING
         ):
-            return  # superseded by a re-cost or an abandonment
-        entry.done = True
-        entry.progress = 1.0
-        entry.updated_at = event.timestamp
-        self.trace.record(
-            event.timestamp,
-            round_index,
-            "unit_complete",
-            entry.unit.agent_ids,
-            detail={"duration": event.timestamp - self._round_start},
-        )
-        if self._on_done_hook is not None:
-            self._on_done_hook(entry, event)
+            return
+        flight.state[row] = _DONE
+        flight.done_times.append(timestamp)
+        flight.done_rows.append(row)
+        if flight.on_done is not None:
+            flight.on_done(row, timestamp)
 
-    def _start_dynamic_round(
-        self, round_index: int
-    ) -> tuple[float, RoundPlan, dict[int, _FlightEntry]]:
+    def _on_repriced_completion(self, event: Event) -> None:
+        """The completion event a re-cost scheduled fired."""
+        flight, row, version = event.payload
+        self._on_completion(flight, version, event.timestamp, row)
+
+    def _start_dynamic_round(self, round_index: int) -> _Flight:
         """Shared prologue of the dynamics-aware execution paths.
 
         Fires boundary dynamics due at the current time (so arrivals with
         ``time <= now`` join this round's plan), applies legacy
         round-interval churn, plans the round, and puts every unit in
-        flight with a scheduled completion event.
+        flight: one row of the flight table each, their completions
+        scheduled as one engine batch.
         """
         self._current_round = round_index
-        start = self.engine.now
-        self._round_start = start
         self._flight = None
-        self._on_done_hook = None
-        self._on_abandon_hook = None
+        start = self.engine.now
         self.engine.run_until(start)
         plan = self._plan(round_index)
-        self._current_plan = plan
-        self.trace.record(start, round_index, "round_start")
-        flight: dict[int, _FlightEntry] = {
-            unit.index: _FlightEntry(
-                unit=unit,
-                progress=0.0,
-                full_duration=unit.duration,
-                updated_at=start,
-            )
-            for unit in plan.units
-        }
-        by_agent: dict[int, list[_FlightEntry]] = {}
-        for entry in flight.values():
-            for agent_id in entry.unit.agent_ids:
-                by_agent.setdefault(agent_id, []).append(entry)
+        self._record(start, round_index, "round_start")
+        due = start + plan.durations
+        flight = _Flight(plan, start, due)
         self._flight = flight
-        self._flight_by_agent = by_agent
-        for entry in flight.values():
-            self._schedule_completion(entry)
-        return start, plan, flight
+        # Bound to this round's flight: rows still queued when the round
+        # closes fire later as no-ops instead of landing in the next flight.
+        self.engine.schedule_batch(
+            due, "unit_complete", functools.partial(self._on_completion, flight, 0)
+        )
+        return flight
+
+    def _end_flight(self) -> None:
+        """Record the buffered completions and take the round out of flight."""
+        self._flush_completions()
+        self._flight = None
 
     def _drive_until_closed(self, closure: dict) -> None:
         """Step the engine until the round's closure condition fires."""
@@ -721,8 +769,8 @@ class TrainingRuntime:
 
     def _run_round_sync_dynamic(self, round_index: int) -> RoundRecord:
         """Full barrier over whatever survives arrivals/churn/departures."""
-        start, plan, flight = self._start_dynamic_round(round_index)
-        closure = {"closed": not flight, "time": start}
+        flight = self._start_dynamic_round(round_index)
+        closure = {"closed": not len(flight), "time": flight.start}
         # A unit is pending, done or abandoned, and a done unit is never
         # abandoned, so every live (non-abandoned) unit is done exactly
         # when the two counters meet.
@@ -735,33 +783,25 @@ class TrainingRuntime:
                 closure["closed"] = True
                 closure["time"] = at
 
-        def _on_done(entry: _FlightEntry, event: Event) -> None:
+        def _on_done(row: int, at: float) -> None:
             state["completed"] += 1
-            _check_all_done(event.timestamp)
+            _check_all_done(at)
 
-        def _on_abandon(entry: _FlightEntry) -> None:
+        def _on_abandon(row: int) -> None:
             state["live"] -= 1
             _check_all_done(self.engine.now)
 
-        self._on_done_hook = _on_done
-        self._on_abandon_hook = _on_abandon
+        flight.on_done = _on_done
+        flight.on_abandon = _on_abandon
         self._drive_until_closed(closure)
         return self._finish_dynamic_round(
-            plan,
-            round_index,
-            start,
-            closure["time"],
-            flight,
-            trace_aggregation=True,
+            flight, closure["time"], trace_aggregation=True
         )
 
     def _finish_dynamic_round(
         self,
-        plan: RoundPlan,
-        round_index: int,
-        start: float,
+        flight: _Flight,
         close_time: float,
-        flight: dict[int, _FlightEntry],
         observed_makespan: Optional[float] = None,
         trace_aggregation: bool = False,
     ) -> RoundRecord:
@@ -771,18 +811,18 @@ class TrainingRuntime:
         drains the aggregation window, advances the learning plane on the
         surviving decisions, and appends the round record.
         """
+        plan, round_index, start = flight.plan, flight.round_index, flight.start
         close_time = max(close_time, start)
-        # The flight is keyed in unit order, so the kept units are too.
-        kept_units = [entry.unit for entry in flight.values() if entry.done]
-        self._flight = None
+        kept = plan.decisions.take(flight.rows_in(_DONE))
+        self._end_flight()
         # Price aggregation over the surviving set through the strategy's
-        # kept-units hook: methods that bill communication inside their unit
-        # chains (FedAvg) return 0 here, and ComDML re-prices its AllReduce
-        # over whoever actually made the barrier/quorum.  With every unit
-        # surviving this equals the plan's full-barrier figure.
+        # kept-decisions hook: methods that bill communication inside their
+        # unit chains (FedAvg) return 0 here, and ComDML re-prices its
+        # AllReduce over whoever actually made the barrier/quorum.  With every
+        # unit surviving this equals the plan's full-barrier figure.
         aggregation = (
-            self.strategy.semi_sync_aggregation_seconds(plan, kept_units)
-            if kept_units
+            self.strategy.semi_sync_aggregation_seconds(plan, kept)
+            if len(kept)
             else 0.0
         )
         end = close_time + aggregation
@@ -791,11 +831,10 @@ class TrainingRuntime:
         # Recorded after the window is drained so dynamics events landing
         # inside (close_time, end) keep the trace chronological.
         if trace_aggregation and aggregation > 0:
-            self.trace.record(end, round_index, "aggregation")
-        kept_decisions = self._kept_decisions(plan, kept_units)
+            self._record(end, round_index, "aggregation")
         accuracy = (
-            self._advance_learning_plane(plan, kept_decisions)
-            if kept_units
+            self._advance_learning_plane(plan, kept)
+            if len(kept)
             else self._last_accuracy
         )
         return self._finish_round(
@@ -804,8 +843,8 @@ class TrainingRuntime:
             duration=end - start,
             compute_seconds=close_time - start,
             aggregation_seconds=aggregation,
-            num_pairs=kept_decisions.num_pairs(),
-            communication_seconds=self._communication_for(plan, kept_decisions),
+            num_pairs=kept.num_pairs(),
+            communication_seconds=self._communication_for(plan, kept),
             observed_makespan=observed_makespan,
         )
 
@@ -818,8 +857,9 @@ class TrainingRuntime:
         every unit was abandoned), so churn-induced re-costs and departures
         genuinely reorder who makes the quorum.
         """
-        start, plan, flight = self._start_dynamic_round(round_index)
-        durations = sorted(entry.full_duration for entry in flight.values())
+        flight = self._start_dynamic_round(round_index)
+        start = flight.start
+        durations = np.sort(flight.plan.durations, kind="stable").tolist()
         decision = (
             self.quorum_policy.decide(durations, self.stats)
             if durations
@@ -833,19 +873,15 @@ class TrainingRuntime:
         # Counters, as in the sync path: ``live`` units are not abandoned,
         # and ``completed`` of them are done.
         state = {"completed": 0, "live": len(flight), "deadline_passed": False}
-        closure = {"closed": not flight, "time": start}
+        closure = {"closed": not len(flight), "time": start}
 
         def _close(at: float) -> None:
             if closure["closed"]:
                 return
             closure["closed"] = True
             closure["time"] = at
-            pending = [
-                entry
-                for entry in flight.values()
-                if not entry.done and not entry.abandoned
-            ]
-            self.trace.record(
+            pending = flight.rows_in(_PENDING)
+            self._record(
                 at,
                 round_index,
                 "quorum_reached",
@@ -855,15 +891,18 @@ class TrainingRuntime:
                     "policy": self.quorum_policy.name,
                 },
             )
-            for entry in sorted(
-                pending, key=lambda e: (e.completion, e.unit.index)
+            # By projected completion, ties in row order (a stable sort).
+            projected = np.array(flight.due)[pending]
+            order = np.argsort(projected, kind="stable")
+            for row, completion in zip(
+                pending[order].tolist(), projected[order].tolist()
             ):
-                self.trace.record(
+                self._record(
                     at,
                     round_index,
                     "straggler_dropped",
-                    entry.unit.agent_ids,
-                    detail={"projected_completion": entry.completion},
+                    flight.agent_ids(row),
+                    detail={"projected_completion": completion},
                 )
 
         def _maybe_close(at: float) -> None:
@@ -881,16 +920,16 @@ class TrainingRuntime:
             elif state["deadline_passed"] and state["completed"] >= 1:
                 _close(at)
 
-        def _on_done(entry: _FlightEntry, event: Event) -> None:
+        def _on_done(row: int, at: float) -> None:
             state["completed"] += 1
-            _maybe_close(event.timestamp)
+            _maybe_close(at)
 
-        def _on_abandon(entry: _FlightEntry) -> None:
+        def _on_abandon(row: int) -> None:
             state["live"] -= 1
             _maybe_close(self.engine.now)
 
-        self._on_done_hook = _on_done
-        self._on_abandon_hook = _on_abandon
+        flight.on_done = _on_done
+        flight.on_abandon = _on_abandon
 
         if decision is not None and decision.deadline_seconds is not None:
 
@@ -898,7 +937,7 @@ class TrainingRuntime:
                 if closure["closed"]:
                     return
                 state["deadline_passed"] = True
-                self.trace.record(
+                self._record(
                     event.timestamp,
                     round_index,
                     "quorum_deadline",
@@ -918,20 +957,11 @@ class TrainingRuntime:
         # Untruncated local-phase makespan: for dropped stragglers this is
         # their projected completion, so the quorum statistics observe what
         # the round *would* have taken under a full barrier.
-        full_makespan = max(
-            (
-                entry.completion - start
-                for entry in flight.values()
-                if not entry.abandoned
-            ),
-            default=0.0,
-        )
+        live = np.delete(np.array(flight.due), flight.rows_in(_ABANDONED))
+        full_makespan = float((live - start).max()) if len(live) else 0.0
         return self._finish_dynamic_round(
-            plan,
-            round_index,
-            start,
-            closure["time"],
             flight,
+            closure["time"],
             observed_makespan=full_makespan,
         )
 
@@ -943,10 +973,11 @@ class TrainingRuntime:
         Unlike the closed-form async path, gossip costs are priced at
         completion time, so mid-round churn affects them too.
         """
-        start, plan, flight = self._start_dynamic_round(round_index)
+        flight = self._start_dynamic_round(round_index)
+        plan, start = flight.plan, flight.start
         learning_rate = self._lr_schedule.learning_rate
         state = {"accuracy": self._last_accuracy, "outstanding": len(flight)}
-        closure = {"closed": not flight, "time": start}
+        closure = {"closed": not len(flight), "time": start}
 
         def _close(at: float) -> None:
             if closure["closed"]:
@@ -960,7 +991,7 @@ class TrainingRuntime:
             state["accuracy"] = self.accuracy_tracker.after_round(
                 unit.decisions, participation, learning_rate
             )
-            self.trace.record(
+            self._record(
                 event.timestamp,
                 round_index,
                 "aggregation",
@@ -971,34 +1002,32 @@ class TrainingRuntime:
             if state["outstanding"] <= 0:
                 _close(event.timestamp)
 
-        def _on_done(entry: _FlightEntry, event: Event) -> None:
-            cost = max(
-                0.0, self.strategy.async_unit_aggregation_seconds(plan, entry.unit)
-            )
+        def _on_done(row: int, at: float) -> None:
+            unit = plan.unit(row)
+            cost = max(0.0, self.strategy.async_unit_aggregation_seconds(plan, unit))
             self.engine.schedule_after(
-                cost, kind="aggregation", payload=entry.unit, callback=_aggregate
+                cost, kind="aggregation", payload=unit, callback=_aggregate
             )
 
-        def _on_abandon(entry: _FlightEntry) -> None:
+        def _on_abandon(row: int) -> None:
             state["outstanding"] -= 1
             if state["outstanding"] <= 0:
                 _close(self.engine.now)
 
-        self._on_done_hook = _on_done
-        self._on_abandon_hook = _on_abandon
+        flight.on_done = _on_done
+        flight.on_abandon = _on_abandon
         self._drive_until_closed(closure)
         end = max(closure["time"], start)
-        compute = max(
-            (entry.updated_at - start for entry in flight.values() if entry.done),
-            default=0.0,
+        done = flight.rows_in(_DONE)
+        # A done unit's ``due`` is when it completed.
+        compute = (
+            float((np.array(flight.due)[done] - start).max()) if len(done) else 0.0
         )
         # Like the other dynamic paths, the record reflects only the units
         # that actually ran: an abandoned pair contributes neither its pair
         # count nor its offload traffic.
-        kept_decisions = self._kept_decisions(
-            plan, [entry.unit for entry in flight.values() if entry.done]
-        )
-        self._flight = None
+        kept = plan.decisions.take(done)
+        self._end_flight()
         self.engine.run_until(end)
         accuracy = state["accuracy"]
         self._lr_schedule.step(accuracy)
@@ -1008,8 +1037,8 @@ class TrainingRuntime:
             duration=end - start,
             compute_seconds=compute,
             aggregation_seconds=max(0.0, (end - start) - compute),
-            num_pairs=kept_decisions.num_pairs(),
-            communication_seconds=self._communication_for(plan, kept_decisions),
+            num_pairs=kept.num_pairs(),
+            communication_seconds=self._communication_for(plan, kept),
         )
 
     # ------------------------------------------------------------------

@@ -5,9 +5,10 @@ work is decomposed, priced, and aggregated — expressed as a
 :class:`RoundPlan`: the round's decisions as one
 :class:`~repro.core.pairing.PairingPlan` of columns plus a duration column,
 one work unit per decision.  :class:`WorkUnit` objects are views of those
-columns, built only by the paths that handle one unit at a time (the
-semi-sync quorum, async per-unit events, in-flight dynamics and the
-strategy hooks).  Everything methods share (churn,
+columns, built only where one unit is handled at a time: all of them by the
+closed-form semi-sync quorum and async per-unit events
+(:attr:`RoundPlan.units`), and one at a time by the strategy hooks of the
+in-flight dynamics (:meth:`RoundPlan.unit`).  Everything methods share (churn,
 participation sampling, the LR schedule, accuracy tracking, history, the
 event loop) lives in the runtime.  ComDML's strategy derives its plan from
 the pairing scheduler; each baseline derives its plan from its
@@ -101,6 +102,18 @@ class RoundPlan:
     communication_seconds: float
     num_pairs: int
 
+    def unit(self, row: int) -> WorkUnit:
+        """Unit ``row`` as a view equal to ``units[row]``, building no other."""
+        decisions = self.decisions
+        slow = int(decisions.slow_id[row])
+        fast = int(decisions.fast_id[row])
+        return WorkUnit(
+            index=row,
+            agent_ids=(slow,) if fast < 0 else (slow, fast),
+            duration=float(self.durations[row]),
+            pairing=decisions,
+        )
+
     @cached_property
     def units(self) -> tuple[WorkUnit, ...]:
         """The round's work units as views, built in one pass on first use.
@@ -141,9 +154,13 @@ class RoundStrategy(Protocol):
         ...
 
     def semi_sync_aggregation_seconds(
-        self, plan: RoundPlan, kept_units: Sequence[WorkUnit]
+        self, plan: RoundPlan, kept: PairingPlan
     ) -> float:
-        """Aggregation cost when only the quorum's units are aggregated."""
+        """Aggregation cost when only the kept units' decisions are aggregated.
+
+        ``kept`` holds the decisions of the units that made the quorum (or
+        the barrier of a dynamics-aware sync round), as rows of ``plan``.
+        """
         ...
 
     def async_unit_aggregation_seconds(self, plan: RoundPlan, unit: WorkUnit) -> float:
@@ -195,7 +212,7 @@ class StrategyDefaults:
     """
 
     def semi_sync_aggregation_seconds(
-        self, plan: RoundPlan, kept_units: Sequence[WorkUnit]
+        self, plan: RoundPlan, kept: PairingPlan
     ) -> float:
         return plan.aggregation_seconds
 

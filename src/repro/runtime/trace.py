@@ -25,10 +25,11 @@ they opt in via the ``trace_*`` fields of
 :class:`~repro.core.config.ComDMLConfig` (see :func:`build_event_trace`).
 
 A sync round records its unit completions with one
-:meth:`EventTrace.record_block` call.  Under the default configuration the
-in-memory sink keeps the block as columns and builds its events only when
-the trace is read; any other pipeline receives the block's events one by
-one through :meth:`EventTrace.record`.
+:meth:`EventTrace.record_block` call; a dynamics-aware round records them
+as a few blocks, split at every other record.  Under the default
+configuration the in-memory sink keeps a block as columns and builds its
+events only when the trace is read; any other pipeline receives the
+block's events one by one through :meth:`EventTrace.record`.
 """
 
 from __future__ import annotations

@@ -7,7 +7,10 @@ and all baselines alike — advances its clock by scheduling round and
 work-unit events here.  ``sync`` mode
 (``ComDMLConfig.execution_mode = "sync"``) schedules one round-closing
 event per round; ``semi-sync`` and ``async`` modes schedule per-pair
-completion, quorum, and gossip-aggregation events; and a
+completion, quorum, and gossip-aggregation events (a dynamics-aware round
+schedules its initial unit completions as one
+:class:`~repro.sim.events.EventBatch` through
+:meth:`SimulationEngine.schedule_batch`); and a
 :class:`~repro.runtime.dynamics.DynamicsSchedule` registers timestamped
 arrival/departure/churn events directly on the engine at construction
 time, which is what lets them land *mid-round* while work is in flight.
@@ -18,14 +21,24 @@ everything up to a known horizon (the closed-form round paths), while
 closure condition fires (the dynamics-aware paths, where a round's end is
 not known upfront because churn can re-cost in-flight work).  Both rely on
 the queue's total event order for bit-for-bit deterministic runs.
+
+A batch changes none of that order: each of its rows fires under the key
+its own :meth:`SimulationEngine.schedule_at` call would have had, counts in
+:attr:`SimulationEngine.processed_events`, and reaches kind handlers and
+observers as an :class:`~repro.sim.events.Event` built for them.  A row
+whose unit has since been re-costed or abandoned fires like any stale
+event: its callback recognises it and does nothing.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.sim.clock import SimClock
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event, EventBatch, EventQueue
 from repro.utils.logging import get_logger
 
 logger = get_logger("sim.engine")
@@ -81,6 +94,29 @@ class SimulationEngine:
             self.clock.now + delay, kind, payload, priority, callback
         )
 
+    def schedule_batch(
+        self,
+        timestamps: ArrayLike,
+        kind: str,
+        callback: Callable[[float, int], None],
+    ) -> EventBatch:
+        """Schedule one priority-0 event per row of ``timestamps`` at once.
+
+        Row ``r`` fires exactly where ``schedule_at(timestamps[r], kind,
+        callback=...)`` calls made now in row order would fire it, and the
+        engine calls ``callback(timestamp, r)``.  The batch takes one heap
+        entry however many rows it has.
+        """
+        times = np.array(timestamps, dtype=np.float64)
+        if times.ndim != 1:
+            raise ValueError(f"batch timestamps must be 1-D, got shape {times.shape}")
+        if len(times) and times.min() < self.clock.now:
+            raise ValueError(
+                f"cannot schedule in the past: now={self.clock.now}, "
+                f"at={times.min()}"
+            )
+        return self.queue.schedule_batch(times, kind, callback)
+
     def on(self, kind: str, handler: Callable[[Event], None]) -> None:
         """Register a handler for all events of the given kind."""
         self._handlers.setdefault(kind, []).append(handler)
@@ -94,11 +130,17 @@ class SimulationEngine:
         """
         self._observers.append(observer)
 
-    def step(self) -> Optional[Event]:
-        """Process the next event (advancing the clock); ``None`` if empty."""
+    def step(self) -> Optional[Union[Event, EventBatch]]:
+        """Process the next event (advancing the clock); ``None`` if empty.
+
+        Returns the processed event.  For a batch row that no handler or
+        observer needed as an :class:`Event`, it returns the batch.
+        """
         if not self.queue:
             return None
         event = self.queue.pop()
+        if type(event) is EventBatch:
+            return self._fire_row(event)
         self.clock.advance_to(event.timestamp)
         if event.callback is not None:
             event.callback(event)
@@ -108,6 +150,23 @@ class SimulationEngine:
             observer(event)
         self._processed += 1
         return event
+
+    def _fire_row(self, batch: EventBatch) -> Union[Event, EventBatch]:
+        """Process a popped batch's next row and queue the batch for the one after."""
+        timestamp, row = self.queue.pop_row(batch)
+        self.clock.advance_to(timestamp)
+        batch.callback(timestamp, row)
+        handlers = self._handlers.get(batch.kind)
+        if handlers or self._observers:
+            event = Event(timestamp, 0, batch.base + row, batch.kind, row)
+            for handler in handlers or ():
+                handler(event)
+            for observer in self._observers:
+                observer(event)
+            self._processed += 1
+            return event
+        self._processed += 1
+        return batch
 
     def run_until(self, timestamp: float) -> int:
         """Process all events with ``event.timestamp <= timestamp``.

@@ -13,9 +13,16 @@ The runtime leans on that total order in two ways worth knowing about:
   the quorum.
 * *Stale events are never cancelled.*  When mid-round churn re-costs an
   in-flight unit or a departure abandons one
-  (see :mod:`repro.runtime.dynamics`), the superseded completion event
-  stays queued under its old version stamp and is recognised and ignored
-  when it eventually fires — the queue needs no removal operation.
+  (see :mod:`repro.runtime.dynamics`), the superseded completion — the
+  unit's row of the round's batch, or the event of an earlier re-cost —
+  stays queued and is recognised and ignored when it eventually fires, in
+  this round or a later one.  The queue needs no removal operation.
+
+An :class:`EventBatch` holds many same-kind events — a round's initial unit
+completions — as columns behind a single heap entry.  It reserves one
+sequence number per row, so every row fires under exactly the key its own
+:meth:`EventQueue.schedule` call would have given it, and the total order
+above is unchanged.
 """
 
 from __future__ import annotations
@@ -23,7 +30,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
+
+import numpy as np
 
 
 @dataclass
@@ -55,6 +64,45 @@ class Event:
     callback: Optional[Callable[["Event"], None]] = field(default=None, compare=False)
 
 
+class EventBatch:
+    """Priority-0 events of one kind, one per row, queued as one heap entry.
+
+    Row ``r`` fires at ``timestamps[r]`` under sequence ``base + r``; the
+    queue reserves the block of sequences when the batch is scheduled.
+    Rows fire in ``(timestamp, row)`` order: ``times`` and ``rows`` hold
+    them in that order, ``position`` indexes the next one, and the queue
+    keys the batch's entry by it.  When a row fires, the engine calls
+    ``callback(timestamp, row)``; it builds no :class:`Event` unless a kind
+    handler or an observer needs one.
+    """
+
+    __slots__ = ("kind", "callback", "base", "times", "rows", "position")
+
+    def __init__(
+        self,
+        timestamps: np.ndarray,
+        kind: str,
+        callback: Callable[[float, int], None],
+        base: int,
+    ) -> None:
+        order = np.argsort(timestamps, kind="stable")
+        self.kind = kind
+        self.callback = callback
+        self.base = base
+        self.times: list[float] = timestamps[order].tolist()
+        self.rows: list[int] = order.tolist()
+        self.position = 0
+
+    def __len__(self) -> int:
+        """Rows not yet fired."""
+        return len(self.rows) - self.position
+
+    @property
+    def timestamp(self) -> float:
+        """When the next row fires."""
+        return self.times[self.position]
+
+
 class EventQueue:
     """Min-heap of :class:`Event` ordered by time, priority, insertion order.
 
@@ -63,11 +111,12 @@ class EventQueue:
     ``__lt__`` on the events.  Sequences are unique, so the comparison never
     reaches the event itself and the pop order is exactly
     ``(timestamp, priority, sequence)``.  An event's timestamp and priority
-    are read once, when it is pushed.
+    are read once, when it is pushed.  An :class:`EventBatch` sits in the
+    heap as one such tuple, keyed by its next row.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[tuple[float, int, int, Union[Event, EventBatch]]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
@@ -100,8 +149,31 @@ class EventQueue:
         )
         return self.push(event)
 
-    def pop(self) -> Event:
-        """Remove and return the earliest event.
+    def schedule_batch(
+        self,
+        timestamps: np.ndarray,
+        kind: str,
+        callback: Callable[[float, int], None],
+    ) -> EventBatch:
+        """Queue one priority-0 event per row, under consecutive sequences.
+
+        Row ``r`` gets the sequence the ``r``-th of ``len(timestamps)``
+        :meth:`schedule` calls made now would get.
+        """
+        base = next(self._counter)
+        self._counter = itertools.count(base + len(timestamps))
+        batch = EventBatch(timestamps, kind, callback, base)
+        if len(batch):
+            heapq.heappush(
+                self._heap, (batch.times[0], 0, base + batch.rows[0], batch)
+            )
+        return batch
+
+    def pop(self) -> Union[Event, EventBatch]:
+        """Remove and return the earliest event, or the batch whose row is next.
+
+        A popped batch is out of the queue until :meth:`pop_row` takes its
+        due row and puts it back under the following one.
 
         Raises
         ------
@@ -112,8 +184,23 @@ class EventQueue:
             raise IndexError("pop from empty EventQueue")
         return heapq.heappop(self._heap)[3]
 
-    def peek(self) -> Event:
-        """Return (without removing) the earliest event."""
+    def pop_row(self, batch: EventBatch) -> tuple[float, int]:
+        """The due ``(timestamp, row)`` of a batch :meth:`pop` just returned.
+
+        The batch moves past that row and goes back in the queue, keyed by
+        its next row, unless it has none left.
+        """
+        position = batch.position
+        batch.position = following = position + 1
+        times, rows = batch.times, batch.rows
+        if following < len(rows):
+            heapq.heappush(
+                self._heap, (times[following], 0, batch.base + rows[following], batch)
+            )
+        return times[position], rows[position]
+
+    def peek(self) -> Union[Event, EventBatch]:
+        """Return (without removing) the earliest event or batch."""
         if not self._heap:
             raise IndexError("peek on empty EventQueue")
         return self._heap[0][3]

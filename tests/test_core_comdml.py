@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from repro.agents.agent import Agent
+from repro.agents.registry import AgentRegistry
 from repro.agents.resources import ResourceProfile
 from repro.core.comdml import ComDML
 from repro.core.config import ComDMLConfig
 from repro.core.pairing import PairingDecision
 from repro.core.workload import OffloadEstimate
 from repro.models.resnet import resnet56_spec
+from repro.runtime.dynamics import DynamicsSchedule
 from repro.runtime.strategy import WorkUnit
 from repro.runtime.trace import TraceEvent
 from repro.training.accuracy import CurveAccuracyTracker
@@ -109,6 +111,108 @@ class TestComDMLRound:
         assert {event.kind for event in read} == {"unit_complete"}
         assert len(events) == len({id(event) for event in events}) == len(comdml.trace)
         assert comdml.trace.events is events
+
+    def test_dynamic_round_builds_no_per_unit_objects(self):
+        """A dynamics-aware round keeps its units as flight-table columns.
+
+        In a steady semi-sync round with mid-round churn, a departure and an
+        arrival, the unit completions are one engine batch (plus one event
+        per re-cost), ``RoundPlan.units`` and the plan's decision views are
+        never built, a ``WorkUnit`` exists only for each re-cost, and the
+        completions reach the trace as columns, built when it is read.
+        """
+
+        def build(schedule: DynamicsSchedule) -> ComDML:
+            return ComDML(
+                registry=AgentRegistry.build(
+                    num_agents=40,
+                    rng=np.random.default_rng(3),
+                    samples_per_agent=400,
+                    batch_size=100,
+                ),
+                spec=resnet56_spec(),
+                config=ComDMLConfig(
+                    max_rounds=3,
+                    offload_granularity=9,
+                    seed=1,
+                    execution_mode="semi-sync",
+                    planner_threshold=1,
+                ),
+                dynamics=schedule,
+            )
+
+        probe_schedule = DynamicsSchedule()
+        probe_schedule.churn(1e9, fraction=0.5)
+        probe = build(probe_schedule)
+        first = probe.run_round(0)
+        # The slowest agents' units are still in flight early in round 1.
+        slowest = sorted(probe.registry, key=lambda agent: agent.profile.cpu_share)
+        schedule = DynamicsSchedule()
+        at = first.cumulative_seconds + 0.1 * first.duration_seconds
+        schedule.churn(at, agent_ids=[agent.agent_id for agent in slowest[:4]])
+        schedule.departure(at * 1.01, agent_id=slowest[4].agent_id)
+        schedule.arrival(
+            at * 1.02,
+            Agent(agent_id=99, profile=ResourceProfile(2.0, 50.0), num_samples=300),
+        )
+        comdml = build(schedule)
+        comdml.run_round(0)
+
+        runtime = comdml.runtime
+        scheduled = []
+        schedule_at = runtime.engine.schedule_at
+        runtime.engine.schedule_at = lambda *args, **kwargs: scheduled.append(
+            schedule_at(*args, **kwargs)
+        )
+        repriced = []
+        reprice_unit = comdml.reprice_unit
+
+        def keep_repriced(plan, unit):
+            repriced.append(unit)
+            return reprice_unit(plan, unit)
+
+        comdml.reprice_unit = keep_repriced
+        plans = []
+        plan_round = comdml.plan_round
+        comdml.plan_round = lambda *args: plans.append(plan_round(*args)) or plans[-1]
+
+        per_unit = (PairingDecision, OffloadEstimate, WorkUnit, TraceEvent)
+
+        def live_objects():
+            gc.collect()
+            return [obj for obj in gc.get_objects() if type(obj) in per_unit]
+
+        # Holding the pre-existing objects keeps their ids from being reused.
+        before = live_objects()
+        seen = {id(obj) for obj in before}
+        comdml.run_round(1)
+        built = [obj for obj in live_objects() if id(obj) not in seen]
+
+        kinds = comdml.trace.kind_counts()
+        round_kinds = {event.kind for event in comdml.trace.for_round(1)}
+        dynamics = {"unit_repriced", "unit_abandoned", "arrival", "departure"}
+        assert dynamics <= round_kinds
+        (plan,) = plans
+        assert len(plan.durations) >= 15
+        assert 1 <= len(repriced) <= 4
+        assert len(scheduled) <= len(repriced) + 3
+        assert "units" not in vars(plan) and "views" not in vars(plan.decisions)
+        units = {id(obj) for obj in built if type(obj) is WorkUnit}
+        assert units == {id(unit) for unit in repriced}
+        decisions = (PairingDecision, OffloadEstimate)
+        assert [obj for obj in built if type(obj) in decisions] == []
+        events = [obj for obj in built if type(obj) is TraceEvent]
+        assert "unit_complete" not in {event.kind for event in events}
+        seen.update(id(obj) for obj in built)
+
+        comdml.trace.events
+        read = [
+            obj
+            for obj in live_objects()
+            if type(obj) is TraceEvent and id(obj) not in seen
+        ]
+        assert len(read) == kinds["unit_complete"] >= len(plan.durations)
+        assert {event.kind for event in read} == {"unit_complete"}
 
     def test_target_accuracy_stops_early(self, small_registry):
         comdml = make_comdml(small_registry, max_rounds=500, target_accuracy=0.5)

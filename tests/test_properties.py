@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import math
 from datetime import timedelta
 
 import numpy as np
@@ -576,6 +577,12 @@ def test_dynamic_round_closure_accounts_for_every_unit(run):
     Without a dynamics schedule (the closed-form paths) nothing is
     abandoned, and the sync round's completions, recorded as one block,
     cover the round's participants exactly once.
+
+    In every mode, with or without a schedule: each participant is in
+    exactly one unit of its round's plan, a semi-sync quorum keeps and
+    drops units of the plan (disjointly), a sync round's compute time
+    covers every completion it waited for, and the participation fraction
+    the learning plane sees lies in [0, 1].
     """
     from collections import Counter
 
@@ -622,29 +629,51 @@ def test_dynamic_round_closure_accounts_for_every_unit(run):
         profile=PROFILE,
         dynamics=schedule if run["dynamics"] else None,
     )
-    units_per_round: dict[int, int] = {}
+    plans = {}
     participants_per_round: dict[int, list[int]] = {}
     plan_round = trainer.plan_round
 
     def counting_plan_round(round_index, participants):
         plan = plan_round(round_index, participants)
-        units_per_round[round_index] = len(plan.units)
+        plans[round_index] = plan
         participants_per_round[round_index] = [agent.agent_id for agent in participants]
         return plan
 
     trainer.plan_round = counting_plan_round
-    trainer.run()
+    participations = []
+    tracker = trainer.accuracy_tracker
+    after_round = tracker.after_round
+
+    def recording_after_round(decisions, participation, learning_rate):
+        participations.append(participation)
+        return after_round(decisions, participation, learning_rate)
+
+    tracker.after_round = recording_after_round
+    history = trainer.run()
 
     trace = trainer.trace
-    assert sorted(units_per_round) == [0, 1, 2]
-    for round_index, units in units_per_round.items():
+    assert sorted(plans) == [0, 1, 2]
+    assert all(0.0 <= participation <= 1.0 for participation in participations)
+    for round_index, plan in plans.items():
+        units = len(plan.durations)
+        assert sorted(plan.decisions.agent_ids()) == sorted(
+            participants_per_round[round_index]
+        )
+        plan_units = set(plan.decisions.unit_agent_ids())
         events = trace.for_round(round_index)
         counts = Counter(event.kind for event in events)
         abandoned = counts["unit_abandoned"]
         if not run["dynamics"]:
             assert abandoned == 0
+        completed = [event for event in events if event.kind == "unit_complete"]
         if run["mode"] == "sync":
             assert counts["unit_complete"] + abandoned == units
+            start = next(e.timestamp for e in events if e.kind == "round_start")
+            compute = history.records[round_index].compute_seconds
+            for event in completed:
+                # Two rounding steps separate a completion from its duration.
+                slack = 2 * math.ulp(event.timestamp)
+                assert event.timestamp - start <= compute + slack
             if not run["dynamics"]:
                 covered = [
                     agent_id
@@ -662,4 +691,11 @@ def test_dynamic_round_closure_accounts_for_every_unit(run):
             dropped = sum(event.detail["dropped"] for event in quorum)
             assert kept + dropped + abandoned == units
             assert counts["straggler_dropped"] == dropped
+            kept_units = {event.agent_ids for event in completed}
+            dropped_units = {
+                event.agent_ids for event in events if event.kind == "straggler_dropped"
+            }
+            assert len(kept_units) == kept and len(dropped_units) == dropped
+            assert kept_units | dropped_units <= plan_units
+            assert not kept_units & dropped_units
     trace.check_conservation()

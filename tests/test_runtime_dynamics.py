@@ -1,5 +1,7 @@
 """Tests for DynamicsSchedule: staggered arrivals, departures, in-flight churn."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,59 @@ class TestDynamicRunsStayCoherent:
         assert timestamps == sorted(timestamps)
         times = history.times()
         assert all(a < b for a, b in zip(times, times[1:]))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_engine_feed_follows_each_buffered_completion(self, mode):
+        """The opt-in engine feed still comes right after each completion.
+
+        Completions wait in the flight table and reach the trace as blocks;
+        the feed's record of a completion's engine event must follow that
+        completion, and the feed counts every processed engine event, the
+        stale rows of a round's batch included.
+        """
+        cutoff = first_unit_completion()
+        trainer = make_comdml(
+            fresh_registry(),
+            dynamics=self.full_schedule(cutoff),
+            execution_mode=mode,
+            max_rounds=4,
+            trace_engine_events=True,
+        )
+        trainer.run()
+        events = list(trainer.trace)
+        timestamps = [event.timestamp for event in events]
+        assert timestamps == sorted(timestamps)
+        feed = [event for event in events if event.kind == "engine_event"]
+        assert len(feed) == trainer.runtime.engine.processed_events
+        completed = None
+        for event in events:
+            if event.kind == "unit_complete":
+                assert completed is None
+                completed = event
+            elif event.kind == "engine_event" and completed is not None:
+                assert event.detail == {"engine_kind": "unit_complete"}
+                assert event.timestamp == completed.timestamp
+                completed = None
+        assert completed is None
+
+    def test_plan_with_an_agent_in_two_units_is_rejected(self):
+        schedule = DynamicsSchedule()
+        schedule.churn(1e9, fraction=0.5)
+        trainer = make_comdml(fresh_registry(), dynamics=schedule)
+        plan_round = trainer.plan_round
+
+        def first_unit_twice(round_index, participants):
+            plan = plan_round(round_index, participants)
+            rows = np.arange(-1, len(plan.durations)).clip(0)
+            return dataclasses.replace(
+                plan,
+                decisions=plan.decisions.take(rows),
+                durations=plan.durations[rows],
+            )
+
+        trainer.plan_round = first_unit_twice
+        with pytest.raises(ValueError, match="more than one unit"):
+            trainer.run_round(0)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_deterministic_under_fixed_seed(self, mode):

@@ -15,6 +15,13 @@ End-to-end through the real CLI:
 5. **Campaign chain** — a mini ``campaign run --summary-json`` output
    passes ``verify_campaign_summary`` and fails it after one cell digest
    is mutated.
+6. **Dynamics-aware blocks** — a semi-sync ComDML run under a seeded
+   ``DynamicsSchedule`` (arrivals, departures and churn landing
+   mid-round) through ``ExperimentRunner.run_method_sealed`` verifies
+   clean, and its sealed events equal ``to_dicts()`` of the same run on
+   the default in-memory pipeline: the unit completions the runtime
+   records as blocks read back as the stream the sealed sink received
+   event by event.
 
 Exits non-zero on any violation.  Run locally with::
 
@@ -33,11 +40,14 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.cli import main  # noqa: E402  (needs src on sys.path first)
 from repro.experiments import table2  # noqa: E402
+from repro.experiments.runner import ExperimentRunner  # noqa: E402
+from repro.experiments.scenarios import ScenarioConfig  # noqa: E402
 from repro.runtime.audit import (  # noqa: E402
     read_sealed_events,
     verify_campaign_summary,
     verify_sealed_jsonl,
 )
+from repro.runtime.dynamics import DynamicsSchedule  # noqa: E402
 from repro.runtime.filters import LevelFilter  # noqa: E402
 from repro.runtime.sinks import JSONLSink  # noqa: E402
 from repro.runtime.trace import EventTrace  # noqa: E402
@@ -207,6 +217,65 @@ def campaign_chain(tmp_path: Path, failures: list[str]) -> None:
     )
 
 
+def dynamics_schedule() -> DynamicsSchedule:
+    """Seeded arrivals, departures and churn that land mid-round (one per run)."""
+    schedule = DynamicsSchedule.poisson(
+        horizon=500.0,
+        arrival_rate=1 / 100.0,
+        departure_rate=1 / 100.0,
+        seed=3,
+        departure_candidates=range(16),
+        attachment="random-k",
+    )
+    for time in (150.0, 350.0):
+        schedule.churn(time, fraction=0.5)
+    return schedule
+
+
+def dynamic_round_blocks(tmp_path: Path, failures: list[str]) -> None:
+    runner = ExperimentRunner(
+        ScenarioConfig(
+            num_agents=16,
+            execution_mode="semi-sync",
+            max_rounds=6,
+            offload_granularity=9,
+            samples_per_agent=500,
+            seed=3,
+        )
+    )
+    sealed_path = tmp_path / "dynamic.jsonl"
+    sealed_history = runner.run_method_sealed(
+        "ComDML", sealed_path, dynamics=dynamics_schedule(), segment_events=16
+    )
+    check(
+        verify_sealed_jsonl(sealed_path).ok,
+        "dynamics-aware semi-sync sealed trace verifies clean",
+        failures,
+    )
+    history, trace = runner.run_method_with_trace(
+        "ComDML", dynamics=dynamics_schedule()
+    )
+    kinds = trace.kind_counts()
+    check(
+        all(
+            kinds.get(kind)
+            for kind in ("arrival", "departure", "unit_repriced", "unit_abandoned")
+        ),
+        "the schedule re-costs and abandons units mid-round",
+        failures,
+    )
+    check(
+        read_sealed_events(sealed_path) == trace.to_dicts(),
+        "sealed events equal the block-recorded in-memory events",
+        failures,
+    )
+    check(
+        sealed_history.digest() == history.digest(),
+        "the sealed and in-memory runs have one history",
+        failures,
+    )
+
+
 def main_smoke() -> int:
     failures: list[str] = []
     with tempfile.TemporaryDirectory(prefix="trace-smoke-") as tmp:
@@ -214,6 +283,7 @@ def main_smoke() -> int:
         record_and_tamper(tmp_path, failures)
         pipeline_conservation(tmp_path, failures)
         campaign_chain(tmp_path, failures)
+        dynamic_round_blocks(tmp_path, failures)
     if failures:
         for message in failures:
             print(f"FAILED: {message}", file=sys.stderr)
