@@ -411,10 +411,10 @@ def _steady_runtime_rounds(benchmark, mode: str, population: int) -> None:
 
     Sync and async churn 1 % of the profiles at every round boundary; the
     semi-sync run (fixed 0.8 quorum) gets its churn, arrivals and
-    departures mid-round from a seeded dynamics schedule instead, so it
-    runs the dynamics-aware path.  ``tools/bench_trajectory.py`` fits the
-    growth of the semi-sync and async medians over the sync one across
-    the populations (``--event-exponent``).
+    departures mid-round from a seeded dynamics schedule instead, so its
+    flight table re-costs and abandons units.  ``tools/bench_trajectory.py``
+    fits the growth of the semi-sync and async medians over the sync one
+    across the populations (``--event-exponent``).
     """
     agents = _planner_population(population)
     ids = [agent.agent_id for agent in agents]
@@ -455,10 +455,9 @@ def _steady_runtime_rounds(benchmark, mode: str, population: int) -> None:
     ],
 )
 def test_runtime_round_speed(benchmark, population, mode):
-    """Steady ComDML rounds: closed-form sync, dynamics-aware semi-sync
-    (its completions one engine batch, one engine step per unit) and
-    closed-form async (one completion and one gossip aggregation event
-    per unit).
+    """Steady ComDML rounds: closed-form sync, and semi-sync and async on
+    the flight table (a round's completions one engine batch, one engine
+    step per unit; async adds one gossip aggregation event per unit).
 
     Population is the outer loop, so the three modes of one population
     run back to back and a drift in the host's speed shifts all three.

@@ -175,13 +175,6 @@ class PairingPlan(Sequence[PairingDecision]):
         """Number of decisions that pair the slow agent with a helper."""
         return int(np.count_nonzero(self.fast_id >= 0))
 
-    def unit_agent_ids(self) -> list[tuple[int, ...]]:
-        """Each decision's agents: ``(slow,)`` or ``(slow, fast)``."""
-        return [
-            (slow,) if fast < 0 else (slow, fast)
-            for slow, fast in zip(self.slow_id.tolist(), self.fast_id.tolist())
-        ]
-
     def agent_ids(self) -> list[int]:
         """Every agent the plan involves: the slow ids, then the helpers."""
         fast = self.fast_id

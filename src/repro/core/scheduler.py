@@ -9,7 +9,7 @@ paths return the round's decisions as one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,22 +28,28 @@ class SchedulerStats:
     """Running statistics of the observed round makespans.
 
     Makespans are folded into running sums (O(1) memory) so million-round
-    runs do not accumulate an ever-growing list.  Besides the mean, the
-    running sum of squares supports the dispersion measures
+    runs do not accumulate an ever-growing list.  The mean is
+    ``makespan_sum / makespan_count``.  The dispersion measures
     (:attr:`makespan_std`, :attr:`makespan_cv`) the adaptive semi-sync
     quorum policy uses to detect that observed makespans have stabilised
-    (see :mod:`repro.runtime.quorum`).
+    (see :mod:`repro.runtime.quorum`) come from Welford's update: a running
+    mean and ``makespan_sq_dev_sum``, the sum of squared deviations from
+    it.  Unlike ``E[x²] - mean²`` it cancels nothing, so identical
+    makespans have a variance of exactly zero.
     """
 
     makespan_count: int = 0
     makespan_sum: float = 0.0
-    makespan_sq_sum: float = 0.0
+    makespan_sq_dev_sum: float = 0.0
+    _running_mean: float = field(default=0.0, init=False, repr=False)
 
     def record_makespan(self, makespan: float) -> None:
         """Fold one round's makespan into the running mean/variance."""
         self.makespan_count += 1
         self.makespan_sum += makespan
-        self.makespan_sq_sum += makespan * makespan
+        delta = makespan - self._running_mean
+        self._running_mean += delta / self.makespan_count
+        self.makespan_sq_dev_sum += delta * (makespan - self._running_mean)
 
     @property
     def average_makespan(self) -> float:
@@ -55,8 +61,7 @@ class SchedulerStats:
         """Population variance of the recorded makespans (0 with no history)."""
         if self.makespan_count == 0:
             return 0.0
-        mean = self.average_makespan
-        return max(0.0, self.makespan_sq_sum / self.makespan_count - mean * mean)
+        return self.makespan_sq_dev_sum / self.makespan_count
 
     @property
     def makespan_std(self) -> float:

@@ -23,12 +23,13 @@ through ``ComDMLConfig.quorum_policy`` (CLI: ``compare --quorum-policy``):
     noisy early rounds keep everyone, steady-state rounds shed stragglers.
 
 A policy returns a declarative :class:`QuorumDecision` — *how many* units
-to wait for and/or an *absolute latest* closing offset — which both
-execution paths of the runtime interpret with identical semantics: the
-round closes as soon as the target count of completions is reached, or at
-the deadline (with at least one completion), whichever comes first.
-:func:`resolve_quorum` is the closed-form of those semantics over a sorted
-duration list, used by the plan-ahead path and by tests.
+to wait for and/or an *absolute latest* closing offset — which the
+runtime interprets event by event: the round closes as soon as the target
+count of completions is reached, or at the deadline (with at least one
+completion), whichever comes first.  :func:`resolve_quorum` is the closed
+form of those semantics over a sorted duration list: what a round with no
+mid-round dynamics keeps, and when it closes, exactly.  Tests use it as the
+oracle of the runtime.
 
 >>> policy = FixedFractionQuorum(0.5)
 >>> decision = policy.decide([10.0, 20.0, 30.0, 40.0], SchedulerStats())

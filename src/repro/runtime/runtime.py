@@ -31,8 +31,10 @@ Every mode additionally supports *mid-round dynamics* through an optional
 :class:`~repro.runtime.dynamics.DynamicsSchedule`: staggered agent
 arrivals, timestamped departures, and churn events that land while work is
 in flight and re-cost the affected units (see
-:mod:`repro.runtime.dynamics`).  With no schedule — or an empty one — the
-runtime executes the original closed-form round paths, so ``sync`` histories
+:mod:`repro.runtime.dynamics`).  Semi-sync and async rounds always run
+event by event, their units in flight as the columns of a flight table, so
+a schedule whose events land after the run changes nothing.  A sync round
+with no schedule — or an empty one — runs in closed form, so its histories
 remain bit-for-bit identical to the seed loops.
 """
 
@@ -50,7 +52,11 @@ from repro.core.pairing import PairingPlan
 from repro.core.scheduler import SchedulerStats
 from repro.nn.schedule import ReduceOnPlateau
 from repro.runtime.dynamics import DynamicsEvent, DynamicsSchedule
-from repro.runtime.quorum import QuorumPolicy, make_quorum_policy, resolve_quorum
+from repro.runtime.quorum import QuorumPolicy, make_quorum_policy
+
+# No round calls ``resolve_quorum``, but perfbench's tracer wraps it by this
+# module's name (``perfbench.tracing.PROBES``), so the name must resolve here.
+from repro.runtime.quorum import resolve_quorum  # noqa: F401
 from repro.runtime.strategy import (
     RoundPlan,
     RoundStrategy,
@@ -72,15 +78,20 @@ _PENDING, _DONE, _ABANDONED = 0, 1, 2
 
 
 class _Flight:
-    """A dynamics-aware round's units while it is in flight, one column per field.
+    """A round's units while it is in flight, one column per field.
 
-    Row ``r`` is unit ``r`` of the round's plan.  A unit is modelled as one
-    abstract unit of work: ``progress`` is its completed fraction, ``price``
-    the current price of the whole unit under present agent profiles, and
-    ``updated_at`` the simulated time at which ``progress`` was last brought
-    up to date.  ``due`` is the unit's projected completion as of its last
-    (re-)pricing, and for a done unit the time it completed.  ``state`` holds
-    each row's ``_PENDING``, ``_DONE`` or ``_ABANDONED``.
+    Every semi-sync and async round runs on a flight table, and so does a
+    sync round under a schedule.  Row ``r`` is unit ``r`` of the round's
+    plan.  A unit is modelled as one abstract unit of work: ``progress`` is
+    its completed fraction, ``price`` the current price of the whole unit
+    under present agent profiles, and ``updated_at`` the simulated time at
+    which ``progress`` was last brought up to date.  ``due`` is the unit's
+    projected completion as of its last (re-)pricing, and for a done unit
+    the time it completed.  ``elapsed`` is that completion as an offset from
+    the round start: the plan duration itself until the unit is re-costed,
+    ``due - start`` after.  Offsets are read from it, never re-derived as
+    ``due - start``, which can round differently.  ``state`` holds each
+    row's ``_PENDING``, ``_DONE`` or ``_ABANDONED``.
 
     The round's batch fires each row's completion under version 0.
     Mid-round churn re-costs a unit by folding elapsed time into
@@ -90,8 +101,10 @@ class _Flight:
     version is not the row's current one is stale and ignored when it fires.
 
     ``row_of`` maps each participant to its row: every participant is in
-    exactly one unit.  Completions wait in ``done_times`` and ``done_rows``
-    until the runtime records them as one trace block.
+    exactly one unit.  ``done`` lists the done rows in completion order; the
+    rows from ``flushed`` on wait there until the runtime records them as
+    one trace block.  :meth:`close` sets when the round closed, as a time
+    (``close_time``) and as an offset from its start (``close_elapsed``).
     """
 
     def __init__(self, plan: RoundPlan, start: float, due: np.ndarray) -> None:
@@ -104,6 +117,7 @@ class _Flight:
         self.fast_ids: list[int] = decisions.fast_id.tolist()
         self.progress = [0.0] * count
         self.price: list[float] = plan.durations.tolist()
+        self.elapsed = list(self.price)
         self.updated_at = [start] * count
         self.due: list[float] = due.tolist()
         self.version = [0] * count
@@ -118,8 +132,12 @@ class _Flight:
                 f"round {plan.round_index}: an agent is in more than one unit "
                 "of the plan"
             )
-        self.done_times: list[float] = []
-        self.done_rows: list[int] = []
+        self.done: list[int] = []
+        self.flushed = 0
+        # An empty round is closed before it starts.
+        self.closed = not count
+        self.close_time = start
+        self.close_elapsed = 0.0
         self.on_done: Optional[Callable[[int, float], None]] = None
         self.on_abandon: Optional[Callable[[int], None]] = None
 
@@ -141,6 +159,16 @@ class _Flight:
     def rows_in(self, state: int) -> np.ndarray:
         """The rows in the given state, in row order."""
         return np.flatnonzero(np.frombuffer(self.state, dtype=np.uint8) == state)
+
+    def close(self, at: float, elapsed: Optional[float] = None) -> None:
+        """Close the round at ``at``, ``elapsed`` (default ``at - start``) in.
+
+        No hook runs after a close: the runtime stops stepping the engine
+        and unhooks them before it steps again.
+        """
+        self.closed = True
+        self.close_time = at
+        self.close_elapsed = at - self.start if elapsed is None else elapsed
 
 
 class RuntimeDelegate:
@@ -277,10 +305,10 @@ class TrainingRuntime:
     ) -> None:
         """Record one trace event, after the completions the flight buffers.
 
-        A dynamics-aware round's unit completions wait in its flight table
-        and reach the trace as one block.  Every other trace record that
-        can happen while a round is in flight goes through here, so the
-        trace keeps event order.
+        A flight's unit completions wait in its table and reach the trace
+        as one block.  Every other trace record that can happen while a
+        round is in flight goes through here, so the trace keeps event
+        order.
         """
         self._flush_completions()
         self.trace.record(timestamp, round_index, kind, agent_ids, detail)
@@ -288,20 +316,17 @@ class TrainingRuntime:
     def _flush_completions(self) -> None:
         """Record the completions the flight has buffered as one trace block."""
         flight = self._flight
-        if flight is None or not flight.done_rows:
+        if flight is None or flight.flushed == len(flight.done):
             return
-        rows = np.array(flight.done_rows, dtype=np.int64)
-        times = np.array(flight.done_times, dtype=np.float64)
-        flight.done_rows.clear()
-        flight.done_times.clear()
-        decisions = flight.plan.decisions
+        rows = flight.done[flight.flushed :]
+        flight.flushed = len(flight.done)
         self.trace.record_block(
             flight.round_index,
             "unit_complete",
-            times,
-            decisions.slow_id[rows],
-            decisions.fast_id[rows],
-            times - flight.start,
+            [flight.due[row] for row in rows],
+            [flight.slow_ids[row] for row in rows],
+            [flight.fast_ids[row] for row in rows],
+            [flight.elapsed[row] for row in rows],
         )
 
     # ------------------------------------------------------------------
@@ -433,154 +458,8 @@ class TrainingRuntime:
             num_pairs=plan.num_pairs,
         )
 
-    def _run_round_semi_sync(self, round_index: int) -> RoundRecord:
-        start = self.engine.now
-        plan = self._plan(round_index)
-        self.trace.record(start, round_index, "round_start")
-
-        # Completion order: by duration, ties by unit index (a stable sort).
-        order = np.argsort(plan.durations, kind="stable")
-        plan_units = plan.units
-        units = [plan_units[index] for index in order.tolist()]
-        if units:
-            decision = self.quorum_policy.decide(
-                [unit.duration for unit in units], self.stats
-            )
-            quorum, local = resolve_quorum(
-                decision, [unit.duration for unit in units]
-            )
-        else:
-            quorum, local = 0, 0.0
-        kept, dropped = units[:quorum], units[quorum:]
-        quorum_time = start + local
-
-        for unit in kept:
-            self.engine.schedule_at(
-                start + unit.duration,
-                kind="unit_complete",
-                payload=unit,
-                callback=lambda event, u=unit: self.trace.record(
-                    event.timestamp,
-                    round_index,
-                    "unit_complete",
-                    u.agent_ids,
-                    detail={"duration": u.duration},
-                ),
-            )
-        kept_decisions = plan.decisions.take(order[:quorum])
-        aggregation = self.strategy.semi_sync_aggregation_seconds(plan, kept_decisions)
-        end = quorum_time + aggregation
-
-        def _on_quorum(event) -> None:
-            self.trace.record(
-                event.timestamp,
-                round_index,
-                "quorum_reached",
-                detail={
-                    "kept": len(kept),
-                    "dropped": len(dropped),
-                    "policy": self.quorum_policy.name,
-                },
-            )
-            # Recording the drops here (not before run_until) keeps the
-            # trace chronological: completions precede the quorum closure.
-            for unit in dropped:
-                self.trace.record(
-                    event.timestamp,
-                    round_index,
-                    "straggler_dropped",
-                    unit.agent_ids,
-                    detail={"projected_completion": start + unit.duration},
-                )
-
-        self.engine.schedule_at(
-            quorum_time, kind="quorum_reached", priority=1, callback=_on_quorum
-        )
-        self.engine.schedule_at(end, kind="round_end", priority=2, payload=round_index)
-        self.engine.run_until(end)
-
-        accuracy = self._advance_learning_plane(plan, kept_decisions)
-        return self._finish_round(
-            plan,
-            accuracy,
-            duration=end - start,
-            compute_seconds=local,
-            aggregation_seconds=aggregation,
-            num_pairs=kept_decisions.num_pairs(),
-            communication_seconds=self._communication_for(plan, kept_decisions),
-            observed_makespan=units[-1].duration if units else 0.0,
-        )
-
-    def _run_round_async(self, round_index: int) -> RoundRecord:
-        start = self.engine.now
-        plan = self._plan(round_index)
-        self.trace.record(start, round_index, "round_start")
-
-        learning_rate = self._lr_schedule.learning_rate
-        state = {"accuracy": self._last_accuracy}
-
-        def _aggregate(event) -> None:
-            unit: WorkUnit = event.payload
-            participation = participation_fraction(self.registry, unit.decisions)
-            state["accuracy"] = self.accuracy_tracker.after_round(
-                unit.decisions, participation, learning_rate
-            )
-            self.trace.record(
-                event.timestamp,
-                round_index,
-                "aggregation",
-                unit.agent_ids,
-                detail={"accuracy": state["accuracy"]},
-            )
-
-        # Price each unit's gossip exchange once: the round-end bound and the
-        # scheduled aggregation must agree, or a state-dependent price could
-        # leak an event past run_until into the next round.
-        gossip_costs = {
-            unit.index: self.strategy.async_unit_aggregation_seconds(plan, unit)
-            for unit in plan.units
-        }
-
-        def _complete(event) -> None:
-            unit: WorkUnit = event.payload
-            self.trace.record(
-                event.timestamp,
-                round_index,
-                "unit_complete",
-                unit.agent_ids,
-                detail={"duration": unit.duration},
-            )
-            self.engine.schedule_after(
-                gossip_costs[unit.index],
-                kind="aggregation",
-                payload=unit,
-                callback=_aggregate,
-            )
-
-        end = start
-        for unit in plan.units:
-            completion = start + unit.duration
-            end = max(end, completion + gossip_costs[unit.index])
-            self.engine.schedule_at(
-                completion, kind="unit_complete", payload=unit, callback=_complete
-            )
-        self.engine.schedule_at(end, kind="round_end", priority=1, payload=round_index)
-        self.engine.run_until(end)
-
-        accuracy = state["accuracy"]
-        self._lr_schedule.step(accuracy)
-        compute = max((unit.duration for unit in plan.units), default=0.0)
-        return self._finish_round(
-            plan,
-            accuracy,
-            duration=end - start,
-            compute_seconds=compute,
-            aggregation_seconds=max(0.0, (end - start) - compute),
-            num_pairs=plan.num_pairs,
-        )
-
     # ------------------------------------------------------------------
-    # Mid-round dynamics (DynamicsSchedule-aware execution)
+    # Mid-round dynamics and the flight-table rounds
     # ------------------------------------------------------------------
     def _apply_dynamics_event(self, event: Event) -> None:
         """Apply one scheduled arrival/departure/churn at its timestamp.
@@ -686,6 +565,7 @@ class TrainingRuntime:
                 0.0, self.strategy.reprice_unit(flight.plan, flight.plan.unit(row))
             )
             due = flight.due[row] = flight.completion(row)
+            flight.elapsed[row] = due - flight.start
             flight.version[row] += 1
             self.engine.schedule_at(
                 due,
@@ -717,8 +597,7 @@ class TrainingRuntime:
         ):
             return
         flight.state[row] = _DONE
-        flight.done_times.append(timestamp)
-        flight.done_rows.append(row)
+        flight.done.append(row)
         if flight.on_done is not None:
             flight.on_done(row, timestamp)
 
@@ -728,7 +607,7 @@ class TrainingRuntime:
         self._on_completion(flight, version, event.timestamp, row)
 
     def _start_dynamic_round(self, round_index: int) -> _Flight:
-        """Shared prologue of the dynamics-aware execution paths.
+        """Shared prologue of the flight-table execution paths.
 
         Fires boundary dynamics due at the current time (so arrivals with
         ``time <= now`` join this round's plan), applies legacy
@@ -755,65 +634,62 @@ class TrainingRuntime:
     def _end_flight(self) -> None:
         """Record the buffered completions and take the round out of flight."""
         self._flush_completions()
+        # The round's hooks close over its flight; unhooking them breaks the
+        # cycle, so the plan is freed with the flight, not by a later GC pass.
+        self._flight.on_done = self._flight.on_abandon = None
         self._flight = None
 
-    def _drive_until_closed(self, closure: dict) -> None:
+    def _drive_until_closed(self, flight: _Flight) -> None:
         """Step the engine until the round's closure condition fires."""
-        while not closure["closed"]:
+        while not flight.closed:
             if self.engine.step() is None:
                 # Nothing left to process (e.g. every unit was abandoned
                 # and no hook closed the round) — close at the current time.
-                closure["closed"] = True
-                closure["time"] = self.engine.now
+                flight.close(self.engine.now)
                 break
 
     def _run_round_sync_dynamic(self, round_index: int) -> RoundRecord:
         """Full barrier over whatever survives arrivals/churn/departures."""
         flight = self._start_dynamic_round(round_index)
-        closure = {"closed": not len(flight), "time": flight.start}
         # A unit is pending, done or abandoned, and a done unit is never
         # abandoned, so every live (non-abandoned) unit is done exactly
         # when the two counters meet.
         state = {"completed": 0, "live": len(flight)}
 
-        def _check_all_done(at: float) -> None:
-            if closure["closed"]:
-                return
-            if state["completed"] == state["live"]:
-                closure["closed"] = True
-                closure["time"] = at
-
         def _on_done(row: int, at: float) -> None:
             state["completed"] += 1
-            _check_all_done(at)
+            if state["completed"] == state["live"]:
+                flight.close(at, flight.elapsed[row])
 
         def _on_abandon(row: int) -> None:
             state["live"] -= 1
-            _check_all_done(self.engine.now)
+            if state["completed"] == state["live"]:
+                flight.close(self.engine.now)
 
         flight.on_done = _on_done
         flight.on_abandon = _on_abandon
-        self._drive_until_closed(closure)
+        self._drive_until_closed(flight)
         return self._finish_dynamic_round(
-            flight, closure["time"], trace_aggregation=True
+            flight, flight.rows_in(_DONE), trace_aggregation=True
         )
 
     def _finish_dynamic_round(
         self,
         flight: _Flight,
-        close_time: float,
+        kept_rows: np.ndarray,
         observed_makespan: Optional[float] = None,
         trace_aggregation: bool = False,
     ) -> RoundRecord:
-        """Shared epilogue of the barrier/quorum dynamic paths.
+        """Shared epilogue of the barrier/quorum flight paths.
 
-        Prices the aggregation over the units that actually completed,
-        drains the aggregation window, advances the learning plane on the
-        surviving decisions, and appends the round record.
+        Prices the aggregation over the units that actually completed
+        (``kept_rows``, in the order their traffic is summed in), drains the
+        aggregation window, advances the learning plane on the surviving
+        decisions, and appends the round record.
         """
         plan, round_index, start = flight.plan, flight.round_index, flight.start
-        close_time = max(close_time, start)
-        kept = plan.decisions.take(flight.rows_in(_DONE))
+        close_time = max(flight.close_time, start)
+        kept = plan.decisions.take(kept_rows)
         self._end_flight()
         # Price aggregation over the surviving set through the strategy's
         # kept-decisions hook: methods that bill communication inside their
@@ -841,7 +717,7 @@ class TrainingRuntime:
             plan,
             accuracy,
             duration=end - start,
-            compute_seconds=close_time - start,
+            compute_seconds=flight.close_elapsed,
             aggregation_seconds=aggregation,
             num_pairs=kept.num_pairs(),
             communication_seconds=self._communication_for(plan, kept),
@@ -849,13 +725,15 @@ class TrainingRuntime:
         )
 
     def _run_round_semi_sync_dynamic(self, round_index: int) -> RoundRecord:
-        """Event-driven quorum closure with in-flight dynamics.
+        """Event-driven quorum closure, with or without in-flight dynamics.
 
         The quorum policy's decision is interpreted live: the round closes
         at the target-count-th completion or at the policy's deadline
         (whichever comes first, always with at least one completion unless
         every unit was abandoned), so churn-induced re-costs and departures
-        genuinely reorder who makes the quorum.
+        genuinely reorder who makes the quorum.  With nothing perturbing the
+        round this is :func:`~repro.runtime.quorum.resolve_quorum` over the
+        sorted plan durations, offsets included.
         """
         flight = self._start_dynamic_round(round_index)
         start = flight.start
@@ -873,13 +751,9 @@ class TrainingRuntime:
         # Counters, as in the sync path: ``live`` units are not abandoned,
         # and ``completed`` of them are done.
         state = {"completed": 0, "live": len(flight), "deadline_passed": False}
-        closure = {"closed": not len(flight), "time": start}
 
-        def _close(at: float) -> None:
-            if closure["closed"]:
-                return
-            closure["closed"] = True
-            closure["time"] = at
+        def _close(at: float, elapsed: float) -> None:
+            flight.close(at, elapsed)
             pending = flight.rows_in(_PENDING)
             self._record(
                 at,
@@ -905,28 +779,24 @@ class TrainingRuntime:
                     detail={"projected_completion": completion},
                 )
 
-        def _maybe_close(at: float) -> None:
+        def _maybe_close(at: float, elapsed: float) -> None:
             # With every live unit done, completed == live >= the effective
             # target, so the target test also closes a fully finished round.
-            if closure["closed"]:
-                return
             live = state["live"]
-            if not live:
-                _close(at)
-                return
-            effective_target = max(1, min(target, live))
-            if state["completed"] >= effective_target:
-                _close(at)
-            elif state["deadline_passed"] and state["completed"] >= 1:
-                _close(at)
+            if (
+                not live
+                or state["completed"] >= max(1, min(target, live))
+                or (state["deadline_passed"] and state["completed"] >= 1)
+            ):
+                _close(at, elapsed)
 
         def _on_done(row: int, at: float) -> None:
             state["completed"] += 1
-            _maybe_close(at)
+            _maybe_close(at, flight.elapsed[row])
 
         def _on_abandon(row: int) -> None:
             state["live"] -= 1
-            _maybe_close(self.engine.now)
+            _maybe_close(self.engine.now, self.engine.now - start)
 
         flight.on_done = _on_done
         flight.on_abandon = _on_abandon
@@ -934,7 +804,7 @@ class TrainingRuntime:
         if decision is not None and decision.deadline_seconds is not None:
 
             def _on_deadline(event: Event) -> None:
-                if closure["closed"]:
+                if flight.closed:
                     return
                 state["deadline_passed"] = True
                 self._record(
@@ -944,7 +814,7 @@ class TrainingRuntime:
                     detail={"deadline_seconds": decision.deadline_seconds},
                 )
                 if state["completed"] >= 1:
-                    _close(event.timestamp)
+                    _close(event.timestamp, decision.deadline_seconds)
 
             self.engine.schedule_at(
                 start + decision.deadline_seconds,
@@ -953,37 +823,30 @@ class TrainingRuntime:
                 callback=_on_deadline,
             )
 
-        self._drive_until_closed(closure)
+        self._drive_until_closed(flight)
         # Untruncated local-phase makespan: for dropped stragglers this is
         # their projected completion, so the quorum statistics observe what
         # the round *would* have taken under a full barrier.
-        live = np.delete(np.array(flight.due), flight.rows_in(_ABANDONED))
-        full_makespan = float((live - start).max()) if len(live) else 0.0
+        live = np.delete(np.array(flight.elapsed), flight.rows_in(_ABANDONED))
+        # Kept traffic adds up in completion order.
         return self._finish_dynamic_round(
             flight,
-            closure["time"],
-            observed_makespan=full_makespan,
+            np.array(flight.done, dtype=np.int64),
+            observed_makespan=float(live.max()) if len(live) else 0.0,
         )
 
     def _run_round_async_dynamic(self, round_index: int) -> RoundRecord:
-        """Per-unit gossip aggregation with in-flight dynamics.
+        """Per-unit gossip aggregation, with or without in-flight dynamics.
 
         Each surviving unit's completion schedules its own aggregation;
         the round closes when every non-abandoned unit has aggregated.
-        Unlike the closed-form async path, gossip costs are priced at
-        completion time, so mid-round churn affects them too.
+        Gossip costs are priced at completion time, so mid-round churn
+        affects them too.
         """
         flight = self._start_dynamic_round(round_index)
         plan, start = flight.plan, flight.start
         learning_rate = self._lr_schedule.learning_rate
         state = {"accuracy": self._last_accuracy, "outstanding": len(flight)}
-        closure = {"closed": not len(flight), "time": start}
-
-        def _close(at: float) -> None:
-            if closure["closed"]:
-                return
-            closure["closed"] = True
-            closure["time"] = at
 
         def _aggregate(event: Event) -> None:
             unit: WorkUnit = event.payload
@@ -1000,7 +863,7 @@ class TrainingRuntime:
             )
             state["outstanding"] -= 1
             if state["outstanding"] <= 0:
-                _close(event.timestamp)
+                flight.close(event.timestamp)
 
         def _on_done(row: int, at: float) -> None:
             unit = plan.unit(row)
@@ -1012,20 +875,18 @@ class TrainingRuntime:
         def _on_abandon(row: int) -> None:
             state["outstanding"] -= 1
             if state["outstanding"] <= 0:
-                _close(self.engine.now)
+                flight.close(self.engine.now)
 
         flight.on_done = _on_done
         flight.on_abandon = _on_abandon
-        self._drive_until_closed(closure)
-        end = max(closure["time"], start)
+        self._drive_until_closed(flight)
+        end = max(flight.close_time, start)
         done = flight.rows_in(_DONE)
-        # A done unit's ``due`` is when it completed.
-        compute = (
-            float((np.array(flight.due)[done] - start).max()) if len(done) else 0.0
-        )
-        # Like the other dynamic paths, the record reflects only the units
+        compute = float(np.array(flight.elapsed)[done].max()) if len(done) else 0.0
+        # Like the other flight paths, the record reflects only the units
         # that actually ran: an abandoned pair contributes neither its pair
-        # count nor its offload traffic.
+        # count nor its offload traffic, and kept traffic adds up in row
+        # order.
         kept = plan.decisions.take(done)
         self._end_flight()
         self.engine.run_until(end)
@@ -1045,27 +906,21 @@ class TrainingRuntime:
     def run_round(self, round_index: int) -> RoundRecord:
         """Execute one global round in the configured mode.
 
-        A non-empty :class:`~repro.runtime.dynamics.DynamicsSchedule`
-        selects the dynamics-aware execution paths; otherwise the original
-        closed-form paths run (``sync`` stays bit-for-bit identical to the
-        seed loops).
+        Semi-sync and async rounds run on the flight table.  A sync round
+        does too under a non-empty
+        :class:`~repro.runtime.dynamics.DynamicsSchedule`; without one it
+        runs in closed form, bit-for-bit identical to the seed loops.
         """
         mode = self.config.execution_mode
         self._current_round = round_index
-        if self.dynamics:
-            if mode == "sync":
+        if mode == "sync":
+            if self.dynamics:
                 return self._run_round_sync_dynamic(round_index)
-            if mode == "semi-sync":
-                return self._run_round_semi_sync_dynamic(round_index)
-            if mode == "async":
-                return self._run_round_async_dynamic(round_index)
-        else:
-            if mode == "sync":
-                return self._run_round_sync(round_index)
-            if mode == "semi-sync":
-                return self._run_round_semi_sync(round_index)
-            if mode == "async":
-                return self._run_round_async(round_index)
+            return self._run_round_sync(round_index)
+        if mode == "semi-sync":
+            return self._run_round_semi_sync_dynamic(round_index)
+        if mode == "async":
+            return self._run_round_async_dynamic(round_index)
         raise ValueError(f"unknown execution mode {mode!r}")
 
     def run(self) -> RunHistory:

@@ -5,10 +5,9 @@ work is decomposed, priced, and aggregated — expressed as a
 :class:`RoundPlan`: the round's decisions as one
 :class:`~repro.core.pairing.PairingPlan` of columns plus a duration column,
 one work unit per decision.  :class:`WorkUnit` objects are views of those
-columns, built only where one unit is handled at a time: all of them by the
-closed-form semi-sync quorum and async per-unit events
-(:attr:`RoundPlan.units`), and one at a time by the strategy hooks of the
-in-flight dynamics (:meth:`RoundPlan.unit`).  Everything methods share (churn,
+columns, built one at a time (:meth:`RoundPlan.unit`) only where one unit is
+handled on its own: an async unit's gossip aggregation and the strategy
+hooks of the in-flight dynamics.  Everything methods share (churn,
 participation sampling, the LR schedule, accuracy tracking, history, the
 event loop) lives in the runtime.  ComDML's strategy derives its plan from
 the pairing scheduler; each baseline derives its plan from its
@@ -29,7 +28,6 @@ between ``core/comdml.py`` and ``baselines/base.py``:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -52,7 +50,7 @@ class WorkUnit:
     the baselines a unit is one participant training the full model.  Units
     are what the ``semi-sync`` quorum counts and what the ``async`` mode
     aggregates one at a time.  A unit is a view of row ``index`` of its
-    :class:`RoundPlan`'s columns (see :attr:`RoundPlan.units`); its
+    :class:`RoundPlan`'s columns (see :meth:`RoundPlan.unit`); its
     decision is built only when asked for.
     """
 
@@ -103,7 +101,7 @@ class RoundPlan:
     num_pairs: int
 
     def unit(self, row: int) -> WorkUnit:
-        """Unit ``row`` as a view equal to ``units[row]``, building no other."""
+        """Unit ``row`` as a view of the plan's columns."""
         decisions = self.decisions
         slow = int(decisions.slow_id[row])
         fast = int(decisions.fast_id[row])
@@ -113,27 +111,6 @@ class RoundPlan:
             duration=float(self.durations[row]),
             pairing=decisions,
         )
-
-    @cached_property
-    def units(self) -> tuple[WorkUnit, ...]:
-        """The round's work units as views, built in one pass on first use.
-
-        Built without the frozen dataclass ``__init__`` (which routes every
-        field through ``object.__setattr__``): filling each ``__dict__``
-        wholesale builds equal units in about 70 % of the time.
-        """
-        new = object.__new__
-        pairing = self.decisions
-        units = []
-        for index, (agent_ids, duration) in enumerate(
-            zip(pairing.unit_agent_ids(), self.durations.tolist())
-        ):
-            unit = new(WorkUnit)
-            unit.__dict__.update(
-                index=index, agent_ids=agent_ids, duration=duration, pairing=pairing
-            )
-            units.append(unit)
-        return tuple(units)
 
 
 @runtime_checkable

@@ -6,21 +6,22 @@ the :class:`~repro.runtime.TrainingRuntime`: every training run — ComDML
 and all baselines alike — advances its clock by scheduling round and
 work-unit events here.  ``sync`` mode
 (``ComDMLConfig.execution_mode = "sync"``) schedules one round-closing
-event per round; ``semi-sync`` and ``async`` modes schedule per-pair
-completion, quorum, and gossip-aggregation events (a dynamics-aware round
-schedules its initial unit completions as one
+event per round; ``semi-sync`` and ``async`` modes (and ``sync`` under a
+schedule) schedule a round's unit completions as one
 :class:`~repro.sim.events.EventBatch` through
-:meth:`SimulationEngine.schedule_batch`); and a
+:meth:`SimulationEngine.schedule_batch`, plus quorum-deadline,
+re-cost and gossip-aggregation events; and a
 :class:`~repro.runtime.dynamics.DynamicsSchedule` registers timestamped
 arrival/departure/churn events directly on the engine at construction
 time, which is what lets them land *mid-round* while work is in flight.
 
 Two driving styles coexist: :meth:`SimulationEngine.run_until` processes
-everything up to a known horizon (the closed-form round paths), while
-:meth:`SimulationEngine.step` advances one event at a time until a caller's
-closure condition fires (the dynamics-aware paths, where a round's end is
-not known upfront because churn can re-cost in-flight work).  Both rely on
-the queue's total event order for bit-for-bit deterministic runs.
+everything up to a known horizon (a sync round without a schedule, and
+every round's aggregation window), while :meth:`SimulationEngine.step`
+advances one event at a time until a caller's closure condition fires
+(the flight-table rounds, whose end a quorum, a deadline, the last gossip
+aggregation or mid-round churn decides as the round runs).  Both rely on the queue's total
+event order for bit-for-bit deterministic runs.
 
 A batch changes none of that order: each of its rows fires under the key
 its own :meth:`SimulationEngine.schedule_at` call would have had, counts in

@@ -72,7 +72,8 @@ class TestComDMLRound:
         assert [
             obj for obj in live_per_unit_objects() if id(obj) not in before_ids
         ] == []
-        assert len(plan.units) == len(plan.decisions) == len(plan.durations)
+        units = [plan.unit(row) for row in range(len(plan.durations))]
+        assert len(units) == len(plan.decisions) == len(plan.durations)
         assert [obj for obj in live_per_unit_objects() if id(obj) not in before_ids]
 
     def test_sync_round_trace_builds_no_per_unit_events(self, small_registry):
@@ -117,9 +118,9 @@ class TestComDMLRound:
 
         In a steady semi-sync round with mid-round churn, a departure and an
         arrival, the unit completions are one engine batch (plus one event
-        per re-cost), ``RoundPlan.units`` and the plan's decision views are
-        never built, a ``WorkUnit`` exists only for each re-cost, and the
-        completions reach the trace as columns, built when it is read.
+        per re-cost), the plan's decision views are never built, a
+        ``WorkUnit`` exists only for each re-cost, and the completions reach
+        the trace as columns, built when it is read.
         """
 
         def build(schedule: DynamicsSchedule) -> ComDML:
@@ -196,7 +197,7 @@ class TestComDMLRound:
         assert len(plan.durations) >= 15
         assert 1 <= len(repriced) <= 4
         assert len(scheduled) <= len(repriced) + 3
-        assert "units" not in vars(plan) and "views" not in vars(plan.decisions)
+        assert "views" not in vars(plan.decisions)
         units = {id(obj) for obj in built if type(obj) is WorkUnit}
         assert units == {id(unit) for unit in repriced}
         decisions = (PairingDecision, OffloadEstimate)

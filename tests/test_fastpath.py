@@ -238,8 +238,9 @@ class TestGreedyEquivalence:
                 profile=PROFILE,
             )
             round_plan = comdml.plan_round(0, comdml.registry.agents)
-            assert round_plan.units
-            for unit in round_plan.units:
+            assert len(round_plan.durations)
+            for row in range(len(round_plan.durations)):
+                unit = round_plan.unit(row)
                 assert type(unit.index) is int
                 assert type(unit.duration) is float
                 assert all(type(agent_id) is int for agent_id in unit.agent_ids)

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.agents.agent import Agent
 from repro.agents.resources import CPU_PROFILES, ResourceProfile
+from repro.baselines import AllReduceDML, BrainTorrent, FedAvg, GossipLearning
+from repro.core.comdml import ComDML
 from repro.core.pairing import greedy_pairing, pairing_makespan
 from repro.core.profiling import profile_architecture
 from repro.core.workload import estimate_offload_time, individual_training_time
@@ -511,12 +513,23 @@ def test_sync_runtime_history_deterministic_under_fixed_seed(seed, num_agents):
 # ----------------------------------------------------------------------
 # Round closure under mid-round dynamics, in every mode
 # ----------------------------------------------------------------------
+#: The paper's five methods, by name, as the closure property draws them.
+CLOSURE_METHODS = {
+    "ComDML": ComDML,
+    "Gossip Learning": GossipLearning,
+    "BrainTorrent": BrainTorrent,
+    "AllReduce": AllReduceDML,
+    "FedAvg": FedAvg,
+}
+
+
 @st.composite
 def closure_runs(draw):
     """A small population, an optional dynamics schedule and a run mode.
 
-    Without a schedule the run takes the closed-form round paths.  With
-    one, the schedule is non-empty: departures may draw any agent, and an
+    The method is any of the paper's five, at full or half participation.
+    Without a schedule a sync run takes the closed-form round.  With one,
+    the schedule is non-empty: departures may draw any agent, and an
     optional drawn time makes every agent depart at once, so rounds may
     run on an emptied population.
     """
@@ -527,7 +540,8 @@ def closure_runs(draw):
         "arrivals": [],
         "departures": [],
         "churns": [],
-        "method": draw(st.sampled_from(("ComDML", "AllReduce"))),
+        "method": draw(st.sampled_from(sorted(CLOSURE_METHODS))),
+        "participation": draw(st.sampled_from((1.0, 0.5))),
         "mode": draw(st.sampled_from(("sync", "semi-sync", "async"))),
         "quorum_policy": draw(st.sampled_from(("fixed", "deadline"))),
         "seed": draw(st.integers(min_value=0, max_value=2**16)),
@@ -574,21 +588,21 @@ def test_dynamic_round_closure_accounts_for_every_unit(run):
     round aggregates or abandons each, and a semi-sync quorum keeps, drops
     or abandons each.  These are the counters the closures run on, checked
     against the plan and the trace; the trace's sink accounting closes too.
-    Without a dynamics schedule (the closed-form paths) nothing is
-    abandoned, and the sync round's completions, recorded as one block,
-    cover the round's participants exactly once.
+    Without a dynamics schedule nothing is abandoned, and the closed-form
+    sync round's completions, recorded as one block, cover the round's
+    participants exactly once.
 
     In every mode, with or without a schedule: each participant is in
     exactly one unit of its round's plan, a semi-sync quorum keeps and
     drops units of the plan (disjointly), a sync round's compute time
     covers every completion it waited for, and the participation fraction
-    the learning plane sees lies in [0, 1].
+    the learning plane sees lies in [0, 1].  FedAvg bills the transfers of
+    its unit chains outside ``compute_seconds``, so its completions are
+    bounded by the round's ``duration_seconds`` instead.
     """
     from collections import Counter
 
     from repro.agents.registry import AgentRegistry
-    from repro.baselines import AllReduceDML
-    from repro.core.comdml import ComDML
     from repro.core.config import ComDMLConfig
     from repro.runtime.dynamics import DynamicsSchedule
 
@@ -609,8 +623,7 @@ def test_dynamic_round_closure_accounts_for_every_unit(run):
     for time, targets in run["churns"]:
         schedule.churn(time, **targets)
 
-    trainer_cls = ComDML if run["method"] == "ComDML" else AllReduceDML
-    trainer = trainer_cls(
+    trainer = CLOSURE_METHODS[run["method"]](
         registry=AgentRegistry.build(
             num_agents=num_agents,
             rng=np.random.default_rng(run["seed"]),
@@ -624,6 +637,7 @@ def test_dynamic_round_closure_accounts_for_every_unit(run):
             execution_mode=run["mode"],
             quorum_policy=run["quorum_policy"],
             quorum_deadline_factor=0.8,
+            participation_fraction=run["participation"],
             seed=run["seed"],
         ),
         profile=PROFILE,
@@ -659,7 +673,7 @@ def test_dynamic_round_closure_accounts_for_every_unit(run):
         assert sorted(plan.decisions.agent_ids()) == sorted(
             participants_per_round[round_index]
         )
-        plan_units = set(plan.decisions.unit_agent_ids())
+        plan_units = {plan.unit(row).agent_ids for row in range(units)}
         events = trace.for_round(round_index)
         counts = Counter(event.kind for event in events)
         abandoned = counts["unit_abandoned"]
@@ -669,11 +683,16 @@ def test_dynamic_round_closure_accounts_for_every_unit(run):
         if run["mode"] == "sync":
             assert counts["unit_complete"] + abandoned == units
             start = next(e.timestamp for e in events if e.kind == "round_start")
-            compute = history.records[round_index].compute_seconds
+            record = history.records[round_index]
+            bound = (
+                record.duration_seconds
+                if run["method"] == "FedAvg"
+                else record.compute_seconds
+            )
             for event in completed:
                 # Two rounding steps separate a completion from its duration.
                 slack = 2 * math.ulp(event.timestamp)
-                assert event.timestamp - start <= compute + slack
+                assert event.timestamp - start <= bound + slack
             if not run["dynamics"]:
                 covered = [
                     agent_id

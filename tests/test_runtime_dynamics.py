@@ -380,9 +380,9 @@ class TestDynamicRunsStayCoherent:
     def test_inert_schedule_matches_no_schedule_for_fedavg(self, mode):
         """A schedule whose only event never fires must not change records.
 
-        Guards the dynamic paths' pricing against divergence from the
-        closed-form paths — e.g. FedAvg bills communication inside its unit
-        chains and must not be charged round-level aggregation again.
+        Guards the flight table's pricing against divergence from the
+        closed-form sync round — e.g. FedAvg bills communication inside its
+        unit chains and must not be charged round-level aggregation again.
         """
 
         def run(dynamics):

@@ -1,14 +1,20 @@
 """Tests for the semi-sync and async runtime execution modes."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.baselines import AllReduceDML, FedAvg
 from repro.cli import main
 from repro.core.comdml import ComDML
 from repro.core.config import ComDMLConfig
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import PAPER_COMPARISON_METHODS, ExperimentRunner
 from repro.experiments.scenarios import ScenarioConfig
 from repro.models.resnet import resnet56_spec
+from repro.runtime.audit import ChainState
+from repro.runtime.dynamics import DynamicsSchedule
+from repro.runtime.quorum import resolve_quorum
 
 
 def make_comdml(registry, **config_kwargs):
@@ -279,3 +285,160 @@ class TestModesEndToEnd:
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "ComDML" in captured and "AllReduce" in captured
+
+
+#: A scenario whose semi-sync rounds drop stragglers under every quorum
+#: policy: churn between rounds, a 0.6 quorum, and a deadline below the
+#: running makespan mean.
+ONE_PATH_SCENARIO = dict(
+    num_agents=10,
+    max_rounds=6,
+    offload_granularity=9,
+    samples_per_agent=500,
+    churn_fraction=0.3,
+    churn_interval_rounds=2,
+    quorum_fraction=0.6,
+    quorum_deadline_factor=0.9,
+    seed=3,
+)
+
+#: The semi-sync quorum policies and async, as scenario overrides.
+EVENT_DRIVEN_MODES = {
+    "semi-sync-fixed": dict(execution_mode="semi-sync", quorum_policy="fixed"),
+    "semi-sync-deadline": dict(execution_mode="semi-sync", quorum_policy="deadline"),
+    "semi-sync-adaptive": dict(execution_mode="semi-sync", quorum_policy="adaptive"),
+    "async": dict(execution_mode="async"),
+}
+
+
+def digest_and_chain_head(history, trace) -> tuple[str, str]:
+    chain = ChainState()
+    for payload in trace.to_dicts():
+        chain.update(payload)
+    return history.digest(), chain.head
+
+
+class TestOnePathPerMode:
+    """Semi-sync and async rounds run one path, with or without a schedule."""
+
+    @pytest.mark.parametrize("participation", (1.0, 0.5))
+    @pytest.mark.parametrize("method", PAPER_COMPARISON_METHODS)
+    @pytest.mark.parametrize("mode", sorted(EVENT_DRIVEN_MODES))
+    def test_a_schedule_that_never_fires_changes_nothing(
+        self, mode, method, participation
+    ):
+        """An event due after the run leaves the history and the trace alone."""
+        runner = ExperimentRunner(
+            ScenarioConfig(
+                **ONE_PATH_SCENARIO,
+                **EVENT_DRIVEN_MODES[mode],
+                participation_fraction=participation,
+            )
+        )
+        schedule = DynamicsSchedule()
+        schedule.churn(1e12, fraction=0.5)
+        plain = runner.run_method_with_trace(method)
+        scheduled = runner.run_method_with_trace(method, dynamics=schedule)
+        assert scheduled[0].total_time < 1e12
+        assert digest_and_chain_head(*scheduled) == digest_and_chain_head(*plain)
+
+    @pytest.mark.parametrize("method", PAPER_COMPARISON_METHODS)
+    @pytest.mark.parametrize("policy", ("fixed", "deadline", "adaptive"))
+    def test_resolve_quorum_predicts_each_unperturbed_round(self, policy, method):
+        """Without a schedule a quorum round closes where ``resolve_quorum`` says.
+
+        Over the round's plan durations, sorted, the policy's decision
+        resolves to exactly the count the round's ``quorum_reached`` event
+        keeps and the offset its record reports as ``compute_seconds``.
+        """
+        runner = ExperimentRunner(
+            ScenarioConfig(
+                **ONE_PATH_SCENARIO, execution_mode="semi-sync", quorum_policy=policy
+            )
+        )
+        trainer = runner.build_method(method)
+        plans, decisions = [], []
+        plan_round = trainer.plan_round
+
+        def recording_plan_round(round_index, participants):
+            plans.append(plan_round(round_index, participants))
+            return plans[-1]
+
+        policy_object = trainer.runtime.quorum_policy
+        decide = policy_object.decide
+
+        def recording_decide(durations, stats):
+            decisions.append(decide(durations, stats))
+            return decisions[-1]
+
+        trainer.plan_round = recording_plan_round
+        policy_object.decide = recording_decide
+        history = trainer.run()
+        quorums = trainer.trace.of_kind("quorum_reached")
+        assert len(plans) == len(decisions) == len(quorums) == len(history)
+        closes = []
+        for plan, decision, quorum, record in zip(
+            plans, decisions, quorums, history.records
+        ):
+            kept, close = resolve_quorum(decision, sorted(plan.durations.tolist()))
+            assert quorum.detail["kept"] == kept
+            assert record.compute_seconds == close
+            closes.append(close == decision.deadline_seconds)
+        # The deadline policy closes some rounds at its deadline.
+        assert any(closes) == (policy == "deadline")
+
+    def test_identical_rounds_tighten_the_adaptive_quorum_to_its_floor(self):
+        """Rounds that repeat one plan observe one makespan, exactly.
+
+        Without churn every AllReduce round plans the same ten units, so
+        the observed makespans are equal, their CV is zero, and from the
+        third round on the adaptive quorum keeps its floor of 6.  A CV
+        that is off by rounding (``E[x²] - mean²``, or offsets re-derived
+        as ``(start + d) - start``) keeps 7.
+        """
+        scenario = dict(ONE_PATH_SCENARIO, churn_fraction=0.0, max_rounds=12)
+        runner = ExperimentRunner(
+            ScenarioConfig(
+                **scenario, execution_mode="semi-sync", quorum_policy="adaptive"
+            )
+        )
+        _, trace = runner.run_method_with_trace("AllReduce")
+        kept = [event.detail["kept"] for event in trace.of_kind("quorum_reached")]
+        assert kept == [10, 10] + [6] * 10
+
+    @pytest.mark.parametrize("mode", ("async", "sync"))
+    def test_a_finished_round_frees_its_plan_without_the_collector(
+        self, small_registry, mode
+    ):
+        """A flight's hooks close over it; ending the round unhooks them.
+
+        Every unit of these rounds completes, so no stale batch row keeps
+        the flight queued, and the round's plan (with its decision views)
+        is freed by reference counting alone.  The sync run carries a
+        schedule that never fires, so it runs on the flight table too.
+        """
+        schedule = DynamicsSchedule()
+        schedule.churn(1e12, fraction=0.5)
+        comdml = ComDML(
+            registry=small_registry,
+            spec=resnet56_spec(),
+            config=ComDMLConfig(
+                max_rounds=2, offload_granularity=9, seed=3, execution_mode=mode
+            ),
+            dynamics=schedule if mode == "sync" else None,
+        )
+        plans = []
+        plan_round = comdml.plan_round
+
+        def recording_plan_round(round_index, participants):
+            plan = plan_round(round_index, participants)
+            plans.append(weakref.ref(plan))
+            return plan
+
+        comdml.plan_round = recording_plan_round
+        gc.disable()
+        try:
+            comdml.run_round(0)
+            assert plans[0]() is None
+        finally:
+            gc.enable()

@@ -1,15 +1,15 @@
 """Golden regression for the event-driven execution paths.
 
-``tests/data/runtime_sync_golden.json`` pins the closed-form sync path;
-this file pins the others.  ``tests/data/runtime_modes_golden.json`` holds,
+``tests/data/runtime_sync_golden.json`` pins the closed-form sync round;
+this file pins the flight-table rounds.  ``tests/data/runtime_modes_golden.json`` holds,
 for every case in :data:`CASES` and every method in :data:`METHODS`, the
 run's :meth:`~repro.training.metrics.RunHistory.digest`, the hash-chain
 head of its trace (:class:`~repro.runtime.audit.ChainState` folded over
 ``EventTrace.to_dicts()``) and the trace's ``kind_counts``.
 
-The cases cover the closed-form ``semi-sync`` and ``async`` paths and all
-three dynamics-aware paths (``sync``, ``semi-sync`` under a fixed and a
-deadline quorum, ``async``).  Their schedule churns, departs and admits
+The cases cover ``semi-sync`` and ``async`` without a schedule and all
+three modes under one (``sync``, ``semi-sync`` under a fixed and a
+deadline quorum, ``async``).  The schedule churns, departs and admits
 agents mid-round, so ``unit_repriced``, ``unit_abandoned`` and ``arrival``
 fire, and the deadline case fires ``quorum_deadline`` too.
 

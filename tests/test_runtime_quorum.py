@@ -1,6 +1,10 @@
 """Tests for the pluggable semi-sync quorum policies."""
 
+import statistics
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import ComDMLConfig
 from repro.core.scheduler import SchedulerStats
@@ -115,6 +119,37 @@ class TestAdaptive:
     def test_rejects_start_below_floor(self):
         with pytest.raises(ValueError):
             AdaptiveQuorum(floor_fraction=0.8, start_fraction=0.5)
+
+
+class TestMakespanStatistics:
+    def test_identical_makespans_have_zero_dispersion(self):
+        """``E[x²] - mean²`` left a CV of 1.6e-8 here, and one unit too many."""
+        stats = stats_with(*[486.44176886624984] * 6)
+        assert stats.makespan_variance == 0.0
+        assert stats.makespan_cv == 0.0
+        durations = [float(duration) for duration in range(1, 11)]
+        assert AdaptiveQuorum(0.6).decide(durations, stats).target_count == 6
+
+    @given(
+        makespan=st.floats(min_value=1e-3, max_value=1e7),
+        count=st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_repeated_makespan_has_zero_variance(self, makespan, count):
+        stats = stats_with(*[makespan] * count)
+        assert stats.makespan_variance == 0.0
+        assert stats.average_makespan == pytest.approx(makespan)
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=40)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_variance_matches_the_two_pass_formula(self, makespans):
+        stats = stats_with(*makespans)
+        assert stats.makespan_variance == pytest.approx(
+            statistics.pvariance(makespans), rel=1e-9, abs=1e-6
+        )
+        assert stats.average_makespan == sum(makespans) / len(makespans)
 
 
 class TestResolveEdges:

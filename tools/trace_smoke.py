@@ -15,13 +15,13 @@ End-to-end through the real CLI:
 5. **Campaign chain** — a mini ``campaign run --summary-json`` output
    passes ``verify_campaign_summary`` and fails it after one cell digest
    is mutated.
-6. **Dynamics-aware blocks** — a semi-sync ComDML run under a seeded
+6. **Flight-table blocks** — a semi-sync ComDML run under a seeded
    ``DynamicsSchedule`` (arrivals, departures and churn landing
-   mid-round) through ``ExperimentRunner.run_method_sealed`` verifies
-   clean, and its sealed events equal ``to_dicts()`` of the same run on
-   the default in-memory pipeline: the unit completions the runtime
-   records as blocks read back as the stream the sealed sink received
-   event by event.
+   mid-round), and a semi-sync and an async run without one, each through
+   ``ExperimentRunner.run_method_sealed``, verify clean, and their sealed
+   events equal ``to_dicts()`` of the same run on the default in-memory
+   pipeline: the unit completions the runtime records as blocks read back
+   as the stream the sealed sink received event by event.
 
 Exits non-zero on any violation.  Run locally with::
 
@@ -34,6 +34,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -232,28 +233,64 @@ def dynamics_schedule() -> DynamicsSchedule:
     return schedule
 
 
+def sealed_equals_memory(
+    config: ScenarioConfig,
+    label: str,
+    tmp_path: Path,
+    failures: list[str],
+    schedule: Optional[Callable[[], DynamicsSchedule]] = None,
+) -> EventTrace:
+    """Run ComDML sealed and in memory; the two must read back the same events.
+
+    ``schedule`` builds a fresh schedule for each run (a schedule's agents
+    are mutated by the run that carries it).  Returns the in-memory trace.
+    """
+    runner = ExperimentRunner(config)
+    sealed_path = tmp_path / f"{label}.jsonl"
+    sealed_history = runner.run_method_sealed(
+        "ComDML",
+        sealed_path,
+        dynamics=schedule() if schedule else None,
+        segment_events=16,
+    )
+    check(
+        verify_sealed_jsonl(sealed_path).ok,
+        f"{label}: sealed trace verifies clean",
+        failures,
+    )
+    history, trace = runner.run_method_with_trace(
+        "ComDML", dynamics=schedule() if schedule else None
+    )
+    check(
+        read_sealed_events(sealed_path) == trace.to_dicts(),
+        f"{label}: sealed events equal the block-recorded in-memory events",
+        failures,
+    )
+    check(
+        sealed_history.digest() == history.digest(),
+        f"{label}: the sealed and in-memory runs have one history",
+        failures,
+    )
+    return trace
+
+
 def dynamic_round_blocks(tmp_path: Path, failures: list[str]) -> None:
-    runner = ExperimentRunner(
-        ScenarioConfig(
+    def config(mode: str) -> ScenarioConfig:
+        return ScenarioConfig(
             num_agents=16,
-            execution_mode="semi-sync",
+            execution_mode=mode,
             max_rounds=6,
             offload_granularity=9,
             samples_per_agent=500,
             seed=3,
         )
-    )
-    sealed_path = tmp_path / "dynamic.jsonl"
-    sealed_history = runner.run_method_sealed(
-        "ComDML", sealed_path, dynamics=dynamics_schedule(), segment_events=16
-    )
-    check(
-        verify_sealed_jsonl(sealed_path).ok,
-        "dynamics-aware semi-sync sealed trace verifies clean",
+
+    trace = sealed_equals_memory(
+        config("semi-sync"),
+        "dynamics-aware semi-sync",
+        tmp_path,
         failures,
-    )
-    history, trace = runner.run_method_with_trace(
-        "ComDML", dynamics=dynamics_schedule()
+        schedule=dynamics_schedule,
     )
     kinds = trace.kind_counts()
     check(
@@ -264,16 +301,13 @@ def dynamic_round_blocks(tmp_path: Path, failures: list[str]) -> None:
         "the schedule re-costs and abandons units mid-round",
         failures,
     )
-    check(
-        read_sealed_events(sealed_path) == trace.to_dicts(),
-        "sealed events equal the block-recorded in-memory events",
-        failures,
-    )
-    check(
-        sealed_history.digest() == history.digest(),
-        "the sealed and in-memory runs have one history",
-        failures,
-    )
+    for mode in ("semi-sync", "async"):
+        trace = sealed_equals_memory(config(mode), mode, tmp_path, failures)
+        check(
+            trace.kind_counts().get("unit_complete", 0) > 0,
+            f"{mode}: units complete without a schedule",
+            failures,
+        )
 
 
 def main_smoke() -> int:
