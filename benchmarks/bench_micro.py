@@ -257,6 +257,76 @@ def test_planner_round_speed(benchmark, kind, n):
     assert sorted(plan.agent_ids()) == [agent.agent_id for agent in agents]
 
 
+#: Population of the planner dynamics bench (perfbench's semi-sync size).
+DYNAMICS_POPULATION = 10_000
+
+#: Random-k arrivals and departures applied before each timed plan.
+DYNAMICS_EVENTS = 20
+
+#: Timed plans of the planner dynamics bench.
+DYNAMICS_ROUNDS = 10
+
+
+def test_planner_dynamics_round_speed(benchmark):
+    """A planner round under dynamics: perfbench's semi-sync planner mix
+    without the runtime.
+
+    10 000 agents on random-k(6) with ``top_k=32``.  Before each timed
+    plan the untimed setup applies 20 random-k arrivals, 20 departures and
+    1 % churn, so every plan re-costs by cause and moves rows in and out
+    of the planner state.  ``extra_info`` records the mean rows re-costed
+    and pair options evaluated per timed plan, so trajectory snapshots
+    show if re-costing grows again.  No gate reads this bench.
+    """
+    profile = profile_architecture(resnet56_spec(), granularity=9)
+    agents = _planner_population(DYNAMICS_POPULATION)
+    link_model = _planner_link_model(agents, "random-k")
+    topology = link_model.topology
+    planner = PrunedPlanner(profile, link_model, top_k=32)
+    planner.plan(agents)  # first-round build happens outside the timer
+    rng = np.random.default_rng(31)
+    next_id = [DYNAMICS_POPULATION]
+
+    def dynamics():
+        for _ in range(DYNAMICS_EVENTS):
+            agent_id = next_id[0]
+            next_id[0] += 1
+            topology.attach_agent(agent_id, policy="random-k", k=6, rng=rng)
+            agents.append(
+                Agent(
+                    agent_id=agent_id,
+                    profile=ResourceProfile(
+                        float(rng.choice([4.0, 2.0, 1.0, 0.5])),
+                        float(rng.choice([10.0, 50.0, 100.0])),
+                    ),
+                    num_samples=int(rng.integers(200, 3_000)),
+                    batch_size=100,
+                )
+            )
+        gone = rng.choice(len(agents), size=DYNAMICS_EVENTS, replace=False)
+        for index in sorted(gone.tolist(), reverse=True):
+            topology.remove_agent(agents.pop(index).agent_id)
+        for index in rng.choice(len(agents), size=len(agents) // 100, replace=False):
+            agent = agents[int(index)]
+            agent.update_profile(
+                ResourceProfile(
+                    float(rng.choice([4.0, 2.0, 1.0, 0.5])),
+                    agent.profile.bandwidth_mbps,
+                )
+            )
+        return (list(agents),), {}
+
+    stats = planner.stats
+    before = (stats.rounds, stats.rows_recomputed, stats.pairs_evaluated)
+    plan = benchmark.pedantic(
+        planner.plan, setup=dynamics, rounds=DYNAMICS_ROUNDS, iterations=1
+    )
+    plans = stats.rounds - before[0]
+    benchmark.extra_info["rows_recomputed"] = (stats.rows_recomputed - before[1]) / plans
+    benchmark.extra_info["pairs_evaluated"] = (stats.pairs_evaluated - before[2]) / plans
+    assert sorted(plan.agent_ids()) == sorted(agent.agent_id for agent in agents)
+
+
 def test_planner_cold_build_speed(benchmark):
     """Worst case: plan 5 000 agents from scratch (no caches at all)."""
     profile = profile_architecture(resnet56_spec(), granularity=9)

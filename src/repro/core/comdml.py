@@ -82,11 +82,6 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
             engage_threshold=self.config.planner_threshold,
             improvement_threshold=self.config.improvement_threshold,
         )
-        #: Agent ids whose planner rows went stale since the last plan.
-        #: Arrival/departure bursts coalesce here and flush as ONE
-        #: invalidation at plan time, so d events cost one O(d·k·s)
-        #: re-cost pass instead of d separate dirty-closure scans.
-        self._pending_invalidations: set[int] = set()
         self.scheduler = DecentralizedPairingScheduler(
             registry=registry,
             link_model=self.link_model,
@@ -133,7 +128,6 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
         self, round_index: int, participants: Sequence[Agent]
     ) -> RoundPlan:
         """Pair the participants and price the round from the pairing plan."""
-        self._flush_invalidations()
         decisions = self.scheduler.plan_round(participants)
         timing = compute_round_timing(
             decisions,
@@ -218,7 +212,11 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
         ).pair_time
 
     def on_agent_arrival(self, agent, neighbors=None, attachment=None) -> None:
-        """Wire a mid-run arrival into the communication topology."""
+        """Wire a mid-run arrival into the communication topology.
+
+        The planner needs no call: its next plan reads the wiring change
+        from the topology's journal.
+        """
         if attachment is None:
             self.topology.add_agent(agent.agent_id, neighbors)
         else:
@@ -229,12 +227,10 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
                 rng=attachment.rng_for(agent.agent_id),
                 neighbors=neighbors,
             )
-        self._pending_invalidations.add(agent.agent_id)
 
     def on_agent_departure(self, agent) -> None:
         """Drop a departed agent's topology links."""
         self.topology.remove_agent(agent.agent_id)
-        self._pending_invalidations.add(agent.agent_id)
 
     def planner_report(self) -> dict:
         """Operation counters of this run's planner.
@@ -246,18 +242,6 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
         planner behaviour across the sweep.
         """
         return self.planner.stats.report()
-
-    def _flush_invalidations(self) -> None:
-        """Hand the coalesced dynamics dirty set to the planner, once.
-
-        Arrivals and departures are wiring changes, so this flushes
-        through :meth:`~repro.core.planner.PrunedPlanner.invalidate_topology`
-        — the planner applies the topology journal's O(Δ) edits to its
-        CSR structure eagerly, off the next plan's critical path.
-        """
-        if self._pending_invalidations:
-            self.planner.invalidate_topology(sorted(self._pending_invalidations))
-        self._pending_invalidations.clear()
 
 
 def _default_curve_preset():

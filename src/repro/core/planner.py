@@ -15,29 +15,42 @@ computed.  With ``k ≥ n − 1`` no candidate is dropped and the planner is
 *decision-identical* to the dense kernel (Hypothesis-enforced in
 ``tests/test_planner.py``): every elementwise expression mirrors the exact
 operation order of :func:`~repro.core.workload.estimate_offload_time`, the
-split reduction uses strict-``<`` first-minimum tie-breaking, candidate
-lists are kept ascending by participant position so the row argmin breaks
-ties like the dense scan, and each formed pair's
-:class:`~repro.core.workload.OffloadEstimate` fields are computed from the
-same elementwise mirror, reproducing the scalar oracle bit for bit.  The
-plan comes out as one :class:`~repro.core.pairing.PairingPlan` of columns.
+split reduction uses strict-``<`` first-minimum tie-breaking, candidates
+are ranked by (τ̂, participant position) and kept in participant-position
+order so the row argmin breaks ties like the dense scan, and each formed
+pair's :class:`~repro.core.workload.OffloadEstimate` fields are computed
+from the same elementwise mirror, reproducing the scalar oracle bit for
+bit.  The plan comes out as one :class:`~repro.core.pairing.PairingPlan`
+of columns.
 
 **Sparse / blocked bandwidth.**  Adjacency and bandwidth are consumed as
 neighbor lists (the topology graph's native structure, or the
 :class:`~repro.core.csr.IncrementalCsr` link index) instead of the dense
 ``n × n`` :func:`~repro.core.fastpath.bandwidth_matrix`, so ring and
 random-k topologies cost O(E), not O(n²).  Complete graphs — where a
-neighbor list *is* O(n²) — short-circuit to a shared global top-(k+1)
-candidate pool, keeping even full topologies at O(n·k).
+neighbor list *is* O(n²) — short-circuit to a shared pool of the k+1
+fastest agents, which holds every row's top-k, keeping even full
+topologies at O(n·k).
 
-**Incremental replanning.**  A :class:`PlannerState` persists each agent's
-τ̂, speed signature, and pruned neighbor-block costs across rounds.  At
-every plan the planner diffs cheap per-agent signatures (plus membership
-and any explicit :meth:`PrunedPlanner.invalidate` calls driven by dynamics
-events) and re-costs only the rows whose inputs actually changed: a dirty
-agent invalidates its own row, its topology neighborhood (its τ̂ feeds
-their candidate selection), and any cached row still referencing it.  A
-round with ``d`` changed agents therefore evaluates O(d·k·s) pair times —
+**Incremental replanning.**  A :class:`PlannerState` keeps each
+participant's pruned candidate block in a row across rounds.  A row's
+block depends on its own profile, its neighbour set and its neighbours'
+profiles, so each plan re-costs a row only when one of those changed:
+
+* a *profile seed* — a participant whose signature changed, an id passed
+  to :meth:`PrunedPlanner.invalidate`, or a participant new this round —
+  re-costs its own row and its neighbours' rows;
+* a *journal endpoint* — an agent the topology's edge-delta journal names
+  because an edge or node was added or removed next to it — re-costs its
+  own row only;
+* a participant that left the round re-costs the rows that list it: its
+  graph neighbours if it only left the sample, the journal endpoints if
+  it left the topology.
+
+Every plan drains the journal itself, so wiring changes need no call.
+Rows stay in place: arrivals append rows, participants that leave
+tombstone theirs, and tombstones compact lazily.  A round with ``d``
+changed agents therefore evaluates O(d·k·s) pair times —
 :class:`PlannerStats` counts them so tests can assert the bound.
 
 Selection is one threshold: :class:`~repro.core.comdml.ComDML` builds the
@@ -50,7 +63,7 @@ does not engage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -68,6 +81,13 @@ from repro.network.link import LinkModel
 from repro.utils.validation import check_positive
 
 __all__ = ["PlannerState", "PlannerStats", "PrunedPlanner"]
+
+#: Tombstoned rows, as a fraction of the rows handed out, past which the
+#: next membership change compacts the state (``IncrementalCsr``'s default).
+_COMPACT_FRACTION = 0.25
+
+#: Row count under which tombstones never trigger a compaction.
+_COMPACT_FLOOR = 256
 
 
 @dataclass
@@ -110,38 +130,37 @@ class PlannerStats:
 
 @dataclass
 class PlannerState:
-    """Per-agent planning cache carried across rounds.
+    """Per-participant planning cache carried across rounds.
 
-    All block arrays are ``(n, k)`` padded: absent candidates hold
-    position/id ``-1``, time ``+inf``, and ``valid`` ``False``.  Candidate
-    columns are ascending by participant position within each row, which
-    is what keeps the greedy row argmin's first-minimum tie-breaking
-    identical to the dense kernel's.
+    Rows are not participant positions.  A participant keeps its row for
+    as long as it stays in the round; arrivals append rows, and
+    participants that leave tombstone theirs until a lazy compaction.
+    ``row_of_pos`` maps this round's participant positions to rows,
+    ``pos_of_row`` maps back (−1 for tombstoned and unused rows), and
+    ``used`` rows have been handed out, ``dead`` of them tombstoned.
 
-    ``sig`` is the ``(n, 5)`` per-agent signature matrix (cpu share,
-    bandwidth, samples, batch size, local epochs as float64) the planner
-    diffs vectorized each round.  The ``scan_*`` arrays are the greedy
-    scan's per-row candidate walk order, maintained incrementally: each
-    row's candidates sorted ascending by (pair time, candidate column) —
-    ``scan_times`` the sorted times, ``scan_pos`` the candidate participant
-    positions in that order (−1 past the last finite time), ``scan_cols``
-    the original candidate columns.  Only recomputed rows re-sort.
+    Each row holds its candidates in the greedy scan's walk order:
+    ascending by (pair time, participant position), padded past the last
+    finite time with time ``+inf`` and row −1.  ``scan_rows`` are the
+    candidates' rows, ``scan_split`` the best split index and ``scan_bw``
+    the pair bandwidth.  ``ids``, ``ids_array`` and the ``(n, 5)``
+    signature matrix ``sig`` (cpu share, bandwidth, samples, batch size,
+    local epochs as float64) are this round's, by position; the next plan
+    diffs against them.
     """
 
     ids: tuple[int, ...]
     ids_array: np.ndarray
     k: int
     sig: np.ndarray
-    taus: np.ndarray
-    cand_pos: np.ndarray
-    cand_ids: np.ndarray
-    cand_bw: np.ndarray
-    best_times: np.ndarray
-    best_split: np.ndarray
-    valid: np.ndarray
+    row_of_pos: np.ndarray
+    pos_of_row: np.ndarray
+    used: int
+    dead: int
     scan_times: np.ndarray
-    scan_pos: np.ndarray
-    scan_cols: np.ndarray
+    scan_rows: np.ndarray
+    scan_split: np.ndarray
+    scan_bw: np.ndarray
 
 
 class PrunedPlanner:
@@ -196,11 +215,17 @@ class PrunedPlanner:
         self.latency_seconds = link_model.latency_seconds
         self.stats = PlannerStats()
         self.state: Optional[PlannerState] = None
-        self._pending_dirty: set[int] = set()
+        #: Profile seeds named by :meth:`invalidate` since the last plan.
+        self._seed_ids: set[int] = set()
+        #: Journal endpoints (and :meth:`invalidate_topology` ids) since
+        #: the last plan.
+        self._endpoint_ids: set[int] = set()
         self._pending_all = False
-        #: Set when the CSR had to rebuild from the graph (journal lost) —
-        #: every row must re-cost even though signatures were kept.
+        #: Set when the journal was truncated past the planner's cursor —
+        #: every row must re-cost.
         self._pending_all_rows = False
+        #: Topology journal version the planner has drained to.
+        self._cursor = link_model.topology.version
         #: Incremental topology engine (built lazily on the first plan
         #: that takes the CSR path) and its cached participant translation.
         self._csr: Optional[IncrementalCsr] = None
@@ -208,7 +233,7 @@ class PrunedPlanner:
         #: (topology version, nodes, edges) — caches the complete-graph
         #: check when the CSR engine is not engaged.
         self._counts_cache: Optional[tuple[int, int, int]] = None
-        #: (ids tuple, sorted ids, argsort order) — id → row lookup cache.
+        #: (ids tuple, sorted ids, argsort order) — id → position lookup cache.
         self._ids_sort_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------
@@ -221,43 +246,49 @@ class PrunedPlanner:
         return population >= self.engage_threshold
 
     def invalidate(self, agent_ids: Sequence[int]) -> None:
-        """Mark agents dirty (profile-level state changed).
+        """Mark agents' profiles changed: profile seeds at the next plan.
 
-        The planner also diffs per-agent signatures on every plan, so churn
-        that changes a profile value is caught without this call.  Profile
-        invalidation deliberately keeps the cached CSR topology structure —
-        wiring changes go through :meth:`invalidate_topology` (driven by
-        the topology's edge-delta journal) or :meth:`invalidate_all`.
+        Each named participant re-costs its own row and its neighbours'
+        rows.  The planner also diffs per-agent signatures on every plan,
+        so churn that changes a profile value is caught without this call.
+        Wiring changes need no call either: every plan drains the
+        topology's edge-delta journal.
         """
-        self._pending_dirty.update(int(agent_id) for agent_id in agent_ids)
+        self._seed_ids.update(int(agent_id) for agent_id in agent_ids)
 
     def invalidate_topology(self, agent_ids: Sequence[int] = ()) -> None:
-        """Mark a wiring change: agents arrived, departed, or rewired.
+        """Apply the topology journal now, and re-cost the named agents' rows.
 
-        The CSR structure is patched **eagerly** here with O(Δ) edits from
-        the topology's edge-delta journal — off the plan's critical path,
-        so dynamics invalidation overlaps the round gap instead of
-        serialising into the next plan.  Rows of every affected agent (the
-        explicit ids plus every endpoint the journal names) re-cost at the
-        next plan.  Every plan also drains the journal itself
-        (:meth:`_sync_topology`), so this call is an optimisation, not a
-        correctness requirement, for mutations made through the
-        :class:`~repro.network.topology.Topology` API.
+        Drains the edge-delta journal into the CSR structure (O(Δ) edits)
+        ahead of the next plan, which would otherwise drain it itself.
+        The named agents are treated like journal endpoints: each named
+        participant re-costs its own row only.
         """
-        self._pending_dirty.update(int(agent_id) for agent_id in agent_ids)
-        self._sync_topology()
+        self._endpoint_ids.update(int(agent_id) for agent_id in agent_ids)
+        self._drain_journal()
 
-    def _sync_topology(self) -> None:
-        """Drain the topology journal into the CSR (O(Δ) edits)."""
-        if self._csr is None or not self._csr.built:
+    def _drain_journal(self) -> None:
+        """Collect the journal's endpoints since the last drain.
+
+        The CSR applies the events as O(Δ) edits when it is built; without
+        it (complete-graph pool, custom link models) the planner reads the
+        journal itself.  A journal truncated past the cursor re-costs
+        every row.
+        """
+        topology = self.link_model.topology
+        if topology.version == self._cursor:
             return
-        if self.link_model.topology.version == self._csr.cursor:
-            return
-        affected = self._csr.sync()
+        csr = self._csr
+        if csr is not None and csr.built:
+            affected = csr.sync()
+        else:
+            events = topology.events_since(self._cursor)
+            affected = None if events is None else _journal_endpoints(events)
+        self._cursor = topology.version
         if affected is None:
             self._pending_all_rows = True
         else:
-            self._pending_dirty.update(affected)
+            self._endpoint_ids.update(affected)
 
     def invalidate_all(self) -> None:
         """Drop the entire cache (next plan is a full rebuild).
@@ -279,7 +310,7 @@ class PrunedPlanner:
         n = len(agents)
         if n == 0:
             return PairingPlan.empty()
-        self._sync_topology()
+        self._drain_journal()
         attrs = agent_attrs(agents)
         vectors = agent_vectors_from_attrs(attrs, self.profile, self.batch_size)
         taus = vectors.individual_times
@@ -287,16 +318,15 @@ class PrunedPlanner:
         access = attrs.access_bandwidth()
         ids = tuple(agent.agent_id for agent in agents)
         ids_array = np.fromiter(ids, dtype=np.int64, count=n)
-        k = min(self.top_k, max(n - 1, 0))
+        k = min(self.top_k, max(n - 1, 1))
 
-        state, dirty_rows = self._realign(agents, ids, ids_array, sig, taus, k)
-        self._recompute_rows(state, agents, vectors, access, ids_array, dirty_rows)
-        self._refresh_scan_rows(state, dirty_rows)
+        state, dirty = self._realign(ids, ids_array, sig, k)
+        self._recompute_rows(state, agents, vectors, access, dirty)
         # Stable argsort on -τ̂ = descending τ̂ with ties in first-seen
         # order, exactly like the dense scheduler's stable reverse sort.
         order = np.argsort(-taus, kind="stable")
 
-        dirty_count = int(dirty_rows.size)
+        dirty_count = int(dirty.size)
         self.stats.rounds += 1
         self.stats.last_rows_recomputed = dirty_count
         self.stats.last_rows_reused = n - dirty_count
@@ -305,219 +335,191 @@ class PrunedPlanner:
         if dirty_count == n:
             self.stats.full_rebuilds += 1
 
-        return self._greedy_scan(state, ids_array, taus, order, vectors)
+        return self._greedy_scan(state, taus, order, vectors)
 
     # ------------------------------------------------------------------
     # Cache maintenance
     # ------------------------------------------------------------------
     def _realign(
         self,
-        agents: list[Agent],
         ids: tuple[int, ...],
         ids_array: np.ndarray,
         sig: np.ndarray,
-        taus: np.ndarray,
         k: int,
     ) -> tuple[PlannerState, np.ndarray]:
-        """Carry the cache over to this round's participants; find dirty rows.
+        """Carry the rows over to this round's participants; find dirty ones.
 
-        Returns the (possibly in-place updated) state and the ascending
-        dirty-row array.  When the participant tuple is unchanged the
-        previous state's block arrays are reused **in place** — no copies
-        — and the dirty set is found by a vectorized signature-matrix
-        diff.  Membership changes take the remap path below.
+        Returns the state and the ascending positions whose rows re-cost.
+        An unchanged participant tuple keeps every row where it is; a
+        membership change tombstones the rows of participants that left
+        and appends rows for new ones (:meth:`_move_rows`).  A fresh state
+        is built on the first plan, after :meth:`invalidate_all`, when the
+        candidate budget or the retained participants' order changed, and
+        when the journal was truncated.
         """
-        n = len(agents)
-        previous = self.state
-        all_rows = self._pending_all or previous is None or previous.k != k
-        if not all_rows and self._pending_all_rows:
-            # CSR rebuilt from the graph (journal truncated): every row
-            # re-costs, so a fresh state is equivalent and simpler.
-            all_rows = True
-        if all_rows:
+        n = len(ids)
+        state = self.state
+        seed_ids, self._seed_ids = self._seed_ids, set()
+        endpoint_ids, self._endpoint_ids = self._endpoint_ids, set()
+        rebuild = (
+            self._pending_all
+            or self._pending_all_rows
+            or state is None
+            or state.k != k
+        )
+        if not rebuild:
+            if ids == state.ids:
+                seeds = (sig != state.sig).any(axis=1)
+                left = np.empty(0, dtype=np.int64)
+            else:
+                moved = self._move_rows(state, ids_array, sig)
+                rebuild = moved is None
+                if not rebuild:
+                    seeds, left = moved
+        if rebuild:
             self._pending_all = False
             self._pending_all_rows = False
-            self._pending_dirty.clear()
-            state = _empty_state(ids, ids_array, k, sig, taus)
-            self.state = state
-            return state, np.arange(n, dtype=np.int64)
+            self.state = _fresh_state(ids, ids_array, k, sig)
+            return self.state, np.arange(n, dtype=np.int64)
 
-        # Map this round's pending-dirty ids to rows (ids in the round are
-        # consumed; ids still in the topology stay pending; gone-for-good
-        # ids are dropped so the set stays bounded).
-        pending_rows = np.empty(0, dtype=np.int64)
-        if self._pending_dirty:
-            sorted_ids, sort_order = self._sorted_ids(ids, ids_array)
-            pend = np.fromiter(
-                self._pending_dirty, dtype=np.int64, count=len(self._pending_dirty)
-            )
-            pos = np.searchsorted(sorted_ids, pend)
-            pos = np.minimum(pos, n - 1)
-            found = sorted_ids[pos] == pend
-            pending_rows = sort_order[pos[found]]
-            graph = self.link_model.topology.graph
-            self._pending_dirty = {
-                int(agent_id)
-                for agent_id in pend[~found].tolist()
-                if graph.has_node(agent_id)
-            }
+        state.ids = ids
+        state.ids_array = ids_array
+        state.sig = sig
+        if seed_ids:
+            seeds[self._positions_of(state, seed_ids)] = True
+        endpoints = self._positions_of(state, endpoint_ids)
+        return state, self._dirty_closure(state, seeds, endpoints, left)
 
-        if ids == previous.ids:
-            state = previous
-            state.sig, old_sig = sig, state.sig
-            state.taus = taus
-            dirty_mask = (sig != old_sig).any(axis=1)
-            if pending_rows.size:
-                dirty_mask[pending_rows] = True
-            if not dirty_mask.any():
-                return state, np.empty(0, dtype=np.int64)
-            dirty_mask = self._dirty_closure(
-                state, ids_array, dirty_mask, np.empty(0, dtype=np.int64)
-            )
-            return state, np.nonzero(dirty_mask)[0]
+    def _move_rows(
+        self, state: PlannerState, ids_array: np.ndarray, sig: np.ndarray
+    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Membership change, rows in place.
 
-        # Membership or order changed: pull retained rows over and remap
-        # cached candidate (and scan) positions old → new.
-        state = _empty_state(ids, ids_array, k, sig, taus)
-        n_prev = len(previous.ids)
-        prev_sorted = np.sort(previous.ids_array)
-        prev_order = np.argsort(previous.ids_array, kind="stable")
-        pos = np.minimum(np.searchsorted(prev_sorted, ids_array), n_prev - 1)
-        retained = prev_sorted[pos] == ids_array
-        old_rows = np.where(retained, prev_order[pos], -1)
-        for name in ("cand_pos", "cand_ids", "cand_bw", "best_times",
-                     "best_split", "valid", "scan_times", "scan_pos",
-                     "scan_cols"):
-            getattr(state, name)[retained] = getattr(previous, name)[
-                old_rows[retained]
-            ]
-        new_pos_of_old = np.full(n_prev, -1, dtype=np.int64)
-        new_pos_of_old[old_rows[retained]] = np.nonzero(retained)[0]
-        for name in ("cand_pos", "scan_pos"):
-            positions = getattr(state, name)
-            remappable = positions >= 0
-            positions[remappable] = new_pos_of_old[positions[remappable]]
-        stale = (state.cand_pos < 0) & state.valid
-        state.valid[stale] = False
-        state.best_times[stale] = np.inf
+        Retained participants keep their rows; the rows of participants
+        that left are tombstoned, and new participants get rows appended
+        past ``used``, compacting or growing the arrays first when the
+        tombstones pass :data:`_COMPACT_FRACTION` or the capacity runs out.
+        Candidate rows stay valid, so nothing is remapped outside a
+        compaction.
 
-        dirty_mask = ~retained
-        if retained.any():
-            kept = np.nonzero(retained)[0]
-            changed = (sig[kept] != previous.sig[old_rows[kept]]).any(axis=1)
-            dirty_mask[kept[changed]] = True
-        if pending_rows.size:
-            dirty_mask[pending_rows] = True
-        departed_mask = np.ones(n_prev, dtype=bool)
-        departed_mask[old_rows[retained]] = False
-        departed = previous.ids_array[departed_mask]
+        Returns the profile-seed mask by new position (new participants
+        and retained ones whose signature changed) and the ids of the
+        participants that left, or ``None`` when the retained participants
+        changed their relative order: every cached row's candidate order
+        follows participant positions, so that takes a fresh state.
+        """
+        n = len(ids_array)
+        previous_ids = state.ids_array
+        sorted_ids, sort_order = self._sorted_ids(state.ids, previous_ids)
+        slot = np.minimum(
+            np.searchsorted(sorted_ids, ids_array), len(previous_ids) - 1
+        )
+        retained = sorted_ids[slot] == ids_array
+        old_pos = sort_order[slot[retained]]
+        if old_pos.size > 1 and not (np.diff(old_pos) > 0).all():
+            return None
 
-        dirty_mask = self._dirty_closure(state, ids_array, dirty_mask, departed)
-        self.state = state
-        return state, np.nonzero(dirty_mask)[0]
+        kept = np.zeros(len(previous_ids), dtype=bool)
+        kept[old_pos] = True
+        left_rows = state.row_of_pos[~kept]
+        state.pos_of_row[left_rows] = -1
+        state.dead += int(left_rows.size)
+
+        seeds = ~retained
+        seeds[retained] = (sig[retained] != state.sig[old_pos]).any(axis=1)
+        rows = np.empty(n, dtype=np.int64)
+        rows[retained] = state.row_of_pos[old_pos]
+        arrivals = n - int(old_pos.size)
+        capacity = state.scan_times.shape[0]
+        if state.used + arrivals > capacity or state.dead > _COMPACT_FRACTION * max(
+            state.used, _COMPACT_FLOOR
+        ):
+            rows[retained] = _compact(state, rows[retained], arrivals)
+        rows[~retained] = np.arange(state.used, state.used + arrivals)
+        state.used += arrivals
+        state.row_of_pos = rows
+        state.pos_of_row[rows] = np.arange(n)
+        return seeds, previous_ids[~kept]
 
     def _sorted_ids(
         self, ids: tuple[int, ...], ids_array: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (sorted ids, argsort order) for id → row lookups."""
-        cached = getattr(self, "_ids_sort_cache", None)
-        if cached is not None and cached[0] == ids:
+        """Cached (sorted ids, argsort order) for id → position lookups."""
+        cached = self._ids_sort_cache
+        if cached is not None and (cached[0] is ids or cached[0] == ids):
             return cached[1], cached[2]
         order = np.argsort(ids_array, kind="stable")
         sorted_ids = ids_array[order]
         self._ids_sort_cache = (ids, sorted_ids, order)
         return sorted_ids, order
 
+    def _positions_of(self, state: PlannerState, agent_ids: Iterable[int]) -> np.ndarray:
+        """This round's positions of the given ids (absent ids dropped)."""
+        query = np.fromiter(agent_ids, dtype=np.int64)
+        if query.size == 0:
+            return query
+        sorted_ids, order = self._sorted_ids(state.ids, state.ids_array)
+        slot = np.minimum(np.searchsorted(sorted_ids, query), len(sorted_ids) - 1)
+        return order[slot[sorted_ids[slot] == query]]
+
     def _dirty_closure(
         self,
         state: PlannerState,
-        ids_array: np.ndarray,
-        dirty_mask: np.ndarray,
-        departed: np.ndarray,
+        seeds: np.ndarray,
+        endpoints: np.ndarray,
+        left: np.ndarray,
     ) -> np.ndarray:
-        """Expand dirty rows to their full invalidation closure.
+        """Ascending positions whose rows re-cost, by cause.
 
-        A dirty agent invalidates its own row, its topology neighborhood
-        (its τ̂ feeds their candidate selection), and any cached row still
-        referencing it or a departed id (covers candidates that are no
-        longer reachable).
+        Profile seeds (``seeds``, a mask by position) re-cost their own
+        rows and their neighbours' rows; journal endpoints (``endpoints``,
+        positions) their own rows only; participants that left the round
+        (``left``, ids) the rows of their graph neighbours.  One that left
+        the topology has no neighbours left, and the rows that listed it
+        are journal endpoints already.  On a complete graph every row
+        neighbours every seed, so a seed or a participant that left marks
+        every row without a walk.
         """
-        dirty_rows = np.nonzero(dirty_mask)[0]
-        if dirty_rows.size == 0 and departed.size == 0:
-            return dirty_mask
-        if self._complete_graph():
-            # Every participant neighbours every row, so the walk below
-            # would visit n neighbours per id only to mark every row.  With
-            # default links every row's candidates also come from one pool
-            # shared by all participants, which any dirty or departed agent
-            # can change, even one already removed from the graph.
-            dirty_mask[:] = True
-            return dirty_mask
-        # The referencing check below keys on the *seed* dirty ids — the
-        # agents whose own inputs changed.  Rows referencing a mere
-        # neighbor of a dirty agent stay clean: the neighbor's τ̂ did not
-        # move, so every cached pair time involving it is still exact.
-        affected = ids_array[dirty_rows]
-        if departed.size:
-            affected = np.concatenate([affected, departed])
-
-        # Neighbor expansion of current dirty rows: through the CSR when
-        # the engine is live (vectorized), through the graph otherwise.
-        if dirty_rows.size:
-            csr = self._csr
-            if csr is not None and csr.built:
-                translation = self._participant_translation(state)
-                _, neighbor_cols = csr.links_for(translation, dirty_rows)
-                dirty_mask[neighbor_cols] = True
+        seed_positions = np.nonzero(seeds)[0]
+        dirty = seeds
+        dirty[endpoints] = True
+        if seed_positions.size or left.size:
+            if self._complete_graph():
+                dirty[:] = True
             else:
-                graph = self.link_model.topology.graph
-                row_lookup = self._row_lookup(state, ids_array)
-                for agent_id in ids_array[dirty_rows].tolist():
-                    if graph.has_node(agent_id):
-                        for neighbor in graph.neighbors(agent_id):
-                            row = row_lookup(neighbor)
-                            if row is not None:
-                                dirty_mask[row] = True
-        if departed.size:
+                dirty[self._neighbor_positions(state, seed_positions, left)] = True
+        return np.nonzero(dirty)[0]
+
+    def _neighbor_positions(
+        self, state: PlannerState, seed_positions: np.ndarray, left: np.ndarray
+    ) -> np.ndarray:
+        """Positions of the seeds' and the leavers' participating neighbours.
+
+        The seeds' neighbours come from the CSR when the link model is the
+        default one; the leavers', and every neighbour under a custom link
+        model, from the graph.
+        """
+        walk = left.tolist()
+        found = [np.empty(0, dtype=np.int64)]
+        if seed_positions.size:
+            if _uses_default_links(self.link_model):
+                csr = self._live_csr()
+                _, columns = csr.links_for(
+                    self._participant_translation(state), seed_positions
+                )
+                found.append(columns)
+            else:
+                walk.extend(state.ids_array[seed_positions].tolist())
+        if walk:
             graph = self.link_model.topology.graph
-            row_lookup = self._row_lookup(state, ids_array)
-            for agent_id in departed.tolist():
-                if graph.has_node(agent_id):
-                    for neighbor in graph.neighbors(agent_id):
-                        row = row_lookup(neighbor)
-                        if row is not None:
-                            dirty_mask[row] = True
-
-        # Rows still referencing a dirty or departed id in their cached
-        # candidate lists (belt for invalidations the neighbor expansion
-        # cannot see, e.g. a departed candidate two hops away).
-        if affected.size and state.cand_ids.size:
-            max_id = int(affected.max())
-            if int(affected.min()) >= 0 and max_id <= 4 * len(ids_array) + 65_536:
-                # Bool-table membership beats np.isin by ~4× at 500k rows;
-                # ids outside [0, max_id] map to slot 0 (never marked).
-                table = np.zeros(max_id + 2, dtype=bool)
-                table[affected + 1] = True
-                cand = state.cand_ids
-                safe = np.where((cand >= 0) & (cand <= max_id), cand + 1, 0)
-                referencing = table[safe].any(axis=1)
-            else:
-                referencing = np.isin(state.cand_ids, affected).any(axis=1)
-            dirty_mask |= referencing
-        return dirty_mask
-
-    def _row_lookup(self, state: PlannerState, ids_array: np.ndarray):
-        """O(1) agent-id → row lookup callable (``None`` when absent)."""
-        sorted_ids, order = self._sorted_ids(state.ids, ids_array)
-        n = len(ids_array)
-
-        def lookup(agent_id: int) -> Optional[int]:
-            pos = int(np.searchsorted(sorted_ids, agent_id))
-            if pos < n and sorted_ids[pos] == agent_id:
-                return int(order[pos])
-            return None
-
-        return lookup
+            neighbours = [
+                neighbour
+                for agent_id in walk
+                if graph.has_node(agent_id)
+                for neighbour in graph.neighbors(agent_id)
+            ]
+            found.append(self._positions_of(state, neighbours))
+        return np.concatenate(found)
 
     # ------------------------------------------------------------------
     # Candidate selection + pruned block costing
@@ -547,11 +549,14 @@ class PrunedPlanner:
         nodes, edges = self._topology_counts()
         return nodes >= 2 and edges == nodes * (nodes - 1) // 2
 
-    def _make_csr(self) -> IncrementalCsr:
-        """Construct (and fully build) the incremental topology engine."""
-        csr = IncrementalCsr(self.link_model.topology, stats=self.stats)
-        csr.rebuild()
-        return csr
+    def _live_csr(self) -> IncrementalCsr:
+        """The incremental topology engine, built from the graph on first use."""
+        if self._csr is None:
+            csr = IncrementalCsr(self.link_model.topology, stats=self.stats)
+            csr.rebuild()
+            self._csr = csr
+            self._translation = None
+        return self._csr
 
     def _participant_translation(self, state: PlannerState) -> CsrTranslation:
         """Cached slot ↔ position translation for the current participants."""
@@ -571,46 +576,44 @@ class PrunedPlanner:
         state: PlannerState,
         agents: list[Agent],
         access: np.ndarray,
-        rows: np.ndarray,
+        taus: np.ndarray,
+        positions: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Top-k fastest reachable peers of the given (ascending) rows.
+        """Top-k fastest reachable peers of the given (ascending) positions.
 
-        Returns flat ``(rows, candidate positions, bandwidths)`` arrays
-        grouped by ascending row with ascending candidate positions inside
-        each group — the order the dense kernel's first-minimum argmin
-        tie-breaking relies on.
+        Returns flat ``(positions, candidate positions, bandwidths)``
+        arrays grouped by ascending position with ascending candidate
+        positions inside each group — the order the dense kernel's
+        first-minimum argmin tie-breaking relies on.
         """
-        taus = state.taus
         k = state.k
         default_links = _uses_default_links(self.link_model)
         if default_links and self._complete_graph():
             # Complete graph: a neighbor structure would be O(n²); use the
-            # shared global top-(k+1) pool instead (never builds the CSR).
-            return _complete_graph_candidates(taus, access, rows, k)
+            # shared pool instead (never builds the CSR).
+            return _complete_graph_candidates(taus, access, positions, k)
 
         if default_links:
-            if self._csr is None:
-                self._csr = self._make_csr()
-                self._translation = None
+            csr = self._live_csr()
             translation = self._participant_translation(state)
-            sel_rows, sel_cols = self._csr.links_for(
-                translation, None if rows.size == len(agents) else rows
+            sel_rows, sel_cols = csr.links_for(
+                translation, None if positions.size == len(agents) else positions
             )
             bandwidth = np.minimum(access[sel_rows], access[sel_cols])
         else:
             # Custom link-model semantics: query per ordered pair, but only
             # for the dirty rows' neighborhoods.
             graph = self.link_model.topology.graph
-            row_of = {agent.agent_id: row for row, agent in enumerate(agents)}
+            position_of = {agent.agent_id: pos for pos, agent in enumerate(agents)}
             flat_rows: list[int] = []
             flat_cols: list[int] = []
             flat_bw: list[float] = []
-            for row in rows.tolist():
+            for row in positions.tolist():
                 agent = agents[row]
                 if not graph.has_node(agent.agent_id):
                     continue
                 for neighbor in graph.neighbors(agent.agent_id):
-                    col = row_of.get(neighbor)
+                    col = position_of.get(neighbor)
                     if col is None:
                         continue
                     value = self.link_model.bandwidth(agent, agents[col])
@@ -636,54 +639,35 @@ class PrunedPlanner:
         agents: list[Agent],
         vectors: AgentVectors,
         access: np.ndarray,
-        ids_array: np.ndarray,
-        rows: np.ndarray,
+        positions: np.ndarray,
     ) -> None:
-        """Re-cost the pruned (slow × k × split) blocks of the given rows."""
-        if rows.size == 0:
+        """Re-cost the rows of the given (ascending) positions.
+
+        Each row's candidates are written back in the greedy scan's walk
+        order (:func:`_store_scan_order`).
+        """
+        if positions.size == 0:
             self.stats.last_pairs_evaluated = 0
             return
-        rows_flat, cols_flat, bw_flat = self._candidate_rows(
-            state, agents, access, rows
+        rows = state.row_of_pos[positions]
+        state.scan_times[rows] = np.inf
+        state.scan_rows[rows] = -1
+        pos_flat, cols_flat, bw_flat = self._candidate_rows(
+            state, agents, access, vectors.individual_times, positions
         )
-        _reset_rows(state, rows)
-
-        total = int(rows_flat.size)
+        total = int(pos_flat.size)
         self.stats.last_pairs_evaluated = total * self.profile.num_options
         self.stats.pairs_evaluated += self.stats.last_pairs_evaluated
         if total == 0:
             return
         best_time, best_index = _pair_block_times(
-            self.profile, vectors, rows_flat, cols_flat, bw_flat,
+            self.profile, vectors, pos_flat, cols_flat, bw_flat,
             self.latency_seconds,
         )
-        _scatter_rows(
-            state, rows_flat, cols_flat, bw_flat, best_time, best_index,
-            ids_array, self.profile.options_array, len(agents),
+        _store_scan_order(
+            state, pos_flat, cols_flat, bw_flat, best_time, best_index,
+            self.profile.options_array,
         )
-
-    def _refresh_scan_rows(self, state: PlannerState, rows: np.ndarray) -> None:
-        """Re-sort the greedy scan arrays of the recomputed rows only."""
-        if rows.size == 0 or state.k == 0:
-            return
-        if rows.size == len(state.ids):
-            times = np.where(state.valid, state.best_times, np.inf)
-            order = np.argsort(times, axis=1, kind="stable")
-            sorted_times = np.take_along_axis(times, order, axis=1)
-            positions = np.take_along_axis(state.cand_pos, order, axis=1)
-            positions[~np.isfinite(sorted_times)] = -1
-            state.scan_times[...] = sorted_times
-            state.scan_cols[...] = order
-            state.scan_pos[...] = positions
-            return
-        times = np.where(state.valid[rows], state.best_times[rows], np.inf)
-        order = np.argsort(times, axis=1, kind="stable")
-        sorted_times = np.take_along_axis(times, order, axis=1)
-        positions = np.take_along_axis(state.cand_pos[rows], order, axis=1)
-        positions[~np.isfinite(sorted_times)] = -1
-        state.scan_times[rows] = sorted_times
-        state.scan_cols[rows] = order
-        state.scan_pos[rows] = positions
 
     # ------------------------------------------------------------------
     # Greedy scan (Algorithm 1's Pairing over the pruned blocks)
@@ -691,73 +675,63 @@ class PrunedPlanner:
     def _greedy_scan(
         self,
         state: PlannerState,
-        ids_array: np.ndarray,
         taus: np.ndarray,
         order: np.ndarray,
         vectors: AgentVectors,
     ) -> PairingPlan:
         """Algorithm 1's greedy pairing over the pruned candidate blocks.
 
-        Walks the precomputed per-row scan order (``scan_*`` arrays, kept
-        incrementally by :meth:`_refresh_scan_rows`): each row's candidates
-        ascending by (pair time, candidate column), so the first alive
-        candidate *is* the row's first minimum — the dense tie-break.  The
-        loop first tries scan column 0 through three precomputed column-0
-        lists and falls back to the full row walk when that fastest
-        candidate was already claimed.  That fallback is the common case
-        on random-k graphs: at 50k agents with ``top_k = 8``, 20 975 of
-        the 27 466 visited rows (76 %) found their first candidate
-        claimed, against 5 312 of 29 457 (18 %) on a ring.  The loop
-        records row indices only; :meth:`_plan_columns` turns them into
-        the plan's columns in one vectorized pass.
+        Visits rows in ``order`` (positions by descending τ̂) and walks each
+        row's candidates in scan order — ascending by (pair time,
+        participant position) — so the first alive candidate *is* the
+        row's first minimum, the dense tie-break.  The loop first tries
+        scan column 0 through two precomputed column-0 lists and falls
+        back to the full row walk when that fastest candidate was already
+        claimed.  That fallback is the common case on random-k graphs: at
+        50k agents with ``top_k = 8``, 20 975 of the 27 466 visited rows
+        (76 %) found their first candidate claimed, against 5 312 of
+        29 457 (18 %) on a ring.  The loop records rows and scan columns
+        only; :meth:`_plan_columns` turns them into the plan's columns in
+        one vectorized pass.
         """
-        n = len(ids_array)
         k = state.k
-        taus_list = taus.tolist()
         infinity = float("inf")
-        if k:
-            first_pos = state.scan_pos[:, 0].tolist()
-            first_time = state.scan_times[:, 0].tolist()
-            first_col = state.scan_cols[:, 0].tolist()
-        else:
-            first_pos = [-1] * n
-            first_time = [infinity] * n
-            first_col = [0] * n
-        scan_pos = state.scan_pos
+        first_row = state.scan_rows[:, 0].tolist()
+        first_time = state.scan_times[:, 0].tolist()
+        scan_rows = state.scan_rows
         scan_times = state.scan_times
-        scan_cols = state.scan_cols
-        alive = [True] * n
+        alive = (state.pos_of_row >= 0).tolist()
         improvement = 1.0 - self.improvement_threshold
         # Per decision, in decision order: the slow row and the helper row
-        # (-1 when training alone); per pair: the chosen candidate column.
+        # (-1 when training alone); per pair: the chosen scan column.
         slow_rows: list[int] = []
         fast_rows: list[int] = []
         pair_columns: list[int] = []
 
-        for i in order.tolist():
+        for i, own_time in zip(
+            state.row_of_pos[order].tolist(), taus[order].tolist()
+        ):
             if not alive[i]:
                 continue
-            own_time = taus_list[i]
             best_time = infinity
             best_column = -1
-            j = first_pos[i]
+            j = first_row[i]
             if j >= 0:
                 if alive[j]:
                     best_time = first_time[i]
-                    best_column = first_col[i]
+                    best_column = 0
                 else:
                     # Fastest candidate already claimed: walk the rest of
-                    # the row's scan order (rare, so the per-row tolist is
-                    # cheaper than materialising all rows up front).
-                    pos_row = scan_pos[i].tolist()
-                    time_row = scan_times[i].tolist()
+                    # the row's scan order.
+                    row_rows = scan_rows[i].tolist()
+                    row_times = scan_times[i].tolist()
                     for column in range(1, k):
-                        j = pos_row[column]
+                        j = row_rows[column]
                         if j < 0:
                             break
                         if alive[j]:
-                            best_time = time_row[column]
-                            best_column = int(scan_cols[i, column])
+                            best_time = row_times[column]
+                            best_column = column
                             break
             slow_rows.append(i)
             alive[i] = False
@@ -769,13 +743,12 @@ class PrunedPlanner:
                 fast_rows.append(-1)
 
         return self._plan_columns(
-            state, ids_array, taus, vectors, slow_rows, fast_rows, pair_columns
+            state, taus, vectors, slow_rows, fast_rows, pair_columns
         )
 
     def _plan_columns(
         self,
         state: PlannerState,
-        ids_array: np.ndarray,
         taus: np.ndarray,
         vectors: AgentVectors,
         slow_rows: list[int],
@@ -793,10 +766,11 @@ class PrunedPlanner:
         always offload (> 0 layers), so only the oracle's offloading branch
         is mirrored.
         """
-        slow_all = np.asarray(slow_rows, dtype=np.int64)
-        fast_all = np.asarray(fast_rows, dtype=np.int64)
+        slow_row_all = np.asarray(slow_rows, dtype=np.int64)
+        fast_row_all = np.asarray(fast_rows, dtype=np.int64)
+        slow_all = state.pos_of_row[slow_row_all]
         count = len(slow_all)
-        paired = fast_all >= 0
+        paired = fast_row_all >= 0
         fast_id = np.full(count, -1, dtype=np.int64)
         layers = np.zeros(count, dtype=np.int64)
         slow_time = taus[slow_all]
@@ -807,10 +781,12 @@ class PrunedPlanner:
 
         if pair_columns:
             profile = self.profile
+            columns = np.asarray(pair_columns, dtype=np.int64)
+            pair_rows = slow_row_all[paired]
             slow_idx = slow_all[paired]
-            fast_idx = fast_all[paired]
-            split_idx = state.best_split[slow_idx, np.asarray(pair_columns)]
-            bandwidth = state.cand_bw[slow_idx, np.asarray(pair_columns)]
+            fast_idx = state.pos_of_row[fast_row_all[paired]]
+            split_idx = state.scan_split[pair_rows, columns]
+            bandwidth = state.scan_bw[pair_rows, columns]
             busy = taus[fast_idx]
 
             slow_batches = vectors.batches[slow_idx]
@@ -835,7 +811,7 @@ class PrunedPlanner:
                 fast_chain = busy + communication + fast_offload
                 pair_time[paired] = np.maximum(pair_slow, fast_chain)
 
-            fast_id[paired] = ids_array[fast_idx]
+            fast_id[paired] = state.ids_array[fast_idx]
             layers[paired] = profile.options_array[split_idx]
             slow_time[paired] = pair_slow
             fast_own_time[paired] = busy
@@ -843,7 +819,7 @@ class PrunedPlanner:
             fast_offload_time[paired] = fast_offload
 
         return PairingPlan(
-            slow_id=ids_array[slow_all],
+            slow_id=state.ids_array[slow_all],
             fast_id=fast_id,
             offloaded_layers=layers,
             slow_time=slow_time,
@@ -858,30 +834,78 @@ class PrunedPlanner:
 # Internals
 # ----------------------------------------------------------------------
 
-def _empty_state(
-    ids: tuple[int, ...],
-    ids_array: np.ndarray,
-    k: int,
-    sig: np.ndarray,
-    taus: np.ndarray,
+def _headroom(rows: int) -> int:
+    """Spare rows allocated past ``rows`` so arrivals append in place."""
+    return max(64, rows // 8)
+
+
+def _row_arrays(capacity: int, k: int) -> dict:
+    """Padding-filled ``(capacity, k)`` scan arrays."""
+    return {
+        "scan_times": np.full((capacity, k), np.inf),
+        "scan_rows": np.full((capacity, k), -1, dtype=np.int64),
+        "scan_split": np.zeros((capacity, k), dtype=np.int64),
+        "scan_bw": np.zeros((capacity, k)),
+    }
+
+
+def _fresh_state(
+    ids: tuple[int, ...], ids_array: np.ndarray, k: int, sig: np.ndarray
 ) -> PlannerState:
+    """A state whose row ``r`` is participant ``r``; every row re-costs."""
     n = len(ids)
+    capacity = n + _headroom(n)
+    pos_of_row = np.full(capacity, -1, dtype=np.int64)
+    pos_of_row[:n] = np.arange(n)
     return PlannerState(
         ids=ids,
         ids_array=ids_array,
         k=k,
         sig=sig,
-        taus=taus,
-        cand_pos=np.full((n, k), -1, dtype=np.int64),
-        cand_ids=np.full((n, k), -1, dtype=np.int64),
-        cand_bw=np.zeros((n, k), dtype=np.float64),
-        best_times=np.full((n, k), np.inf),
-        best_split=np.full((n, k), -1, dtype=np.int64),
-        valid=np.zeros((n, k), dtype=bool),
-        scan_times=np.full((n, k), np.inf),
-        scan_pos=np.full((n, k), -1, dtype=np.int64),
-        scan_cols=np.zeros((n, k), dtype=np.int64),
+        row_of_pos=np.arange(n, dtype=np.int64),
+        pos_of_row=pos_of_row,
+        used=n,
+        dead=0,
+        **_row_arrays(capacity, k),
     )
+
+
+def _compact(state: PlannerState, retained_rows: np.ndarray, arrivals: int) -> np.ndarray:
+    """Drop tombstoned rows, leaving room for ``arrivals`` appended rows.
+
+    Copies the live rows, in row order, to the front of new arrays sized
+    with headroom, and remaps candidate rows.  A live row that lists a
+    tombstoned row re-costs this plan, so that reference simply becomes
+    −1.  Returns the new rows of ``retained_rows``.
+    """
+    live = np.nonzero(state.pos_of_row[: state.used] >= 0)[0]
+    new_of_old = np.full(state.scan_times.shape[0] + 1, -1, dtype=np.int64)
+    new_of_old[live] = np.arange(live.size)
+    needed = int(live.size) + arrivals
+    capacity = needed + _headroom(needed)
+    arrays = _row_arrays(capacity, state.k)
+    for name, array in arrays.items():
+        array[: live.size] = getattr(state, name)[live]
+    # Index -1 (padding) reads the table's extra last slot, which is -1.
+    arrays["scan_rows"][: live.size] = new_of_old[arrays["scan_rows"][: live.size]]
+    for name, array in arrays.items():
+        setattr(state, name, array)
+    state.pos_of_row = np.full(capacity, -1, dtype=np.int64)
+    state.used = int(live.size)
+    state.dead = 0
+    return new_of_old[retained_rows]
+
+
+def _journal_endpoints(events: list[tuple]) -> set[int]:
+    """Every agent a topology journal event names (``IncrementalCsr.sync``'s set)."""
+    affected: set[int] = set()
+    for event in events:
+        if event[0] == "remove_node":
+            affected.add(event[1])
+            affected.update(event[2])
+        else:
+            affected.update(event[1:])
+    return affected
 
 
 def _top_k_by_tau(
@@ -922,92 +946,66 @@ def _top_k_by_tau(
     return sel_rows, sel_cols, bandwidth
 
 
-def _reset_rows(state: PlannerState, rows_array: np.ndarray) -> None:
-    """Reset the given rows to candidate-block padding."""
-    state.cand_pos[rows_array] = -1
-    state.cand_ids[rows_array] = -1
-    state.cand_bw[rows_array] = 0.0
-    state.best_times[rows_array] = np.inf
-    state.best_split[rows_array] = -1
-    state.valid[rows_array] = False
-
-
-def _scatter_rows(
+def _store_scan_order(
     state: PlannerState,
-    rows_flat: np.ndarray,
+    pos_flat: np.ndarray,
     cols_flat: np.ndarray,
     bw_flat: np.ndarray,
     best_time: np.ndarray,
     best_index: np.ndarray,
-    ids_array: np.ndarray,
     options_array: np.ndarray,
-    n: int,
 ) -> None:
-    """Scatter flat per-pair results into the ``(n, k)`` block arrays.
+    """Write re-costed candidates into their rows in greedy scan order.
 
-    ``rows_flat`` must be grouped by ascending row (the selection helpers
-    guarantee it); each entry lands at its offset within its row group.
+    ``pos_flat`` is grouped by ascending position with candidate positions
+    ascending inside each group (the selection helpers guarantee it).  A
+    candidate whose best split offloads nothing cannot pair, so it sorts
+    last with time ``+inf``.  ``np.lexsort`` is stable, so equal times keep
+    ascending candidate position — the dense kernel's first-minimum
+    tie-break.
     """
-    total = int(rows_flat.size)
-    # Column offset of each entry within its row group.
-    counts = np.bincount(rows_flat, minlength=n)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    offsets = np.arange(total) - starts[rows_flat]
-    valid_flat = options_array[np.maximum(best_index, 0)] > 0
-    state.cand_pos[rows_flat, offsets] = cols_flat
-    state.cand_ids[rows_flat, offsets] = ids_array[cols_flat]
-    state.cand_bw[rows_flat, offsets] = bw_flat
-    state.best_times[rows_flat, offsets] = best_time
-    state.best_split[rows_flat, offsets] = best_index
-    state.valid[rows_flat, offsets] = valid_flat
+    times = np.where(options_array[np.maximum(best_index, 0)] > 0, best_time, np.inf)
+    order = np.lexsort((times, pos_flat))
+    pos_sorted = pos_flat[order]
+    times = times[order]
+    counts = np.bincount(pos_sorted, minlength=len(state.row_of_pos))
+    starts = np.cumsum(counts) - counts
+    offsets = np.arange(pos_sorted.size) - starts[pos_sorted]
+    rows = state.row_of_pos[pos_sorted]
+    state.scan_times[rows, offsets] = times
+    state.scan_rows[rows, offsets] = np.where(
+        np.isfinite(times), state.row_of_pos[cols_flat[order]], -1
+    )
+    state.scan_split[rows, offsets] = best_index[order]
+    state.scan_bw[rows, offsets] = bw_flat[order]
 
 
 def _complete_graph_candidates(
-    taus: np.ndarray, access: np.ndarray, rows: list[int], k: int
+    taus: np.ndarray, access: np.ndarray, positions: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate selection on a complete graph without materialising O(n²).
 
-    Every connected agent can reach every other, so the per-row top-k
-    reduces to one shared global pool: the k+1 connected agents with the
-    smallest τ̂ (one extra so each row can drop itself).  Rows outside the
-    pool share the same k candidates (vectorized broadcast); the at most
-    k+1 pool members each drop themselves (tiny Python loop).
+    Every connected agent reaches every other, so the k+1 fastest
+    connected agents, ranked by (τ̂, position), form one pool that holds
+    every row's top-k: a row outside the pool takes the pool's k fastest,
+    and a pool member the other pool members.  That is exactly the
+    per-row top-k the neighbour-list path computes, so rows cached here
+    stay exact when the graph stops being complete.
     """
-    empty = (
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0),
-    )
-    pool = np.nonzero(access > 0.0)[0]
-    if pool.size == 0:
-        return empty
-    if pool.size > k + 1:
-        keep = np.argpartition(taus[pool], k)[: k + 1]
-        pool = pool[keep]
-    pool = np.sort(pool)
-    rows_array = np.asarray(rows, dtype=np.int64)
-    connected = access[rows_array] > 0.0
-    slot = np.searchsorted(pool, rows_array)
-    in_pool = (slot < pool.size) & (pool[np.minimum(slot, pool.size - 1)] == rows_array)
-
-    shared = pool[: min(k, pool.size)]
-    outside = rows_array[connected & ~in_pool]
-    rows_flat = np.repeat(outside, shared.size)
-    cols_flat = np.tile(shared, outside.size)
-
-    member_rows = rows_array[connected & in_pool]
-    if member_rows.size:
-        member_cols = [pool[pool != row][:k] for row in member_rows]
-        rows_flat = np.concatenate(
-            [rows_flat]
-            + [
-                np.full(len(cols), row, dtype=np.int64)
-                for row, cols in zip(member_rows, member_cols)
-            ]
-        )
-        cols_flat = np.concatenate([cols_flat] + member_cols)
-    if rows_flat.size == 0:
-        return empty
+    connected = np.nonzero(access > 0.0)[0]
+    pool = connected[np.argsort(taus[connected], kind="stable")[: k + 1]]
+    rows = positions[access[positions] > 0.0]
+    member = np.isin(rows, pool)
+    shared = np.sort(pool[:k])
+    outside = rows[~member]
+    rows_parts = [np.repeat(outside, shared.size)]
+    cols_parts = [np.tile(shared, outside.size)]
+    for row in rows[member].tolist():
+        cols = np.sort(pool[pool != row])
+        rows_parts.append(np.full(cols.size, row, dtype=np.int64))
+        cols_parts.append(cols)
+    rows_flat = np.concatenate(rows_parts)
+    cols_flat = np.concatenate(cols_parts)
     order = np.lexsort((cols_flat, rows_flat))
     rows_flat = rows_flat[order]
     cols_flat = cols_flat[order]

@@ -11,8 +11,10 @@ from repro.agents.resources import ResourceProfile
 from repro.core.comdml import ComDML
 from repro.core.config import ComDMLConfig
 from repro.core.pairing import PairingDecision
+from repro.core.planner import PrunedPlanner
 from repro.core.workload import OffloadEstimate
 from repro.models.resnet import resnet56_spec
+from repro.network.topology import ring_topology
 from repro.runtime.dynamics import DynamicsSchedule
 from repro.runtime.strategy import WorkUnit
 from repro.runtime.trace import TraceEvent
@@ -280,22 +282,30 @@ class TestComDMLRound:
         assert comdml_round < baseline_round
 
 
-class TestInvalidationBatching:
-    """Dynamics events coalesce into ONE planner invalidation per plan."""
+class TestDynamicsReachThePlanner:
+    """Arrivals and departures reach the planner through the topology journal."""
 
-    def test_dynamics_burst_flushes_once_at_plan_time(self, small_registry):
-        comdml = make_comdml(small_registry, planner_threshold=1)
+    def test_burst_between_plans_matches_a_fresh_plan(self, small_registry):
+        comdml = ComDML(
+            registry=small_registry,
+            spec=resnet56_spec(),
+            config=ComDMLConfig(
+                offload_granularity=9, seed=1, planner_threshold=1, planner_top_k=2
+            ),
+            topology=ring_topology(small_registry.ids),
+        )
         agents = [small_registry.get(agent_id) for agent_id in small_registry.ids]
         comdml.plan_round(0, agents)
 
         calls = []
-        original = comdml.planner.invalidate_topology
+        for name in ("invalidate", "invalidate_topology", "invalidate_all"):
+            original = getattr(comdml.planner, name)
 
-        def recording_invalidate(ids):
-            calls.append(list(ids))
-            return original(ids)
+            def recording(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
 
-        comdml.planner.invalidate_topology = recording_invalidate
+            setattr(comdml.planner, name, recording)
 
         departed_one, departed_two = agents[-1], agents[-2]
         comdml.on_agent_departure(departed_one)
@@ -308,17 +318,18 @@ class TestInvalidationBatching:
         small_registry.add(arriving)
         comdml.on_agent_arrival(arriving, neighbors=[agents[0].agent_id])
         comdml.on_agent_departure(departed_two)
-
-        # A burst of three events touches the planner zero times...
         assert calls == []
-        expected_ids = sorted(
-            {departed_one.agent_id, departed_two.agent_id, arriving.agent_id}
-        )
-        assert comdml._pending_invalidations == set(expected_ids)
 
-        # ...and flushes as exactly one coalesced invalidation at plan time.
+        # The next plan drains the burst from the journal: four CSR edits
+        # (two node removals, one node and one edge added), no rebuild.
         participants = agents[:-2] + [arriving]
         plan = comdml.plan_round(1, participants)
-        assert calls == [expected_ids]
-        assert comdml._pending_invalidations == set()
-        assert plan.num_pairs >= 0
+        stats = comdml.planner.stats
+        assert (stats.csr_edits, stats.csr_rebuilds) == (4, 1)
+        fresh = PrunedPlanner(
+            comdml.profile,
+            comdml.link_model,
+            top_k=2,
+            improvement_threshold=comdml.config.improvement_threshold,
+        )
+        assert list(plan.decisions) == list(fresh.plan(participants))

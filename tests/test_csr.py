@@ -208,15 +208,14 @@ class TestPlannerTiersUnderEvents:
     """An incremental planner over edited CSR ≡ a from-scratch planner.
 
     The persistent planner applies every wiring change as journal edits
-    (through ``invalidate_topology``, exactly as the ComDML runtime
-    flushes dynamics); the reference planner is built from scratch on the
-    mutated graph each round.  Decisions and broadcast τ̂ maps must be
-    byte-identical at full candidate budget.
+    (drained early through ``invalidate_topology``); the reference planner
+    is built from scratch on the mutated graph each round.  Decisions and
+    broadcast τ̂ maps must be byte-identical at full candidate budget.
 
-    The tiers are invalidation batchings: the runtime coalesces a burst of
-    arrivals and departures into one ``invalidate_topology`` flush before
-    the next plan, so the planner is driven with a flush and plan after
-    every 1, 2 or 4 events, and (``None``) once after the whole sequence.
+    The tiers are invalidation batchings: a burst of arrivals and
+    departures reaches the planner as one journal drain, so the planner is
+    driven with a drain and plan after every 1, 2 or 4 events, and
+    (``None``) once after the whole sequence.
     """
 
     @pytest.mark.parametrize("events_per_plan", [None, 1, 2, 4])

@@ -11,6 +11,8 @@ checked through the planner's operation counters).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from repro.agents.resources import ResourceProfile
 from repro.core.comdml import ComDML
 from repro.core.config import ComDMLConfig
 from repro.core.fastpath import agent_attrs, agent_vectors_from_attrs
-from repro.core.pairing import greedy_pairing, greedy_pairing_reference
+from repro.core.pairing import PairingPlan, greedy_pairing, greedy_pairing_reference
 from repro.core.planner import PrunedPlanner
 from repro.core.profiling import profile_architecture
 from repro.core.scheduler import DecentralizedPairingScheduler
@@ -269,7 +271,6 @@ class TestIncrementalReplanning:
         top_k = 4
         planner = PrunedPlanner(PROFILE, link_model, top_k=top_k)
         planner.plan(agents)
-        previous_cand_ids = planner.state.cand_ids.copy()
 
         changed = [agents[3], agents[21], agents[33]]
         for victim in changed:
@@ -280,18 +281,13 @@ class TestIncrementalReplanning:
             )
         planner.plan(agents)
 
-        # Dirty closure: each changed agent's own row, its topology
-        # neighborhood (its τ̂ feeds their candidate selection), and any
-        # row whose cached block still references it.
+        # Dirty closure: each changed agent's own row and its topology
+        # neighborhood (its profile feeds their candidate blocks).
         dirty_ids = {victim.agent_id for victim in changed}
         affected = set(dirty_ids)
         for agent_id in dirty_ids:
             affected.update(link_model.topology.neighbors(agent_id))
-        referencing = int(
-            np.isin(previous_cand_ids, np.array(sorted(dirty_ids))).any(axis=1).sum()
-        )
-        bound = len(affected) + referencing
-        assert 0 < planner.stats.last_rows_recomputed <= bound
+        assert planner.stats.last_rows_recomputed == len(affected)
         assert planner.stats.last_rows_recomputed < len(agents)
         assert (
             planner.stats.last_pairs_evaluated
@@ -372,6 +368,259 @@ class TestIncrementalReplanning:
         incremental = list(planner.plan(agents))
         fresh = list(_full_budget_planner(agents, link_model).plan(agents))
         assert incremental == fresh
+
+    def test_reordered_participants_match_fresh_plan(self):
+        """Candidate order follows participant positions, so a new order of
+        the same participants re-costs every row."""
+        cpu_shares = [0.5, 4.0, 0.5, 4.0, 0.5, 4.0, 0.5, 4.0]
+        agents = _build_agents([(cpu, 50.0, 1_000, 100) for cpu in cpu_shares])
+        link_model = _link_model(agents, "ring", 0)
+        planner = PrunedPlanner(PROFILE, link_model, top_k=2)
+        planner.plan(agents)
+        reordered = agents[::-1]
+        fresh = PrunedPlanner(PROFILE, link_model, top_k=2)
+        assert list(planner.plan(reordered)) == list(fresh.plan(reordered))
+        assert planner.stats.last_rows_recomputed == len(agents)
+
+
+# ----------------------------------------------------------------------
+# Invalidation by cause: incremental ≡ fresh at a fixed candidate budget
+# ----------------------------------------------------------------------
+class HalvedLinks(LinkModel):
+    """A custom link model (half the default bandwidth): the per-pair path."""
+
+    def bandwidth(self, agent_a, agent_b):
+        return 0.5 * super().bandwidth(agent_a, agent_b)
+
+
+DYNAMICS_EVENTS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["churn", "arrive", "arrive-full", "ring-splice", "depart", "rewire"]
+        ),
+        st.integers(min_value=0, max_value=2**31 - 1),  # event seed
+        st.booleans(),  # call invalidate_topology with the touched id
+        st.booleans(),  # plan a random subset instead of every agent
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _random_agent(agent_id: int, rng: np.random.Generator) -> Agent:
+    return Agent(
+        agent_id=agent_id,
+        profile=ResourceProfile(
+            float(rng.choice([4.0, 2.0, 1.0, 0.5, 0.2])),
+            float(rng.choice([0.0, 10.0, 50.0, 100.0])),
+        ),
+        num_samples=int(rng.integers(0, 3_000)),
+        batch_size=int(rng.choice([50, 100, 128])),
+    )
+
+
+def _apply_dynamics(topology, agents: dict, next_id: int, kind: str, rng) -> tuple:
+    """One dynamics event; returns ``(next_id, touched id)``."""
+    nodes = sorted(topology.nodes)
+    if kind == "churn":
+        victim = agents[int(rng.choice(sorted(agents)))]
+        victim.update_profile(
+            ResourceProfile(
+                float(rng.choice([4.0, 2.0, 1.0, 0.5, 0.2])),
+                float(rng.choice([0.0, 10.0, 50.0, 100.0])),
+            )
+        )
+        return next_id, victim.agent_id
+    if kind in ("arrive", "arrive-full", "ring-splice"):
+        if kind == "arrive":
+            count = int(rng.integers(1, min(3, len(nodes)) + 1))
+            chosen = rng.choice(len(nodes), size=count, replace=False)
+            topology.add_agent(next_id, [nodes[int(index)] for index in chosen])
+        elif kind == "arrive-full":
+            topology.add_agent(next_id, None)
+        else:
+            topology.attach_agent(next_id, policy="ring")
+        agents[next_id] = _random_agent(next_id, rng)
+        return next_id + 1, next_id
+    target = nodes[int(rng.integers(len(nodes)))]
+    if kind == "depart" and len(agents) > 2:
+        topology.remove_agent(target)
+        del agents[target]
+        return next_id, target
+    # Rewire: remove and re-add the same id with fresh neighbours.
+    others = [node for node in nodes if node != target]
+    count = int(rng.integers(1, min(3, len(others)) + 1))
+    chosen = rng.choice(len(others), size=count, replace=False)
+    topology.remove_agent(target)
+    topology.add_agent(target, [others[int(index)] for index in chosen])
+    return next_id, target
+
+
+def _assert_same_plan(plan, expected) -> None:
+    for field in dataclasses.fields(PairingPlan):
+        np.testing.assert_array_equal(
+            getattr(plan, field.name), getattr(expected, field.name), field.name
+        )
+
+
+class TestInvalidationByCause:
+    @given(
+        population=st.lists(AGENT_STRATEGY, min_size=4, max_size=12),
+        topology_kind=st.sampled_from(["full", "ring", "random-k"]),
+        top_k=st.sampled_from([2, 3, 5, 64]),
+        custom_links=st.booleans(),
+        events=DYNAMICS_EVENTS,
+        seed=st.integers(min_value=0, max_value=50),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_incremental_plans_match_fresh_plans_at_a_fixed_top_k(
+        self, population, topology_kind, top_k, custom_links, events, seed
+    ):
+        """Every event, with or without ``invalidate_topology``, over every
+        participants or a random subset: all eight plan columns equal a
+        fresh planner's."""
+        initial = _build_agents(population)
+        link_model = _link_model(initial, topology_kind, seed)
+        if custom_links:
+            link_model = HalvedLinks(link_model.topology)
+        topology = link_model.topology
+        agents = {agent.agent_id: agent for agent in initial}
+        planner = PrunedPlanner(PROFILE, link_model, top_k=top_k)
+        planner.plan(initial)
+        next_id = len(initial)
+        for kind, event_seed, invalidate, subset in events:
+            rng = np.random.default_rng(event_seed)
+            next_id, touched = _apply_dynamics(topology, agents, next_id, kind, rng)
+            if invalidate:
+                planner.invalidate_topology([touched])
+            participants = list(agents.values())
+            if subset:
+                keep = rng.random(len(participants)) < 0.6
+                participants = [a for a, kept in zip(participants, keep) if kept]
+            fresh = PrunedPlanner(PROFILE, link_model, top_k=top_k)
+            _assert_same_plan(planner.plan(participants), fresh.plan(participants))
+
+    def test_complete_graph_pool_is_every_rows_top_k(self):
+        """Pool rows cached on a complete graph stay exact once an arrival
+        makes the graph incomplete."""
+        agents = _build_agents(
+            [(cpu, 50.0, 1_000, 100) for cpu in (4.0, 0.5, 4.0, 0.5)]
+        )
+        link_model = _link_model(agents, "full", 0)
+        planner = PrunedPlanner(PROFILE, link_model, top_k=2)
+        planner.plan(agents)
+        agents += _build_agents([(1.0, 50.0, 1_000, 100)] * 5)[4:]
+        link_model.topology.add_agent(4, [0])
+        planner.invalidate_topology([4])
+        incremental = planner.plan(agents)
+        fresh = PrunedPlanner(PROFILE, link_model, top_k=2).plan(agents)
+        _assert_same_plan(incremental, fresh)
+        pairs = {(d.slow_id, d.fast_id) for d in incremental if d.fast_id is not None}
+        assert pairs == {(1, 0), (3, 2)}
+
+    def test_custom_links_drop_a_link_removed_next_to_an_unsampled_agent(self):
+        """A ring splice removes edge 0–5; the newcomer is not sampled, but
+        the journal still re-costs rows 0 and 5."""
+        cpu_shares = [0.5, 0.5, 0.5, 0.5, 0.5, 4.0]
+        agents = _build_agents([(cpu, 50.0, 1_000, 100) for cpu in cpu_shares])
+        link_model = HalvedLinks(ring_topology([agent.agent_id for agent in agents]))
+        planner = PrunedPlanner(PROFILE, link_model, top_k=3)
+        planner.plan(agents)
+        link_model.topology.attach_agent(6, policy="ring")
+        planner.invalidate_topology([6])
+        incremental = planner.plan(agents)
+        fresh = PrunedPlanner(PROFILE, link_model, top_k=3).plan(agents)
+        _assert_same_plan(incremental, fresh)
+        helpers = {d.slow_id: d.fast_id for d in incremental}
+        assert helpers[0] is None
+        assert helpers[4] == 5
+
+    def test_churn_in_a_round_with_a_departure_matches_fresh_plan(self):
+        """A retained participant's changed signature still seeds its row
+        when the participant set changed too."""
+        agents = _build_agents([(cpu, 50.0, 1_000, 100) for cpu in [0.5, 4.0] * 5])
+        link_model = _link_model(agents, "ring", 0)
+        planner = PrunedPlanner(PROFILE, link_model, top_k=2)
+        planner.plan(agents)
+        agents[3].update_profile(ResourceProfile(0.2, 50.0))
+        participants = agents[:-1]
+        fresh = PrunedPlanner(PROFILE, link_model, top_k=2)
+        _assert_same_plan(planner.plan(participants), fresh.plan(participants))
+
+    def test_tombstones_compact_and_rows_grow_exactly(self):
+        """A third of a ring leaves (the tombstones compact, moving the
+        clean rows' candidate references), then it comes back (the rows
+        grow): both plans equal fresh ones."""
+        rng = np.random.default_rng(4)
+        agents = [_random_agent(agent_id, rng) for agent_id in range(300)]
+        link_model = _link_model(agents, "ring", 0)
+        planner = PrunedPlanner(PROFILE, link_model, top_k=4)
+        planner.plan(agents)
+        for participants in (agents[100:], agents):
+            before = planner.state.scan_times
+            fresh = PrunedPlanner(PROFILE, link_model, top_k=4)
+            _assert_same_plan(planner.plan(participants), fresh.plan(participants))
+            assert planner.state.scan_times is not before
+            assert planner.state.dead == 0
+        assert planner.stats.last_rows_recomputed < len(agents)
+
+
+class TestRecostCounts:
+    """Exact re-cost counts per cause (``top_k`` covers every neighbourhood)."""
+
+    @pytest.fixture
+    def planned(self):
+        rng = np.random.default_rng(0)
+        agents = [_random_agent(agent_id, rng) for agent_id in range(300)]
+        for agent in agents:
+            agent.update_profile(ResourceProfile(agent.profile.cpu_share, 50.0))
+        topology = random_k_topology(list(range(300)), 3, np.random.default_rng(0))
+        planner = PrunedPlanner(PROFILE, LinkModel(topology), top_k=32)
+        planner.plan(agents)
+        return planner, topology, agents
+
+    def test_arrival_recosts_itself_and_its_neighbours(self, planned):
+        planner, topology, agents = planned
+        topology.add_agent(300, [3, 141, 277])
+        agents.append(_random_agent(300, np.random.default_rng(1)))
+        planner.plan(agents)
+        assert planner.stats.last_rows_recomputed == 4
+
+    def test_departure_recosts_the_rows_that_listed_it(self, planned):
+        planner, topology, agents = planned
+        gone = next(a for a in agents if topology.degree(a.agent_id) == 8)
+        topology.remove_agent(gone.agent_id)
+        agents.remove(gone)
+        planner.plan(agents)
+        assert planner.stats.last_rows_recomputed == 8
+
+    def test_churn_recosts_its_row_and_its_neighbours(self, planned):
+        planner, topology, agents = planned
+        victim = next(a for a in agents if topology.degree(a.agent_id) == 5)
+        victim.update_profile(ResourceProfile(victim.profile.cpu_share * 2.0, 50.0))
+        planner.plan(agents)
+        assert planner.stats.last_rows_recomputed == 6
+
+    def test_rows_stay_in_place_across_an_arrival_and_a_departure(self, planned):
+        planner, topology, agents = planned
+        state = planner.state
+        arrays = (state.scan_times, state.scan_rows, state.scan_split, state.scan_bw)
+        topology.add_agent(300, [3, 141, 277])
+        agents.append(_random_agent(300, np.random.default_rng(1)))
+        planner.plan(agents)
+        gone = agents.pop(17)
+        topology.remove_agent(gone.agent_id)
+        planner.plan(agents)
+        assert planner.state is state
+        assert all(
+            now is before
+            for now, before in zip(
+                (state.scan_times, state.scan_rows, state.scan_split, state.scan_bw),
+                arrays,
+            )
+        )
+        fresh = PrunedPlanner(PROFILE, planner.link_model, top_k=32)
+        _assert_same_plan(planner.plan(agents), fresh.plan(agents))
 
 
 # ----------------------------------------------------------------------

@@ -164,7 +164,9 @@ def test_golden_covers_the_pruned_planner_paths():
     # whose helper is not the slow row's fastest candidate came from the
     # fallback walk past an already-claimed candidate.
     state = trainer.planner.state
-    row_of = {agent_id: row for row, agent_id in enumerate(state.ids)}
+    row_of = {
+        agent_id: int(state.row_of_pos[pos]) for pos, agent_id in enumerate(state.ids)
+    }
     last_round = SCENARIO["max_rounds"] - 1
     fallbacks = 0
     for event in trainer.trace.events:
@@ -172,8 +174,8 @@ def test_golden_covers_the_pruned_planner_paths():
             continue
         if len(event.agent_ids) == 2:
             slow, fast = event.agent_ids
-            fastest = int(state.scan_pos[row_of[slow], 0])
-            fallbacks += state.ids[fastest] != fast
+            fastest = int(state.scan_rows[row_of[slow], 0])
+            fallbacks += state.ids[state.pos_of_row[fastest]] != fast
     assert fallbacks > 0
 
 
