@@ -527,7 +527,9 @@ def _steady_runtime_rounds(benchmark, mode: str, population: int) -> None:
 def test_runtime_round_speed(benchmark, population, mode):
     """Steady ComDML rounds: closed-form sync, and semi-sync and async on
     the flight table (a round's completions one engine batch, one engine
-    step per unit; async adds one gossip aggregation event per unit).
+    step per unit; async prices its gossip as one column and adds its
+    aggregations as a second batch, one engine step per unit, and steps
+    the learning plane once per trace flush).
 
     Population is the outer loop, so the three modes of one population
     run back to back and a drift in the host's speed shifts all three.

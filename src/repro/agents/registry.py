@@ -121,7 +121,7 @@ class AgentRegistry:
         """Total number of training samples across the population (``N``).
 
         A running total that :meth:`add` and :meth:`remove` keep, so reading
-        it is O(1); async rounds read it once per unit.  It relies on an
+        it is O(1); async rounds read it once per trace flush.  It relies on an
         agent's ``num_samples`` being fixed once the agent is registered.
         Integer sums are exact, so it equals the sum over the agents.
         """
@@ -132,6 +132,30 @@ class AgentRegistry:
         agents = self._agents
         return sum(
             agents[agent_id].num_samples for agent_id in agent_ids if agent_id in agents
+        )
+
+    def samples_column(self, agent_ids: np.ndarray) -> np.ndarray:
+        """Each id's ``num_samples`` (``int64``); unregistered ids read 0."""
+        get = self._agents.get
+        return np.array(
+            [
+                agent.num_samples if (agent := get(agent_id)) is not None else 0
+                for agent_id in agent_ids.tolist()
+            ],
+            dtype=np.int64,
+        )
+
+    def bandwidth_mbps_column(self, agent_ids: np.ndarray) -> np.ndarray:
+        """Each id's link speed in Mbps (``float64``); unregistered ids read NaN."""
+        get = self._agents.get
+        return np.array(
+            [
+                agent.profile.bandwidth_mbps
+                if (agent := get(agent_id)) is not None
+                else np.nan
+                for agent_id in agent_ids.tolist()
+            ],
+            dtype=np.float64,
         )
 
     # ------------------------------------------------------------------

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.agents.agent import Agent
 from repro.baselines.base import BaselineTrainer
 from repro.sim.costs import DEFAULT_LINK_LATENCY_SECONDS
@@ -56,8 +58,8 @@ class FedAvg(BaselineTrainer):
     def semi_sync_aggregation_seconds(self, plan, kept) -> float:
         return 0.0
 
-    def async_unit_aggregation_seconds(self, plan, unit) -> float:
-        return 0.0
+    def async_unit_aggregation_seconds(self, plan, rows) -> np.ndarray:
+        return np.zeros(len(rows))
 
     def round_timing(self, participants: Sequence[Agent]) -> tuple[float, float, float]:
         chains = [self.agent_round_time(agent) for agent in participants]

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.agents.agent import Agent
 from repro.agents.registry import AgentRegistry
 from repro.core.config import ComDMLConfig
@@ -29,7 +31,11 @@ from repro.core.pairing import PairingPlan
 from repro.core.planner import PrunedPlanner
 from repro.core.profiling import SplitProfile, profile_architecture
 from repro.core.scheduler import DecentralizedPairingScheduler
-from repro.core.timing import bottleneck_bandwidth, compute_round_timing
+from repro.core.timing import (
+    FALLBACK_BANDWIDTH_MBPS,
+    bottleneck_bandwidth,
+    compute_round_timing,
+)
 from repro.core.workload import estimate_offload_time, individual_training_time
 from repro.models.spec import ArchitectureSpec
 from repro.network.allreduce import allreduce_time
@@ -40,10 +46,11 @@ from repro.runtime.dynamics import DynamicsSchedule
 from repro.runtime.runtime import RuntimeDelegate, TrainingRuntime
 from repro.runtime.strategy import RoundPlan, StrategyDefaults, WorkUnit
 from repro.runtime.trace import EventTrace
-from repro.sim.costs import transfer_time_seconds
+from repro.sim.costs import DEFAULT_LINK_LATENCY_SECONDS
 from repro.training.accuracy import AccuracyTracker, CurveAccuracyTracker
 from repro.training.curves import LearningCurveModel
 from repro.utils.seeding import SeedSequenceFactory
+from repro.utils.units import BITS_PER_BYTE
 
 
 class ComDML(StrategyDefaults, RuntimeDelegate):
@@ -170,15 +177,36 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
             compressor=self._aggregation_compressor,
         )
 
-    def async_unit_aggregation_seconds(self, plan: RoundPlan, unit: WorkUnit) -> float:
-        """Price one pair's gossip exchange: its slowest member pushes a model."""
-        agents = self._registered_agents(unit.agent_ids)
-        if not agents:
-            return 0.0
+    def async_unit_aggregation_seconds(
+        self, plan: RoundPlan, rows: np.ndarray
+    ) -> np.ndarray:
+        """Price each unit's gossip exchange: its slowest member pushes a model.
+
+        Per row, :func:`~repro.sim.costs.transfer_time_seconds` of the
+        (compressed) model over :func:`~repro.core.timing.bottleneck_bandwidth`
+        of the unit's registered members, as columns: the slowest connected
+        member's link, or ``FALLBACK_BANDWIDTH_MBPS`` when none is connected.
+        A unit with no registered member costs nothing, and so does a
+        zero-byte model.
+        """
+        decisions = plan.decisions
+        slow = self.registry.bandwidth_mbps_column(decisions.slow_id[rows])
+        fast = self.registry.bandwidth_mbps_column(decisions.fast_id[rows])
         model_bytes = self.profile.full_model_bytes
         if self._aggregation_compressor is not None:
             model_bytes = self._aggregation_compressor.compressed_bytes(model_bytes)
-        return transfer_time_seconds(model_bytes, bottleneck_bandwidth(agents))
+        if model_bytes == 0:
+            return np.zeros(len(rows))
+        # Unregistered members read NaN and disconnected ones 0: not links.
+        slowest = np.minimum(
+            np.where(slow > 0, slow, np.inf), np.where(fast > 0, fast, np.inf)
+        )
+        slowest[slowest == np.inf] = FALLBACK_BANDWIDTH_MBPS
+        costs = DEFAULT_LINK_LATENCY_SECONDS + model_bytes / (
+            slowest * 1_000_000 / BITS_PER_BYTE
+        )
+        costs[np.isnan(slow) & np.isnan(fast)] = 0.0
+        return costs
 
     # ------------------------------------------------------------------
     # Mid-round dynamics hooks

@@ -20,6 +20,10 @@ from repro.network.allreduce import allreduce_time
 from repro.network.compression import GradientCompressor
 from repro.utils.units import mbps_to_bytes_per_second
 
+#: Link speed an aggregation is priced at when no participant has a usable
+#: link: the slowest nominal profile, so the aggregation still completes.
+FALLBACK_BANDWIDTH_MBPS = 10.0
+
 
 @dataclass(frozen=True)
 class RoundTiming:
@@ -54,9 +58,9 @@ def bottleneck_bandwidth(agents: Sequence[Agent]) -> float:
     the converted speeds.
     """
     speeds = (agent.profile.bandwidth_mbps for agent in agents)
-    # No usable links: fall back to the slowest nominal profile (10 Mbps)
-    # so the aggregation still completes in the simulation.
-    slowest = min((mbps for mbps in speeds if mbps > 0), default=10.0)
+    slowest = min(
+        (mbps for mbps in speeds if mbps > 0), default=FALLBACK_BANDWIDTH_MBPS
+    )
     return mbps_to_bytes_per_second(slowest)
 
 

@@ -24,8 +24,12 @@ Three execution modes are supported (``ComDMLConfig.execution_mode``):
     makespan mean, or an adaptive fraction that tightens as observed
     makespans stabilise.
 ``async``
-    No barrier: each unit's completion event triggers its own gossip-style
-    aggregation on the event queue; the round record summarises the epoch.
+    No barrier: each unit's completion is followed by its own gossip-style
+    aggregation; the round record summarises the epoch.  The round prices
+    every unit's gossip as a column when it starts (a unit a re-cost moved
+    is priced again when it completes) and schedules the aggregations as
+    one engine batch.  The learning plane steps once per aggregation, in
+    one vector step per trace flush.
 
 Every mode additionally supports *mid-round dynamics* through an optional
 :class:`~repro.runtime.dynamics.DynamicsSchedule`: staggered agent
@@ -57,12 +61,7 @@ from repro.runtime.quorum import QuorumPolicy, make_quorum_policy
 # No round calls ``resolve_quorum``, but perfbench's tracer wraps it by this
 # module's name (``perfbench.tracing.PROBES``), so the name must resolve here.
 from repro.runtime.quorum import resolve_quorum  # noqa: F401
-from repro.runtime.strategy import (
-    RoundPlan,
-    RoundStrategy,
-    WorkUnit,
-    participation_fraction,
-)
+from repro.runtime.strategy import RoundPlan, RoundStrategy, participation_fraction
 from repro.runtime.trace import EventTrace, build_event_trace
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import Event
@@ -91,7 +90,10 @@ class _Flight:
     the round start: the plan duration itself until the unit is re-costed,
     ``due - start`` after.  Offsets are read from it, never re-derived as
     ``due - start``, which can round differently.  ``state`` holds each
-    row's ``_PENDING``, ``_DONE`` or ``_ABANDONED``.
+    row's ``_PENDING``, ``_DONE`` or ``_ABANDONED``.  An async round also
+    sets ``aggregate_at``, each unit's gossip aggregation time, and
+    ``accuracy``, the learning plane's accuracy after the latest recorded
+    aggregation.
 
     The round's batch fires each row's completion under version 0.
     Mid-round churn re-costs a unit by folding elapsed time into
@@ -101,10 +103,12 @@ class _Flight:
     version is not the row's current one is stale and ignored when it fires.
 
     ``row_of`` maps each participant to its row: every participant is in
-    exactly one unit.  ``done`` lists the done rows in completion order; the
-    rows from ``flushed`` on wait there until the runtime records them as
-    one trace block.  :meth:`close` sets when the round closed, as a time
-    (``close_time``) and as an offset from its start (``close_elapsed``).
+    exactly one unit.  ``log`` lists the done rows in completion order; in
+    an async round it also holds ``~row`` for each gossip aggregation, in
+    fire order.  The entries from ``flushed`` on wait there until the
+    runtime records them as one trace block.  :meth:`close` sets when the
+    round closed, as a time (``close_time``) and as an offset from its start
+    (``close_elapsed``).
     """
 
     def __init__(self, plan: RoundPlan, start: float, due: np.ndarray) -> None:
@@ -132,14 +136,17 @@ class _Flight:
                 f"round {plan.round_index}: an agent is in more than one unit "
                 "of the plan"
             )
-        self.done: list[int] = []
+        self.log: list[int] = []
         self.flushed = 0
+        self.aggregate_at: Optional[np.ndarray] = None
+        self.accuracy = 0.0
         # An empty round is closed before it starts.
         self.closed = not count
         self.close_time = start
         self.close_elapsed = 0.0
         self.on_done: Optional[Callable[[int, float], None]] = None
         self.on_abandon: Optional[Callable[[int], None]] = None
+        self.on_recost: Optional[Callable[[int], None]] = None
 
     def __len__(self) -> int:
         return len(self.state)
@@ -303,31 +310,85 @@ class TrainingRuntime:
         agent_ids: tuple[int, ...] = (),
         detail: Optional[dict] = None,
     ) -> None:
-        """Record one trace event, after the completions the flight buffers.
+        """Record one trace event, after the rows the flight has logged.
 
-        A flight's unit completions wait in its table and reach the trace
-        as one block.  Every other trace record that can happen while a
-        round is in flight goes through here, so the trace keeps event
-        order.
+        A flight's unit completions (and an async round's aggregations)
+        wait in its log and reach the trace as one block.  Every other
+        trace record that can happen while a round is in flight goes
+        through here, so the trace keeps event order.
         """
         self._flush_completions()
         self.trace.record(timestamp, round_index, kind, agent_ids, detail)
 
     def _flush_completions(self) -> None:
-        """Record the completions the flight has buffered as one trace block."""
+        """Record the rows the flight has logged as one trace block.
+
+        In an async round the block interleaves completions with gossip
+        aggregations, in fire order, and the aggregations first step the
+        learning plane (:meth:`_aggregate`).
+        """
         flight = self._flight
-        if flight is None or flight.flushed == len(flight.done):
+        if flight is None or flight.flushed == len(flight.log):
             return
-        rows = flight.done[flight.flushed :]
-        flight.flushed = len(flight.done)
+        fired = flight.log[flight.flushed :]
+        flight.flushed = len(flight.log)
+        if flight.aggregate_at is None:
+            self.trace.record_block(
+                flight.round_index,
+                "unit_complete",
+                [flight.due[row] for row in fired],
+                [flight.slow_ids[row] for row in fired],
+                [flight.fast_ids[row] for row in fired],
+                [flight.elapsed[row] for row in fired],
+            )
+            return
+        fired = np.array(fired, dtype=np.int64)
+        aggregated = fired < 0
+        completed = ~aggregated
+        rows = np.where(aggregated, ~fired, fired)
+        timestamps = np.empty(len(rows))
+        values = np.empty(len(rows))
+        done = rows[completed].tolist()
+        timestamps[completed] = [flight.due[row] for row in done]
+        values[completed] = [flight.elapsed[row] for row in done]
+        if aggregated.any():
+            gossiped = rows[aggregated]
+            timestamps[aggregated] = flight.aggregate_at[gossiped]
+            values[aggregated] = self._aggregate(flight, gossiped)
+        decisions = flight.plan.decisions
         self.trace.record_block(
             flight.round_index,
-            "unit_complete",
-            [flight.due[row] for row in rows],
-            [flight.slow_ids[row] for row in rows],
-            [flight.fast_ids[row] for row in rows],
-            [flight.elapsed[row] for row in rows],
+            ("unit_complete", "aggregation"),
+            timestamps,
+            decisions.slow_id[rows],
+            decisions.fast_id[rows],
+            values,
+            key=("duration", "accuracy"),
+            codes=aggregated,
         )
+
+    def _aggregate(self, flight: _Flight, rows: np.ndarray) -> np.ndarray:
+        """Step the learning plane once per aggregated unit; their accuracies.
+
+        Each unit's participation is its members' share of the population's
+        samples as the registry stands now: the runtime flushes before every
+        population change, so that is the population the aggregation fired
+        under.
+        """
+        decisions = flight.plan.decisions
+        total = self.registry.total_samples
+        if total == 0:
+            participations = np.ones(len(rows))
+        else:
+            samples = self.registry.samples_column(
+                decisions.slow_id[rows]
+            ) + self.registry.samples_column(decisions.fast_id[rows])
+            participations = np.minimum(1.0, samples / total)
+        accuracies = self.accuracy_tracker.after_units(
+            decisions.take(rows), participations, self._lr_schedule.learning_rate
+        )
+        flight.accuracy = float(accuracies[-1])
+        return accuracies
 
     # ------------------------------------------------------------------
     def _plan(self, round_index: int) -> RoundPlan:
@@ -468,8 +529,10 @@ class TrainingRuntime:
         :class:`~repro.runtime.dynamics.DynamicsEvent`; fires wherever the
         clock happens to be — between rounds (the registry change simply
         shapes the next plan) or mid-round (in-flight work is re-costed or
-        abandoned).
+        abandoned).  The flight's log is recorded first, so the async
+        aggregations in it see the population they fired under.
         """
+        self._flush_completions()
         dyn: DynamicsEvent = event.payload
         now = self.engine.now
         round_index = self._current_round
@@ -573,6 +636,8 @@ class TrainingRuntime:
                 payload=(flight, row, flight.version[row]),
                 callback=self._on_repriced_completion,
             )
+            if flight.on_recost is not None:
+                flight.on_recost(row)
             self._record(
                 now,
                 flight.round_index,
@@ -597,7 +662,7 @@ class TrainingRuntime:
         ):
             return
         flight.state[row] = _DONE
-        flight.done.append(row)
+        flight.log.append(row)
         if flight.on_done is not None:
             flight.on_done(row, timestamp)
 
@@ -636,7 +701,8 @@ class TrainingRuntime:
         self._flush_completions()
         # The round's hooks close over its flight; unhooking them breaks the
         # cycle, so the plan is freed with the flight, not by a later GC pass.
-        self._flight.on_done = self._flight.on_abandon = None
+        flight = self._flight
+        flight.on_done = flight.on_abandon = flight.on_recost = None
         self._flight = None
 
     def _drive_until_closed(self, flight: _Flight) -> None:
@@ -768,16 +834,16 @@ class TrainingRuntime:
             # By projected completion, ties in row order (a stable sort).
             projected = np.array(flight.due)[pending]
             order = np.argsort(projected, kind="stable")
-            for row, completion in zip(
-                pending[order].tolist(), projected[order].tolist()
-            ):
-                self._record(
-                    at,
-                    round_index,
-                    "straggler_dropped",
-                    flight.agent_ids(row),
-                    detail={"projected_completion": completion},
-                )
+            dropped = pending[order]
+            self.trace.record_block(
+                round_index,
+                "straggler_dropped",
+                np.full(len(dropped), at),
+                flight.plan.decisions.slow_id[dropped],
+                flight.plan.decisions.fast_id[dropped],
+                projected[order],
+                key="projected_completion",
+            )
 
         def _maybe_close(at: float, elapsed: float) -> None:
             # With every live unit done, completed == live >= the effective
@@ -831,54 +897,98 @@ class TrainingRuntime:
         # Kept traffic adds up in completion order.
         return self._finish_dynamic_round(
             flight,
-            np.array(flight.done, dtype=np.int64),
+            np.array(flight.log, dtype=np.int64),
             observed_makespan=float(live.max()) if len(live) else 0.0,
         )
 
     def _run_round_async_dynamic(self, round_index: int) -> RoundRecord:
         """Per-unit gossip aggregation, with or without in-flight dynamics.
 
-        Each surviving unit's completion schedules its own aggregation;
-        the round closes when every non-abandoned unit has aggregated.
-        Gossip costs are priced at completion time, so mid-round churn
-        affects them too.
+        Each surviving unit's completion is followed by its own gossip
+        aggregation; the round closes when every non-abandoned unit has
+        aggregated.  The gossip is priced as a column when the round starts,
+        and the aggregations are scheduled right after the completions as
+        one engine batch: row ``i`` is the ``i``-th unit in completion
+        order, due its cost after the unit.  A re-cost or an abandon leaves
+        the unit's row stale, ignored when it fires; a unit a re-cost moved
+        is priced again when it completes, under the agent profiles of that
+        time, and its aggregation scheduled as its own event.  Fired
+        aggregations wait in the flight's log and step the learning plane at
+        the next trace flush, in one vector step.
+
+        Events at one instant fire in the order they were scheduled, and an
+        aggregation counts as scheduled when its unit completes.  So when an
+        event is scheduled mid-round at an instant where batch rows of units
+        still in flight are due, those rows leave the batch: each unit's
+        aggregation is scheduled as its own event when it completes.
         """
         flight = self._start_dynamic_round(round_index)
         plan, start = flight.plan, flight.start
-        learning_rate = self._lr_schedule.learning_rate
-        state = {"accuracy": self._last_accuracy, "outstanding": len(flight)}
+        flight.accuracy = self._last_accuracy
+        due = np.array(flight.due)
+        order = np.argsort(due, kind="stable")
+        costs = self.strategy.async_unit_aggregation_seconds(plan, order)
+        aggregate_at = due[order] + np.maximum(0.0, costs)
+        flight.aggregate_at = np.empty(len(flight))
+        flight.aggregate_at[order] = aggregate_at
+        unit_of = order.tolist()
+        # Version-0 units whose aggregation left the batch.
+        displaced: set[int] = set()
+        state = {"outstanding": len(flight)}
 
-        def _aggregate(event: Event) -> None:
-            unit: WorkUnit = event.payload
-            participation = participation_fraction(self.registry, unit.decisions)
-            state["accuracy"] = self.accuracy_tracker.after_round(
-                unit.decisions, participation, learning_rate
-            )
-            self._record(
-                event.timestamp,
-                round_index,
-                "aggregation",
-                unit.agent_ids,
-                detail={"accuracy": state["accuracy"]},
-            )
+        def _aggregated(row: int, at: float) -> None:
+            flight.log.append(~row)
             state["outstanding"] -= 1
             if state["outstanding"] <= 0:
-                flight.close(event.timestamp)
+                flight.close(at)
+
+        def _on_batch_row(at: float, index: int) -> None:
+            row = unit_of[index]
+            if (
+                flight is self._flight
+                and not flight.version[row]
+                and row not in displaced
+            ):
+                _aggregated(row, at)
+
+        def _on_aggregation(event: Event) -> None:
+            _aggregated(event.payload, event.timestamp)
+
+        def _schedule(row: int, at: float) -> None:
+            self.engine.schedule_at(
+                at, kind="aggregation", payload=row, callback=_on_aggregation
+            )
+
+        def _displace(at: float) -> None:
+            for row in np.flatnonzero(flight.aggregate_at == at).tolist():
+                if flight.state[row] == _PENDING and not flight.version[row]:
+                    displaced.add(row)
 
         def _on_done(row: int, at: float) -> None:
-            unit = plan.unit(row)
-            cost = max(0.0, self.strategy.async_unit_aggregation_seconds(plan, unit))
-            self.engine.schedule_after(
-                cost, kind="aggregation", payload=unit, callback=_aggregate
-            )
+            if flight.version[row]:
+                cost = self.strategy.async_unit_aggregation_seconds(
+                    plan, np.array([row])
+                )
+                at = flight.aggregate_at[row] = at + max(0.0, float(cost[0]))
+                _schedule(row, at)
+                _displace(at)
+            elif row in displaced:
+                _schedule(row, float(flight.aggregate_at[row]))
+
+        def _on_recost(row: int) -> None:
+            _displace(flight.due[row])
 
         def _on_abandon(row: int) -> None:
             state["outstanding"] -= 1
             if state["outstanding"] <= 0:
                 flight.close(self.engine.now)
 
+        # Bound to this round's flight, like the completions: rows still
+        # queued when the round closes fire later as no-ops.
+        self.engine.schedule_batch(aggregate_at, "aggregation", _on_batch_row)
         flight.on_done = _on_done
         flight.on_abandon = _on_abandon
+        flight.on_recost = _on_recost
         self._drive_until_closed(flight)
         end = max(flight.close_time, start)
         done = flight.rows_in(_DONE)
@@ -888,9 +998,10 @@ class TrainingRuntime:
         # count nor its offload traffic, and kept traffic adds up in row
         # order.
         kept = plan.decisions.take(done)
+        # The last flush steps the learning plane over the last aggregations.
         self._end_flight()
         self.engine.run_until(end)
-        accuracy = state["accuracy"]
+        accuracy = flight.accuracy
         self._lr_schedule.step(accuracy)
         return self._finish_round(
             plan,

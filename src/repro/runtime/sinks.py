@@ -15,9 +15,11 @@ its bounded buffer and deliver in batches, so the simulation loop never
 blocks on I/O for each event.  In-memory and callback sinks are delivered
 synchronously.
 
-The in-memory sink also takes a round's unit completions as one
-:class:`UnitBlock` of columns and builds their events only when they are
-read; every other sink sees those events one by one (see
+The in-memory sink also takes a run of per-unit events — a round's unit
+completions, an async round's completions and gossip aggregations
+interleaved, a quorum's dropped stragglers — as one :class:`UnitBlock` of
+columns with a kind code per row, and builds their events only when they
+are read; every other sink sees those events one by one (see
 :meth:`~repro.runtime.trace.EventTrace.record_block`).
 
 Sinks are constructed directly or from a compact spec string via
@@ -30,7 +32,7 @@ from __future__ import annotations
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -88,42 +90,73 @@ class TraceSink:
 
 @dataclass(frozen=True, eq=False)
 class UnitBlock:
-    """Events of one kind and one round, one per work unit, as columns.
+    """Events of one round, one per row, as columns.
 
-    Row ``r`` is the event ``(timestamps[r], round_index, kind, agents,
-    {"duration": durations[r]})`` whose agents are ``(slow_ids[r],)``, or
-    ``(slow_ids[r], fast_ids[r])`` when ``fast_ids[r] >= 0`` — the id
-    encoding of :class:`~repro.core.pairing.PairingPlan`.  Use
+    Row ``r`` is the event ``(timestamps[r], round_index, kinds[codes[r]],
+    agents, {keys[codes[r]]: values[r]})`` whose agents are
+    ``(slow_ids[r],)``, or ``(slow_ids[r], fast_ids[r])`` when
+    ``fast_ids[r] >= 0`` — the id encoding of
+    :class:`~repro.core.pairing.PairingPlan`.  A sync round's completions
+    are the one-kind block ``("unit_complete",)`` / ``("duration",)``; an
+    async round interleaves ``aggregation`` rows, keyed ``accuracy``.  Use
     :meth:`of` to build one: it copies the columns, so a later change to
     the caller's arrays cannot rewrite recorded history.
     """
 
     round_index: int
-    kind: str
+    kinds: tuple[str, ...]
+    keys: tuple[str, ...]
+    codes: np.ndarray
     timestamps: np.ndarray
     slow_ids: np.ndarray
     fast_ids: np.ndarray
-    durations: np.ndarray
+    values: np.ndarray
 
     @classmethod
     def of(
-        cls, round_index: int, kind: str, timestamps, slow_ids, fast_ids, durations
+        cls,
+        round_index: int,
+        kind: Union[str, Sequence[str]],
+        timestamps,
+        slow_ids,
+        fast_ids,
+        values,
+        key: Union[str, Sequence[str]] = "duration",
+        codes=None,
     ) -> "UnitBlock":
-        """A block owning copies of four equal-length 1-D columns."""
+        """A block owning copies of its equal-length 1-D columns.
+
+        ``kind`` and ``key`` are parallel tuples, or one string each for a
+        one-kind block; ``codes`` gives each row's index into them (default:
+        every row 0).
+        """
+        kinds = (kind,) if isinstance(kind, str) else tuple(kind)
+        keys = (key,) if isinstance(key, str) else tuple(key)
+        if not kinds or len(kinds) != len(keys):
+            raise ValueError(
+                f"a unit block needs one detail key per kind, got {kinds} / {keys}"
+            )
         columns = (
             np.array(timestamps, dtype=np.float64),
             np.array(slow_ids, dtype=np.int64),
             np.array(fast_ids, dtype=np.int64),
-            np.array(durations, dtype=np.float64),
+            np.array(values, dtype=np.float64),
         )
+        if codes is None:
+            codes = np.zeros(len(columns[0]), dtype=np.uint8)
+        else:
+            codes = np.array(codes, dtype=np.uint8)
+        columns = (codes, *columns)
         if any(column.ndim != 1 for column in columns) or len(
             {len(column) for column in columns}
         ) > 1:
             raise ValueError(
-                "a unit block needs four 1-D columns of equal length, got shapes "
-                f"{[column.shape for column in columns]}"
+                "a unit block needs 1-D codes and columns of equal length, got "
+                f"shapes {[column.shape for column in columns]}"
             )
-        return cls(round_index, kind, *columns)
+        if len(codes) and codes.max() >= len(kinds):
+            raise ValueError(f"a code is out of range for the {len(kinds)} kinds")
+        return cls(round_index, kinds, keys, *columns)
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -132,20 +165,38 @@ class UnitBlock:
         """The block of the first ``count`` rows."""
         return UnitBlock(
             self.round_index,
-            self.kind,
+            self.kinds,
+            self.keys,
+            self.codes[:count],
             self.timestamps[:count],
             self.slow_ids[:count],
             self.fast_ids[:count],
-            self.durations[:count],
+            self.values[:count],
         )
 
-    def rows(self) -> Iterator[tuple[float, tuple[int, ...], float]]:
-        """Each row's ``(timestamp, agent_ids, duration)`` as builtins."""
+    def rows(self) -> Iterator[tuple[float, str, tuple[int, ...], str, float]]:
+        """Each row's ``(timestamp, kind, agent_ids, key, value)`` as builtins."""
         agents = [
             (slow,) if fast < 0 else (slow, fast)
             for slow, fast in zip(self.slow_ids.tolist(), self.fast_ids.tolist())
         ]
-        return zip(self.timestamps.tolist(), agents, self.durations.tolist())
+        codes = self.codes.tolist()
+        kinds = [self.kinds[code] for code in codes]
+        keys = [self.keys[code] for code in codes]
+        return zip(
+            self.timestamps.tolist(), kinds, agents, keys, self.values.tolist()
+        )
+
+    def kind_counts(self) -> dict[str, int]:
+        """Rows per kind, in order of each kind's first row."""
+        sizes = np.bincount(self.codes, minlength=len(self.kinds))
+        present = np.flatnonzero(sizes).tolist()
+        present.sort(key=lambda code: int(np.argmax(self.codes == code)))
+        counts: dict[str, int] = {}
+        for code in present:
+            kind = self.kinds[code]
+            counts[kind] = counts.get(kind, 0) + int(sizes[code])
+        return counts
 
     def events(self) -> list["TraceEvent"]:
         """Every row as a :class:`~repro.runtime.trace.TraceEvent`.
@@ -159,16 +210,16 @@ class UnitBlock:
         from repro.runtime.trace import TraceEvent
 
         new = object.__new__
-        round_index, kind = self.round_index, self.kind
+        round_index = self.round_index
         events = []
-        for timestamp, agent_ids, duration in self.rows():
+        for timestamp, kind, agent_ids, key, value in self.rows():
             event = new(TraceEvent)
             event.__dict__.update(
                 timestamp=timestamp,
                 round_index=round_index,
                 kind=kind,
                 agent_ids=agent_ids,
-                detail={"duration": duration},
+                detail={key: value},
             )
             events.append(event)
         return events
@@ -222,8 +273,11 @@ class MemorySink(TraceSink):
         for event in self._events:
             counts[event.kind] = counts.get(event.kind, 0) + 1
         for item in self._pending:
-            size = len(item) if isinstance(item, UnitBlock) else 1
-            counts[item.kind] = counts.get(item.kind, 0) + size
+            if isinstance(item, UnitBlock):
+                for kind, size in item.kind_counts().items():
+                    counts[kind] = counts.get(kind, 0) + size
+            else:
+                counts[item.kind] = counts.get(item.kind, 0) + 1
         return counts
 
     def emit(self, event: "TraceEvent") -> bool:

@@ -6,8 +6,10 @@ work is decomposed, priced, and aggregated — expressed as a
 :class:`~repro.core.pairing.PairingPlan` of columns plus a duration column,
 one work unit per decision.  :class:`WorkUnit` objects are views of those
 columns, built one at a time (:meth:`RoundPlan.unit`) only where one unit is
-handled on its own: an async unit's gossip aggregation and the strategy
-hooks of the in-flight dynamics.  Everything methods share (churn,
+handled on its own: the strategy hooks of the in-flight dynamics.  An async
+round prices its units' gossip aggregations as a column, one call per round
+(:meth:`RoundStrategy.async_unit_aggregation_seconds`), plus a one-row call
+for each unit a re-cost moved.  Everything methods share (churn,
 participation sampling, the LR schedule, accuracy tracking, history, the
 event loop) lives in the runtime.  ComDML's strategy derives its plan from
 the pairing scheduler; each baseline derives its plan from its
@@ -140,8 +142,16 @@ class RoundStrategy(Protocol):
         """
         ...
 
-    def async_unit_aggregation_seconds(self, plan: RoundPlan, unit: WorkUnit) -> float:
-        """Cost of one unit's gossip-style aggregation in ``async`` mode."""
+    def async_unit_aggregation_seconds(
+        self, plan: RoundPlan, rows: np.ndarray
+    ) -> np.ndarray:
+        """Cost of each given unit's gossip-style aggregation in ``async`` mode.
+
+        ``rows`` are units of ``plan``; the result holds one cost in
+        seconds per row, in the same order.  The runtime prices every unit
+        when the round starts, and a unit again when it completes after a
+        re-cost, so the price may read agent state as it is at that time.
+        """
         ...
 
     def reprice_unit(self, plan: RoundPlan, unit: WorkUnit) -> float:
@@ -193,8 +203,12 @@ class StrategyDefaults:
     ) -> float:
         return plan.aggregation_seconds
 
-    def async_unit_aggregation_seconds(self, plan: RoundPlan, unit: WorkUnit) -> float:
-        return plan.aggregation_seconds / max(1, len(plan.durations))
+    def async_unit_aggregation_seconds(
+        self, plan: RoundPlan, rows: np.ndarray
+    ) -> np.ndarray:
+        return np.full(
+            len(rows), plan.aggregation_seconds / max(1, len(plan.durations))
+        )
 
     def reprice_unit(self, plan: RoundPlan, unit: WorkUnit) -> float:
         return unit.duration

@@ -25,17 +25,20 @@ they opt in via the ``trace_*`` fields of
 :class:`~repro.core.config.ComDMLConfig` (see :func:`build_event_trace`).
 
 A sync round records its unit completions with one
-:meth:`EventTrace.record_block` call; a dynamics-aware round records them
-as a few blocks, split at every other record.  Under the default
-configuration the in-memory sink keeps a block as columns and builds its
-events only when the trace is read; any other pipeline receives the
-block's events one by one through :meth:`EventTrace.record`.
+:meth:`EventTrace.record_block` call; a flight-table round records them
+as a few blocks, split at every other record.  An async round's blocks
+interleave its completions with its gossip aggregations, one kind code per
+row, and a semi-sync quorum records its dropped stragglers as one block.
+Under the default configuration the in-memory sink keeps a block as
+columns and builds its events only when the trace is read; any other
+pipeline receives the block's events one by one through
+:meth:`EventTrace.record`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence, Union
 
 from numpy.typing import ArrayLike
 
@@ -130,8 +133,8 @@ class PipelineStats:
 class EventTrace:
     """Streaming trace pipeline behind the legacy bounded-trace API.
 
-    Events enter one at a time through :meth:`record`, or a round's unit
-    completions at once through :meth:`record_block`.  The queries read
+    Events enter one at a time through :meth:`record`, or a run of per-unit
+    events at once through :meth:`record_block`.  The queries read
     the in-memory sink: :attr:`events`, iteration, :meth:`of_kind`,
     :meth:`for_agent`, :meth:`for_round`, :meth:`agent_ids` and
     :meth:`to_dicts` build any events still held as columns, while
@@ -284,31 +287,35 @@ class EventTrace:
     def record_block(
         self,
         round_index: int,
-        kind: str,
+        kind: Union[str, Sequence[str]],
         timestamps: ArrayLike,
         slow_ids: ArrayLike,
         fast_ids: ArrayLike,
-        durations: ArrayLike,
+        values: ArrayLike,
+        key: Union[str, Sequence[str]] = "duration",
+        codes: Optional[ArrayLike] = None,
     ) -> None:
-        """Offer one event per row of four equal-length columns, in row order.
+        """Offer one event per row of equal-length columns, in row order.
 
-        Row ``r`` is the event ``record(timestamps[r], round_index, kind,
-        agents, {"duration": durations[r]})``, where ``agents`` is
-        ``(slow_ids[r],)`` or, when ``fast_ids[r] >= 0``,
-        ``(slow_ids[r], fast_ids[r])``.  With no filters and no sink but
-        the in-memory one, the sink stores the rows as columns (see
-        :class:`~repro.runtime.sinks.UnitBlock`) and builds the events when
-        they are read.  Any other pipeline replays the rows through
-        :meth:`record`, so filters and sinks see exactly the per-event
-        stream.
+        ``kind`` and ``key`` are parallel tuples of event kinds and detail
+        keys, or one string each; ``codes`` gives each row's index into
+        them (default: every row 0).  Row ``r`` is the event
+        ``record(timestamps[r], round_index, kind[codes[r]], agents,
+        {key[codes[r]]: values[r]})``, where ``agents`` is ``(slow_ids[r],)``
+        or, when ``fast_ids[r] >= 0``, ``(slow_ids[r], fast_ids[r])``.  With
+        no filters and no sink but the in-memory one, the sink stores the
+        rows as columns (see :class:`~repro.runtime.sinks.UnitBlock`) and
+        builds the events when they are read.  Any other pipeline replays
+        the rows through :meth:`record`, so filters and sinks see exactly
+        the per-event stream.
         """
         block = UnitBlock.of(
-            round_index, kind, timestamps, slow_ids, fast_ids, durations
+            round_index, kind, timestamps, slow_ids, fast_ids, values, key, codes
         )
         if self.filters or len(self.sinks) > 1:
-            for timestamp, agent_ids, duration in block.rows():
+            for timestamp, row_kind, agent_ids, row_key, value in block.rows():
                 self.record(
-                    timestamp, round_index, kind, agent_ids, {"duration": duration}
+                    timestamp, round_index, row_kind, agent_ids, {row_key: value}
                 )
             return
         self.stats.emitted += len(block)

@@ -9,8 +9,9 @@ work-unit events here.  ``sync`` mode
 event per round; ``semi-sync`` and ``async`` modes (and ``sync`` under a
 schedule) schedule a round's unit completions as one
 :class:`~repro.sim.events.EventBatch` through
-:meth:`SimulationEngine.schedule_batch`, plus quorum-deadline,
-re-cost and gossip-aggregation events; and a
+:meth:`SimulationEngine.schedule_batch`, plus quorum-deadline and re-cost
+events.  An ``async`` round schedules its gossip aggregations as a second
+batch, plus one event per aggregation that a re-cost moved; and a
 :class:`~repro.runtime.dynamics.DynamicsSchedule` registers timestamped
 arrival/departure/churn events directly on the engine at construction
 time, which is what lets them land *mid-round* while work is in flight.

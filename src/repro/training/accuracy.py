@@ -18,7 +18,7 @@ from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
-from repro.core.pairing import PairingDecision
+from repro.core.pairing import PairingDecision, PairingPlan
 from repro.data.dataset import Dataset
 from repro.models.proxy import ProxyModelFactory
 from repro.models.split import split_sequential
@@ -42,6 +42,20 @@ class AccuracyTracker(Protocol):
         """Advance the learning plane by one round and return the accuracy."""
         ...
 
+    def after_units(
+        self,
+        decisions: PairingPlan,
+        participation_fractions: np.ndarray,
+        learning_rate: float,
+    ) -> np.ndarray:
+        """Advance by one step per decision, in order; one accuracy each.
+
+        Step ``i`` is :meth:`after_round` over ``(decisions[i],)`` alone at
+        ``participation_fractions[i]``: how an async round aggregates its
+        units one at a time.
+        """
+        ...
+
 
 class CurveAccuracyTracker:
     """Accuracy from a calibrated learning-curve model."""
@@ -56,6 +70,14 @@ class CurveAccuracyTracker:
         learning_rate: float,
     ) -> float:
         return self.curve.advance_round(participation_fraction)
+
+    def after_units(
+        self,
+        decisions: PairingPlan,
+        participation_fractions: np.ndarray,
+        learning_rate: float,
+    ) -> np.ndarray:
+        return self.curve.advance_rounds(participation_fractions)
 
 
 class ProxyAccuracyTracker:
@@ -122,6 +144,23 @@ class ProxyAccuracyTracker:
         """Accuracy of the current global model on the test set."""
         model = self._clone_global()
         return evaluate_accuracy(model, self.test_dataset)
+
+    def after_units(
+        self,
+        decisions: PairingPlan,
+        participation_fractions: np.ndarray,
+        learning_rate: float,
+    ) -> np.ndarray:
+        """One real training round per decision (see :meth:`after_round`)."""
+        return np.array(
+            [
+                self.after_round((decision,), participation, learning_rate)
+                for decision, participation in zip(
+                    decisions, participation_fractions.tolist()
+                )
+            ],
+            dtype=np.float64,
+        )
 
     def after_round(
         self,

@@ -173,6 +173,37 @@ class LearningCurveModel:
             accuracy += float(self._rng.normal(0.0, self.noise_scale))
         return float(np.clip(accuracy, 0.0, 1.0))
 
+    def advance_rounds(self, participation_fractions) -> np.ndarray:
+        """:meth:`advance_round` once per participation, as one vector step.
+
+        Bit for bit the accuracies, final :attr:`progress` and generator
+        state of the scalar calls in order.  ``np.add.accumulate`` adds
+        left to right like the scalar ``+=`` (``progress + np.cumsum`` can
+        round differently), and ``normal(size=m)`` draws what ``m`` scalar
+        draws do.  Every participation is validated before anything
+        advances.
+        """
+        participations = np.asarray(participation_fractions, dtype=np.float64)
+        invalid = ~((participations >= 0.0) & (participations <= 1.0))
+        if invalid.any():
+            # The scalar step's error, for the first invalid participation.
+            check_probability(
+                float(participations[invalid.argmax()]), "participation_fraction"
+            )
+        steps = np.empty(len(participations) + 1)
+        steps[0] = self._progress
+        steps[1:] = participations * METHOD_EFFICIENCY[self.method]
+        progress = np.add.accumulate(steps)[1:]
+        if not len(progress):
+            return progress
+        self._progress = float(progress[-1])
+        final = self.accuracy_final
+        initial = self.preset.accuracy_initial
+        accuracies = final - (final - initial) * np.exp(-self.rate * progress)
+        if self.noise_scale > 0:
+            accuracies += self._rng.normal(0.0, self.noise_scale, size=len(progress))
+        return np.clip(accuracies, 0.0, 1.0)
+
     def rounds_to_accuracy(
         self, target: float, participation_fraction: float = 1.0
     ) -> int:

@@ -58,6 +58,26 @@ class TestRegistryAccess:
         assert len(small_registry.agents) == len(small_registry)
 
 
+class TestColumns:
+    def test_columns_read_each_id_and_a_default_for_unregistered_ones(self):
+        registry = AgentRegistry(
+            [
+                Agent(agent_id=3, profile=ResourceProfile(1.0, 20.0), num_samples=40),
+                Agent(agent_id=7, profile=ResourceProfile(0.5, 0.0), num_samples=90),
+            ]
+        )
+        ids = np.array([7, -1, 3, 5, 7])
+        samples = registry.samples_column(ids)
+        assert samples.dtype == np.int64
+        assert samples.tolist() == [90, 0, 40, 0, 90]
+        mbps = registry.bandwidth_mbps_column(ids)
+        assert mbps.dtype == np.float64
+        assert np.array_equal(mbps, [0.0, np.nan, 20.0, np.nan, 0.0], equal_nan=True)
+        empty = np.array([], dtype=np.int64)
+        assert registry.samples_column(empty).shape == (0,)
+        assert registry.bandwidth_mbps_column(empty).shape == (0,)
+
+
 class TestParticipationSampling:
     def test_sampling_fraction(self, rng):
         registry = AgentRegistry.build(num_agents=50, rng=rng)

@@ -18,6 +18,7 @@ from repro.network.topology import ring_topology
 from repro.runtime.dynamics import DynamicsSchedule
 from repro.runtime.strategy import WorkUnit
 from repro.runtime.trace import TraceEvent
+from repro.sim.events import Event
 from repro.training.accuracy import CurveAccuracyTracker
 from repro.training.curves import LearningCurveModel, curve_preset_for
 
@@ -121,8 +122,9 @@ class TestComDMLRound:
         In a steady semi-sync round with mid-round churn, a departure and an
         arrival, the unit completions are one engine batch (plus one event
         per re-cost), the plan's decision views are never built, a
-        ``WorkUnit`` exists only for each re-cost, and the completions reach
-        the trace as columns, built when it is read.
+        ``WorkUnit`` exists only for each re-cost, and the completions and
+        the quorum's dropped stragglers reach the trace as columns, built
+        when it is read.
         """
 
         def build(schedule: DynamicsSchedule) -> ComDML:
@@ -205,7 +207,8 @@ class TestComDMLRound:
         decisions = (PairingDecision, OffloadEstimate)
         assert [obj for obj in built if type(obj) in decisions] == []
         events = [obj for obj in built if type(obj) is TraceEvent]
-        assert "unit_complete" not in {event.kind for event in events}
+        columnar = {"unit_complete", "straggler_dropped"}
+        assert not columnar & {event.kind for event in events}
         seen.update(id(obj) for obj in built)
 
         comdml.trace.events
@@ -214,8 +217,135 @@ class TestComDMLRound:
             for obj in live_objects()
             if type(obj) is TraceEvent and id(obj) not in seen
         ]
-        assert len(read) == kinds["unit_complete"] >= len(plan.durations)
-        assert {event.kind for event in read} == {"unit_complete"}
+        assert kinds["unit_complete"] >= len(plan.durations)
+        assert kinds["straggler_dropped"] >= 1
+        assert len(read) == kinds["unit_complete"] + kinds["straggler_dropped"]
+        assert {event.kind for event in read} == columnar
+
+    @pytest.mark.parametrize("scheduled_churn", (False, True))
+    def test_async_round_builds_no_per_unit_objects(
+        self, scheduled_churn, monkeypatch
+    ):
+        """An async round prices, schedules, learns and traces as columns.
+
+        Without a schedule, a steady round schedules no ``Event`` of its
+        own, builds no ``WorkUnit``, decision view or per-unit
+        ``TraceEvent`` (reading the trace builds one per completion and one
+        per aggregation), and calls neither ``participation_fraction`` nor
+        the tracker's ``after_round``.  With mid-round churn, each re-cost
+        builds one ``Event`` and one ``WorkUnit``, and each re-costed unit
+        one aggregation ``Event``.
+        """
+        import repro.runtime.runtime as runtime_module
+
+        def build(schedule=None) -> ComDML:
+            return ComDML(
+                registry=AgentRegistry.build(
+                    num_agents=40,
+                    rng=np.random.default_rng(3),
+                    samples_per_agent=400,
+                    batch_size=100,
+                ),
+                spec=resnet56_spec(),
+                config=ComDMLConfig(
+                    max_rounds=3,
+                    offload_granularity=9,
+                    seed=1,
+                    execution_mode="async",
+                    planner_threshold=1,
+                ),
+                dynamics=schedule,
+            )
+
+        schedule = None
+        if scheduled_churn:
+            # Churn every fifth agent a tenth into round 1.
+            first = build().run_round(0)
+            schedule = DynamicsSchedule()
+            at = first.cumulative_seconds + 0.1 * first.duration_seconds
+            schedule.churn(at, agent_ids=list(range(0, 40, 5)))
+        comdml = build(schedule)
+        comdml.run_round(0)
+        comdml.trace.events
+
+        runtime = comdml.runtime
+        scheduled = []
+        schedule_at = runtime.engine.schedule_at
+        runtime.engine.schedule_at = lambda *args, **kwargs: scheduled.append(
+            schedule_at(*args, **kwargs)
+        ) or scheduled[-1]
+        repriced = []
+        reprice_unit = comdml.reprice_unit
+
+        def keep_repriced(plan, unit):
+            repriced.append(unit)
+            return reprice_unit(plan, unit)
+
+        comdml.reprice_unit = keep_repriced
+        plans = []
+        plan_round = comdml.plan_round
+        comdml.plan_round = lambda *args: plans.append(plan_round(*args)) or plans[-1]
+        calls = []
+        monkeypatch.setattr(
+            runtime_module,
+            "participation_fraction",
+            lambda *args: calls.append("participation_fraction"),
+        )
+        comdml.accuracy_tracker.after_round = lambda *args: calls.append("after_round")
+
+        per_unit = (PairingDecision, OffloadEstimate, WorkUnit, TraceEvent, Event)
+
+        def live_objects():
+            gc.collect()
+            return [obj for obj in gc.get_objects() if type(obj) in per_unit]
+
+        # Holding the pre-existing objects keeps their ids from being reused.
+        before = live_objects()
+        seen = {id(obj) for obj in before}
+        comdml.run_round(1)
+        built = [obj for obj in live_objects() if id(obj) not in seen]
+
+        (plan,) = plans
+        assert len(plan.durations) >= 15
+        assert calls == []
+        assert "views" not in vars(plan.decisions)
+        decisions = (PairingDecision, OffloadEstimate)
+        assert [obj for obj in built if type(obj) in decisions] == []
+        units = {id(obj) for obj in built if type(obj) is WorkUnit}
+        assert units == {id(unit) for unit in repriced}
+        events = [obj for obj in built if type(obj) is Event]
+        assert sorted(map(id, events)) == sorted(map(id, scheduled))
+        completions = [event for event in scheduled if event.kind == "unit_complete"]
+        aggregations = [event for event in scheduled if event.kind == "aggregation"]
+        assert len(completions) == len(repriced) == len(scheduled) - len(aggregations)
+        assert sorted(event.payload for event in aggregations) == sorted(
+            {unit.index for unit in repriced}
+        )
+        if scheduled_churn:
+            assert 2 <= len(repriced) <= 8
+        else:
+            assert repriced == []
+        traced = [obj for obj in built if type(obj) is TraceEvent]
+        assert {event.kind for event in traced} <= {
+            "round_start",
+            "churn",
+            "unit_repriced",
+            "round_end",
+        }
+        seen.update(id(obj) for obj in built)
+
+        counts = {
+            kind: len([e for e in comdml.trace.for_round(1) if e.kind == kind])
+            for kind in ("unit_complete", "aggregation")
+        }
+        read = [
+            obj
+            for obj in live_objects()
+            if type(obj) is TraceEvent and id(obj) not in seen
+        ]
+        assert counts["unit_complete"] == counts["aggregation"] == len(plan.durations)
+        assert len(read) == 2 * len(plan.durations)
+        assert {event.kind for event in read} == set(counts)
 
     def test_target_accuracy_stops_early(self, small_registry):
         comdml = make_comdml(small_registry, max_rounds=500, target_accuracy=0.5)

@@ -663,6 +663,13 @@ def test_dynamic_round_closure_accounts_for_every_unit(run):
         return after_round(decisions, participation, learning_rate)
 
     tracker.after_round = recording_after_round
+    after_units = tracker.after_units
+
+    def recording_after_units(decisions, participation_fractions, learning_rate):
+        participations.extend(participation_fractions.tolist())
+        return after_units(decisions, participation_fractions, learning_rate)
+
+    tracker.after_units = recording_after_units
     history = trainer.run()
 
     trace = trainer.trace

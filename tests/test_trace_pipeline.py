@@ -299,9 +299,10 @@ class TestConservationProperty:
 def block_streams(draw):
     """Interleaved single events, unit blocks and trace reads, in time order.
 
-    Returns ``(ops, cap)``.  The cap is ``None``, reached before a block
-    (possibly exactly at its first row), inside a block, or beyond every
-    event — positions counted in the unfiltered stream.
+    A block has one kind or two, each with its own detail key, and a kind
+    code per row.  Returns ``(ops, cap)``.  The cap is ``None``, reached
+    before a block (possibly exactly at its first row), inside a block, or
+    beyond every event — positions counted in the unfiltered stream.
     """
     ops, spans, position, now = [], [], 0, 0.0
     gaps = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
@@ -328,8 +329,14 @@ def block_streams(draw):
                 for offset in offsets
             ]
             now = max([now] + [row[0] for row in rows])
-            kind = draw(st.sampled_from(ALL_KINDS))
-            ops.append(("block", int(start // 10), kind, rows))
+            kinds = tuple(
+                draw(st.lists(st.sampled_from(ALL_KINDS), min_size=1, max_size=2))
+            )
+            keys = ("duration", "accuracy")[: len(kinds)]
+            codes = [
+                draw(st.integers(min_value=0, max_value=len(kinds) - 1)) for _ in rows
+            ]
+            ops.append(("block", int(start // 10), kinds, keys, codes, rows))
             spans.append((position, count))
             position += count
         else:
@@ -363,15 +370,20 @@ def replay_stream(ops, trace: EventTrace, blocks: bool):
             )
             observed.append(event is not None)
         elif op[0] == "block":
-            _, round_index, kind, rows = op
+            _, round_index, kinds, keys, codes, rows = op
             if blocks:
                 columns = [np.array(column) for column in zip(*rows)] or [[]] * 4
-                trace.record_block(round_index, kind, *columns)
+                if len(kinds) == 1:
+                    trace.record_block(round_index, kinds[0], *columns)
+                else:
+                    trace.record_block(
+                        round_index, kinds, *columns, key=keys, codes=codes
+                    )
             else:
-                for timestamp, slow, fast, duration in rows:
+                for code, (timestamp, slow, fast, value) in zip(codes, rows):
                     agents = (slow,) if fast < 0 else (slow, fast)
                     trace.record(
-                        timestamp, round_index, kind, agents, {"duration": duration}
+                        timestamp, round_index, kinds[code], agents, {keys[code]: value}
                     )
         else:
             events = trace.events
@@ -452,6 +464,115 @@ class TestRecordBlock:
     def test_unequal_columns_are_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
             EventTrace().record_block(0, "unit_complete", [1.0], [1, 2], [-1], [1.0])
+
+
+# ----------------------------------------------------------------------
+# Kind-coded blocks: an async round's completions and aggregations
+# ----------------------------------------------------------------------
+#: Completions and aggregations of four units, in fire order.
+MIXED_ROWS = (
+    # (code, timestamp, slow, fast, value)
+    (0, 1.0, 3, -1, 1.0),
+    (0, 1.5, 4, 7, 1.5),
+    (1, 1.5, 3, -1, 0.25),
+    (0, 2.0, 5, -1, 2.0),
+    (1, 2.5, 4, 7, 0.5),
+    (1, 3.0, 5, -1, 0.75),
+    (0, 3.0, 6, 8, 3.0),
+    (1, 3.5, 6, 8, 0.875),
+)
+MIXED_KINDS = ("unit_complete", "aggregation")
+MIXED_KEYS = ("duration", "accuracy")
+
+
+def record_mixed(trace: EventTrace, blocks: bool) -> None:
+    """A round start, then :data:`MIXED_ROWS` as one block or one by one."""
+    trace.record(0.0, 0, "round_start")
+    if blocks:
+        codes, *columns = zip(*MIXED_ROWS)
+        trace.record_block(0, MIXED_KINDS, *columns, key=MIXED_KEYS, codes=codes)
+        return
+    for code, timestamp, slow, fast, value in MIXED_ROWS:
+        agents = (slow,) if fast < 0 else (slow, fast)
+        trace.record(timestamp, 0, MIXED_KINDS[code], agents, {MIXED_KEYS[code]: value})
+
+
+class TestKindCodedBlock:
+    def test_reads_back_as_the_rows_recorded_one_by_one(self):
+        block, loop = EventTrace(), EventTrace()
+        record_mixed(block, blocks=True)
+        record_mixed(loop, blocks=False)
+        assert block.to_dicts() == loop.to_dicts()
+        assert block.to_dicts()[3] == {
+            "timestamp": 1.5,
+            "round_index": 0,
+            "kind": "aggregation",
+            "agent_ids": [3],
+            "detail": {"accuracy": 0.25},
+        }
+        assert block.kind_counts() == loop.kind_counts()
+
+    def test_kind_counts_keep_first_seen_order_and_build_no_event(self):
+        trace = EventTrace()
+        trace.record_block(
+            0, MIXED_KINDS, [1.0, 2.0, 3.0], [1, 2, 3], [-1] * 3, [0.5] * 3,
+            key=MIXED_KEYS, codes=[1, 0, 1],
+        )
+        counts = trace.kind_counts()
+        assert list(counts.items()) == [("aggregation", 2), ("unit_complete", 1)]
+        assert trace._memory._events == [] and len(trace._memory._pending) == 1
+        assert len(trace) == 3
+        assert [event.kind for event in trace.events] == [
+            "aggregation",
+            "unit_complete",
+            "aggregation",
+        ]
+
+    @pytest.mark.parametrize("cap", range(1, len(MIXED_ROWS) + 2))
+    def test_a_cap_keeps_exactly_the_per_event_prefix(self, cap):
+        block, loop = EventTrace(max_events=cap), EventTrace(max_events=cap)
+        record_mixed(block, blocks=True)
+        record_mixed(loop, blocks=False)
+        assert list(block.kind_counts().items()) == list(loop.kind_counts().items())
+        assert block.to_dicts() == loop.to_dicts()
+        assert block.dropped_events == loop.dropped_events
+        block.check_conservation()
+
+    @pytest.mark.parametrize("extra", ("filter", "jsonl"))
+    def test_filters_and_sinks_get_the_per_event_stream(self, extra, tmp_path):
+        streams = []
+        for blocks in (True, False):
+            received: list = []
+            options: dict = dict(sinks=(CallbackSink(received.append),))
+            if extra == "filter":
+                options["filters"] = [KindFilter(deny={"unit_complete"})]
+            else:
+                path = tmp_path / f"{blocks}.jsonl"
+                options["sinks"] += (JSONLSink(path, segment_events=3),)
+            trace = EventTrace(**options)
+            record_mixed(trace, blocks)
+            trace.close()
+            sealed = path.read_text() if extra == "jsonl" else None
+            streams.append(([event_payload(e) for e in received], sealed))
+        assert streams[0] == streams[1]
+        kinds = {payload["kind"] for payload in streams[0][0]}
+        assert "aggregation" in kinds
+
+    @pytest.mark.parametrize(
+        "codes, kinds, keys",
+        [
+            ([0, 1], MIXED_KINDS, MIXED_KEYS),  # one code short
+            ([0, 1, 0, 1], MIXED_KINDS, MIXED_KEYS),  # one code too many
+            ([0, 2, 1], MIXED_KINDS, MIXED_KEYS),  # a code with no kind
+            ([0, 1, 1], MIXED_KINDS, ("duration",)),  # a kind with no key
+        ],
+    )
+    def test_codes_must_match_the_columns_and_kinds(self, codes, kinds, keys):
+        with pytest.raises(ValueError):
+            EventTrace().record_block(
+                0, kinds, [1.0, 2.0, 3.0], [1, 2, 3], [-1] * 3, [0.5] * 3,
+                key=keys, codes=codes,
+            )
 
 
 # ----------------------------------------------------------------------

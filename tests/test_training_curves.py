@@ -1,7 +1,9 @@
 """Tests for the calibrated learning-curve model."""
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.training.curves import (
     CurvePreset,
@@ -9,6 +11,7 @@ from repro.training.curves import (
     METHOD_EFFICIENCY,
     curve_preset_for,
 )
+from strategies import STANDARD_SETTINGS
 
 
 class TestCurvePresets:
@@ -94,3 +97,59 @@ class TestLearningCurveModel:
     def test_invalid_participation_rejected(self):
         with pytest.raises(ValueError):
             self.make().advance_round(participation_fraction=1.5)
+
+
+class TestAdvanceRounds:
+    """The vector step is the scalar step, call for call, bit for bit."""
+
+    @staticmethod
+    def pair(method, iid, noise, seed, progress):
+        """Two identical models, already ``progress`` into training."""
+        models = []
+        for _ in range(2):
+            model = LearningCurveModel(
+                preset=curve_preset_for("cifar100", "resnet56"),
+                method=method,
+                iid=iid,
+                rng=np.random.default_rng(seed),
+                noise_scale=noise,
+            )
+            model._progress = progress
+            models.append(model)
+        return models
+
+    @hypothesis.seed(20261018)
+    @STANDARD_SETTINGS
+    @given(
+        participations=st.lists(
+            st.sampled_from((0.0, 1.0)) | st.floats(min_value=0.0, max_value=1.0),
+            max_size=40,
+        ),
+        method=st.sampled_from(sorted(METHOD_EFFICIENCY)),
+        iid=st.booleans(),
+        noise=st.sampled_from((0.0, 0.002, 0.5)),
+        seed=st.integers(min_value=0, max_value=2**16),
+        progress=st.sampled_from((0.0, 0.1, 37.25)),
+    )
+    def test_equals_the_scalar_steps(
+        self, participations, method, iid, noise, seed, progress
+    ):
+        vector, scalar = self.pair(method, iid, noise, seed, progress)
+        accuracies = vector.advance_rounds(np.array(participations))
+        expected = [scalar.advance_round(p) for p in participations]
+        assert accuracies.dtype == np.float64
+        assert accuracies.tolist() == expected
+        assert vector.progress == scalar.progress
+        assert vector._rng.bit_generator.state == scalar._rng.bit_generator.state
+
+    @pytest.mark.parametrize("bad", (1.5, -0.25, float("nan")))
+    def test_an_invalid_participation_raises_and_advances_nothing(self, bad):
+        vector, scalar = self.pair("comdml", True, 0.002, 3, 0.5)
+        state = vector._rng.bit_generator.state
+        with pytest.raises(ValueError) as scalar_error:
+            scalar.advance_round(bad)
+        with pytest.raises(ValueError) as vector_error:
+            vector.advance_rounds([0.5, bad, 0.25, bad])
+        assert str(vector_error.value) == str(scalar_error.value)
+        assert vector.progress == 0.5
+        assert vector._rng.bit_generator.state == state

@@ -301,6 +301,19 @@ def dynamic_round_blocks(tmp_path: Path, failures: list[str]) -> None:
         "the schedule re-costs and abandons units mid-round",
         failures,
     )
+    trace = sealed_equals_memory(
+        config("async"),
+        "dynamics-aware async",
+        tmp_path,
+        failures,
+        schedule=dynamics_schedule,
+    )
+    kinds = trace.kind_counts()
+    check(
+        all(kinds.get(kind) for kind in ("aggregation", "unit_repriced")),
+        "async under the schedule aggregates and re-costs units mid-round",
+        failures,
+    )
     for mode in ("semi-sync", "async"):
         trace = sealed_equals_memory(config(mode), mode, tmp_path, failures)
         check(
