@@ -4,8 +4,9 @@ These are not paper reproductions; they track the library's own performance:
 split profiling, the per-pair offload optimisation, round-timing assembly
 (both the vectorized kernel and the scalar reference it replaced, so every
 run records the speedup on the same machine), one round of local-loss
-split training of the proxy model, and steady ``ComDML`` rounds in each
-execution mode at two populations.
+split training of the proxy model, steady ``ComDML`` rounds in each
+execution mode at two populations, and steady rounds of the four
+baselines of a Table III cell at two ring populations.
 
 ``tools/bench_trajectory.py`` runs this suite and appends the medians to
 the repo's perf history (``BENCH_<n>.json``); see docs/performance.md.
@@ -20,6 +21,7 @@ from benchmarks.conftest import attach_peak_memory
 from repro.agents.agent import Agent
 from repro.agents.registry import AgentRegistry
 from repro.agents.resources import ResourceProfile
+from repro.baselines import AllReduceDML, BrainTorrent, FedAvg, GossipLearning
 from repro.core.comdml import ComDML
 from repro.core.config import ComDMLConfig
 from repro.core.csr import IncrementalCsr
@@ -535,3 +537,64 @@ def test_runtime_round_speed(benchmark, population, mode):
     run back to back and a drift in the host's speed shifts all three.
     """
     _steady_runtime_rounds(benchmark, mode, population)
+
+
+# ----------------------------------------------------------------------
+# Steady baseline rounds: the comparison methods at scale
+# ----------------------------------------------------------------------
+#: The baselines of a paper Table III cell, by bench id.
+BASELINE_METHODS = {
+    "Gossip": GossipLearning,
+    "BrainTorrent": BrainTorrent,
+    "AllReduce": AllReduceDML,
+    "FedAvg": FedAvg,
+}
+
+#: Ring populations of the baseline benches, 8x apart: the
+#: ``--baseline-exponent`` gate fits each method's growth between them.
+BASELINE_POPULATIONS = (1_000, 8_000)
+
+#: Timed rounds per baseline bench, after an untimed round 0.  The gate
+#: fits the fastest round, and a round costs at most tens of ms.
+BASELINE_ROUNDS = 15
+
+
+@pytest.mark.parametrize(
+    "method, population",
+    [
+        pytest.param(method, population, id=f"{method}-{population}")
+        for method in BASELINE_METHODS
+        for population in BASELINE_POPULATIONS
+    ],
+)
+def test_baseline_round_speed(benchmark, method, population):
+    """Steady sync rounds of one baseline on a ring, every agent taking part.
+
+    A baseline's round prices one solo unit per participant, so its cost
+    should grow linearly with the population; ``tools/bench_trajectory.py``
+    fits each method's exponent between the two populations
+    (``--baseline-exponent``).  Gossip's neighbour search used to ask
+    every participant pair for a link, which fits an exponent near 2.
+    The method is the outer loop, so one method's two populations run
+    back to back and a drift in the host's speed shifts both.
+    """
+    agents = _planner_population(population)
+    trainer = BASELINE_METHODS[method](
+        registry=AgentRegistry(agents),
+        spec=resnet56_spec(),
+        config=ComDMLConfig(
+            offload_granularity=9,
+            max_rounds=BASELINE_ROUNDS + 1,
+            target_accuracy=None,
+            seed=1,
+        ),
+        topology=ring_topology([agent.agent_id for agent in agents]),
+    )
+    trainer.run_round(0)  # cold caches, outside the timer
+    rounds = iter(range(1, BASELINE_ROUNDS + 1))
+
+    def steady_round():
+        return trainer.run_round(next(rounds))
+
+    record = benchmark.pedantic(steady_round, rounds=BASELINE_ROUNDS, iterations=1)
+    assert record.duration_seconds > 0

@@ -86,7 +86,7 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
             self.profile,
             self.link_model,
             top_k=self.config.planner_top_k,
-            engage_threshold=self.config.planner_threshold,
+            prune_threshold=self.config.planner_threshold,
             improvement_threshold=self.config.improvement_threshold,
         )
         self.scheduler = DecentralizedPairingScheduler(

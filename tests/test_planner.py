@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.agents.agent import Agent
+from repro.agents.registry import AgentRegistry
 from repro.agents.resources import ResourceProfile
 from repro.core.comdml import ComDML
 from repro.core.config import ComDMLConfig
@@ -35,6 +37,7 @@ from repro.network.topology import (
     random_topology,
     ring_topology,
 )
+from strategies import DETERMINISM_SETTINGS
 
 PROFILE = profile_architecture(resnet56_spec(), granularity=9)
 
@@ -565,6 +568,77 @@ class TestInvalidationByCause:
         assert planner.stats.last_rows_recomputed < len(agents)
 
 
+class TestCarriedExactBudget:
+    """One planner carried through resampled rounds, as a Table III cell
+    runs it: every round below the threshold plans at ``k = n − 1``."""
+
+    @hypothesis.seed(20261019)
+    @DETERMINISM_SETTINGS
+    @given(
+        population=st.lists(AGENT_STRATEGY, min_size=8, max_size=16),
+        topology_kind=st.sampled_from(["full", "ring"]),
+        custom_links=st.booleans(),
+        small_first=st.booleans(),
+        later=st.lists(st.sampled_from([0.3, 1.0]), min_size=1, max_size=4),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_carried_planner_equals_greedy_pairing(
+        self, population, topology_kind, custom_links, small_first, later, seed
+    ):
+        """Each round equals ``greedy_pairing`` on the same participants.
+
+        Participants are resampled every round in the order
+        ``sample_participants`` gives, profiles churn between rounds, one
+        agent arrives and one departs after the second round, and the
+        participant count crosses the threshold (``N − 1`` of ``N``
+        agents) in the first two rounds.  On the ring every agent has at
+        most two neighbours, so ``top_k = 2`` prunes nothing and a round
+        at or above the threshold still equals the dense kernel, while
+        its ``k`` differs from the rounds below; on the complete graph
+        ``top_k`` covers every peer.
+        """
+        agents = _build_agents(population)
+        registry = AgentRegistry(agents)
+        link_model = _link_model(agents, topology_kind, seed)
+        if custom_links:
+            link_model = HalvedLinks(link_model.topology)
+        threshold = len(agents) - 1
+        top_k = 2 if topology_kind == "ring" else 64
+        planner = PrunedPlanner(
+            PROFILE, link_model, top_k=top_k, prune_threshold=threshold
+        )
+        rng = np.random.default_rng(seed)
+        fractions = ([0.3, 1.0] if small_first else [1.0, 0.3]) + later
+        sides = set()
+        for round_index, fraction in enumerate(fractions):
+            if round_index == 2:
+                newcomer = _random_agent(len(population), rng)
+                registry.add(newcomer)
+                link_model.topology.attach_agent(
+                    newcomer.agent_id,
+                    policy="ring" if topology_kind == "ring" else "full",
+                )
+                gone = registry.agents[int(rng.integers(len(registry)))]
+                registry.remove(gone.agent_id)
+                link_model.topology.remove_agent(gone.agent_id)
+            for victim in rng.choice(len(registry), size=2, replace=False):
+                agent = registry.agents[int(victim)]
+                agent.update_profile(
+                    ResourceProfile(
+                        float(rng.choice([4.0, 2.0, 1.0, 0.5, 0.2])),
+                        float(rng.choice([0.0, 10.0, 50.0, 100.0])),
+                    )
+                )
+            participants = registry.sample_participants(fraction, rng)
+            n = len(participants)
+            plan = planner.plan(participants)
+            below = n < threshold
+            sides.add(below)
+            assert planner.state.k == (n - 1 if below else min(top_k, n - 1))
+            assert list(plan) == greedy_pairing(participants, link_model, PROFILE)
+        assert sides == {True, False}
+
+
 class TestRecostCounts:
     """Exact re-cost counts per cause (``top_k`` covers every neighbourhood)."""
 
@@ -627,53 +701,91 @@ class TestRecostCounts:
 # Selection, configuration, and validation
 # ----------------------------------------------------------------------
 class TestPlannerSelection:
-    def test_pruned_mode_engages_at_any_size(self, small_registry):
-        """``planner_threshold=1`` plans every round with the pruned planner."""
-        comdml = ComDML(
-            small_registry,
-            resnet56_spec(),
-            ComDMLConfig(planner_threshold=1, offload_granularity=9),
-        )
-        assert comdml.planner.engages(1)
-        assert comdml.planner.engages(10_000)
-        comdml.plan_round(0, small_registry.agents)
-        assert comdml.planner.stats.rounds == 1
-
-    def test_auto_mode_engages_at_threshold(self, small_registry):
-        """The default threshold keeps small rounds on the dense kernel."""
+    def test_small_round_keeps_every_candidate(self, small_registry):
+        """Below ``planner_threshold`` the planner plans at the exact budget,
+        decision-identical to the scalar oracle."""
         comdml = ComDML(
             small_registry, resnet56_spec(), ComDMLConfig(offload_granularity=9)
         )
-        assert not comdml.planner.engages(255)
-        assert comdml.planner.engages(256)
-        comdml.plan_round(0, small_registry.agents)
-        assert comdml.planner.stats.rounds == 0
+        participants = small_registry.agents
+        plan = comdml.plan_round(0, participants)
+        assert comdml.planner.state.k == len(participants) - 1
+        assert list(plan.decisions) == greedy_pairing_reference(
+            participants, comdml.link_model, comdml.profile
+        )
 
-    def test_scheduler_dense_and_engaged_planner_agree(
+    def test_round_at_threshold_keeps_top_k(self, small_registry):
+        """At or above the threshold a round keeps ``planner_top_k``
+        candidates; a round that drops below it starts a fresh state at
+        ``k = n − 1``."""
+        population = len(small_registry)
+        comdml = ComDML(
+            small_registry,
+            resnet56_spec(),
+            ComDMLConfig(
+                planner_threshold=population, planner_top_k=2, offload_granularity=9
+            ),
+        )
+        comdml.plan_round(0, small_registry.agents)
+        assert comdml.planner.state.k == 2
+        rebuilds = comdml.planner.stats.full_rebuilds
+        comdml.plan_round(1, small_registry.agents[1:])
+        assert comdml.planner.state.k == population - 2
+        assert comdml.planner.stats.full_rebuilds == rebuilds + 1
+
+    def test_threshold_one_prunes_at_every_size(self, small_registry):
+        comdml = ComDML(
+            small_registry,
+            resnet56_spec(),
+            ComDMLConfig(planner_threshold=1, planner_top_k=2, offload_granularity=9),
+        )
+        for round_index, count in enumerate((3, len(small_registry))):
+            comdml.plan_round(round_index, small_registry.agents[:count])
+            assert comdml.planner.state.k == 2
+        assert comdml.planner.stats.rounds == 2
+
+    @pytest.mark.parametrize("population", [2, 40, 256])
+    def test_comdml_round_builds_no_dense_cost_model(self, population, monkeypatch):
+        """Every ComDML round, below the threshold too, plans through the
+        pruned planner: the dense ``PairCostModel`` is never built."""
+        import repro.core.fastpath as fastpath
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ComDML round built the dense PairCostModel")
+
+        monkeypatch.setattr(fastpath.PairCostModel, "__init__", refuse)
+        registry = AgentRegistry.build(
+            num_agents=population, rng=np.random.default_rng(3), samples_per_agent=200
+        )
+        comdml = ComDML(
+            registry, resnet56_spec(), ComDMLConfig(offload_granularity=9, seed=1)
+        )
+        comdml.plan_round(0, registry.agents)
+        assert comdml.planner.stats.rounds == 1
+
+    def test_scheduler_plans_like_greedy_pairing(
         self, small_registry, small_link_model, resnet56_profile
     ):
-        """The scheduler's planner branch returns the same decisions as its
-        dense branch when k covers every peer."""
-        dense_scheduler = DecentralizedPairingScheduler(
-            registry=small_registry,
-            link_model=small_link_model,
-            profile=resnet56_profile,
-            rng=np.random.default_rng(0),
+        """The scheduler's plan equals a direct ``greedy_pairing`` call, with
+        the planner it builds for itself and with a full-budget one."""
+        expected = greedy_pairing(
+            small_registry.agents, small_link_model, resnet56_profile
         )
         planner = PrunedPlanner(
             resnet56_profile,
             small_link_model,
             top_k=len(small_registry.ids) - 1,
         )
-        planner_scheduler = DecentralizedPairingScheduler(
-            registry=small_registry,
-            link_model=small_link_model,
-            profile=resnet56_profile,
-            rng=np.random.default_rng(0),
-            planner=planner,
-        )
-        assert list(planner_scheduler.plan_round()) == list(dense_scheduler.plan_round())
-        assert planner.stats.rounds == 1
+        for given_planner in (None, planner):
+            scheduler = DecentralizedPairingScheduler(
+                registry=small_registry,
+                link_model=small_link_model,
+                profile=resnet56_profile,
+                rng=np.random.default_rng(0),
+                planner=given_planner,
+            )
+            assert list(scheduler.plan_round()) == expected
+            assert scheduler.planner.stats.rounds == 1
 
     @pytest.mark.parametrize(
         "field, value",
@@ -689,7 +801,7 @@ class TestPlannerSelection:
         with pytest.raises(ValueError):
             PrunedPlanner(PROFILE, link_model, top_k=0)
         with pytest.raises(ValueError):
-            PrunedPlanner(PROFILE, link_model, engage_threshold=0)
+            PrunedPlanner(PROFILE, link_model, prune_threshold=0)
         with pytest.raises(ValueError):
             PrunedPlanner(PROFILE, link_model, batch_size=0)
 

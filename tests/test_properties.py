@@ -273,8 +273,8 @@ def test_scheduler_plan_covers_participants_exactly_once(
     """Every participant appears in exactly one PairingDecision of a plan.
 
     Round timing prices the AllReduce over the participants on this
-    invariant, on either planning path: the dense kernel (``top_k`` None)
-    or a pruned planner engaged at any size.
+    invariant, with the scheduler's own exact-budget planner (``top_k``
+    None) or a given planner pruning at any size.
     """
     from repro.agents.registry import AgentRegistry
     from repro.core.planner import PrunedPlanner
@@ -300,7 +300,6 @@ def test_scheduler_plan_covers_participants_exactly_once(
             PROFILE,
             link_model,
             top_k=len(registry) - 1 if top_k == "n-1" else top_k,
-            engage_threshold=1,
         )
     scheduler = DecentralizedPairingScheduler(
         registry=registry,

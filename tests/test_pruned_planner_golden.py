@@ -1,14 +1,15 @@
 """Golden regression for ComDML runs planned by the pruned planner.
 
 Every case in ``tests/data/runtime_sync_golden.json`` and
-``tests/data/runtime_modes_golden.json`` uses 6–8 agents, below
-``ComDMLConfig.planner_threshold``, so those files pin only the dense
-planning path.  This file pins runs forced through
-:class:`~repro.core.planner.PrunedPlanner` (``planner_threshold=1``) on a
-few hundred agents wired by :func:`~repro.network.topology.random_k_topology`,
-so the incremental CSR link index, the top-k candidate cut and the greedy
-scan's fallback walk (a row whose fastest candidate is already taken) all
-run.  ``tests/data/pruned_planner_golden.json`` holds, per case, the run's
+``tests/data/runtime_modes_golden.json`` uses 6–8 agents on a complete
+graph, below ``ComDMLConfig.planner_threshold``, so those files pin the
+planner at the exact budget (``k = n − 1``, no candidate pruned).  This
+file pins runs that prune from the first round (``planner_threshold=1``)
+on a few hundred agents wired by
+:func:`~repro.network.topology.random_k_topology`, so the incremental CSR
+link index, the top-k candidate cut and the greedy scan's fallback walk
+(a row whose fastest candidate is already taken) all run.
+``tests/data/pruned_planner_golden.json`` holds, per case, the run's
 :meth:`~repro.training.metrics.RunHistory.digest`, the hash-chain head of
 its trace and the trace's ``kind_counts``.
 

@@ -15,13 +15,14 @@ history that ``--check`` can gate on:
     # machine-independent signal) fell below 4x, if the pruned planner's
     # scaling exponent drifted super-linear, if its 5000-agent round
     # got slower than the dense kernel's 500-agent round, if the
-    # incremental CSR engine lost its 3x edge over the full rebuild, or
-    # if the semi-sync or async overhead over the sync round grew faster
-    # than n**1.5 between 1 000 and 8 000 agents.
+    # incremental CSR engine lost its 3x edge over the full rebuild, if
+    # the semi-sync or async overhead over the sync round grew faster
+    # than n**1.5 between 1 000 and 8 000 agents, or if a baseline's
+    # ring round grew faster than n**1.3 between 1 000 and 8 000 agents.
     PYTHONPATH=src python tools/bench_trajectory.py ci --out bench-ci.json \
         --check BENCH_9.json --max-ratio 2.0 --min-speedup 4.0 \
         --max-exponent 1.3 --planner-dense-ratio 1.0 --csr-ratio 3.0 \
-        --event-exponent 1.5
+        --event-exponent 1.5 --baseline-exponent 1.3
 
 Snapshot schema 2 adds per-bench ``extra`` columns (peak traced bytes and
 high-water RSS from the scaling benches, CSR edit counters).  See
@@ -85,6 +86,16 @@ EVENT_BENCH = "test_runtime_round_speed"
 EVENT_MODES = ("semi-sync", "async")
 EVENT_POPULATIONS = (1_000, 8_000)
 
+#: Benches gated by --baseline-exponent: steady rounds of the four
+#: baselines of a Table III cell on a ring, at two populations 8x apart.
+#: A baseline prices one solo unit per participant, so per-participant
+#: work fits an exponent near 1 and a scan of every participant pair (the
+#: Gossip neighbour search once did this) near 2.  The fit uses each
+#: bench's fastest round, like the event gate.
+BASELINE_BENCH = "test_baseline_round_speed"
+BASELINE_METHODS = ("Gossip", "BrainTorrent", "AllReduce", "FedAvg")
+BASELINE_POPULATIONS = (1_000, 8_000)
+
 SCHEMA = 2
 
 
@@ -136,6 +147,26 @@ def event_overhead_exponents(benches: dict) -> dict[str, float | None] | None:
             exponents[mode] = math.log(overheads[1] / overheads[0]) / math.log(
                 large / small
             )
+    return exponents
+
+
+def baseline_exponents(benches: dict) -> dict[str, float] | None:
+    """Log-log slope of each baseline's fastest round between the populations.
+
+    ``None`` when a bench is missing.
+    """
+    import math
+
+    small, large = BASELINE_POPULATIONS
+    exponents: dict[str, float] = {}
+    for method in BASELINE_METHODS:
+        rounds = []
+        for population in (small, large):
+            entry = benches.get(f"{BASELINE_BENCH}[{method}-{population}]")
+            if entry is None:
+                return None
+            rounds.append(entry["min_seconds"])
+        exponents[method] = math.log(rounds[1] / rounds[0]) / math.log(large / small)
     return exponents
 
 
@@ -307,6 +338,17 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
+        "--baseline-exponent",
+        type=float,
+        default=None,
+        help=(
+            "fail when a baseline's (Gossip, BrainTorrent, AllReduce, FedAvg) "
+            "steady ring round grows faster than n**this between the 1000- "
+            "and 8000-agent benches of THIS run; catches per-round work that "
+            "scans every participant pair"
+        ),
+    )
+    parser.add_argument(
         "pytest_args",
         nargs="*",
         help="extra arguments forwarded to pytest (after --)",
@@ -421,6 +463,24 @@ def main(argv: list[str] | None = None) -> int:
                 print(
                     f"check: {mode} overhead exponent {exponent:.2f} above the "
                     f"{args.event_exponent:.2f} ceiling REGRESSION"
+                )
+                status = 2
+
+    baselines = baseline_exponents(snap["benches"])
+    for method, exponent in (baselines or {}).items():
+        print(
+            f"{method} ring round exponent "
+            f"(n={'/'.join(map(str, BASELINE_POPULATIONS))}): {exponent:.2f}"
+        )
+    if args.baseline_exponent is not None:
+        if baselines is None:
+            print("check: baseline round benches missing from the suite")
+            status = 2
+        for method, exponent in (baselines or {}).items():
+            if exponent > args.baseline_exponent:
+                print(
+                    f"check: {method} round exponent {exponent:.2f} above the "
+                    f"{args.baseline_exponent:.2f} ceiling REGRESSION"
                 )
                 status = 2
 
