@@ -76,21 +76,21 @@ def _add_common_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="experiment seed")
 
 
-def _job_count(text: str) -> int:
-    """argparse type of ``--jobs``: an integer of at least 1."""
+def _count(text: str) -> int:
+    """argparse type of a count flag (``--jobs``, ``--agents``, ...): an int >= 1."""
     try:
-        jobs = int(text)
+        count = int(text)
     except ValueError:
-        jobs = 0
-    if jobs < 1:
+        count = 0
+    if count < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return jobs
+    return count
 
 
 def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
-        type=_job_count,
+        type=_count,
         default=1,
         help="processes to run cells on (1 = run inline)",
     )
@@ -420,21 +420,21 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     compare = subparsers.add_parser("compare", help="compare ComDML with baselines on one scenario")
-    compare.add_argument("--agents", type=int, default=10)
+    compare.add_argument("--agents", type=_count, default=10)
     compare.add_argument("--dataset", choices=("cifar10", "cifar100", "cinic10"), default="cifar10")
     compare.add_argument("--model", choices=("resnet56", "resnet110"), default="resnet56")
     compare.add_argument("--non-iid", action="store_true", help="use the Dirichlet(0.5) label-skew variant")
     compare.add_argument("--target", type=float, default=0.9, help="target accuracy (0 disables)")
-    compare.add_argument("--max-rounds", type=int, default=600)
+    compare.add_argument("--max-rounds", type=_count, default=600)
     compare.add_argument("--churn", type=float, default=0.2, help="fraction of agents whose resources change")
     compare.add_argument(
         "--churn-interval",
-        type=int,
+        type=_count,
         default=100,
         help="rounds between churn points (the paper uses 100)",
     )
     compare.add_argument("--participation", type=float, default=1.0)
-    compare.add_argument("--granularity", type=int, default=6, help="split-candidate spacing in layers")
+    compare.add_argument("--granularity", type=_count, default=6, help="split-candidate spacing in layers")
     compare.add_argument(
         "--mode",
         choices=("sync", "semi-sync", "async"),
@@ -478,14 +478,14 @@ def build_parser() -> argparse.ArgumentParser:
     table2_parser = subparsers.add_parser("table2", help="reproduce Table II")
     table2_parser.add_argument("--datasets", nargs="+", default=["cifar10", "cifar100", "cinic10"])
     table2_parser.add_argument("--methods", nargs="+", default=list(PAPER_COMPARISON_METHODS))
-    table2_parser.add_argument("--agents", type=int, default=10)
+    table2_parser.add_argument("--agents", type=_count, default=10)
     _add_common_output_options(table2_parser)
     _add_campaign_options(table2_parser)
     table2_parser.set_defaults(handler=_cmd_table2)
 
     table3_parser = subparsers.add_parser("table3", help="reproduce Table III")
     table3_parser.add_argument("--models", nargs="+", default=["resnet56", "resnet110"])
-    table3_parser.add_argument("--agent-counts", nargs="+", type=int, default=[20, 50, 100])
+    table3_parser.add_argument("--agent-counts", nargs="+", type=_count, default=[20, 50, 100])
     table3_parser.add_argument("--methods", nargs="+", default=list(PAPER_COMPARISON_METHODS))
     _add_common_output_options(table3_parser)
     _add_campaign_options(table3_parser)
@@ -507,8 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     fig3_parser.set_defaults(handler=_cmd_fig3)
 
     privacy_parser = subparsers.add_parser("privacy", help="reproduce the privacy-integration comparison")
-    privacy_parser.add_argument("--agents", type=int, default=8)
-    privacy_parser.add_argument("--rounds", type=int, default=12)
+    privacy_parser.add_argument("--agents", type=_count, default=8)
+    privacy_parser.add_argument("--rounds", type=_count, default=12)
     _add_common_output_options(privacy_parser)
     _add_campaign_options(privacy_parser)
     privacy_parser.set_defaults(handler=_cmd_privacy)
@@ -578,14 +578,14 @@ def build_parser() -> argparse.ArgumentParser:
     record_parser.add_argument(
         "--method", default="ComDML", help="training method to run"
     )
-    record_parser.add_argument("--agents", type=int, default=10)
+    record_parser.add_argument("--agents", type=_count, default=10)
     record_parser.add_argument(
         "--dataset", choices=("cifar10", "cifar100", "cinic10"), default="cifar10"
     )
     record_parser.add_argument(
         "--model", choices=("resnet56", "resnet110"), default="resnet56"
     )
-    record_parser.add_argument("--max-rounds", type=int, default=20)
+    record_parser.add_argument("--max-rounds", type=_count, default=20)
     record_parser.add_argument(
         "--mode", choices=("sync", "semi-sync", "async"), default="sync"
     )
@@ -594,9 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record_parser.add_argument(
         "--segment-events",
-        type=int,
+        type=_count,
         default=None,
-        help="events per sealed segment (default: config value)",
+        help="events per sealed segment (default: 4096)",
     )
     record_parser.add_argument("--seed", type=int, default=0)
     record_parser.set_defaults(handler=_cmd_trace_record)

@@ -97,35 +97,12 @@ class ComDMLConfig:
         Multiple of the running makespan mean at which a ``"deadline"``
         quorum closes the round.
     trace_max_events:
-        Cap on retained runtime trace events (``None`` = unbounded).  The
-        default bounds memory on very long runs while retaining every event
-        of any realistic experiment; overflow is counted in
-        ``EventTrace.dropped_events``.
-    trace_min_level:
-        Minimum trace level admitted into the pipeline (0 = no level
-        filter, the default).  See :mod:`repro.runtime.filters` for the
-        ``DEBUG``/``INFO``/``IMPORTANT`` scale.
-    trace_rate_limit / trace_rate_burst:
-        Optional token-bucket rate limit on the event stream, in events per
-        simulated second with the given burst size (``None`` disables).
-    trace_adaptive_target:
-        Optional adaptive-sampling target rate (events per simulated
-        second): under sustained load beyond it the sampler tightens its
-        stride, recovering when load subsides (``None`` disables).
-    trace_jsonl_path / trace_sqlite_path:
-        Optional file sinks: a sealed, hash-chained JSONL trace
-        (verifiable by ``comdml trace verify``) and/or a SQLite event
-        table.
-    trace_buffer_capacity / trace_overflow:
-        Bounded-buffer staging for the file sinks: events are batched up
-        to this capacity; ``trace_overflow`` picks what a full buffer does
-        (``"flush"`` drains in place, ``"drop"`` rejects with accounting).
-    trace_segment_events:
-        Events per sealed segment in the JSONL sink.
-    trace_engine_events:
-        When true, the runtime subscribes to the simulation engine and
-        records each processed engine event as a ``DEBUG``-level
-        ``"engine_event"`` trace entry.
+        Cap on the runtime trace events kept in memory (``None`` =
+        unbounded).  The default bounds memory on very long runs while
+        retaining every event of any realistic experiment; overflow is
+        counted in ``EventTrace.dropped_events``.  A sealed JSONL trace
+        (``ExperimentRunner.run_method_sealed``, ``comdml trace record``)
+        still receives every event.
     seed:
         Experiment seed.
     """
@@ -153,16 +130,6 @@ class ComDMLConfig:
     quorum_policy: str = "fixed"
     quorum_deadline_factor: float = 1.5
     trace_max_events: Optional[int] = 100_000
-    trace_min_level: int = 0
-    trace_rate_limit: Optional[float] = None
-    trace_rate_burst: float = 64.0
-    trace_adaptive_target: Optional[float] = None
-    trace_jsonl_path: Optional[str] = None
-    trace_sqlite_path: Optional[str] = None
-    trace_buffer_capacity: Optional[int] = None
-    trace_overflow: str = "flush"
-    trace_segment_events: int = 4096
-    trace_engine_events: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -188,23 +155,6 @@ class ComDMLConfig:
         check_positive(self.quorum_deadline_factor, "quorum_deadline_factor")
         if self.trace_max_events is not None:
             check_positive(self.trace_max_events, "trace_max_events")
-        if self.trace_min_level < 0:
-            raise ValueError(
-                f"trace_min_level must be >= 0, got {self.trace_min_level}"
-            )
-        if self.trace_rate_limit is not None:
-            check_positive(self.trace_rate_limit, "trace_rate_limit")
-        check_positive(self.trace_rate_burst, "trace_rate_burst")
-        if self.trace_adaptive_target is not None:
-            check_positive(self.trace_adaptive_target, "trace_adaptive_target")
-        if self.trace_buffer_capacity is not None:
-            check_positive(self.trace_buffer_capacity, "trace_buffer_capacity")
-        if self.trace_overflow not in ("flush", "drop"):
-            raise ValueError(
-                "trace_overflow must be 'flush' or 'drop', "
-                f"got {self.trace_overflow!r}"
-            )
-        check_positive(self.trace_segment_events, "trace_segment_events")
         if self.allreduce_algorithm not in ("ring", "halving_doubling"):
             raise ValueError(
                 "allreduce_algorithm must be 'ring' or 'halving_doubling', "

@@ -259,13 +259,13 @@ def format_dynamics_summary(trace: "EventTrace | StreamingTraceSummary") -> str:
     abandoned unit or dropped straggler — the observability surface for
     :class:`~repro.runtime.dynamics.DynamicsSchedule` runs.  Accepts an
     event trace or a bound :class:`StreamingTraceSummary`.  When the trace
-    pipeline dropped events (capacity, filters), the count is stated below
-    the table — truncation is never silent.
+    dropped events at its in-memory cap, the count is stated below the
+    table — truncation is never silent.
     """
     per_round = _per_round_dynamics(trace)
     dropped = getattr(trace, "dropped_events", 0)
     suffix = (
-        f"\n({dropped} trace events dropped by capacity/filters; "
+        f"\n({dropped} trace events dropped by capacity; "
         "tallies reflect retained events only)"
         if dropped
         else ""

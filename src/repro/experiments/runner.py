@@ -134,16 +134,18 @@ class ExperimentRunner:
         The run's full event stream lands in ``jsonl_path`` as a
         hash-chained, sealed trace (see :mod:`repro.runtime.audit`) that
         ``comdml trace verify`` accepts; the in-memory view keeps the
-        scenario's configured cap.  Returns the run history.
+        scenario's configured cap.  ``segment_events`` sets the events per
+        segment seal (``None``: the sink's default of 4096).  Returns the
+        run history.
         """
-        config = self.scenario.comdml_config
-        sink = JSONLSink(
-            jsonl_path,
-            segment_events=segment_events
-            if segment_events is not None
-            else config.trace_segment_events,
+        sink = (
+            JSONLSink(jsonl_path)
+            if segment_events is None
+            else JSONLSink(jsonl_path, segment_events=segment_events)
         )
-        trace = EventTrace(max_events=config.trace_max_events, sinks=(sink,))
+        trace = EventTrace(
+            max_events=self.scenario.comdml_config.trace_max_events, sinks=(sink,)
+        )
         try:
             history, _ = self.run_method_with_trace(
                 method, accuracy_tracker, dynamics, trace

@@ -8,9 +8,9 @@ modes (``sync`` / ``semi-sync`` / ``async``),
 arrivals, in-flight churn, departures), and :mod:`repro.runtime.quorum`
 for the pluggable semi-sync quorum policies.
 
-Tracing is a streaming pipeline: events pass through composable filter
-stages (:mod:`repro.runtime.filters`) into pluggable sinks
-(:mod:`repro.runtime.sinks`) with explicit per-stage drop accounting, and
+Each run records an event trace (:mod:`repro.runtime.trace`): events are
+kept in memory up to a cap and delivered to any extra sinks
+(:mod:`repro.runtime.sinks`) with explicit per-sink drop accounting, and
 sealed file traces carry the hash-chained audit records of
 :mod:`repro.runtime.audit` (verifiable via ``comdml trace verify``).
 """
@@ -26,14 +26,6 @@ from repro.runtime.audit import (
     verify_sealed_jsonl,
 )
 from repro.runtime.dynamics import DynamicsEvent, DynamicsSchedule
-from repro.runtime.filters import (
-    AdaptiveSamplingFilter,
-    KindFilter,
-    LevelFilter,
-    TokenBucketFilter,
-    TraceFilter,
-    event_level,
-)
 from repro.runtime.quorum import (
     AdaptiveQuorum,
     DeadlineQuorum,
@@ -52,21 +44,8 @@ from repro.runtime.strategy import (
     participation_fraction,
     solo_decisions,
 )
-from repro.runtime.sinks import (
-    CallbackSink,
-    JSONLSink,
-    MemorySink,
-    SQLiteSink,
-    TraceSink,
-    load_sqlite_trace,
-    make_sink,
-)
-from repro.runtime.trace import (
-    EventTrace,
-    PipelineStats,
-    TraceEvent,
-    build_event_trace,
-)
+from repro.runtime.sinks import CallbackSink, JSONLSink, MemorySink, TraceSink
+from repro.runtime.trace import EventTrace, PipelineStats, TraceEvent
 
 __all__ = [
     "EXECUTION_MODES",
@@ -90,20 +69,10 @@ __all__ = [
     "EventTrace",
     "TraceEvent",
     "PipelineStats",
-    "build_event_trace",
-    "TraceFilter",
-    "LevelFilter",
-    "KindFilter",
-    "TokenBucketFilter",
-    "AdaptiveSamplingFilter",
-    "event_level",
     "TraceSink",
     "MemorySink",
     "CallbackSink",
     "JSONLSink",
-    "SQLiteSink",
-    "load_sqlite_trace",
-    "make_sink",
     "ChainState",
     "VerificationResult",
     "canonical_json",

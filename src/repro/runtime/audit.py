@@ -149,15 +149,27 @@ def verify_sealed_jsonl(path: str | Path) -> VerificationResult:
     Walks the file line by line, re-deriving the chain from the event
     *bodies* and comparing against each line's stored index and chain
     head, every segment seal, and the final seal.  The first divergence —
-    a flipped byte, a missing event, a swapped pair — is reported with its
-    exact 0-based event index.
+    a flipped byte, a missing event, a swapped pair, a malformed line or
+    seal — is reported with its exact 0-based event index; malformed input
+    is reported, never raised.
     """
     path = Path(path)
     chain = ChainState()
     expected_index = 0
     sealed = False
+
+    def failed(error: str, index: Optional[int]) -> VerificationResult:
+        return VerificationResult(
+            ok=False,
+            events=expected_index,
+            head=chain.head,
+            error=error,
+            first_divergent_index=index,
+        )
+
     try:
-        handle = open(path, "r", encoding="utf-8")
+        # Binary, so a line that is not UTF-8 fails at its own index.
+        handle = open(path, "rb")
     except OSError as error:
         return VerificationResult(ok=False, error=f"unreadable trace: {error}")
     with handle:
@@ -165,108 +177,86 @@ def verify_sealed_jsonl(path: str | Path) -> VerificationResult:
             raw = raw.strip()
             if not raw:
                 continue
+            # The last event folded in: where a disagreeing seal points.
+            last = expected_index - 1 if expected_index else None
             if sealed:
-                return VerificationResult(
-                    ok=False,
-                    events=expected_index,
-                    head=chain.head,
-                    error=f"line {line_number}: content after the final seal",
-                    first_divergent_index=expected_index,
+                return failed(
+                    f"line {line_number}: content after the final seal",
+                    expected_index,
                 )
             try:
                 record = json.loads(raw)
-            except json.JSONDecodeError:
-                return VerificationResult(
-                    ok=False,
-                    events=expected_index,
-                    head=chain.head,
-                    error=f"line {line_number}: not valid JSON",
-                    first_divergent_index=expected_index,
+            except (ValueError, RecursionError):  # not JSON, not UTF-8, too deep
+                return failed(f"line {line_number}: not valid JSON", expected_index)
+            if not isinstance(record, dict):
+                return failed(
+                    f"line {line_number}: not a JSON object", expected_index
                 )
             if "seal" in record:
                 seal = record["seal"]
+                if not isinstance(seal, dict):
+                    return failed(
+                        f"line {line_number}: seal is not a JSON object",
+                        expected_index,
+                    )
                 if seal.get("final"):
                     if seal.get("algorithm") != ALGORITHM:
-                        return VerificationResult(
-                            ok=False,
-                            events=expected_index,
-                            head=chain.head,
-                            error=(
-                                f"final seal algorithm {seal.get('algorithm')!r} "
-                                f"!= {ALGORITHM!r}"
-                            ),
+                        return failed(
+                            f"final seal algorithm {seal.get('algorithm')!r} "
+                            f"!= {ALGORITHM!r}",
+                            None,
                         )
-                    if seal.get("events") != expected_index:
-                        return VerificationResult(
-                            ok=False,
-                            events=expected_index,
-                            head=chain.head,
-                            error=(
-                                f"final seal covers {seal.get('events')} events "
-                                f"but the trace holds {expected_index}"
-                            ),
-                            first_divergent_index=min(
-                                int(seal.get("events", 0)), expected_index
-                            ),
+                    count = seal.get("events")
+                    if type(count) is not int:
+                        return failed(
+                            f"final seal event count {count!r} is not an integer",
+                            expected_index,
+                        )
+                    if count != expected_index:
+                        return failed(
+                            f"final seal covers {count} events "
+                            f"but the trace holds {expected_index}",
+                            max(0, min(count, expected_index)),
                         )
                     if seal.get("head") != chain.head:
-                        return VerificationResult(
-                            ok=False,
-                            events=expected_index,
-                            head=chain.head,
-                            error="final seal head does not match the re-derived chain",
-                            first_divergent_index=expected_index - 1
-                            if expected_index
-                            else None,
+                        return failed(
+                            "final seal head does not match the re-derived chain",
+                            last,
                         )
                     sealed = True
                     continue
                 if seal.get("head") != chain.head:
-                    return VerificationResult(
-                        ok=False,
-                        events=expected_index,
-                        head=chain.head,
-                        error=(
-                            f"segment {seal.get('segment')} seal head does not "
-                            "match the re-derived chain"
-                        ),
-                        first_divergent_index=expected_index - 1
-                        if expected_index
-                        else None,
+                    return failed(
+                        f"segment {seal.get('segment')} seal head does not "
+                        "match the re-derived chain",
+                        last,
                     )
                 continue
             stored_index = record.get("i")
-            if stored_index != expected_index:
-                return VerificationResult(
-                    ok=False,
-                    events=expected_index,
-                    head=chain.head,
-                    error=(
-                        f"line {line_number}: event index {stored_index} where "
-                        f"{expected_index} was expected (missing or reordered event)"
-                    ),
-                    first_divergent_index=expected_index,
+            if type(stored_index) is not int or stored_index != expected_index:
+                return failed(
+                    f"line {line_number}: event index {stored_index} where "
+                    f"{expected_index} was expected (missing or reordered event)",
+                    expected_index,
                 )
-            derived = chain.update(record.get("event"))
+            try:
+                derived = chain.update(record.get("event"))
+            except (ValueError, RecursionError):
+                return failed(
+                    f"line {line_number}: event body is not canonical JSON",
+                    expected_index,
+                )
             if record.get("chain") != derived:
-                return VerificationResult(
-                    ok=False,
-                    events=expected_index,
-                    head=chain.head,
-                    error=(
-                        f"line {line_number}: chain head mismatch — event "
-                        f"{expected_index} or an earlier record was tampered with"
-                    ),
-                    first_divergent_index=expected_index,
+                return failed(
+                    f"line {line_number}: chain head mismatch — event "
+                    f"{expected_index} or an earlier record was tampered with",
+                    expected_index,
                 )
             expected_index += 1
     if not sealed:
-        return VerificationResult(
-            ok=False,
-            events=expected_index,
-            head=chain.head,
-            error="trace is not sealed (no final seal line — truncated?)",
-            first_divergent_index=expected_index - 1 if expected_index else None,
+        return failed(
+            "trace is not sealed (no final seal line — truncated?)",
+            expected_index - 1 if expected_index else None,
         )
     return VerificationResult(ok=True, events=expected_index, head=chain.head)
 

@@ -62,7 +62,7 @@ from repro.runtime.quorum import QuorumPolicy, make_quorum_policy
 # module's name (``perfbench.tracing.PROBES``), so the name must resolve here.
 from repro.runtime.quorum import resolve_quorum  # noqa: F401
 from repro.runtime.strategy import RoundPlan, RoundStrategy, participation_fraction
-from repro.runtime.trace import EventTrace, build_event_trace
+from repro.runtime.trace import EventTrace
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import Event
 from repro.training.accuracy import AccuracyTracker
@@ -238,9 +238,7 @@ class TrainingRuntime:
         self.config = config
         self.accuracy_tracker = accuracy_tracker
         self.engine = engine if engine is not None else SimulationEngine()
-        self.trace = trace if trace is not None else build_event_trace(config)
-        if config.trace_engine_events:
-            self.engine.subscribe(self._observe_engine_event)
+        self.trace = trace if trace is not None else EventTrace(config.trace_max_events)
         self.history = RunHistory(method=strategy.method_name)
         self.churn = (
             ResourceChurn(
@@ -288,20 +286,6 @@ class TrainingRuntime:
         return self._lr_schedule.learning_rate
 
     # ------------------------------------------------------------------
-    def _observe_engine_event(self, event: Event) -> None:
-        """Mirror one processed engine event into the trace (DEBUG level).
-
-        Opt-in via ``ComDMLConfig.trace_engine_events``; with a level
-        filter at ``INFO`` or above these are counted as filter drops, so
-        the raw engine feed never inflates the in-memory view silently.
-        """
-        self._record(
-            event.timestamp,
-            self._current_round,
-            "engine_event",
-            detail={"engine_kind": event.kind},
-        )
-
     def _record(
         self,
         timestamp: float,
@@ -1049,7 +1033,7 @@ class TrainingRuntime:
                     self.engine.now,
                 )
                 break
-        # Push any buffered trace events to their sinks; files stay open
-        # (and unsealed) so callers can keep recording or close explicitly.
+        # Flush the trace's sinks; files stay open (and unsealed) so callers
+        # can keep recording or close explicitly.
         self.trace.flush()
         return self.history

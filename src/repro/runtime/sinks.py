@@ -1,19 +1,13 @@
-"""Pluggable sinks of the streaming trace pipeline.
+"""Sinks of the event trace.
 
-A sink is where admitted trace events land: the in-memory store behind the
-legacy :class:`~repro.runtime.trace.EventTrace` API, an append-only sealed
-JSONL file, a SQLite table, or an arbitrary callback (the hook streaming
-consumers like
+A sink is where recorded trace events land: the in-memory store behind
+:class:`~repro.runtime.trace.EventTrace`'s queries, an append-only sealed
+JSONL file, or an arbitrary callback (the hook streaming consumers like
 :class:`~repro.experiments.reporting.StreamingTraceSummary` plug into).
 Every sink keeps its own explicit accounting — ``delivered`` events stored
 and ``dropped`` events lost at the sink itself (capacity, write failure) —
-which the pipeline combines with upstream filter/buffer drops so that
-``emitted == delivered + dropped`` holds per sink at any point in time.
-
-File-backed sinks are *deferred*: the pipeline may stage their events in
-its bounded buffer and deliver in batches, so the simulation loop never
-blocks on I/O for each event.  In-memory and callback sinks are delivered
-synchronously.
+so that ``emitted == delivered + dropped`` holds per sink at any point in
+time.  The trace delivers every event to every sink synchronously.
 
 The in-memory sink also takes a run of per-unit events — a round's unit
 completions, an async round's completions and gossip aggregations
@@ -21,15 +15,10 @@ interleaved, a quorum's dropped stragglers — as one :class:`UnitBlock` of
 columns with a kind code per row, and builds their events only when they
 are read; every other sink sees those events one by one (see
 :meth:`~repro.runtime.trace.EventTrace.record_block`).
-
-Sinks are constructed directly or from a compact spec string via
-:func:`make_sink` — ``"memory"``, ``"memory:5000"``, ``"jsonl:trace.jsonl"``,
-``"sqlite:trace.db"`` — which is what configuration surfaces use.
 """
 
 from __future__ import annotations
 
-import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, Union
@@ -61,10 +50,8 @@ def event_payload(event: "TraceEvent") -> dict[str, Any]:
 class TraceSink:
     """Destination for admitted trace events, with explicit accounting."""
 
-    #: Sink name used in accounting tables and config errors.
+    #: Sink name used in accounting tables.
     name = "sink"
-    #: Deferred sinks may be batched behind the pipeline's bounded buffer.
-    deferred = False
 
     def __init__(self) -> None:
         #: Events this sink stored/forwarded successfully.
@@ -335,7 +322,6 @@ class JSONLSink(TraceSink):
     """
 
     name = "jsonl"
-    deferred = True
 
     def __init__(
         self,
@@ -405,130 +391,3 @@ class JSONLSink(TraceSink):
         self._handle.write(final_seal_line(self.chain.index, self.chain.head) + "\n")
         self._handle.close()
         self._closed = True
-
-
-class SQLiteSink(TraceSink):
-    """Trace events in a SQLite table (queryable post-hoc at any scale)."""
-
-    name = "sqlite"
-    deferred = True
-
-    #: Rows per implicit transaction; committed on flush/close as well.
-    COMMIT_EVERY = 1024
-
-    def __init__(self, path: str | Path, table: str = "trace_events") -> None:
-        super().__init__()
-        if not table.isidentifier():
-            raise ValueError(f"table must be an identifier, got {table!r}")
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.table = table
-        self._connection = sqlite3.connect(str(self.path))
-        self._connection.execute(
-            f"CREATE TABLE IF NOT EXISTS {table} ("
-            "  idx INTEGER PRIMARY KEY,"
-            "  timestamp REAL NOT NULL,"
-            "  round_index INTEGER NOT NULL,"
-            "  kind TEXT NOT NULL,"
-            "  agent_ids TEXT NOT NULL,"
-            "  detail TEXT"
-            ")"
-        )
-        self._pending = 0
-        self._closed = False
-
-    def emit(self, event: "TraceEvent") -> bool:
-        if self._closed:
-            self.dropped += 1
-            return False
-        from repro.runtime.audit import canonical_json
-
-        try:
-            self._connection.execute(
-                f"INSERT INTO {self.table} "
-                "(idx, timestamp, round_index, kind, agent_ids, detail) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    self.delivered,
-                    event.timestamp,
-                    event.round_index,
-                    event.kind,
-                    canonical_json(list(event.agent_ids)),
-                    canonical_json(event.detail)
-                    if event.detail is not None
-                    else None,
-                ),
-            )
-        except sqlite3.Error:
-            self.dropped += 1
-            return False
-        self.delivered += 1
-        self._pending += 1
-        if self._pending >= self.COMMIT_EVERY:
-            self._connection.commit()
-            self._pending = 0
-        return True
-
-    def flush(self) -> None:
-        if not self._closed:
-            self._connection.commit()
-            self._pending = 0
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._connection.commit()
-        self._connection.close()
-        self._closed = True
-
-
-def load_sqlite_trace(
-    path: str | Path, table: str = "trace_events"
-) -> list[dict[str, Any]]:
-    """Read a :class:`SQLiteSink` table back as plain event dicts."""
-    import json
-
-    if not table.isidentifier():
-        raise ValueError(f"table must be an identifier, got {table!r}")
-    with sqlite3.connect(str(path)) as connection:
-        rows = connection.execute(
-            f"SELECT timestamp, round_index, kind, agent_ids, detail "
-            f"FROM {table} ORDER BY idx"
-        ).fetchall()
-    return [
-        {
-            "timestamp": timestamp,
-            "round_index": round_index,
-            "kind": kind,
-            "agent_ids": json.loads(agent_ids),
-            "detail": json.loads(detail) if detail is not None else None,
-        }
-        for timestamp, round_index, kind, agent_ids, detail in rows
-    ]
-
-
-# ----------------------------------------------------------------------
-# Spec-string construction
-# ----------------------------------------------------------------------
-
-def make_sink(spec: str) -> TraceSink:
-    """Build a sink from a compact spec string.
-
-    ``"memory"`` / ``"memory:<max_events>"`` / ``"jsonl:<path>"`` /
-    ``"sqlite:<path>"`` — the form configuration files and CLIs use.
-    """
-    kind, _, argument = spec.partition(":")
-    if kind == "memory":
-        return MemorySink(int(argument) if argument else None)
-    if kind == "jsonl":
-        if not argument:
-            raise ValueError("jsonl sink needs a path: 'jsonl:<path>'")
-        return JSONLSink(argument)
-    if kind == "sqlite":
-        if not argument:
-            raise ValueError("sqlite sink needs a path: 'sqlite:<path>'")
-        return SQLiteSink(argument)
-    raise ValueError(
-        f"unknown sink spec {spec!r}; expected memory[:N], jsonl:<path> "
-        "or sqlite:<path>"
-    )

@@ -127,8 +127,8 @@ class SimulationEngine:
         """Register an observer called for *every* processed event.
 
         Observers run after the event's own callback and kind handlers —
-        they watch the stream (e.g. the trace pipeline's opt-in
-        ``engine_event`` debug feed) and must not schedule into the past.
+        they watch the stream (e.g. to check the order a batch fires in)
+        and must not schedule into the past.
         """
         self._observers.append(observer)
 

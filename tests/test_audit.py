@@ -52,6 +52,37 @@ def event_lines(path: Path) -> list[int]:
     return [i for i, line in enumerate(lines) if "seal" not in json.loads(line)]
 
 
+def small_sealed(tmp_path: Path) -> Path:
+    """A sealed trace of 12 events in segments of 5.
+
+    Lines 0–4 hold events 0–4, line 5 seals segment 0, lines 6–10 hold
+    events 5–9, line 11 seals segment 1, lines 12–13 hold events 10–11,
+    line 14 seals segment 2 and line 15 is the final seal.
+    """
+    path = tmp_path / "small.jsonl"
+    trace = EventTrace(sinks=(JSONLSink(path, segment_events=5),))
+    for index in range(12):
+        trace.record(float(index), 0, "unit_complete", (index,))
+    trace.close()
+    return path
+
+
+def rewrite(path: Path, line_no: int, text: str) -> Path:
+    """A copy of ``path`` with line ``line_no`` (0-based) replaced by ``text``."""
+    lines = path.read_text().splitlines()
+    lines[line_no] = text
+    edited = path.with_name("edited.jsonl")
+    edited.write_text("\n".join(lines) + "\n")
+    return edited
+
+
+def edit_seal(path: Path, line_no: int, **changes) -> Path:
+    """A copy of ``path`` whose seal on line ``line_no`` has ``changes`` applied."""
+    record = json.loads(path.read_text().splitlines()[line_no])
+    record["seal"].update(changes)
+    return rewrite(path, line_no, canonical_json(record))
+
+
 # ----------------------------------------------------------------------
 # Chain primitives
 # ----------------------------------------------------------------------
@@ -210,6 +241,88 @@ class TestTamperDetection:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"i": 999, "event": {}, "chain": "00"}\n')
         assert not verify_sealed_jsonl(path).ok
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (None, b"not json {"),
+            (b"unit_complete", b"unit_\xffomplete"),
+            (None, b"[" * 100_000),
+            (None, b"[1, 2]"),
+            (None, b"7"),
+            (None, b"null"),
+            (b'"timestamp":1.0', b'"timestamp":NaN'),
+            (b'"i":1}', b'"i":true}'),
+            (b'"i":1}', b'"i":1.0}'),
+        ],
+        ids=[
+            "not-json",
+            "not-utf8",
+            "too-deep",
+            "array",
+            "number",
+            "null",
+            "nan-body",
+            "index-a-boolean",
+            "index-a-float",
+        ],
+    )
+    def test_malformed_event_line_fails_at_its_index(self, tmp_path, capsys, old, new):
+        """Event 1's line replaced by ``new``, or with ``old`` replaced by it."""
+        path = small_sealed(tmp_path)
+        lines = path.read_bytes().splitlines()
+        line = new if old is None else lines[1].replace(old, new)
+        assert line != lines[1]
+        lines[1] = line
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        result = verify_sealed_jsonl(path)
+        assert not result.ok
+        assert result.first_divergent_index == 1
+        assert cli_main(["trace", "verify", str(path)]) == 1
+        assert "first divergent event index: 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seal", [5, [1], None], ids=["number", "array", "null"])
+    @pytest.mark.parametrize(
+        "line_no, index", [(5, 5), (15, 12)], ids=["segment", "final"]
+    )
+    def test_seal_that_is_not_an_object_fails_at_its_position(
+        self, tmp_path, line_no, index, seal
+    ):
+        edited = rewrite(small_sealed(tmp_path), line_no, canonical_json({"seal": seal}))
+        result = verify_sealed_jsonl(edited)
+        assert not result.ok
+        assert result.first_divergent_index == index
+
+    @pytest.mark.parametrize("line_no, segment", [(5, 0), (11, 1), (14, 2)])
+    def test_edited_segment_seal_head_fails_at_its_last_event(
+        self, tmp_path, line_no, segment
+    ):
+        path = small_sealed(tmp_path)
+        assert verify_sealed_jsonl(path).ok
+        result = verify_sealed_jsonl(edit_seal(path, line_no, head="0" * 64))
+        assert not result.ok
+        assert f"segment {segment} seal head" in result.error
+        assert result.first_divergent_index == line_no - 1 - segment
+
+    def test_foreign_final_seal_algorithm_is_rejected(self, tmp_path):
+        edited = edit_seal(small_sealed(tmp_path), 15, algorithm="md5-chain-v0")
+        result = verify_sealed_jsonl(edited)
+        assert not result.ok
+        assert "'md5-chain-v0'" in result.error
+
+    @pytest.mark.parametrize(
+        "count, index",
+        [("x", 12), (True, 12), (None, 12), (-4, 0), (9, 9), (14, 12)],
+        ids=["string", "boolean", "null", "negative", "too-small", "too-large"],
+    )
+    def test_final_seal_with_a_wrong_event_count_is_rejected(
+        self, tmp_path, count, index
+    ):
+        edited = edit_seal(small_sealed(tmp_path), 15, events=count)
+        result = verify_sealed_jsonl(edited)
+        assert not result.ok
+        assert result.events == 12
+        assert result.first_divergent_index == index
 
 
 # ----------------------------------------------------------------------

@@ -288,15 +288,43 @@ class TestCampaignCommands:
             ["campaign", "run", "table2", "--jobs", "0"],
             ["table2", "--jobs", "-3"],
             ["compare", "--jobs", "two"],
+            ["compare", "--agents", "0"],
+            ["compare", "--max-rounds", "0"],
+            ["compare", "--granularity", "0"],
+            ["compare", "--churn-interval", "0"],
+            ["table2", "--agents", "0"],
+            ["table3", "--agent-counts", "20", "0"],
+            ["privacy", "--agents", "0"],
+            ["privacy", "--rounds", "0"],
+            ["trace", "record", "--out", "t.jsonl", "--agents", "0"],
+            ["trace", "record", "--out", "t.jsonl", "--max-rounds", "0"],
+            ["trace", "record", "--out", "t.jsonl", "--segment-events", "0"],
         ],
-        ids=["zero", "negative", "not-an-integer"],
+        ids=[
+            "jobs-zero",
+            "jobs-negative",
+            "jobs-not-an-integer",
+            "compare-agents",
+            "compare-max-rounds",
+            "compare-granularity",
+            "compare-churn-interval",
+            "table2-agents",
+            "table3-agent-counts",
+            "privacy-agents",
+            "privacy-rounds",
+            "record-agents",
+            "record-max-rounds",
+            "record-segment-events",
+        ],
     )
-    def test_invalid_jobs_is_a_usage_error(self, argv, capsys):
+    def test_invalid_count_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "usage:" in err and "argument --jobs: must be an integer >= 1" in err
+        flag = next(arg for arg in reversed(argv) if arg.startswith("--"))
+        assert "usage:" in err
+        assert f"argument {flag}: must be an integer >= 1" in err
 
 
 class TestScheduleCommands:

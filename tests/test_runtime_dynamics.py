@@ -308,40 +308,6 @@ class TestDynamicRunsStayCoherent:
         times = history.times()
         assert all(a < b for a, b in zip(times, times[1:]))
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_engine_feed_follows_each_buffered_completion(self, mode):
-        """The opt-in engine feed still comes right after each completion.
-
-        Completions wait in the flight table and reach the trace as blocks;
-        the feed's record of a completion's engine event must follow that
-        completion, and the feed counts every processed engine event, the
-        stale rows of a round's batch included.
-        """
-        cutoff = first_unit_completion()
-        trainer = make_comdml(
-            fresh_registry(),
-            dynamics=self.full_schedule(cutoff),
-            execution_mode=mode,
-            max_rounds=4,
-            trace_engine_events=True,
-        )
-        trainer.run()
-        events = list(trainer.trace)
-        timestamps = [event.timestamp for event in events]
-        assert timestamps == sorted(timestamps)
-        feed = [event for event in events if event.kind == "engine_event"]
-        assert len(feed) == trainer.runtime.engine.processed_events
-        completed = None
-        for event in events:
-            if event.kind == "unit_complete":
-                assert completed is None
-                completed = event
-            elif event.kind == "engine_event" and completed is not None:
-                assert event.detail == {"engine_kind": "unit_complete"}
-                assert event.timestamp == completed.timestamp
-                completed = None
-        assert completed is None
-
     def test_plan_with_an_agent_in_two_units_is_rejected(self):
         schedule = DynamicsSchedule()
         schedule.churn(1e9, fraction=0.5)

@@ -1,19 +1,16 @@
-"""Property, golden, and fault tests for the streaming trace pipeline.
+"""Property, golden, and fault tests for the event trace and its sinks.
 
 Covers the conservation invariant (``emitted == delivered + dropped`` per
 sink, from independent counters) under Hypothesis-generated bursts,
-capacities and filter stacks; filter-order invariance for commuting
-stages; sink round-trip equality (JSONL and SQLite vs the in-memory
-view); adaptive sampling under a deterministic synthetic burst; buffer
-overflow policies; fault injection on a failing sink; and the legacy /
-golden guarantees — a default pipeline config reduces byte-identically
-to the pre-pipeline bounded list.  ``record_block`` must equal the loop
-of ``record`` it replaces under every cap, filter stack and sink set.
+capacities and sink sets; JSONL round-trip equality with the in-memory
+view; fault injection on a failing sink; and the legacy / golden
+guarantees — the default trace reduces byte-identically to the
+pre-pipeline bounded list.  ``record_block`` must equal the loop of
+``record`` it replaces under every cap and sink set.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 from pathlib import Path
 
@@ -34,33 +31,21 @@ from repro.experiments.reporting import (
 )
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import ScenarioConfig
-from repro.runtime.audit import ChainState
-from repro.runtime.filters import (
-    DEBUG,
-    IMPORTANT,
-    INFO,
-    AdaptiveSamplingFilter,
-    KindFilter,
-    LevelFilter,
-    TokenBucketFilter,
-    event_level,
-)
+from repro.runtime.audit import ChainState, read_sealed_events, verify_sealed_jsonl
 from repro.runtime.sinks import (
     CallbackSink,
     JSONLSink,
     MemorySink,
-    SQLiteSink,
     TraceSink,
-    load_sqlite_trace,
     event_payload,
-    make_sink,
 )
-from repro.runtime.trace import EventTrace, build_event_trace
+from repro.runtime.trace import EventTrace
+from strategies import STANDARD_SETTINGS
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "runtime_sync_golden.json"
 TRACE_GOLDEN_PATH = Path(__file__).parent / "data" / "trace_sync_golden.json"
 
-#: Kinds spanning every trace level (IMPORTANT / INFO / DEBUG).
+#: Round-level, per-unit and dynamics event kinds.
 ALL_KINDS = (
     "round_start",
     "round_end",
@@ -69,8 +54,19 @@ ALL_KINDS = (
     "unit_complete",
     "straggler_dropped",
     "unit_repriced",
-    "engine_event",
 )
+
+
+class FlakySink(TraceSink):
+    """A sink that raises on every event at an even whole-second timestamp."""
+
+    name = "flaky"
+
+    def emit(self, event):
+        if int(event.timestamp) % 2 == 0:
+            raise RuntimeError("injected fault")
+        self.delivered += 1
+        return True
 
 
 def record_burst(trace: EventTrace, events) -> None:
@@ -98,31 +94,6 @@ def bursts(draw, max_events: int = 120):
         now += gap
         events.append((now, int(now // 10), kind))
     return events
-
-
-@st.composite
-def filter_stacks(draw):
-    """Random (possibly empty) stacks of every filter stage type."""
-    stack = []
-    if draw(st.booleans()):
-        stack.append(LevelFilter(draw(st.sampled_from((DEBUG, INFO, IMPORTANT)))))
-    if draw(st.booleans()):
-        deny = draw(st.sets(st.sampled_from(ALL_KINDS), max_size=3))
-        stack.append(KindFilter(deny=deny))
-    if draw(st.booleans()):
-        stack.append(
-            TokenBucketFilter(
-                rate=draw(st.floats(min_value=0.1, max_value=50.0)),
-                burst=draw(st.integers(min_value=1, max_value=16)),
-            )
-        )
-    if draw(st.booleans()):
-        stack.append(
-            AdaptiveSamplingFilter(
-                target_rate=draw(st.floats(min_value=0.5, max_value=20.0))
-            )
-        )
-    return stack
 
 
 # ----------------------------------------------------------------------
@@ -154,12 +125,12 @@ class TestLegacyParity:
         assert trace.kind_counts()["unit_complete"] == 2
 
     def test_default_config_builds_pure_legacy_trace(self):
-        trace = build_event_trace(ComDMLConfig())
-        assert trace.filters == ()
+        golden = json.loads(GOLDEN_PATH.read_text())
+        runner = ExperimentRunner(ScenarioConfig(**golden["scenario"]))
+        trace = runner.build_method("ComDML").runtime.trace
         assert len(trace.sinks) == 1
         assert isinstance(trace.sinks[0], MemorySink)
         assert trace.max_events == ComDMLConfig().trace_max_events
-        assert trace.buffer_capacity is None
 
 
 class TestGoldenByteIdentity:
@@ -197,8 +168,9 @@ class TestGoldenByteIdentity:
 # ----------------------------------------------------------------------
 
 class TestConservationProperty:
+    @seed(20261018)
     @given(events=bursts(), capacity=st.one_of(st.none(), st.integers(1, 40)))
-    @settings(max_examples=60, deadline=None)
+    @STANDARD_SETTINGS
     def test_memory_sink_conservation(self, events, capacity):
         trace = EventTrace(max_events=capacity)
         record_burst(trace, events)
@@ -208,77 +180,40 @@ class TestConservationProperty:
         assert row["delivered"] == len(trace.events)
         trace.check_conservation()
 
-    @given(events=bursts(), filters=filter_stacks())
-    @settings(max_examples=60, deadline=None, suppress_health_check=FIXTURE_OK)
-    def test_filter_stack_conservation_all_sinks(self, events, filters, tmp_path):
+    @seed(20261019)
+    @given(events=bursts(), capacity=st.one_of(st.none(), st.integers(1, 40)))
+    @settings(STANDARD_SETTINGS, suppress_health_check=FIXTURE_OK)
+    def test_multi_sink_conservation(self, events, capacity, tmp_path):
         received = []
+        path = tmp_path / "t.jsonl"
         trace = EventTrace(
-            max_events=25,
-            filters=filters,
+            max_events=capacity,
             sinks=(
                 CallbackSink(received.append),
-                JSONLSink(tmp_path / "t.jsonl", segment_events=10),
+                JSONLSink(path, segment_events=10),
+                FlakySink(),
             ),
         )
         record_burst(trace, events)
         trace.flush()
-        for name, row in trace.accounting().items():
+        accounting = trace.accounting()
+        for name, row in accounting.items():
             assert row["emitted"] == len(events), name
-            assert row["buffered"] == 0, name
             assert row["emitted"] == row["delivered"] + row["dropped"], name
-        # filter drops are common to every sink; sink-local drops differ
-        filtered = trace.stats.filtered_total
-        assert trace.accounting()["callback"]["dropped"] == filtered
-        assert len(received) == len(events) - filtered
-        trace.close()
-
-    @given(
-        events=bursts(max_events=80),
-        buffer_capacity=st.integers(1, 16),
-        overflow=st.sampled_from(("flush", "drop")),
-    )
-    @settings(max_examples=40, deadline=None, suppress_health_check=FIXTURE_OK)
-    def test_buffered_deferred_sink_conservation(
-        self, events, buffer_capacity, overflow, tmp_path
-    ):
-        sink = JSONLSink(tmp_path / "t.jsonl", segment_events=None)
-        trace = EventTrace(
-            sinks=(sink,), buffer_capacity=buffer_capacity, overflow=overflow
+        # the cap drops from the in-memory view only; the flaky sink's
+        # losses are its own
+        assert accounting["memory"]["delivered"] == len(trace.events)
+        assert accounting["callback"]["dropped"] == 0
+        assert len(received) == len(events)
+        assert accounting["jsonl"]["delivered"] == len(events)
+        assert accounting["flaky"]["dropped"] == trace.stats.sink_errors.get(
+            "flaky", 0
         )
-        record_burst(trace, events)
-        trace.flush()
-        row = trace.accounting()["jsonl"]
-        assert row["emitted"] == len(events)
-        assert row["emitted"] == row["delivered"] + row["dropped"]
-        if overflow == "flush":
-            # flush policy never loses events for the file sink
-            assert row["dropped"] == 0
-            assert sink.delivered == len(events)
         trace.close()
-
-    def test_overflow_drop_counts_against_deferred_sinks_only(self, tmp_path):
-        sink = JSONLSink(tmp_path / "t.jsonl", segment_events=None)
-        trace = EventTrace(sinks=(sink,), buffer_capacity=2, overflow="drop")
-        for i in range(5):
-            trace.record(float(i), 0, "unit_complete")
-        # buffer filled at 2, drained once, refilled, then drops
-        assert trace.stats.buffer_dropped > 0
-        assert trace.accounting()["memory"]["dropped"] == 0
-        row = trace.accounting()["jsonl"]
-        assert row["emitted"] == 5
-        assert row["emitted"] == row["delivered"] + row["dropped"] + row["buffered"]
-        trace.close()
+        result = verify_sealed_jsonl(path)
+        assert result.ok and result.events == len(events)
 
     def test_failing_sink_counts_drops_not_crashes(self):
-        class FlakySink(TraceSink):
-            name = "flaky"
-
-            def emit(self, event):
-                if int(event.timestamp) % 2 == 0:
-                    raise RuntimeError("injected fault")
-                self.delivered += 1
-                return True
-
         trace = EventTrace(sinks=(FlakySink(),))
         for i in range(10):
             assert trace.record(float(i), 0, "unit_complete") is not None
@@ -302,7 +237,7 @@ def block_streams(draw):
     A block has one kind or two, each with its own detail key, and a kind
     code per row.  Returns ``(ops, cap)``.  The cap is ``None``, reached
     before a block (possibly exactly at its first row), inside a block, or
-    beyond every event — positions counted in the unfiltered stream.
+    beyond every event — positions counted in the event stream.
     """
     ops, spans, position, now = [], [], 0, 0.0
     gaps = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
@@ -395,33 +330,27 @@ def replay_stream(ops, trace: EventTrace, blocks: bool):
 
 class TestRecordBlock:
     @seed(20261017)
-    # Half the draws, or more, take the default pipeline: the one path
-    # where the memory sink stores the block as columns.
+    # Half the draws, or more, take the default trace: the one path where
+    # the memory sink stores the block as columns.
     @given(
         stream=block_streams(),
-        filters=st.just([]) | filter_stacks(),
-        sinks=st.just("none")
-        | st.sampled_from(("none", "callback", "jsonl-flush", "jsonl-drop")),
-        buffer_capacity=st.integers(min_value=1, max_value=6),
+        sinks=st.just(frozenset())
+        | st.sets(st.sampled_from(("callback", "jsonl", "flaky")), min_size=1),
     )
     @settings(max_examples=150, deadline=None, suppress_health_check=FIXTURE_OK)
-    def test_record_block_equals_the_record_loop(
-        self, stream, filters, sinks, buffer_capacity, tmp_path
-    ):
+    def test_record_block_equals_the_record_loop(self, stream, sinks, tmp_path):
         ops, cap = stream
         outcomes = []
         for blocks in (True, False):
             received: list = []
-            extra: tuple = ()
-            options: dict = {}
-            if sinks == "callback":
-                extra = (CallbackSink(received.append),)
-            elif sinks.startswith("jsonl"):
-                extra = (JSONLSink(tmp_path / f"{blocks}.jsonl", segment_events=5),)
-                options = dict(buffer_capacity=buffer_capacity, overflow=sinks[6:])
-            trace = EventTrace(
-                max_events=cap, filters=copy.deepcopy(filters), sinks=extra, **options
-            )
+            extra: list = []
+            if "callback" in sinks:
+                extra.append(CallbackSink(received.append))
+            if "jsonl" in sinks:
+                extra.append(JSONLSink(tmp_path / f"{blocks}.jsonl", segment_events=5))
+            if "flaky" in sinks:
+                extra.append(FlakySink())
+            trace = EventTrace(max_events=cap, sinks=extra)
             observed = replay_stream(ops, trace, blocks)
             trace.close()
             # Counted before anything is built, then again after.
@@ -433,6 +362,7 @@ class TestRecordBlock:
                     "dicts": json.dumps(trace.to_dicts()),
                     "dropped_events": trace.dropped_events,
                     "accounting": trace.accounting(),
+                    "sink_errors": trace.stats.sink_errors,
                     "callback": received,
                     "chain": [getattr(sink, "chain", None) for sink in extra],
                 }
@@ -538,18 +468,16 @@ class TestKindCodedBlock:
         assert block.dropped_events == loop.dropped_events
         block.check_conservation()
 
-    @pytest.mark.parametrize("extra", ("filter", "jsonl"))
-    def test_filters_and_sinks_get_the_per_event_stream(self, extra, tmp_path):
+    @pytest.mark.parametrize("extra", ("callback", "jsonl"))
+    def test_sinks_get_the_per_event_stream(self, extra, tmp_path):
         streams = []
         for blocks in (True, False):
             received: list = []
-            options: dict = dict(sinks=(CallbackSink(received.append),))
-            if extra == "filter":
-                options["filters"] = [KindFilter(deny={"unit_complete"})]
-            else:
+            sinks: tuple = (CallbackSink(received.append),)
+            if extra == "jsonl":
                 path = tmp_path / f"{blocks}.jsonl"
-                options["sinks"] += (JSONLSink(path, segment_events=3),)
-            trace = EventTrace(**options)
+                sinks += (JSONLSink(path, segment_events=3),)
+            trace = EventTrace(sinks=sinks)
             record_mixed(trace, blocks)
             trace.close()
             sealed = path.read_text() if extra == "jsonl" else None
@@ -576,103 +504,20 @@ class TestKindCodedBlock:
 
 
 # ----------------------------------------------------------------------
-# Filters
-# ----------------------------------------------------------------------
-
-class TestFilters:
-    def test_event_levels(self):
-        assert event_level("round_start") == IMPORTANT
-        assert event_level("unit_complete") == INFO
-        assert event_level("engine_event") == DEBUG
-
-    @given(events=bursts())
-    @settings(max_examples=40, deadline=None)
-    def test_commuting_stages_are_order_invariant(self, events):
-        """Stateless stages (level, kind) admit the same set in any order."""
-        stacks = (
-            [LevelFilter(INFO), KindFilter(deny=("churn",))],
-            [KindFilter(deny=("churn",)), LevelFilter(INFO)],
-        )
-        results = []
-        for stack in stacks:
-            trace = EventTrace(filters=stack)
-            record_burst(trace, events)
-            results.append([e.kind for e in trace.events])
-        assert results[0] == results[1]
-
-    def test_token_bucket_refills_on_simulated_time(self):
-        bucket = TokenBucketFilter(rate=1.0, burst=2.0)
-        trace = EventTrace(filters=[bucket])
-        # burst of 3 at t=0: two admitted, one dropped
-        for _ in range(3):
-            trace.record(0.0, 0, "unit_complete")
-        assert len(trace.events) == 2
-        # 5 simulated seconds refill the bucket (capped at burst=2)
-        trace.record(5.0, 0, "unit_complete")
-        trace.record(5.0, 0, "unit_complete")
-        trace.record(5.0, 0, "unit_complete")
-        assert len(trace.events) == 4
-        assert trace.dropped_events == 2
-        trace.check_conservation()
-
-    def test_adaptive_sampler_tightens_and_recovers(self):
-        """Deterministic burst: stride doubles under load, halves after."""
-        sampler = AdaptiveSamplingFilter(target_rate=10.0, window_seconds=1.0)
-        trace = EventTrace(filters=[sampler])
-        # Three hot windows at 100 events/s: the sampler tightens.
-        strides = []
-        for window in range(3):
-            for i in range(100):
-                trace.record(window + i / 100.0, 0, "unit_complete")
-            strides.append(sampler.stride)
-        # next window rolls the last hot one in; stride has grown
-        trace.record(3.0, 0, "unit_complete")
-        assert sampler.stride > 1
-        peak = sampler.stride
-        # Quiet windows (1 event/s <= target/2): the sampler relaxes.
-        for window in range(4, 12):
-            trace.record(float(window), 0, "unit_complete")
-        assert sampler.stride < peak
-        # Sampled-out events are explicit drops, never silently skipped.
-        assert trace.dropped_events > 0
-        row = trace.accounting()["memory"]
-        assert row["emitted"] == row["delivered"] + row["dropped"]
-        assert trace.dropped_events == trace.stats.filtered["adaptive-sampling"]
-
-    def test_level_filter_drops_are_attributed_to_stage(self):
-        trace = EventTrace(filters=[LevelFilter(IMPORTANT)])
-        trace.record(0.0, 0, "round_start")
-        trace.record(1.0, 0, "unit_complete")
-        trace.record(2.0, 0, "engine_event")
-        assert [e.kind for e in trace.events] == ["round_start"]
-        assert trace.stats.filtered[f"level>={IMPORTANT}"] == 2
-
-
-# ----------------------------------------------------------------------
 # Sink round-trips
 # ----------------------------------------------------------------------
 
 class TestSinkRoundTrips:
+    @seed(20261020)
     @given(events=bursts(max_events=60))
-    @settings(max_examples=30, deadline=None, suppress_health_check=FIXTURE_OK)
+    @settings(STANDARD_SETTINGS, suppress_health_check=FIXTURE_OK)
     def test_jsonl_sink_round_trips_memory_view(self, events, tmp_path):
-        from repro.runtime.audit import read_sealed_events, verify_sealed_jsonl
-
         path = tmp_path / "t.jsonl"
         trace = EventTrace(sinks=(JSONLSink(path, segment_events=7),))
         record_burst(trace, events)
         trace.close()
         assert verify_sealed_jsonl(path).ok
         assert read_sealed_events(path) == trace.to_dicts()
-
-    def test_sqlite_sink_round_trips_memory_view(self, tmp_path):
-        path = tmp_path / "t.db"
-        trace = EventTrace(sinks=(SQLiteSink(path),))
-        trace.record(0.0, 0, "round_start")
-        trace.record(1.5, 0, "unit_complete", (1, 2), detail={"duration": 1.5})
-        trace.record(2.0, 0, "round_end", detail={"accuracy": 0.5})
-        trace.close()
-        assert load_sqlite_trace(path) == trace.to_dicts()
 
     def test_callback_sink_sees_admitted_events_in_order(self):
         seen = []
@@ -681,65 +526,12 @@ class TestSinkRoundTrips:
         trace.record(1.0, 0, "unit_complete", (3,))
         assert [e.kind for e in seen] == ["round_start", "unit_complete"]
 
-    def test_make_sink_specs(self, tmp_path):
-        assert isinstance(make_sink("memory"), MemorySink)
-        assert make_sink("memory:50").max_events == 50
-        jsonl = make_sink(f"jsonl:{tmp_path / 'a.jsonl'}")
-        assert isinstance(jsonl, JSONLSink)
-        jsonl.close()
-        sqlite = make_sink(f"sqlite:{tmp_path / 'a.db'}")
-        assert isinstance(sqlite, SQLiteSink)
-        sqlite.close()
-        with pytest.raises(ValueError):
-            make_sink("kafka:nope")
-        with pytest.raises(ValueError):
-            make_sink("jsonl")
-
-
 # ----------------------------------------------------------------------
-# Config / runtime integration
+# Runtime integration
 # ----------------------------------------------------------------------
 
 class TestPipelineIntegration:
-    def test_config_builds_filters_and_sinks(self, tmp_path):
-        config = ComDMLConfig(
-            trace_min_level=INFO,
-            trace_rate_limit=100.0,
-            trace_adaptive_target=50.0,
-            trace_jsonl_path=str(tmp_path / "t.jsonl"),
-            trace_sqlite_path=str(tmp_path / "t.db"),
-            trace_buffer_capacity=8,
-            trace_overflow="drop",
-        )
-        trace = build_event_trace(config)
-        names = [type(f).__name__ for f in trace.filters]
-        assert names == [
-            "LevelFilter",
-            "TokenBucketFilter",
-            "AdaptiveSamplingFilter",
-        ]
-        assert {type(s).__name__ for s in trace.sinks} == {
-            "MemorySink",
-            "JSONLSink",
-            "SQLiteSink",
-        }
-        assert trace.buffer_capacity == 8
-        assert trace.overflow == "drop"
-        trace.close()
-
-    def test_config_validates_trace_fields(self):
-        with pytest.raises(ValueError):
-            ComDMLConfig(trace_overflow="panic")
-        with pytest.raises(ValueError):
-            ComDMLConfig(trace_rate_limit=-1.0)
-        with pytest.raises(ValueError):
-            ComDMLConfig(trace_buffer_capacity=0)
-        with pytest.raises(ValueError):
-            ComDMLConfig(trace_min_level=-1)
-
-    def test_runtime_streams_to_jsonl_sink_from_config(self, tmp_path):
-        from repro.runtime.audit import verify_sealed_jsonl
-
+    def test_run_method_sealed_writes_a_verified_trace(self, tmp_path):
         golden = json.loads(GOLDEN_PATH.read_text())
         scenario = dict(golden["scenario"], max_rounds=3)
         runner = ExperimentRunner(ScenarioConfig(**scenario))
@@ -749,18 +541,6 @@ class TestPipelineIntegration:
         result = verify_sealed_jsonl(path)
         assert result.ok
         assert result.events > 0
-
-    def test_engine_observer_records_debug_events(self):
-        golden = json.loads(GOLDEN_PATH.read_text())
-        scenario = dict(golden["scenario"], max_rounds=2)
-        runner = ExperimentRunner(ScenarioConfig(**scenario))
-        trainer = runner.build_method("ComDML")
-        trainer.runtime.config.trace_engine_events = True
-        trainer.runtime.engine.subscribe(trainer.runtime._observe_engine_event)
-        trainer.run()
-        engine_events = trainer.trace.of_kind("engine_event")
-        assert engine_events
-        assert all(e.detail and "engine_kind" in e.detail for e in engine_events)
 
     def test_streaming_summary_matches_post_hoc_rendering(self):
         golden = json.loads(GOLDEN_PATH.read_text())

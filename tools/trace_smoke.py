@@ -10,7 +10,8 @@ End-to-end through the real CLI:
 3. **Tamper** — a single byte is mutated inside one event line; verify
    must now exit 1 and name exactly that event as the first divergent
    index. A dropped line and a swapped adjacent pair must do the same.
-4. **Conservation** — a filtered, multi-sink pipeline run holds
+4. **Conservation** — a capped trace with a sealed JSONL sink and a
+   callback sink that fails on every other event holds
    ``emitted == delivered + dropped`` for every sink.
 5. **Campaign chain** — a mini ``campaign run --summary-json`` output
    passes ``verify_campaign_summary`` and fails it after one cell digest
@@ -49,8 +50,7 @@ from repro.runtime.audit import (  # noqa: E402
     verify_sealed_jsonl,
 )
 from repro.runtime.dynamics import DynamicsSchedule  # noqa: E402
-from repro.runtime.filters import LevelFilter  # noqa: E402
-from repro.runtime.sinks import JSONLSink  # noqa: E402
+from repro.runtime.sinks import CallbackSink, JSONLSink  # noqa: E402
 from repro.runtime.trace import EventTrace  # noqa: E402
 
 TAMPER_EVENT = 3
@@ -154,19 +154,30 @@ def record_and_tamper(tmp_path: Path, failures: list[str]) -> None:
 
 
 def pipeline_conservation(tmp_path: Path, failures: list[str]) -> None:
-    sink = JSONLSink(tmp_path / "pipeline.jsonl", segment_events=8)
+    offered = []
+
+    def flaky(event) -> None:
+        offered.append(event)
+        if len(offered) % 2 == 0:
+            raise RuntimeError("injected fault")
+
     trace = EventTrace(
         max_events=16,
-        filters=(LevelFilter(20),),
-        sinks=(sink,),
-        buffer_capacity=8,
+        sinks=(
+            JSONLSink(tmp_path / "pipeline.jsonl", segment_events=8),
+            CallbackSink(flaky),
+        ),
     )
     for i in range(100):
-        kind = ("engine_event", "unit_complete", "round_end")[i % 3]
+        kind = ("unit_complete", "aggregation", "round_end")[i % 3]
         trace.record(float(i), i // 10, kind)
     trace.close()
     check(trace.stats.emitted == 100, "pipeline saw every offered event", failures)
-    check(trace.dropped_events > 0, "filters/capacity dropped something", failures)
+    check(
+        trace.dropped_events > 0 and trace.stats.sink_errors.get("callback") == 50,
+        "the memory cap and the failing sink dropped events",
+        failures,
+    )
     try:
         trace.check_conservation()
         conserved = True
