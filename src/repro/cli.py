@@ -29,7 +29,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.experiments import comparison, fig1, fig3, privacy, table1, table2, table3
 from repro.experiments.campaign import (
@@ -85,6 +85,30 @@ def _count(text: str) -> int:
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return count
+
+
+def _number(description: str, accepts: Callable[[float], bool]) -> Callable[[str], float]:
+    """argparse type of a float flag: a number that ``accepts`` admits.
+
+    The bounds mirror ``ComDMLConfig``'s checks, so a bad value is a usage
+    error instead of a failure in every campaign cell.
+    """
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = float("nan")
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {description}, got {text!r}")
+        return value
+
+    return parse
+
+
+_fraction = _number("a number in [0, 1]", lambda value: 0.0 <= value <= 1.0)
+_quorum = _number("a number in (0, 1]", lambda value: 0.0 < value <= 1.0)
+_positive = _number("a number > 0", lambda value: value > 0.0)
 
 
 def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
@@ -424,16 +448,16 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--dataset", choices=("cifar10", "cifar100", "cinic10"), default="cifar10")
     compare.add_argument("--model", choices=("resnet56", "resnet110"), default="resnet56")
     compare.add_argument("--non-iid", action="store_true", help="use the Dirichlet(0.5) label-skew variant")
-    compare.add_argument("--target", type=float, default=0.9, help="target accuracy (0 disables)")
+    compare.add_argument("--target", type=_fraction, default=0.9, help="target accuracy (0 disables)")
     compare.add_argument("--max-rounds", type=_count, default=600)
-    compare.add_argument("--churn", type=float, default=0.2, help="fraction of agents whose resources change")
+    compare.add_argument("--churn", type=_fraction, default=0.2, help="fraction of agents whose resources change")
     compare.add_argument(
         "--churn-interval",
         type=_count,
         default=100,
         help="rounds between churn points (the paper uses 100)",
     )
-    compare.add_argument("--participation", type=float, default=1.0)
+    compare.add_argument("--participation", type=_fraction, default=1.0)
     compare.add_argument("--granularity", type=_count, default=6, help="split-candidate spacing in layers")
     compare.add_argument(
         "--mode",
@@ -443,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument(
         "--quorum",
-        type=float,
+        type=_quorum,
         default=0.8,
         help="fraction of work units that closes a semi-sync round",
     )
@@ -455,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument(
         "--deadline-factor",
-        type=float,
+        type=_positive,
         default=1.5,
         help="deadline policy closes rounds at this multiple of the running makespan mean",
     )
@@ -590,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("sync", "semi-sync", "async"), default="sync"
     )
     record_parser.add_argument(
-        "--churn", type=float, default=0.0, help="churn fraction"
+        "--churn", type=_fraction, default=0.0, help="churn fraction"
     )
     record_parser.add_argument(
         "--segment-events",

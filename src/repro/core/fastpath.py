@@ -55,89 +55,38 @@ from repro.utils.units import BITS_PER_BYTE
 from repro.utils.validation import check_positive
 
 
-def _uses_default_links(link_model: LinkModel) -> bool:
-    """Whether ``link_model`` keeps the base bandwidth semantics.
-
-    True for plain :class:`~repro.network.link.LinkModel` instances and for
-    subclasses that override neither :meth:`~LinkModel.bandwidth` nor
-    :meth:`~LinkModel.can_communicate` — exactly the models whose pairwise
-    bandwidth can be assembled vectorized as ``min(access_i, access_j)``
-    masked by the topology adjacency.
-    """
-    cls = type(link_model)
-    return (
-        cls.bandwidth is LinkModel.bandwidth
-        and cls.can_communicate is LinkModel.can_communicate
-    )
-
-
 def bandwidth_matrix(agents: Sequence[Agent], link_model: LinkModel) -> np.ndarray:
     """Effective pairwise bandwidth (bytes/s), 0.0 where no usable link.
 
-    Entry ``[i, j]`` equals ``link_model.bandwidth(agents[i], agents[j])``
-    exactly.  For link models with the default bandwidth semantics (plain
-    :class:`~repro.network.link.LinkModel` or subclasses overriding neither
-    ``bandwidth`` nor ``can_communicate``) the matrix is assembled
-    vectorized from the topology's adjacency (the effective bandwidth is
-    the min of the two access links, with no arithmetic, so no rounding
-    concerns).  Link models that *do* override the pairwise semantics fall
-    back to per-pair calls — but only along the topology's edges, O(E)
-    instead of O(n²): off-topology pairs are 0 by the
-    :class:`~repro.network.link.LinkModel` contract.
+    Entry ``[i, j]`` equals :meth:`~repro.network.link.LinkModel.bandwidth`
+    of ``(agents[i], agents[j])`` exactly: the min of the two access links
+    (no arithmetic, so no rounding concerns), masked by the topology's
+    adjacency among the participants it holds.  A participant the topology
+    lacks has no links.
     """
     import networkx as nx
 
     n = len(agents)
-    ids = [agent.agent_id for agent in agents]
-    if _uses_default_links(link_model):
-        try:
-            adjacency = np.asarray(
-                _adjacency(link_model, ids), dtype=bool
-            )
-        except (nx.NetworkXError, KeyError):
-            # A participant is missing from the topology graph — the only
-            # legitimate reason the adjacency assembly can fail.  Per-pair
-            # calls resolve such agents to bandwidth 0.  Anything else
-            # (a real bug) propagates.
-            adjacency = None
-        if adjacency is not None:
-            access = np.array(
-                [agent.profile.bandwidth_bytes_per_second for agent in agents],
-                dtype=np.float64,
-            )
-            # min(access_i, access_j) is 0 whenever either side is
-            # disconnected, matching LinkModel.can_communicate.
-            matrix = np.minimum(access[:, None], access[None, :])
-            matrix[~adjacency] = 0.0
-            np.fill_diagonal(matrix, 0.0)
-            return matrix
-        matrix = np.zeros((n, n), dtype=np.float64)
-        for i, a in enumerate(agents):
-            for j, b in enumerate(agents):
-                if i != j:
-                    matrix[i, j] = link_model.bandwidth(a, b)
-        return matrix
-    # Custom pairwise semantics: one call per ordered topology edge among
-    # the participants (bandwidth may be asymmetric in a subclass).
-    matrix = np.zeros((n, n), dtype=np.float64)
-    position = {agent_id: index for index, agent_id in enumerate(ids)}
     graph = link_model.topology.graph
-    for u, v in graph.edges(ids):
-        i = position.get(u)
-        j = position.get(v)
-        if i is None or j is None or i == j:
-            continue
-        matrix[i, j] = link_model.bandwidth(agents[i], agents[j])
-        matrix[j, i] = link_model.bandwidth(agents[j], agents[i])
-    return matrix
-
-
-def _adjacency(link_model: LinkModel, ids: list[int]):
-    import networkx as nx
-
-    return nx.to_numpy_array(
-        link_model.topology.graph, nodelist=ids, weight=None, dtype=np.float64
+    ids = [agent.agent_id for agent in agents]
+    members = np.fromiter(
+        (position for position, agent_id in enumerate(ids) if agent_id in graph),
+        dtype=np.int64,
     )
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[np.ix_(members, members)] = nx.to_numpy_array(
+        graph, nodelist=[ids[position] for position in members.tolist()], weight=None
+    ).astype(bool)
+    access = np.array(
+        [agent.profile.bandwidth_bytes_per_second for agent in agents],
+        dtype=np.float64,
+    )
+    # min(access_i, access_j) is 0 whenever either side is disconnected:
+    # a disconnected agent has no link.
+    matrix = np.minimum(access[:, None], access[None, :])
+    matrix[~adjacency] = 0.0
+    np.fill_diagonal(matrix, 0.0)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -329,6 +278,10 @@ def agent_vectors(
 class PairCostModel:
     """Precomputed pair-time tensor for one round's participants.
 
+    Every message costs
+    :data:`~repro.sim.costs.DEFAULT_LINK_LATENCY_SECONDS`, as in
+    :func:`~repro.core.workload.estimate_offload_time`.
+
     Parameters
     ----------
     participants:
@@ -337,8 +290,8 @@ class PairCostModel:
     profile:
         Split profile of the architecture being trained.
     link_model:
-        Source of pairwise bandwidths (mutually exclusive with
-        ``bandwidths``).
+        Source of pairwise bandwidths, through :func:`bandwidth_matrix`
+        (mutually exclusive with ``bandwidths``).
     bandwidths:
         Explicit ``n × n`` bandwidth matrix in bytes/s (used by the exact
         solver, whose bandwidths come from a caller-supplied lookup).
@@ -346,9 +299,6 @@ class PairCostModel:
         Optional batch-size override, with the same semantics as the
         scalar path: estimates resolve ``None`` to each slow agent's own
         batch size.
-    latency_seconds:
-        Per-message link latency; defaults to the link model's latency or
-        :data:`~repro.sim.costs.DEFAULT_LINK_LATENCY_SECONDS`.
     shared_busy_times:
         When true (the greedy scheduler's convention) the fast agent's own
         task time ``τ̂_j`` is its broadcast individual time, computed with
@@ -382,7 +332,6 @@ class PairCostModel:
         link_model: Optional[LinkModel] = None,
         bandwidths: Optional[np.ndarray] = None,
         batch_size: Optional[int] = None,
-        latency_seconds: Optional[float] = None,
         shared_busy_times: bool = True,
     ) -> None:
         if (link_model is None) == (bandwidths is None):
@@ -394,13 +343,6 @@ class PairCostModel:
         self.batch_size = batch_size
         n = len(self.agents)
         self.n = n
-        if latency_seconds is None:
-            latency_seconds = (
-                link_model.latency_seconds
-                if link_model is not None
-                else DEFAULT_LINK_LATENCY_SECONDS
-            )
-        self.latency_seconds = latency_seconds
         self._shared_busy_times = shared_busy_times
 
         if bandwidths is not None:
@@ -463,7 +405,8 @@ class PairCostModel:
                     )
                     intermediate_bytes = (intermediate[index] * bs_est)[:, None]
                     communication = batches[:, None] * (
-                        latency_seconds + intermediate_bytes / self.bandwidths
+                        DEFAULT_LINK_LATENCY_SECONDS
+                        + intermediate_bytes / self.bandwidths
                     ) + (2.0 * offloaded[index]) / self.bandwidths
                     fast_chain = (busy + communication) + fast_offload
                     pair_time = np.maximum(slow_time[:, None], fast_chain)
@@ -510,5 +453,4 @@ class PairCostModel:
             bandwidth_bytes_per_second=float(self.bandwidths[slow, fast]),
             fast_agent_busy_time=busy,
             batch_size=self.batch_size,
-            latency_seconds=self.latency_seconds,
         )

@@ -372,7 +372,6 @@ def greedy_pairing_reference(
                 bandwidth_bytes_per_second=bandwidth,
                 fast_agent_busy_time=individual_times[candidate_id],
                 batch_size=batch_size,
-                latency_seconds=link_model.latency_seconds,
             )
             if estimate.offloaded_layers == 0:
                 continue

@@ -26,14 +26,14 @@ from the same elementwise mirror, reproducing the scalar oracle bit for
 bit.  The plan comes out as one :class:`~repro.core.pairing.PairingPlan`
 of columns.
 
-**Sparse / blocked bandwidth.**  Adjacency and bandwidth are consumed as
-neighbor lists (the topology graph's native structure, or the
-:class:`~repro.core.csr.IncrementalCsr` link index) instead of the dense
-``n × n`` :func:`~repro.core.fastpath.bandwidth_matrix`, so ring and
+**Sparse / blocked bandwidth.**  Adjacency is consumed as neighbor lists
+(the :class:`~repro.core.csr.IncrementalCsr` link index) instead of the
+dense ``n × n`` :func:`~repro.core.fastpath.bandwidth_matrix`, and a
+pair's bandwidth is the slower of its two access links, so ring and
 random-k topologies cost O(E), not O(n²).  Complete graphs — where a
 neighbor list *is* O(n²) — short-circuit to a shared pool of the k+1
-fastest agents, which holds every row's top-k, keeping even full
-topologies at O(n·k).
+fastest reachable agents, which holds every row's top-k, keeping even
+full topologies at O(n·k).
 
 **Incremental replanning.**  A :class:`PlannerState` keeps each
 participant's pruned candidate block in a row across rounds.  A row's
@@ -77,15 +77,11 @@ import numpy as np
 
 from repro.agents.agent import Agent
 from repro.core.csr import CsrTranslation, IncrementalCsr
-from repro.core.fastpath import (
-    AgentVectors,
-    _uses_default_links,
-    agent_attrs,
-    agent_vectors_from_attrs,
-)
+from repro.core.fastpath import AgentVectors, agent_attrs, agent_vectors_from_attrs
 from repro.core.pairing import PairingPlan
 from repro.core.profiling import SplitProfile
 from repro.network.link import LinkModel
+from repro.sim.costs import DEFAULT_LINK_LATENCY_SECONDS
 from repro.utils.validation import check_positive
 
 __all__ = ["PlannerState", "PlannerStats", "PrunedPlanner"]
@@ -186,7 +182,8 @@ class PrunedPlanner:
     profile:
         Split profile of the architecture being trained.
     link_model:
-        Source of adjacency and pairwise bandwidths.
+        Source of the topology.  A pair's bandwidth is the slower of the
+        two access links, as in :class:`~repro.network.link.LinkModel`.
     top_k:
         Candidate budget per slow agent in rounds of at least
         ``prune_threshold`` participants.  ``k ≥ n − 1`` makes the planner
@@ -224,7 +221,6 @@ class PrunedPlanner:
         self.prune_threshold = prune_threshold
         self.batch_size = batch_size
         self.improvement_threshold = improvement_threshold
-        self.latency_seconds = link_model.latency_seconds
         self.stats = PlannerStats()
         self.state: Optional[PlannerState] = None
         #: Profile seeds named by :meth:`invalidate` since the last plan.
@@ -277,9 +273,8 @@ class PrunedPlanner:
         """Collect the journal's endpoints since the last drain.
 
         The CSR applies the events as O(Δ) edits when it is built; without
-        it (complete-graph pool, custom link models) the planner reads the
-        journal itself.  A journal truncated past the cursor re-costs
-        every row.
+        it (the complete-graph pool) the planner reads the journal itself.
+        A journal truncated past the cursor re-costs every row.
         """
         topology = self.link_model.topology
         if topology.version == self._cursor:
@@ -329,7 +324,7 @@ class PrunedPlanner:
         k = max(min(budget, n - 1), 1)
 
         state, dirty = self._realign(ids, ids_array, sig, k)
-        self._recompute_rows(state, agents, vectors, access, dirty)
+        self._recompute_rows(state, vectors, access, dirty)
         # Stable argsort on -τ̂ = descending τ̂ with ties in first-seen
         # order, exactly like the dense kernel's stable reverse sort.
         order = np.argsort(-taus, kind="stable")
@@ -503,26 +498,22 @@ class PrunedPlanner:
     ) -> np.ndarray:
         """Positions of the seeds' and the leavers' participating neighbours.
 
-        The seeds' neighbours come from the CSR when the link model is the
-        default one; the leavers', and every neighbour under a custom link
-        model, from the graph.
+        The seeds' neighbours come from the CSR.  The leavers' come from
+        the graph: they are not participants, so the CSR's participant
+        translation has no position for them.
         """
-        walk = left.tolist()
         found = [np.empty(0, dtype=np.int64)]
         if seed_positions.size:
-            if _uses_default_links(self.link_model):
-                csr = self._live_csr()
-                _, columns = csr.links_for(
-                    self._participant_translation(state), seed_positions
-                )
-                found.append(columns)
-            else:
-                walk.extend(state.ids_array[seed_positions].tolist())
-        if walk:
+            csr = self._live_csr()
+            _, columns = csr.links_for(
+                self._participant_translation(state), seed_positions
+            )
+            found.append(columns)
+        if left.size:
             graph = self.link_model.topology.graph
             neighbours = [
                 neighbour
-                for agent_id in walk
+                for agent_id in left.tolist()
                 if graph.has_node(agent_id)
                 for neighbour in graph.neighbors(agent_id)
             ]
@@ -582,7 +573,6 @@ class PrunedPlanner:
     def _candidate_rows(
         self,
         state: PlannerState,
-        agents: list[Agent],
         access: np.ndarray,
         taus: np.ndarray,
         positions: np.ndarray,
@@ -595,56 +585,29 @@ class PrunedPlanner:
         first-minimum argmin tie-breaking relies on.
         """
         k = state.k
-        default_links = _uses_default_links(self.link_model)
-        if default_links and self._complete_graph():
+        n = len(state.ids)
+        if self._complete_graph():
             # Complete graph: a neighbor structure would be O(n²); use the
-            # shared pool instead (never builds the CSR).
-            return _complete_graph_candidates(taus, access, positions, k)
-
-        if default_links:
-            csr = self._live_csr()
-            translation = self._participant_translation(state)
-            sel_rows, sel_cols = csr.links_for(
-                translation, None if positions.size == len(agents) else positions
+            # shared pool instead (never builds the CSR).  Only topology
+            # nodes are reachable, as on the CSR path.
+            nodes = self.link_model.topology.adjacency()
+            reachable = np.fromiter(
+                map(nodes.__contains__, state.ids), dtype=bool, count=n
             )
-            bandwidth = np.minimum(access[sel_rows], access[sel_cols])
-        else:
-            # Custom link-model semantics: query per ordered pair, but only
-            # for the dirty rows' neighborhoods.
-            graph = self.link_model.topology.graph
-            position_of = {agent.agent_id: pos for pos, agent in enumerate(agents)}
-            flat_rows: list[int] = []
-            flat_cols: list[int] = []
-            flat_bw: list[float] = []
-            for row in positions.tolist():
-                agent = agents[row]
-                if not graph.has_node(agent.agent_id):
-                    continue
-                for neighbor in graph.neighbors(agent.agent_id):
-                    col = position_of.get(neighbor)
-                    if col is None:
-                        continue
-                    value = self.link_model.bandwidth(agent, agents[col])
-                    if value > 0.0:
-                        flat_rows.append(row)
-                        flat_cols.append(col)
-                        flat_bw.append(value)
-            sel_rows = np.asarray(flat_rows, dtype=np.int64)
-            sel_cols = np.asarray(flat_cols, dtype=np.int64)
-            bandwidth = np.asarray(flat_bw, dtype=np.float64)
-            if sel_rows.size:
-                # graph.neighbors order is arbitrary; restore (row, col).
-                order = np.lexsort((sel_cols, sel_rows))
-                sel_rows = sel_rows[order]
-                sel_cols = sel_cols[order]
-                bandwidth = bandwidth[order]
+            reachable &= access > 0.0
+            return _complete_graph_candidates(taus, access, reachable, positions, k)
 
-        return _top_k_by_tau(sel_rows, sel_cols, bandwidth, taus, len(agents), k)
+        csr = self._live_csr()
+        sel_rows, sel_cols = csr.links_for(
+            self._participant_translation(state),
+            None if positions.size == n else positions,
+        )
+        bandwidth = np.minimum(access[sel_rows], access[sel_cols])
+        return _top_k_by_tau(sel_rows, sel_cols, bandwidth, taus, n, k)
 
     def _recompute_rows(
         self,
         state: PlannerState,
-        agents: list[Agent],
         vectors: AgentVectors,
         access: np.ndarray,
         positions: np.ndarray,
@@ -661,7 +624,7 @@ class PrunedPlanner:
         state.scan_times[rows] = np.inf
         state.scan_rows[rows] = -1
         pos_flat, cols_flat, bw_flat = self._candidate_rows(
-            state, agents, access, vectors.individual_times, positions
+            state, access, vectors.individual_times, positions
         )
         total = int(pos_flat.size)
         self.stats.last_pairs_evaluated = total * self.profile.num_options
@@ -669,8 +632,7 @@ class PrunedPlanner:
         if total == 0:
             return
         best_time, best_index = _pair_block_times(
-            self.profile, vectors, pos_flat, cols_flat, bw_flat,
-            self.latency_seconds,
+            self.profile, vectors, pos_flat, cols_flat, bw_flat
         )
         _store_scan_order(
             state, pos_flat, cols_flat, bw_flat, best_time, best_index,
@@ -814,7 +776,7 @@ class PrunedPlanner:
                     * vectors.batch_sizes[slow_idx]
                 )
                 communication = slow_batches * (
-                    self.latency_seconds + intermediate_bytes / bandwidth
+                    DEFAULT_LINK_LATENCY_SECONDS + intermediate_bytes / bandwidth
                 ) + (2.0 * profile.offloaded_bytes_array[split_idx]) / bandwidth
                 fast_chain = busy + communication + fast_offload
                 pair_time[paired] = np.maximum(pair_slow, fast_chain)
@@ -989,21 +951,26 @@ def _store_scan_order(
 
 
 def _complete_graph_candidates(
-    taus: np.ndarray, access: np.ndarray, positions: np.ndarray, k: int
+    taus: np.ndarray,
+    access: np.ndarray,
+    reachable: np.ndarray,
+    positions: np.ndarray,
+    k: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate selection on a complete graph without materialising O(n²).
 
-    Every connected agent reaches every other, so the k+1 fastest
-    connected agents, ranked by (τ̂, position), form one pool that holds
-    every row's top-k: a row outside the pool takes the pool's k fastest,
-    and a pool member the other pool members.  That is exactly the
-    per-row top-k the neighbour-list path computes, so rows cached here
-    stay exact when the graph stops being complete.  Rows come out in
-    ascending position, each with its candidates ascending.
+    Every ``reachable`` participant (a topology node with a live access
+    link) reaches every other, so the k+1 fastest reachable participants,
+    ranked by (τ̂, position), form one pool that holds every row's top-k:
+    a row outside the pool takes the pool's k fastest, and a pool member
+    the other pool members.  That is exactly the per-row top-k the
+    neighbour-list path computes, so rows cached here stay exact when the
+    graph stops being complete.  Rows come out in ascending position,
+    each with its candidates ascending.
     """
-    connected = np.nonzero(access > 0.0)[0]
+    connected = np.nonzero(reachable)[0]
     pool = connected[np.argsort(taus[connected], kind="stable")[: k + 1]]
-    rows = positions[access[positions] > 0.0]
+    rows = positions[reachable[positions]]
     member = np.isin(rows, pool)
     shared = np.sort(pool[:k])
     sorted_pool = np.sort(pool)
@@ -1030,7 +997,6 @@ def _pair_block_times(
     rows: np.ndarray,
     cols: np.ndarray,
     bandwidths: np.ndarray,
-    latency_seconds: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best split time/index for each (slow=rows[p], fast=cols[p]) pair.
 
@@ -1069,7 +1035,7 @@ def _pair_block_times(
                 )
                 intermediate_bytes = (intermediate[index] * vectors.batch_sizes)[rows]
                 communication = batches[rows] * (
-                    latency_seconds + intermediate_bytes / bandwidths
+                    DEFAULT_LINK_LATENCY_SECONDS + intermediate_bytes / bandwidths
                 ) + (2.0 * offloaded[index]) / bandwidths
                 fast_chain = (busy + communication) + fast_offload
                 pair_time = np.maximum(slow_time[rows], fast_chain)

@@ -105,9 +105,12 @@ def estimate_offload_time(
     bandwidth_bytes_per_second: float,
     fast_agent_busy_time: Optional[float] = None,
     batch_size: Optional[int] = None,
-    latency_seconds: float = DEFAULT_LINK_LATENCY_SECONDS,
 ) -> OffloadEstimate:
     """Implement the paper's ``AgentTrainingTime`` for one candidate split.
+
+    Each of the ``Ñ_i`` activation messages pays
+    :data:`~repro.sim.costs.DEFAULT_LINK_LATENCY_SECONDS` on top of its
+    transfer time.
 
     Parameters
     ----------
@@ -143,7 +146,8 @@ def estimate_offload_time(
     intermediate_bytes = profile.intermediate_bytes(offloaded_layers) * batch_size
     if offloaded_layers > 0:
         communication_time = slow_batches * (
-            latency_seconds + intermediate_bytes / bandwidth_bytes_per_second
+            DEFAULT_LINK_LATENCY_SECONDS
+            + intermediate_bytes / bandwidth_bytes_per_second
         )
         # The offloaded sub-model itself is shipped once per round when the
         # pair forms (and returned before aggregation).
@@ -182,7 +186,6 @@ def best_offload(
     bandwidth_bytes_per_second: float,
     fast_agent_busy_time: Optional[float] = None,
     batch_size: Optional[int] = None,
-    latency_seconds: float = DEFAULT_LINK_LATENCY_SECONDS,
 ) -> OffloadEstimate:
     """Minimize the pair time over all profiled splits (lines 15-22 of Algorithm 1)."""
     estimates = [
@@ -194,7 +197,6 @@ def best_offload(
             bandwidth_bytes_per_second=bandwidth_bytes_per_second,
             fast_agent_busy_time=fast_agent_busy_time,
             batch_size=batch_size,
-            latency_seconds=latency_seconds,
         )
         for option in profile.offload_options
     ]

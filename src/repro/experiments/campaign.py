@@ -266,16 +266,6 @@ class CampaignSpec:
 
     # ------------------------------------------------------------------
     @property
-    def axes_dict(self) -> dict[str, tuple]:
-        """Axes as an ordered dictionary."""
-        return dict(self.axes)
-
-    @property
-    def base_dict(self) -> dict[str, Any]:
-        """Base parameters as a dictionary."""
-        return dict(self.base)
-
-    @property
     def num_cells(self) -> int:
         """Number of cells the grid expands to."""
         count = 1

@@ -26,19 +26,17 @@ line per event otherwise.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence, TextIO
+from typing import Any, Mapping, Optional, Sequence, TextIO
 
+from repro.experiments.campaign import CampaignResult
+from repro.experiments.campaign import cell_payload_digest as payload_digest
 from repro.runtime.audit import ChainState
 from repro.runtime.dynamics import DYNAMICS_KINDS
 from repro.runtime.sinks import CallbackSink
 from repro.runtime.trace import EventTrace, TraceEvent
 from repro.training.metrics import RunHistory
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.experiments.campaign import CampaignResult
 
 #: Trace kinds counted as scenario dynamics in annotations/summaries —
 #: exactly the event kinds a DynamicsSchedule can produce.
@@ -186,7 +184,7 @@ class StreamingTraceSummary:
         self.events = 0
         self._kind_counts: dict[str, int] = {}
         self.per_round: dict[int, dict[str, int]] = {}
-        self._trace: Optional[EventTrace] = None
+        self._sink: Optional[CallbackSink] = None
 
     def consume(self, event: TraceEvent) -> None:
         """Fold one event into the running summary."""
@@ -200,17 +198,17 @@ class StreamingTraceSummary:
 
     def sink(self, name: str = "summary") -> CallbackSink:
         """The pipeline sink that feeds this summary."""
-        return CallbackSink(self.consume, name=name)
-
-    def bind(self, trace: EventTrace) -> "StreamingTraceSummary":
-        """Remember the pipeline so :attr:`dropped_events` reflects it."""
-        self._trace = trace
-        return self
+        self._sink = CallbackSink(self.consume, name=name)
+        return self._sink
 
     @property
     def dropped_events(self) -> int:
-        """Drop count of the bound pipeline (0 when unbound)."""
-        return self._trace.dropped_events if self._trace is not None else 0
+        """Events the summary's sink dropped, so its tallies miss them.
+
+        The sink drops an event only when :meth:`consume` raises; the
+        trace's in-memory cap does not limit the summary.
+        """
+        return self._sink.dropped if self._sink is not None else 0
 
     def kind_counts(self) -> dict[str, int]:
         """Histogram of consumed event kinds."""
@@ -258,9 +256,10 @@ def format_dynamics_summary(trace: "EventTrace | StreamingTraceSummary") -> str:
     One row per round that saw an arrival, departure, churn, re-cost,
     abandoned unit or dropped straggler — the observability surface for
     :class:`~repro.runtime.dynamics.DynamicsSchedule` runs.  Accepts an
-    event trace or a bound :class:`StreamingTraceSummary`.  When the trace
-    dropped events at its in-memory cap, the count is stated below the
-    table — truncation is never silent.
+    event trace or a :class:`StreamingTraceSummary`.  When the tallies
+    miss events (a trace's in-memory cap, a summary sink's failed
+    deliveries), the count is stated below the table — truncation is
+    never silent.
     """
     per_round = _per_round_dynamics(trace)
     dropped = getattr(trace, "dropped_events", 0)
@@ -296,12 +295,6 @@ def cell_label(params: Mapping[str, Any], axes: Sequence[str]) -> str:
     if not axes:
         return "-"
     return ", ".join(f"{axis}={params.get(axis)}" for axis in axes)
-
-
-def payload_digest(payload: Any) -> str:
-    """sha256 of a cell payload's canonical JSON form."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def campaign_summary(result: "CampaignResult") -> dict[str, Any]:

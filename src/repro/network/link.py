@@ -3,16 +3,21 @@
 The effective bandwidth between two agents is limited by the slower of the
 two endpoints' access links (a standard access-limited model that matches
 the paper's per-agent Mbps profiles), and only exists if the topology has an
-edge between them and both agents are connected.
+edge between them and both agents are connected.  Every message over a link
+costs :data:`~repro.sim.costs.DEFAULT_LINK_LATENCY_SECONDS` on top of its
+transfer time.
+
+These semantics are fixed.  The planner, the dense kernel
+(:func:`~repro.core.fastpath.bandwidth_matrix`) and the baselines compute
+them from the topology and the access links without asking
+:class:`LinkModel`, so a subclass could not change what a run prices:
+subclassing raises :class:`TypeError`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.agents.agent import Agent
 from repro.network.topology import Topology
-from repro.sim.costs import DEFAULT_LINK_LATENCY_SECONDS, transfer_time_seconds
 
 
 def pairwise_bandwidth(agent_a: Agent, agent_b: Agent) -> float:
@@ -26,15 +31,15 @@ def pairwise_bandwidth(agent_a: Agent, agent_b: Agent) -> float:
 class LinkModel:
     """Answers "can i talk to j, and how fast?" for a given topology."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        latency_seconds: float = DEFAULT_LINK_LATENCY_SECONDS,
-    ) -> None:
-        if latency_seconds < 0:
-            raise ValueError(f"latency must be non-negative, got {latency_seconds}")
+    def __init_subclass__(cls, **kwargs) -> None:
+        raise TypeError(
+            f"{cls.__name__} cannot subclass LinkModel: link semantics are "
+            "fixed, and the planner, the dense kernel and the baselines "
+            "price links without calling it"
+        )
+
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self.latency_seconds = latency_seconds
 
     def can_communicate(self, agent_a: Agent, agent_b: Agent) -> bool:
         """Whether a usable link exists between the two agents."""
@@ -49,28 +54,3 @@ class LinkModel:
         if not self.can_communicate(agent_a, agent_b):
             return 0.0
         return pairwise_bandwidth(agent_a, agent_b)
-
-    def transfer_time(self, agent_a: Agent, agent_b: Agent, num_bytes: float) -> float:
-        """Seconds to move ``num_bytes`` between the two agents.
-
-        Raises
-        ------
-        ValueError
-            If no usable link exists.
-        """
-        bandwidth = self.bandwidth(agent_a, agent_b)
-        if bandwidth <= 0:
-            raise ValueError(
-                f"no usable link between agents {agent_a.agent_id} and {agent_b.agent_id}"
-            )
-        return transfer_time_seconds(num_bytes, bandwidth, self.latency_seconds)
-
-    def neighbors_of(self, agent: Agent, registry) -> list[Agent]:
-        """Connected neighbours of ``agent`` drawn from an agent registry."""
-        result = []
-        for neighbor_id in self.topology.neighbors(agent.agent_id):
-            if neighbor_id in registry:
-                neighbor = registry.get(neighbor_id)
-                if self.can_communicate(agent, neighbor):
-                    result.append(neighbor)
-        return result

@@ -13,13 +13,3 @@ def he_normal(
         raise ValueError(f"fan_in and fan_out must be positive, got {fan_in}, {fan_out}")
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=(fan_in, fan_out))
-
-
-def xavier_uniform(
-    fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Glorot uniform initialisation, suited to tanh networks."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError(f"fan_in and fan_out must be positive, got {fan_in}, {fan_out}")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))

@@ -35,7 +35,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, TYPE_CHECKING
+from typing import Any, Mapping, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.training.metrics import RunHistory
@@ -338,13 +338,6 @@ def verify_history_record(record: Mapping[str, Any]) -> VerificationResult:
 # ----------------------------------------------------------------------
 # Campaign summaries
 # ----------------------------------------------------------------------
-
-def fold_digests(digests: Iterable[str]) -> tuple[list[str], str]:
-    """Fold a digest sequence through a chain; returns (per-item heads, head)."""
-    chain = ChainState()
-    heads = [chain.update(digest) for digest in digests]
-    return heads, chain.head
-
 
 def verify_campaign_summary(summary: Mapping[str, Any]) -> VerificationResult:
     """Re-derive the digest chain of a ``campaign_summary`` payload."""

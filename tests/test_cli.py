@@ -299,6 +299,15 @@ class TestCampaignCommands:
             ["trace", "record", "--out", "t.jsonl", "--agents", "0"],
             ["trace", "record", "--out", "t.jsonl", "--max-rounds", "0"],
             ["trace", "record", "--out", "t.jsonl", "--segment-events", "0"],
+            ["compare", "--participation", "1.5"],
+            ["compare", "--participation", "half"],
+            ["compare", "--churn", "2"],
+            ["compare", "--target", "-0.1"],
+            ["compare", "--quorum", "0"],
+            ["compare", "--quorum", "1.5"],
+            ["compare", "--deadline-factor", "-1"],
+            ["compare", "--deadline-factor", "nan"],
+            ["trace", "record", "--out", "t.jsonl", "--churn", "1.5"],
         ],
         ids=[
             "jobs-zero",
@@ -315,16 +324,26 @@ class TestCampaignCommands:
             "record-agents",
             "record-max-rounds",
             "record-segment-events",
+            "compare-participation",
+            "compare-participation-not-a-number",
+            "compare-churn",
+            "compare-target",
+            "compare-quorum-zero",
+            "compare-quorum-above-one",
+            "compare-deadline-factor",
+            "compare-deadline-factor-nan",
+            "record-churn",
         ],
     )
-    def test_invalid_count_is_a_usage_error(self, argv, capsys):
+    def test_invalid_flag_value_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         flag = next(arg for arg in reversed(argv) if arg.startswith("--"))
         assert "usage:" in err
-        assert f"argument {flag}: must be an integer >= 1" in err
+        assert f"argument {flag}: must be " in err
+        assert f"got {argv[-1]!r}" in err
 
 
 class TestScheduleCommands:

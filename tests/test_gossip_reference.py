@@ -4,7 +4,7 @@
 participant asked ``can_communicate`` of every other one.  The property
 prices the same rounds both ways on two trainers with equal seeds: the
 timing triples and the ``_method_rng`` states must match exactly.  The
-count tests pin how many link checks a round makes.
+count test pins how many link checks a round makes.
 """
 
 from __future__ import annotations
@@ -34,19 +34,6 @@ from repro.network.topology import (
 from strategies import DETERMINISM_SETTINGS
 
 
-class SparseHalvedLinks(LinkModel):
-    """Custom link semantics: a third of the linked pairs never talk, and
-    the others get half the default bandwidth."""
-
-    def can_communicate(self, agent_a, agent_b):
-        return (agent_a.agent_id + agent_b.agent_id) % 3 != 0 and super().can_communicate(
-            agent_a, agent_b
-        )
-
-    def bandwidth(self, agent_a, agent_b):
-        return 0.5 * super().bandwidth(agent_a, agent_b)
-
-
 def _topology(kind: str, ids: list[int], seed: int):
     rng = np.random.default_rng(seed)
     if kind == "ring":
@@ -58,16 +45,13 @@ def _topology(kind: str, ids: list[int], seed: int):
     return full_topology(ids)
 
 
-def _trainer(registry, topology, seed: int, custom_links: bool) -> GossipLearning:
-    trainer = GossipLearning(
+def _trainer(registry, topology, seed: int) -> GossipLearning:
+    return GossipLearning(
         registry=registry,
         spec=resnet56_spec(),
         config=ComDMLConfig(offload_granularity=9, seed=seed),
         topology=topology,
     )
-    if custom_links:
-        trainer.link_model = SparseHalvedLinks(topology)
-    return trainer
 
 
 @hypothesis.seed(20261018)
@@ -81,11 +65,10 @@ def _trainer(registry, topology, seed: int, custom_links: bool) -> GossipLearnin
     topology_kind=st.sampled_from(["full", "ring", "random-k", "random"]),
     participation=st.sampled_from([1.0, 0.6, 0.3]),
     absent=st.integers(min_value=0, max_value=2),
-    custom_links=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_round_timing_matches_the_per_pair_reference(
-    population, topology_kind, participation, absent, custom_links, seed
+    population, topology_kind, participation, absent, seed
 ):
     """Equal triples and equal ``_method_rng`` states over three rounds,
     with disconnected agents (0 Mbps) and participants the topology lacks.
@@ -103,8 +86,8 @@ def test_round_timing_matches_the_per_pair_reference(
     )
     wired = registry.ids[: max(len(registry) - absent, 0)]
     topology = _topology(topology_kind, wired, seed)
-    fast = _trainer(registry, topology, seed, custom_links)
-    reference = _trainer(registry, topology, seed, custom_links)
+    fast = _trainer(registry, topology, seed)
+    reference = _trainer(registry, topology, seed)
     for _ in range(3):
         participants = registry.sample_participants(participation, sampler)
         assert fast.round_timing(participants) == round_timing_reference(
@@ -119,27 +102,15 @@ def test_round_timing_matches_the_per_pair_reference(
 RING_AGENTS = 2_000
 
 
-def _ring_trainer(link_model_class=None) -> GossipLearning:
+def test_default_links_round_on_a_ring_makes_no_pairwise_calls(monkeypatch):
+    """The link semantics are read from the adjacency and the access
+    links: no ``can_communicate``, ``bandwidth`` or edge query per pair
+    (the all-pairs scan made n·(n−1) ≈ 4M calls here)."""
+    calls = {"link": 0}
     registry = AgentRegistry.build(
         num_agents=RING_AGENTS, rng=np.random.default_rng(0), samples_per_agent=100
     )
-    trainer = GossipLearning(
-        registry=registry,
-        spec=resnet56_spec(),
-        config=ComDMLConfig(offload_granularity=9, seed=1),
-        topology=ring_topology(registry.ids),
-    )
-    if link_model_class is not None:
-        trainer.link_model = link_model_class(trainer.topology)
-    return trainer
-
-
-def test_default_links_round_on_a_ring_makes_no_pairwise_calls(monkeypatch):
-    """The default link semantics are read from the adjacency and the
-    access links: no ``can_communicate``, ``bandwidth`` or edge query per
-    pair (the all-pairs scan made n·(n−1) ≈ 4M calls here)."""
-    calls = {"link": 0}
-    trainer = _ring_trainer()
+    trainer = _trainer(registry, ring_topology(registry.ids), 1)
     originals = {
         (LinkModel, "can_communicate"): LinkModel.can_communicate,
         (LinkModel, "bandwidth"): LinkModel.bandwidth,
@@ -154,19 +125,3 @@ def test_default_links_round_on_a_ring_makes_no_pairwise_calls(monkeypatch):
     total, _, communication = trainer.round_timing(trainer.registry.agents)
     assert calls["link"] <= RING_AGENTS
     assert communication > 0 and total > communication
-
-
-def test_custom_links_round_on_a_ring_checks_only_linked_pairs():
-    """A link model that overrides ``can_communicate`` is asked only about
-    the pairs the ring links (two per participant), plus once inside
-    ``bandwidth`` for each participant's chosen peer."""
-    calls = {"can_communicate": 0}
-
-    class CountingLinks(LinkModel):
-        def can_communicate(self, agent_a, agent_b):
-            calls["can_communicate"] += 1
-            return super().can_communicate(agent_a, agent_b)
-
-    trainer = _ring_trainer(CountingLinks)
-    trainer.round_timing(trainer.registry.agents)
-    assert calls["can_communicate"] <= 3 * RING_AGENTS

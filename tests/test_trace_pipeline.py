@@ -549,7 +549,6 @@ class TestPipelineIntegration:
         trace = EventTrace(
             max_events=ComDMLConfig().trace_max_events, sinks=(summary.sink(),)
         )
-        summary.bind(trace)
         runner.run_method_with_trace("ComDML", trace=trace)
         assert summary.kind_counts() == trace.kind_counts()
         assert dynamics_annotation(summary) == dynamics_annotation(trace)
@@ -565,3 +564,14 @@ class TestPipelineIntegration:
         no_drops = EventTrace()
         no_drops.record(0.0, 0, "churn", (1,))
         assert "dropped by capacity" not in format_dynamics_summary(no_drops)
+        # The trace's cap drops two events, but the summary's sink got all
+        # three, so its tallies are complete.
+        summary = StreamingTraceSummary()
+        capped = EventTrace(max_events=1, sinks=(summary.sink(),))
+        for agent_id in (1, 2, 3):
+            capped.record(0.0, 0, "churn", (agent_id,))
+        assert capped.dropped_events == 2
+        assert summary.dropped_events == 0
+        rendered = format_dynamics_summary(summary)
+        assert "dropped by capacity" not in rendered
+        assert summary.per_round[0]["churn"] == 3
