@@ -68,7 +68,6 @@ def main() -> None:
         config=ComDMLConfig(
             max_rounds=ROUNDS,
             learning_rate=0.03,
-            batch_size=50,
             offload_granularity=9,
             seed=SEED,
         ),

@@ -37,6 +37,5 @@ class AllReduceDML(BaselineTrainer):
             model_bytes=self.model_bytes(),
             num_agents=len(participants),
             bottleneck_bandwidth_bytes_per_second=bottleneck,
-            algorithm=self.config.allreduce_algorithm,
         )
         return compute + aggregation, compute, aggregation

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -90,8 +91,9 @@ def _count(text: str) -> int:
 def _number(description: str, accepts: Callable[[float], bool]) -> Callable[[str], float]:
     """argparse type of a float flag: a number that ``accepts`` admits.
 
-    The bounds mirror ``ComDMLConfig``'s checks, so a bad value is a usage
-    error instead of a failure in every campaign cell.
+    The bounds mirror the library's checks (``ComDMLConfig``, the Figure 1
+    setting, ``DynamicsSchedule.poisson``), so a bad value is a usage error
+    instead of a traceback or a failure in every campaign cell.
     """
 
     def parse(text: str) -> float:
@@ -109,6 +111,12 @@ def _number(description: str, accepts: Callable[[float], bool]) -> Callable[[str
 _fraction = _number("a number in [0, 1]", lambda value: 0.0 <= value <= 1.0)
 _quorum = _number("a number in (0, 1]", lambda value: 0.0 < value <= 1.0)
 _positive = _number("a number > 0", lambda value: value > 0.0)
+_finite_positive = _number(
+    "a finite number > 0", lambda value: 0.0 < value < math.inf
+)
+_finite_non_negative = _number(
+    "a finite number >= 0", lambda value: 0.0 <= value < math.inf
+)
 
 
 def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
@@ -516,9 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
     table3_parser.set_defaults(handler=_cmd_table3)
 
     fig1_parser = subparsers.add_parser("fig1", help="reproduce the Figure 1 timeline")
-    fig1_parser.add_argument("--slow-cpu", type=float, default=0.5)
-    fig1_parser.add_argument("--fast-cpu", type=float, default=2.0)
-    fig1_parser.add_argument("--bandwidth", type=float, default=50.0)
+    fig1_parser.add_argument("--slow-cpu", type=_positive, default=0.5)
+    fig1_parser.add_argument("--fast-cpu", type=_positive, default=2.0)
+    fig1_parser.add_argument("--bandwidth", type=_positive, default=50.0)
     _add_common_output_options(fig1_parser)
     _add_campaign_options(fig1_parser)
     fig1_parser.set_defaults(handler=_cmd_fig1)
@@ -639,9 +647,21 @@ def build_parser() -> argparse.ArgumentParser:
     poisson_parser = schedule_sub.add_parser(
         "poisson", help="seeded Poisson arrival/departure schedule"
     )
-    poisson_parser.add_argument("--horizon", type=float, required=True, help="simulated seconds")
-    poisson_parser.add_argument("--arrival-rate", type=float, default=0.0, help="arrivals per second")
-    poisson_parser.add_argument("--departure-rate", type=float, default=0.0, help="departures per second")
+    poisson_parser.add_argument(
+        "--horizon", type=_finite_positive, required=True, help="simulated seconds"
+    )
+    poisson_parser.add_argument(
+        "--arrival-rate",
+        type=_finite_non_negative,
+        default=0.0,
+        help="arrivals per second",
+    )
+    poisson_parser.add_argument(
+        "--departure-rate",
+        type=_finite_non_negative,
+        default=0.0,
+        help="departures per second",
+    )
     poisson_parser.add_argument("--seed", type=int, default=0)
     poisson_parser.add_argument(
         "--candidates",

@@ -39,7 +39,6 @@ from repro.core.timing import (
 from repro.core.workload import estimate_offload_time, individual_training_time
 from repro.models.spec import ArchitectureSpec
 from repro.network.allreduce import allreduce_time
-from repro.network.compression import QuantizationCompressor
 from repro.network.link import LinkModel
 from repro.network.topology import Topology, full_topology
 from repro.runtime.dynamics import DynamicsSchedule
@@ -87,21 +86,14 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
             self.link_model,
             top_k=self.config.planner_top_k,
             prune_threshold=self.config.planner_threshold,
-            improvement_threshold=self.config.improvement_threshold,
         )
         self.scheduler = DecentralizedPairingScheduler(
             registry=registry,
             link_model=self.link_model,
             profile=self.profile,
             participation_fraction=self.config.participation_fraction,
-            improvement_threshold=self.config.improvement_threshold,
             rng=seeds.generator("participation"),
             planner=self.planner,
-        )
-        self._aggregation_compressor = (
-            QuantizationCompressor(bits=self.config.aggregation_compression_bits)
-            if self.config.aggregation_compression_bits is not None
-            else None
         )
         tracker = (
             accuracy_tracker
@@ -136,13 +128,7 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
     ) -> RoundPlan:
         """Pair the participants and price the round from the pairing plan."""
         decisions = self.scheduler.plan_round(participants)
-        timing = compute_round_timing(
-            decisions,
-            participants,
-            self.profile,
-            allreduce_algorithm=self.config.allreduce_algorithm,
-            compressor=self._aggregation_compressor,
-        )
+        timing = compute_round_timing(decisions, participants, self.profile)
         return RoundPlan(
             round_index=round_index,
             decisions=decisions,
@@ -173,8 +159,6 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
             model_bytes=self.profile.full_model_bytes,
             num_agents=max(1, len(involved)),
             bottleneck_bandwidth_bytes_per_second=bottleneck_bandwidth(agents),
-            algorithm=self.config.allreduce_algorithm,
-            compressor=self._aggregation_compressor,
         )
 
     def async_unit_aggregation_seconds(
@@ -183,7 +167,7 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
         """Price each unit's gossip exchange: its slowest member pushes a model.
 
         Per row, :func:`~repro.sim.costs.transfer_time_seconds` of the
-        (compressed) model over :func:`~repro.core.timing.bottleneck_bandwidth`
+        model over :func:`~repro.core.timing.bottleneck_bandwidth`
         of the unit's registered members, as columns: the slowest connected
         member's link, or ``FALLBACK_BANDWIDTH_MBPS`` when none is connected.
         A unit with no registered member costs nothing, and so does a
@@ -193,8 +177,6 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
         slow = self.registry.bandwidth_mbps_column(decisions.slow_id[rows])
         fast = self.registry.bandwidth_mbps_column(decisions.fast_id[rows])
         model_bytes = self.profile.full_model_bytes
-        if self._aggregation_compressor is not None:
-            model_bytes = self._aggregation_compressor.compressed_bytes(model_bytes)
         if model_bytes == 0:
             return np.zeros(len(rows))
         # Unregistered members read NaN and disconnected ones 0: not links.

@@ -47,21 +47,14 @@ class ComDMLConfig:
     participation_fraction:
         Fraction of agents participating each round (1.0 = everyone, the
         paper uses 0.2 in the scalability study).
-    learning_rate / momentum / weight_decay / batch_size / local_epochs:
-        Local optimisation hyper-parameters (paper defaults).
-    lr_plateau_factor / lr_plateau_patience:
-        Reduce-on-plateau schedule parameters (0.2 with 10 agents, 0.5 for
-        larger populations in the paper).
-    allreduce_algorithm:
-        ``"halving_doubling"`` (paper's choice) or ``"ring"``.
-    aggregation_compression_bits:
-        Optional quantized-gradient aggregation (the paper notes such
-        techniques "can also be integrated"): when set, AllReduce traffic is
-        quantized to this many bits per value.  ``None`` disables it.
+    learning_rate:
+        Initial learning rate of the reduce-on-plateau schedule (the
+        paper's 0.001).
+    lr_plateau_factor:
+        Reduce-on-plateau decay factor (0.2 with 10 agents, 0.5 for larger
+        populations in the paper); the patience is 10 rounds.
     offload_granularity:
         Candidate split spacing in layers when profiling the architecture.
-    improvement_threshold:
-        Minimum relative improvement required to form a pair.
     planner_top_k:
         Candidate budget per slow agent in rounds of at least
         ``planner_threshold`` participants (``k ≥ n−1`` is
@@ -111,16 +104,8 @@ class ComDMLConfig:
     target_accuracy: Optional[float] = None
     participation_fraction: float = 1.0
     learning_rate: float = 0.001
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    batch_size: int = 100
-    local_epochs: int = 1
     lr_plateau_factor: float = 0.2
-    lr_plateau_patience: int = 10
-    allreduce_algorithm: str = "halving_doubling"
-    aggregation_compression_bits: Optional[int] = None
     offload_granularity: int = 1
-    improvement_threshold: float = 0.0
     planner_top_k: int = 32
     planner_threshold: int = 256
     churn_fraction: float = 0.0
@@ -138,8 +123,6 @@ class ComDMLConfig:
             check_probability(self.target_accuracy, "target_accuracy")
         check_probability(self.participation_fraction, "participation_fraction")
         check_positive(self.learning_rate, "learning_rate")
-        check_positive(self.batch_size, "batch_size")
-        check_positive(self.local_epochs, "local_epochs")
         check_positive(self.offload_granularity, "offload_granularity")
         check_positive(self.planner_top_k, "planner_top_k")
         check_positive(self.planner_threshold, "planner_threshold")
@@ -155,15 +138,3 @@ class ComDMLConfig:
         check_positive(self.quorum_deadline_factor, "quorum_deadline_factor")
         if self.trace_max_events is not None:
             check_positive(self.trace_max_events, "trace_max_events")
-        if self.allreduce_algorithm not in ("ring", "halving_doubling"):
-            raise ValueError(
-                "allreduce_algorithm must be 'ring' or 'halving_doubling', "
-                f"got {self.allreduce_algorithm!r}"
-            )
-        if self.aggregation_compression_bits is not None and not (
-            1 <= self.aggregation_compression_bits <= 32
-        ):
-            raise ValueError(
-                "aggregation_compression_bits must lie in [1, 32], "
-                f"got {self.aggregation_compression_bits}"
-            )

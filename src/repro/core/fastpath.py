@@ -45,14 +45,9 @@ import numpy as np
 from repro.agents.agent import Agent
 from repro.core.profiling import SplitProfile
 from repro.core.workload import OffloadEstimate, estimate_offload_time
-from repro.sim.costs import (
-    BASELINE_FLOPS_PER_SECOND,
-    CPU_SCALING_EXPONENT,
-    DEFAULT_LINK_LATENCY_SECONDS,
-)
+from repro.sim.costs import BASELINE_FLOPS_PER_SECOND, DEFAULT_LINK_LATENCY_SECONDS
 from repro.network.link import LinkModel
 from repro.utils.units import BITS_PER_BYTE
-from repro.utils.validation import check_positive
 
 
 def bandwidth_matrix(agents: Sequence[Agent], link_model: LinkModel) -> np.ndarray:
@@ -105,8 +100,7 @@ class AgentVectors:
     batches:
         The paper's ``Ñ_i`` (batches per round, scaled by local epochs).
     batch_sizes:
-        Resolved per-agent batch size (the override when given, each
-        agent's own otherwise).
+        Each agent's batch size, as float64.
     flops:
         Full-model training flops per batch (``full_flops × batch_size``).
     individual_times:
@@ -206,34 +200,14 @@ def agent_attrs(agents: Sequence[Agent]) -> AgentAttrs:
     )
 
 
-def agent_vectors_from_attrs(
-    attrs: AgentAttrs,
-    profile: SplitProfile,
-    batch_size: Optional[int] = None,
-) -> AgentVectors:
+def agent_vectors_from_attrs(attrs: AgentAttrs, profile: SplitProfile) -> AgentVectors:
     """:func:`agent_vectors` computed from pre-extracted attribute columns.
 
     Every derived float matches the scalar path bit for bit: the integer
     batch arithmetic is exact in int64 before the (exact, < 2⁵³) float64
-    conversion, and the throughput expression keeps the scalar ``x ** e``
-    power whenever the exponent is not the (IEEE-exact) identity case.
+    conversion, and the throughput is the scalar path's single multiply.
     """
-    if batch_size is not None:
-        check_positive(batch_size, "batch_size")
-    if CPU_SCALING_EXPONENT == 1.0:
-        # pow(x, 1.0) == x exactly in IEEE-754, so the broadcast multiply
-        # is bit-identical to the scalar expression.
-        throughput = BASELINE_FLOPS_PER_SECOND * attrs.cpu_share
-    else:
-        # numpy's float_power/** disagrees with C ``pow`` in the last ulp
-        # for general exponents — keep the scalar power per element.
-        throughput = np.array(
-            [
-                BASELINE_FLOPS_PER_SECOND * share**CPU_SCALING_EXPONENT
-                for share in attrs.cpu_share.tolist()
-            ],
-            dtype=np.float64,
-        )
+    throughput = BASELINE_FLOPS_PER_SECOND * attrs.cpu_share
     # Agent.num_batches / batches_per_round in exact integer arithmetic:
     # 0 when the agent holds no samples, else ceil-div floored at 1.
     num_batches = np.where(
@@ -242,10 +216,7 @@ def agent_vectors_from_attrs(
         np.maximum(1, -(-attrs.num_samples // attrs.batch_size)),
     )
     batches = (num_batches * attrs.local_epochs).astype(np.float64)
-    if batch_size is not None:
-        batch_sizes = np.full(len(attrs.batch_size), float(batch_size))
-    else:
-        batch_sizes = attrs.batch_size.astype(np.float64)
+    batch_sizes = attrs.batch_size.astype(np.float64)
     flops = profile.full_train_flops_per_sample * batch_sizes
     individual_times = batches / (throughput / flops)
     slow_speed = throughput / flops
@@ -261,18 +232,9 @@ def agent_vectors_from_attrs(
     )
 
 
-def agent_vectors(
-    agents: Sequence[Agent],
-    profile: SplitProfile,
-    batch_size: Optional[int] = None,
-) -> AgentVectors:
-    """Extract the per-agent vectors the planning kernels broadcast over.
-
-    ``batch_size`` overrides every agent's own batch size and must be
-    positive when given (the config boundary rejects non-positive
-    overrides, so the historical falsy-override ambiguity cannot arise).
-    """
-    return agent_vectors_from_attrs(agent_attrs(agents), profile, batch_size)
+def agent_vectors(agents: Sequence[Agent], profile: SplitProfile) -> AgentVectors:
+    """Extract the per-agent vectors the planning kernels broadcast over."""
+    return agent_vectors_from_attrs(agent_attrs(agents), profile)
 
 
 class PairCostModel:
@@ -295,10 +257,6 @@ class PairCostModel:
     bandwidths:
         Explicit ``n × n`` bandwidth matrix in bytes/s (used by the exact
         solver, whose bandwidths come from a caller-supplied lookup).
-    batch_size:
-        Optional batch-size override, with the same semantics as the
-        scalar path: estimates resolve ``None`` to each slow agent's own
-        batch size.
     shared_busy_times:
         When true (the greedy scheduler's convention) the fast agent's own
         task time ``τ̂_j`` is its broadcast individual time, computed with
@@ -331,16 +289,12 @@ class PairCostModel:
         *,
         link_model: Optional[LinkModel] = None,
         bandwidths: Optional[np.ndarray] = None,
-        batch_size: Optional[int] = None,
         shared_busy_times: bool = True,
     ) -> None:
         if (link_model is None) == (bandwidths is None):
             raise ValueError("provide exactly one of link_model or bandwidths")
-        if batch_size is not None:
-            check_positive(batch_size, "batch_size")
         self.agents = list(participants)
         self.profile = profile
-        self.batch_size = batch_size
         n = len(self.agents)
         self.n = n
         self._shared_busy_times = shared_busy_times
@@ -355,11 +309,9 @@ class PairCostModel:
             self.bandwidths = bandwidth_matrix(self.agents, link_model)
 
         # ------------------------------------------------------------------
-        # Per-agent vectors (same scalar formulas, evaluated elementwise;
-        # batch_size overrides are validated positive above, so τ̂ and the
-        # estimates resolve the override identically)
+        # Per-agent vectors (same scalar formulas, evaluated elementwise)
         # ------------------------------------------------------------------
-        vectors = agent_vectors(self.agents, profile, batch_size)
+        vectors = agent_vectors(self.agents, profile)
         batches = vectors.batches
         bs_est = vectors.batch_sizes
         flops_est = vectors.flops
@@ -452,5 +404,4 @@ class PairCostModel:
             profile=self.profile,
             bandwidth_bytes_per_second=float(self.bandwidths[slow, fast]),
             fast_agent_busy_time=busy,
-            batch_size=self.batch_size,
         )

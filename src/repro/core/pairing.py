@@ -244,25 +244,20 @@ def greedy_pairing(
     participants: Sequence[Agent],
     link_model: LinkModel,
     profile: SplitProfile,
-    batch_size: Optional[int] = None,
-    improvement_threshold: float = 0.0,
 ) -> list[PairingDecision]:
     """Pair agents for one round using the paper's greedy scheduler.
 
     Pair times are evaluated through the vectorized
     :class:`~repro.core.fastpath.PairCostModel` kernel; the decisions are
     identical (to full float equality) to
-    :func:`greedy_pairing_reference`.
+    :func:`greedy_pairing_reference`.  A slow agent pairs with its best
+    helper whenever the pair finishes sooner than it would alone.
 
     Parameters
     ----------
     participants:
         Agents taking part in this round (already sampled if a participation
         fraction applies).
-    improvement_threshold:
-        Minimum *relative* improvement over training alone required to form
-        a pair (0 reproduces the paper; a small positive value avoids pairs
-        that barely help, used in ablations).
 
     Returns
     -------
@@ -276,9 +271,7 @@ def greedy_pairing(
     agents = list(participants)
     if not agents:
         return []
-    cost_model = PairCostModel(
-        agents, profile, link_model=link_model, batch_size=batch_size
-    )
+    cost_model = PairCostModel(agents, profile, link_model=link_model)
     taus = cost_model.individual_times
     # The shared list A: agent positions in descending order of completion
     # time (stable, so ties keep participant order like the scalar sort).
@@ -300,7 +293,7 @@ def greedy_pairing(
         best_j = int(np.argmin(row))  # first minimum, like the strict-< scan
         best_time = row[best_j]
 
-        if best_time < own_time * (1.0 - improvement_threshold):
+        if best_time < own_time:
             estimate = cost_model.estimate(i, best_j)
             decisions.append(
                 PairingDecision(
@@ -328,8 +321,6 @@ def greedy_pairing_reference(
     participants: Sequence[Agent],
     link_model: LinkModel,
     profile: SplitProfile,
-    batch_size: Optional[int] = None,
-    improvement_threshold: float = 0.0,
 ) -> list[PairingDecision]:
     """Scalar reference implementation of :func:`greedy_pairing`.
 
@@ -342,9 +333,7 @@ def greedy_pairing_reference(
     # Step 2 of Algorithm 1: broadcast p_j and τ̂_j — here we simply compute
     # every participant's individual training time from shared information.
     individual_times = {
-        agent.agent_id: individual_training_time(
-            agent, profile, batch_size or agent.batch_size
-        )
+        agent.agent_id: individual_training_time(agent, profile, agent.batch_size)
         for agent in agents
     }
     # The shared list A: agents in descending order of task completion time.
@@ -371,7 +360,6 @@ def greedy_pairing_reference(
                 profile=profile,
                 bandwidth_bytes_per_second=bandwidth,
                 fast_agent_busy_time=individual_times[candidate_id],
-                batch_size=batch_size,
             )
             if estimate.offloaded_layers == 0:
                 continue
@@ -384,9 +372,7 @@ def greedy_pairing_reference(
                 )
 
         improves = (
-            best_decision is not None
-            and best_decision.estimate.pair_time
-            < own_time * (1.0 - improvement_threshold)
+            best_decision is not None and best_decision.estimate.pair_time < own_time
         )
         if improves:
             decisions.append(best_decision)

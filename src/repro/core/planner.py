@@ -193,11 +193,6 @@ class PrunedPlanner:
         candidates; a smaller round keeps every candidate (``k = n − 1``).
         ``None`` prunes at every size.  A round whose budget differs from
         the previous round's starts a fresh state.
-    batch_size:
-        Optional positive batch-size override (same semantics as the dense
-        kernel; validated at this boundary).
-    improvement_threshold:
-        Minimum relative improvement over training alone required to pair.
     """
 
     def __init__(
@@ -207,20 +202,14 @@ class PrunedPlanner:
         *,
         top_k: int = 32,
         prune_threshold: Optional[int] = None,
-        batch_size: Optional[int] = None,
-        improvement_threshold: float = 0.0,
     ) -> None:
         check_positive(top_k, "top_k")
         if prune_threshold is not None:
             check_positive(prune_threshold, "prune_threshold")
-        if batch_size is not None:
-            check_positive(batch_size, "batch_size")
         self.profile = profile
         self.link_model = link_model
         self.top_k = top_k
         self.prune_threshold = prune_threshold
-        self.batch_size = batch_size
-        self.improvement_threshold = improvement_threshold
         self.stats = PlannerStats()
         self.state: Optional[PlannerState] = None
         #: Profile seeds named by :meth:`invalidate` since the last plan.
@@ -313,7 +302,7 @@ class PrunedPlanner:
             return PairingPlan.empty()
         self._drain_journal()
         attrs = agent_attrs(agents)
-        vectors = agent_vectors_from_attrs(attrs, self.profile, self.batch_size)
+        vectors = agent_vectors_from_attrs(attrs, self.profile)
         taus = vectors.individual_times
         sig = attrs.signature_matrix()
         access = attrs.access_bandwidth()
@@ -671,7 +660,6 @@ class PrunedPlanner:
         scan_rows = state.scan_rows
         scan_times = state.scan_times
         alive = (state.pos_of_row >= 0).tolist()
-        improvement = 1.0 - self.improvement_threshold
         # Per decision, in decision order: the slow row and the helper row
         # (-1 when training alone); per pair: the chosen scan column.
         slow_rows: list[int] = []
@@ -705,7 +693,7 @@ class PrunedPlanner:
                             break
             slow_rows.append(i)
             alive[i] = False
-            if best_time < own_time * improvement:
+            if best_time < own_time:
                 fast_rows.append(j)
                 pair_columns.append(best_column)
                 alive[j] = False

@@ -95,7 +95,6 @@ class DecentralizedPairingScheduler:
         link_model: LinkModel,
         profile: SplitProfile,
         participation_fraction: float = 1.0,
-        improvement_threshold: float = 0.0,
         rng: Optional[np.random.Generator] = None,
         planner: Optional[PrunedPlanner] = None,
     ) -> None:
@@ -104,14 +103,8 @@ class DecentralizedPairingScheduler:
         self.link_model = link_model
         self.profile = profile
         self.participation_fraction = participation_fraction
-        self.improvement_threshold = improvement_threshold
         if planner is None:
-            planner = PrunedPlanner(
-                profile,
-                link_model,
-                prune_threshold=sys.maxsize,
-                improvement_threshold=improvement_threshold,
-            )
+            planner = PrunedPlanner(profile, link_model, prune_threshold=sys.maxsize)
         self.planner = planner
         self._rng = rng if rng is not None else np.random.default_rng(0)
 

@@ -11,13 +11,12 @@ the Table I decomposition and the Figure 1 illustration read the per-pair
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.agents.agent import Agent
 from repro.core.pairing import PairingPlan
 from repro.core.profiling import SplitProfile
 from repro.network.allreduce import allreduce_time
-from repro.network.compression import GradientCompressor
 from repro.utils.units import mbps_to_bytes_per_second
 
 #: Link speed an aggregation is priced at when no participant has a usable
@@ -68,8 +67,6 @@ def compute_round_timing(
     decisions: PairingPlan,
     participants: Sequence[Agent],
     profile: SplitProfile,
-    allreduce_algorithm: str = "halving_doubling",
-    compressor: Optional[GradientCompressor] = None,
 ) -> RoundTiming:
     """Price a round from its pairing plan.
 
@@ -86,8 +83,6 @@ def compute_round_timing(
             model_bytes=profile.full_model_bytes,
             num_agents=len(participants),
             bottleneck_bandwidth_bytes_per_second=bottleneck_bandwidth(participants),
-            algorithm=allreduce_algorithm,
-            compressor=compressor,
         )
         if participants
         else 0.0

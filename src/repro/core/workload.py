@@ -104,11 +104,11 @@ def estimate_offload_time(
     profile: SplitProfile,
     bandwidth_bytes_per_second: float,
     fast_agent_busy_time: Optional[float] = None,
-    batch_size: Optional[int] = None,
 ) -> OffloadEstimate:
     """Implement the paper's ``AgentTrainingTime`` for one candidate split.
 
-    Each of the ``Ñ_i`` activation messages pays
+    Both agents' per-sample costs convert to per-batch costs at the slow
+    agent's batch size.  Each of the ``Ñ_i`` activation messages pays
     :data:`~repro.sim.costs.DEFAULT_LINK_LATENCY_SECONDS` on top of its
     transfer time.
 
@@ -116,13 +116,11 @@ def estimate_offload_time(
     ----------
     fast_agent_busy_time:
         The fast agent's estimated time for its own task (``τ̂_j``).  When
-        omitted it is computed from the fast agent's dataset and speed.
-    batch_size:
-        Mini-batch size used to convert per-sample costs to per-batch costs;
-        defaults to the slow agent's batch size.
+        omitted it is computed from the fast agent's dataset and speed, at
+        the slow agent's batch size.
     """
     check_positive(bandwidth_bytes_per_second, "bandwidth_bytes_per_second")
-    batch_size = batch_size if batch_size is not None else slow_agent.batch_size
+    batch_size = slow_agent.batch_size
 
     slow_speed = agent_processing_speed(slow_agent, profile, batch_size)
     fast_speed = agent_processing_speed(fast_agent, profile, batch_size)
@@ -185,7 +183,6 @@ def best_offload(
     profile: SplitProfile,
     bandwidth_bytes_per_second: float,
     fast_agent_busy_time: Optional[float] = None,
-    batch_size: Optional[int] = None,
 ) -> OffloadEstimate:
     """Minimize the pair time over all profiled splits (lines 15-22 of Algorithm 1)."""
     estimates = [
@@ -196,7 +193,6 @@ def best_offload(
             profile=profile,
             bandwidth_bytes_per_second=bandwidth_bytes_per_second,
             fast_agent_busy_time=fast_agent_busy_time,
-            batch_size=batch_size,
         )
         for option in profile.offload_options
     ]
@@ -237,7 +233,6 @@ def exact_min_makespan(
     agents: Sequence[Agent],
     profile: SplitProfile,
     bandwidth_lookup,
-    batch_size: Optional[int] = None,
     max_agents: int = 10,
 ) -> tuple[float, list[tuple[int, Optional[int], int]]]:
     """Exactly solve the pairing/offloading integer program (Eq. 5).
@@ -279,8 +274,7 @@ def exact_min_makespan(
         return 0.0, []
 
     solo_times = [
-        individual_training_time(agent, profile, batch_size or agent.batch_size)
-        for agent in agents
+        individual_training_time(agent, profile, agent.batch_size) for agent in agents
     ]
 
     # Pair tables, memoized once per call.  Bandwidths come from the
@@ -297,11 +291,7 @@ def exact_min_makespan(
             pair_bandwidth[(p, q)] = bandwidth
             bandwidths[p, q] = bandwidths[q, p] = bandwidth
     cost_model = PairCostModel(
-        agents,
-        profile,
-        bandwidths=bandwidths,
-        batch_size=batch_size,
-        shared_busy_times=False,
+        agents, profile, bandwidths=bandwidths, shared_busy_times=False
     )
 
     #: (p, q) with p < q -> (group makespan contribution, assignment entries)

@@ -135,7 +135,6 @@ def run_privacy_configuration(
     config = ComDMLConfig(
         max_rounds=rounds,
         learning_rate=0.03,
-        batch_size=batch_size,
         offload_granularity=9,
         seed=seed,
     )

@@ -189,7 +189,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         max_rounds=config.max_rounds,
         target_accuracy=config.target_accuracy,
         participation_fraction=config.participation_fraction,
-        batch_size=config.batch_size,
         offload_granularity=config.offload_granularity,
         churn_fraction=config.churn_fraction,
         churn_interval_rounds=config.churn_interval_rounds,

@@ -108,7 +108,6 @@ def run_setting(
         model_bytes=profile.full_model_bytes,
         num_agents=2,
         bottleneck_bandwidth_bytes_per_second=bandwidth,
-        algorithm="halving_doubling",
     )
 
     rows: list[Table1Row] = []

@@ -12,7 +12,10 @@ bandwidth-efficient algorithms:
 
 This module provides both the *timing* cost model (used in the timing
 plane) and the *numerical* averaging of actual model parameters (used in the
-learning plane).  Both operate on flat numpy parameter vectors.
+learning plane).  Both operate on flat numpy parameter vectors.  Runs price
+their aggregation with :func:`allreduce_time`, the halving-doubling
+algorithm uncompressed; the ring algorithm and the compressor are there for
+the AllReduce ablation (:mod:`repro.experiments.ablations`).
 """
 
 from __future__ import annotations
@@ -64,14 +67,14 @@ def ring_allreduce(
     model_bytes: float,
     num_agents: int,
     bottleneck_bandwidth_bytes_per_second: float,
-    latency_seconds: float = DEFAULT_LINK_LATENCY_SECONDS,
     compressor: Optional[GradientCompressor] = None,
 ) -> AllReduceResult:
     """Timing of a ring AllReduce over ``num_agents`` participants.
 
     The completion time is governed by the slowest link in the ring
     (``bottleneck_bandwidth_bytes_per_second``); each of the ``2 (K - 1)``
-    steps moves ``b / K`` bytes and pays one latency.
+    steps moves ``b / K`` bytes and pays one
+    :data:`~repro.sim.costs.DEFAULT_LINK_LATENCY_SECONDS`.
     """
     check_non_negative(model_bytes, "model_bytes")
     check_positive(num_agents, "num_agents")
@@ -84,7 +87,9 @@ def ring_allreduce(
     )
     steps = 2 * (num_agents - 1)
     chunk = effective_bytes / num_agents
-    time = steps * (latency_seconds + chunk / bottleneck_bandwidth_bytes_per_second)
+    time = steps * (
+        DEFAULT_LINK_LATENCY_SECONDS + chunk / bottleneck_bandwidth_bytes_per_second
+    )
     return AllReduceResult(
         algorithm="ring",
         num_agents=num_agents,
@@ -98,7 +103,6 @@ def halving_doubling_allreduce(
     model_bytes: float,
     num_agents: int,
     bottleneck_bandwidth_bytes_per_second: float,
-    latency_seconds: float = DEFAULT_LINK_LATENCY_SECONDS,
     compressor: Optional[GradientCompressor] = None,
 ) -> AllReduceResult:
     """Timing of a recursive halving-doubling AllReduce.
@@ -121,7 +125,10 @@ def halving_doubling_allreduce(
     log_steps = max(1, math.ceil(math.log2(num_agents)))
     steps = 2 * log_steps
     volume = _per_agent_volume_bytes(effective_bytes, num_agents)
-    time = steps * latency_seconds + volume / bottleneck_bandwidth_bytes_per_second
+    time = (
+        steps * DEFAULT_LINK_LATENCY_SECONDS
+        + volume / bottleneck_bandwidth_bytes_per_second
+    )
     return AllReduceResult(
         algorithm="halving_doubling",
         num_agents=num_agents,
@@ -135,33 +142,11 @@ def allreduce_time(
     model_bytes: float,
     num_agents: int,
     bottleneck_bandwidth_bytes_per_second: float,
-    algorithm: str = "halving_doubling",
-    latency_seconds: float = DEFAULT_LINK_LATENCY_SECONDS,
-    compressor: Optional[GradientCompressor] = None,
 ) -> float:
-    """Convenience wrapper returning only the completion time in seconds."""
-    if algorithm == "ring":
-        result = ring_allreduce(
-            model_bytes,
-            num_agents,
-            bottleneck_bandwidth_bytes_per_second,
-            latency_seconds,
-            compressor,
-        )
-    elif algorithm == "halving_doubling":
-        result = halving_doubling_allreduce(
-            model_bytes,
-            num_agents,
-            bottleneck_bandwidth_bytes_per_second,
-            latency_seconds,
-            compressor,
-        )
-    else:
-        raise ValueError(
-            f"unknown AllReduce algorithm {algorithm!r}; "
-            "expected 'ring' or 'halving_doubling'"
-        )
-    return result.time_seconds
+    """Completion time in seconds of the paper's halving-doubling AllReduce."""
+    return halving_doubling_allreduce(
+        model_bytes, num_agents, bottleneck_bandwidth_bytes_per_second
+    ).time_seconds
 
 
 def allreduce_average(

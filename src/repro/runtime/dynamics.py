@@ -46,6 +46,7 @@ the engine when the runtime is created.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -272,6 +273,15 @@ class DynamicsSchedule:
         check_positive(horizon, "horizon")
         check_non_negative(arrival_rate, "arrival_rate")
         check_non_negative(departure_rate, "departure_rate")
+        # An infinite horizon never ends a draw loop, and an infinite rate
+        # draws zero gaps, so its loop's clock never advances.
+        for name, value in (
+            ("horizon", horizon),
+            ("arrival_rate", arrival_rate),
+            ("departure_rate", departure_rate),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         rng = np.random.default_rng(seed)
         attach = _coerce_attachment(attachment)
         schedule = cls()

@@ -147,58 +147,38 @@ class DeadlineQuorum(QuorumPolicy):
 class AdaptiveQuorum(QuorumPolicy):
     """Tighten the quorum as observed makespans stabilise.
 
-    The kept fraction interpolates between ``start_fraction`` (used while
+    The kept fraction interpolates between a full barrier (used while
     makespans are noisy or there is no history) and ``floor_fraction`` (the
     tightest quorum, reached once the makespan coefficient of variation
     drops to zero):
 
-    ``fraction = floor + (start − floor) × min(1, cv / stability_cv)``
+    ``fraction = floor + (1 − floor) × min(1, cv / 0.5)``
 
     Early rounds therefore behave like a full barrier — nothing is dropped
     while the system is still learning what a normal round looks like — and
     steady-state rounds shed the slowest ``1 − floor_fraction`` of units.
+    A coefficient of variation of 0.5 or more keeps every unit.
 
     Parameters
     ----------
     floor_fraction:
         Tightest fraction of units ever kept (``ComDMLConfig.quorum_fraction``).
-    start_fraction:
-        Fraction kept with no or unstable history (default 1.0, full barrier).
-    stability_cv:
-        Coefficient of variation at (or above) which the policy still uses
-        ``start_fraction``.
     """
 
     name = "adaptive"
 
-    def __init__(
-        self,
-        floor_fraction: float,
-        start_fraction: float = 1.0,
-        stability_cv: float = 0.5,
-    ) -> None:
+    def __init__(self, floor_fraction: float) -> None:
         check_probability(floor_fraction, "floor_fraction")
-        check_probability(start_fraction, "start_fraction")
         if floor_fraction <= 0:
             raise ValueError(f"floor_fraction must be positive, got {floor_fraction}")
-        if start_fraction < floor_fraction:
-            raise ValueError(
-                "start_fraction must be >= floor_fraction, got "
-                f"{start_fraction} < {floor_fraction}"
-            )
-        check_positive(stability_cv, "stability_cv")
         self.floor_fraction = floor_fraction
-        self.start_fraction = start_fraction
-        self.stability_cv = stability_cv
 
     def current_fraction(self, stats: SchedulerStats) -> float:
         """The fraction of units the policy keeps given the history so far."""
         if stats.makespan_count < 2:
-            return self.start_fraction
-        instability = min(1.0, stats.makespan_cv / self.stability_cv)
-        return self.floor_fraction + (
-            self.start_fraction - self.floor_fraction
-        ) * instability
+            return 1.0
+        instability = min(1.0, stats.makespan_cv / 0.5)
+        return self.floor_fraction + (1.0 - self.floor_fraction) * instability
 
     def decide(
         self, unit_durations: Sequence[float], stats: SchedulerStats

@@ -254,7 +254,6 @@ class TrainingRuntime:
         self._lr_schedule = ReduceOnPlateau(
             learning_rate=config.learning_rate,
             factor=config.lr_plateau_factor,
-            patience=config.lr_plateau_patience,
         )
         self._last_accuracy = 0.0
         #: Observed local-phase makespans, fed to deadline/adaptive quorums.

@@ -249,15 +249,11 @@ def participation_fraction(
 
 
 def solo_decisions(
-    participants: Sequence[Agent],
-    profile: SplitProfile,
-    batch_size: Optional[int] = None,
+    participants: Sequence[Agent], profile: SplitProfile
 ) -> PairingPlan:
     """Every participant trains the full model alone (no offloading)."""
     times = [
-        individual_training_time(
-            agent, profile, batch_size if batch_size is not None else agent.batch_size
-        )
+        individual_training_time(agent, profile, agent.batch_size)
         for agent in participants
     ]
     return PairingPlan.solo(

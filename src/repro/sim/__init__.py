@@ -10,13 +10,12 @@ seconds given an agent's resources.
 from repro.sim.clock import SimClock
 from repro.sim.events import Event, EventQueue
 from repro.sim.engine import SimulationEngine
-from repro.sim.costs import compute_time_seconds, transfer_time_seconds
+from repro.sim.costs import transfer_time_seconds
 
 __all__ = [
     "SimClock",
     "Event",
     "EventQueue",
     "SimulationEngine",
-    "compute_time_seconds",
     "transfer_time_seconds",
 ]

@@ -1,21 +1,19 @@
 """Cost-model primitives: work → simulated seconds.
 
-Three calibration constants underpin every timing number in the
-reproduction; all three are documented substitutions for quantities the
-paper measured on its physical testbed (dual Xeon + 4× GTX 1080 Ti with
+Two calibration constants underpin every timing number in the
+reproduction; both are documented substitutions for quantities the paper
+measured on its physical testbed (dual Xeon + 4× GTX 1080 Ti with
 simulated CPU/bandwidth shares):
 
 * ``BASELINE_FLOPS_PER_SECOND`` — effective training throughput of a
   resource share of 1.0, set to the order of magnitude of a mobile/edge-class
-  CPU (the resource-constrained devices motivating the paper).  Together with
+  CPU (the resource-constrained devices motivating the paper).  Throughput
+  is linear in the CPU share, the paper's nominal model.  Together with
   the link profiles this keeps computation the dominant cost of a round, as
   in the paper's measurements, while remaining within roughly an order of
   magnitude of the paper's absolute table entries.
-* ``CPU_SCALING_EXPONENT`` — throughput scales as ``share ** exponent``;
-  the default of 1.0 is the paper's nominal linear CPU-share model.  The
-  exponent is exposed because real containers scale sub-linearly, and the
-  ablation benchmarks sweep it.
-* **Transfer**: moving ``b`` bytes over a link of ``c`` bytes/second costs
+* ``DEFAULT_LINK_LATENCY_SECONDS`` — the fixed cost of every message:
+  moving ``b`` bytes over a link of ``c`` bytes/second costs
   ``latency + b / c`` seconds.
 
 The models are deliberately simple — the scheduler only relies on costs
@@ -29,45 +27,18 @@ from repro.utils.validation import check_non_negative, check_positive
 #: Flop-equivalents per second delivered by a resource share of 1.0.
 BASELINE_FLOPS_PER_SECOND = 1.0e10
 
-#: Scaling of throughput with the CPU share (1.0 = linear, the paper's model).
-CPU_SCALING_EXPONENT = 1.0
-
 #: Fixed per-message latency in seconds added to every transfer.
 DEFAULT_LINK_LATENCY_SECONDS = 0.005
 
 
-def cpu_share_to_throughput(
-    cpu_share: float,
-    baseline_flops_per_second: float = BASELINE_FLOPS_PER_SECOND,
-    scaling_exponent: float = CPU_SCALING_EXPONENT,
-) -> float:
+def cpu_share_to_throughput(cpu_share: float) -> float:
     """Flop-equivalents per second delivered by an agent with the given CPU share."""
     check_positive(cpu_share, "cpu_share")
-    check_positive(baseline_flops_per_second, "baseline_flops_per_second")
-    check_positive(scaling_exponent, "scaling_exponent")
-    return baseline_flops_per_second * cpu_share**scaling_exponent
+    return BASELINE_FLOPS_PER_SECOND * cpu_share
 
 
-def compute_time_seconds(
-    flops: float,
-    cpu_share: float,
-    baseline_flops_per_second: float = BASELINE_FLOPS_PER_SECOND,
-    scaling_exponent: float = CPU_SCALING_EXPONENT,
-) -> float:
-    """Time to execute ``flops`` flop-equivalents on a given CPU share."""
-    check_non_negative(flops, "flops")
-    throughput = cpu_share_to_throughput(
-        cpu_share, baseline_flops_per_second, scaling_exponent
-    )
-    return flops / throughput
-
-
-def transfer_time_seconds(
-    num_bytes: float,
-    bandwidth_bytes_per_second: float,
-    latency_seconds: float = DEFAULT_LINK_LATENCY_SECONDS,
-) -> float:
-    """Time to move ``num_bytes`` over a link.
+def transfer_time_seconds(num_bytes: float, bandwidth_bytes_per_second: float) -> float:
+    """Time to move ``num_bytes`` over a link, one message's latency included.
 
     Raises
     ------
@@ -77,7 +48,6 @@ def transfer_time_seconds(
         treatment of the 0 Mbps profile as "no link".
     """
     check_non_negative(num_bytes, "num_bytes")
-    check_non_negative(latency_seconds, "latency_seconds")
     if bandwidth_bytes_per_second <= 0:
         raise ValueError(
             "cannot transfer over a disconnected link "
@@ -85,4 +55,4 @@ def transfer_time_seconds(
         )
     if num_bytes == 0:
         return 0.0
-    return latency_seconds + num_bytes / bandwidth_bytes_per_second
+    return DEFAULT_LINK_LATENCY_SECONDS + num_bytes / bandwidth_bytes_per_second

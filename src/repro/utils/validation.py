@@ -11,15 +11,15 @@ from typing import Any
 
 
 def check_positive(value: float, name: str) -> float:
-    """Ensure ``value > 0`` and return it."""
-    if value <= 0:
+    """Ensure ``value > 0`` and return it (NaN is rejected too)."""
+    if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
     return value
 
 
 def check_non_negative(value: float, name: str) -> float:
-    """Ensure ``value >= 0`` and return it."""
-    if value < 0:
+    """Ensure ``value >= 0`` and return it (NaN is rejected too)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
     return value
 

@@ -34,10 +34,9 @@ def unit_aggregation_seconds(strategy, plan, unit: WorkUnit) -> float:
         agents = strategy._registered_agents(unit.agent_ids)
         if not agents:
             return 0.0
-        model_bytes = strategy.profile.full_model_bytes
-        if strategy._aggregation_compressor is not None:
-            model_bytes = strategy._aggregation_compressor.compressed_bytes(model_bytes)
-        return transfer_time_seconds(model_bytes, bottleneck_bandwidth(agents))
+        return transfer_time_seconds(
+            strategy.profile.full_model_bytes, bottleneck_bandwidth(agents)
+        )
     if isinstance(strategy, FedAvg):
         return 0.0
     return plan.aggregation_seconds / max(1, len(plan.durations))

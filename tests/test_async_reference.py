@@ -12,7 +12,6 @@ from collections import Counter
 
 import hypothesis
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from async_reference import unit_aggregation_seconds, use_reference_async
@@ -80,8 +79,7 @@ def test_batched_async_round_matches_the_per_unit_reference():
     assert fired["unit_repriced"] and fired["unit_abandoned"], fired
 
 
-@pytest.mark.parametrize("compression_bits", (None, 8))
-def test_comdml_gossip_column_equals_the_per_unit_price(compression_bits):
+def test_comdml_gossip_column_equals_the_per_unit_price():
     """Every row, including disconnected and departed members, prices alike."""
     profiles = [(cpu, mbps) for cpu in (4.0, 0.5, 0.2) for mbps in (0.0, 10.0, 100.0)]
     registry = AgentRegistry(
@@ -91,9 +89,7 @@ def test_comdml_gossip_column_equals_the_per_unit_price(compression_bits):
     comdml = ComDML(
         registry=registry,
         spec=resnet56_spec(),
-        config=ComDMLConfig(
-            offload_granularity=9, aggregation_compression_bits=compression_bits
-        ),
+        config=ComDMLConfig(offload_granularity=9),
     )
     plan = comdml.plan_round(0, registry.agents)
     assert plan.num_pairs >= 2

@@ -11,7 +11,9 @@ from repro.baselines import (
     baseline_by_name,
 )
 from repro.core.config import ComDMLConfig
+from repro.core.timing import bottleneck_bandwidth
 from repro.models.resnet import resnet56_spec
+from repro.network.allreduce import halving_doubling_allreduce
 
 ALL_BASELINES = [FedAvg, FedProx, AllReduceDML, GossipLearning, BrainTorrent]
 
@@ -107,12 +109,13 @@ class TestBaselineSpecifics:
         )
         assert communication <= trainer.model_bytes() / slowest_bandwidth * 1.1 + 1.0
 
-    def test_allreduce_uses_configured_algorithm(self, small_registry):
-        ring = build(AllReduceDML, small_registry, allreduce_algorithm="ring")
-        hd = build(AllReduceDML, small_registry, allreduce_algorithm="halving_doubling")
-        ring_total, _, ring_comm = ring.round_timing(small_registry.agents)
-        hd_total, _, hd_comm = hd.round_timing(small_registry.agents)
-        assert ring_comm > 0 and hd_comm > 0
+    def test_allreduce_prices_halving_doubling(self, small_registry):
+        trainer = build(AllReduceDML, small_registry)
+        agents = small_registry.agents
+        _, _, communication = trainer.round_timing(agents)
+        assert communication == halving_doubling_allreduce(
+            trainer.model_bytes(), len(agents), bottleneck_bandwidth(agents)
+        ).time_seconds
 
     @pytest.mark.parametrize("cls", ALL_BASELINES)
     def test_no_pairs_reported(self, cls, small_registry):

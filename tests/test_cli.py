@@ -308,6 +308,18 @@ class TestCampaignCommands:
             ["compare", "--deadline-factor", "-1"],
             ["compare", "--deadline-factor", "nan"],
             ["trace", "record", "--out", "t.jsonl", "--churn", "1.5"],
+            ["fig1", "--slow-cpu", "-1"],
+            ["fig1", "--slow-cpu", "nan"],
+            ["fig1", "--fast-cpu", "0"],
+            ["fig1", "--bandwidth", "nan"],
+            ["schedule", "poisson", "--horizon", "-5"],
+            ["schedule", "poisson", "--horizon", "nan"],
+            ["schedule", "poisson", "--horizon", "inf"],
+            ["schedule", "poisson", "--horizon", "10", "--arrival-rate", "-1"],
+            ["schedule", "poisson", "--horizon", "10", "--arrival-rate", "nan"],
+            ["schedule", "poisson", "--horizon", "10", "--arrival-rate", "inf"],
+            ["schedule", "poisson", "--horizon", "10", "--departure-rate", "nan"],
+            ["schedule", "poisson", "--horizon", "10", "--departure-rate", "inf"],
         ],
         ids=[
             "jobs-zero",
@@ -333,6 +345,18 @@ class TestCampaignCommands:
             "compare-deadline-factor",
             "compare-deadline-factor-nan",
             "record-churn",
+            "fig1-slow-cpu",
+            "fig1-slow-cpu-nan",
+            "fig1-fast-cpu",
+            "fig1-bandwidth-nan",
+            "poisson-horizon",
+            "poisson-horizon-nan",
+            "poisson-horizon-inf",
+            "poisson-arrival-rate",
+            "poisson-arrival-rate-nan",
+            "poisson-arrival-rate-inf",
+            "poisson-departure-rate-nan",
+            "poisson-departure-rate-inf",
         ],
     )
     def test_invalid_flag_value_is_a_usage_error(self, argv, capsys):

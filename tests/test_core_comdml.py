@@ -456,10 +456,5 @@ class TestDynamicsReachThePlanner:
         plan = comdml.plan_round(1, participants)
         stats = comdml.planner.stats
         assert (stats.csr_edits, stats.csr_rebuilds) == (4, 1)
-        fresh = PrunedPlanner(
-            comdml.profile,
-            comdml.link_model,
-            top_k=2,
-            improvement_threshold=comdml.config.improvement_threshold,
-        )
+        fresh = PrunedPlanner(comdml.profile, comdml.link_model, top_k=2)
         assert list(plan.decisions) == list(fresh.plan(participants))

@@ -94,18 +94,6 @@ class TestGreedyPairing:
         full_decisions = greedy_pairing(agents, full, resnet56_profile)
         assert pairing_makespan(full_decisions) <= pairing_makespan(ring_decisions) + 1e-9
 
-    def test_improvement_threshold_reduces_pairs(self, small_registry, small_link_model, resnet56_profile):
-        loose = greedy_pairing(small_registry.agents, small_link_model, resnet56_profile)
-        strict = greedy_pairing(
-            small_registry.agents,
-            small_link_model,
-            resnet56_profile,
-            improvement_threshold=0.95,
-        )
-        loose_pairs = sum(1 for d in loose if d.is_offloading)
-        strict_pairs = sum(1 for d in strict if d.is_offloading)
-        assert strict_pairs <= loose_pairs
-
     def test_empty_participant_list(self, small_link_model, resnet56_profile):
         assert greedy_pairing([], small_link_model, resnet56_profile) == []
         assert pairing_makespan([]) == 0.0

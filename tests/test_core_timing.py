@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.pairing import PairingPlan, greedy_pairing
-from repro.core.timing import compute_round_timing
+from repro.core.timing import bottleneck_bandwidth, compute_round_timing
 from repro.core.workload import individual_training_time
+from repro.network.allreduce import halving_doubling_allreduce
 
 
 class TestComputeRoundTiming:
@@ -41,19 +42,14 @@ class TestComputeRoundTiming:
         )
         assert timing.makespan <= unbalanced + 1e-9
 
-    def test_ring_and_halving_doubling_supported(
+    def test_aggregation_is_halving_doubling(
         self, decisions, small_registry, resnet56_profile
     ):
-        ring = compute_round_timing(
-            decisions, small_registry.agents, resnet56_profile, allreduce_algorithm="ring"
-        )
-        hd = compute_round_timing(
-            decisions,
-            small_registry.agents,
-            resnet56_profile,
-            allreduce_algorithm="halving_doubling",
-        )
-        assert ring.aggregation_time > 0 and hd.aggregation_time > 0
+        agents = small_registry.agents
+        timing = compute_round_timing(decisions, agents, resnet56_profile)
+        assert timing.aggregation_time == halving_doubling_allreduce(
+            resnet56_profile.full_model_bytes, len(agents), bottleneck_bandwidth(agents)
+        ).time_seconds
 
     def test_explicit_aggregating_count(
         self, small_registry, small_link_model, resnet56_profile

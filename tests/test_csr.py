@@ -11,6 +11,7 @@ the pruned planner at every invalidation batching the runtime can produce.
 
 from __future__ import annotations
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -102,6 +103,7 @@ def _structure(csr: IncrementalCsr, ids: list[int]) -> tuple:
 class TestIncrementalStructure:
     """Edited structure ≡ from-scratch build, after every single event."""
 
+    @hypothesis.seed(20261029)
     @settings(
         max_examples=25,
         deadline=None,
@@ -219,6 +221,7 @@ class TestPlannerTiersUnderEvents:
     """
 
     @pytest.mark.parametrize("events_per_plan", [None, 1, 2, 4])
+    @hypothesis.seed(20261030)
     @settings(
         max_examples=5,
         deadline=None,

@@ -1,6 +1,8 @@
 """Tests for schedule generation (Poisson), JSON round-trips, and arrival
 attachment policies (full / ring / random-k)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,20 @@ class TestPoissonGenerator:
             DynamicsSchedule.poisson(horizon=0.0, arrival_rate=1.0)
         with pytest.raises(ValueError):
             DynamicsSchedule.poisson(horizon=10.0, arrival_rate=-1.0)
+
+    @pytest.mark.parametrize("name", ["horizon", "arrival_rate", "departure_rate"])
+    def test_rejects_infinite_parameters(self, name):
+        """An infinite horizon or rate would never end a draw loop."""
+        kwargs = {"horizon": 10.0, "arrival_rate": 1.0, "departure_rate": 1.0}
+        kwargs[name] = math.inf
+        with pytest.raises(ValueError, match=f"{name} must be finite, got inf"):
+            DynamicsSchedule.poisson(departure_candidates=(0, 1), **kwargs)
+
+    @pytest.mark.parametrize("name", ["horizon", "arrival_rate", "departure_rate"])
+    def test_rejects_nan_parameters(self, name):
+        kwargs = {"horizon": 10.0, name: math.nan}
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            DynamicsSchedule.poisson(**kwargs)
 
 
 class TestScheduleJson:

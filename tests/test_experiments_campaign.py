@@ -2,6 +2,7 @@
 
 import json
 
+import hypothesis
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -255,6 +256,7 @@ class TestParallelDeterminism:
         parallel = execute_campaign(spec, jobs=4)
         assert serial.payloads() == parallel.payloads()
 
+    @hypothesis.seed(20261033)
     @settings(
         max_examples=5,
         deadline=None,

@@ -59,7 +59,7 @@ class TestEndToEndComDML:
             seed=0,
         )
         config = ComDMLConfig(
-            max_rounds=8, learning_rate=0.05, batch_size=50, offload_granularity=9, seed=0
+            max_rounds=8, learning_rate=0.05, offload_granularity=9, seed=0
         )
         comdml = ComDML(registry=registry, spec=spec, config=config, accuracy_tracker=tracker)
         history = comdml.run()
@@ -80,7 +80,7 @@ class TestEndToEndComDML:
             )
 
         config = ComDMLConfig(
-            max_rounds=6, learning_rate=0.05, batch_size=50, offload_granularity=9, seed=0
+            max_rounds=6, learning_rate=0.05, offload_granularity=9, seed=0
         )
         comdml_history = ComDML(
             registry=registry, spec=spec, config=config, accuracy_tracker=build_tracker(1)

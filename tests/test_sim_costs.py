@@ -4,44 +4,21 @@ import pytest
 
 from repro.sim.costs import (
     BASELINE_FLOPS_PER_SECOND,
-    compute_time_seconds,
+    DEFAULT_LINK_LATENCY_SECONDS,
     cpu_share_to_throughput,
     transfer_time_seconds,
 )
 
 
-class TestComputeTime:
-    def test_scales_linearly_with_flops(self):
-        assert compute_time_seconds(2e10, 1.0) == pytest.approx(
-            2 * compute_time_seconds(1e10, 1.0)
-        )
-
-    def test_faster_cpu_is_faster(self):
-        assert compute_time_seconds(1e10, 2.0) < compute_time_seconds(1e10, 1.0)
-
-    def test_baseline_calibration(self):
-        assert compute_time_seconds(BASELINE_FLOPS_PER_SECOND, 1.0) == pytest.approx(1.0)
-
-    def test_zero_flops_takes_no_time(self):
-        assert compute_time_seconds(0.0, 0.5) == 0.0
-
-    def test_rejects_non_positive_cpu(self):
-        with pytest.raises(ValueError):
-            compute_time_seconds(1e9, 0.0)
-
-    def test_rejects_negative_flops(self):
-        with pytest.raises(ValueError):
-            compute_time_seconds(-1.0, 1.0)
-
-    def test_scaling_exponent_compresses_gap(self):
-        linear = compute_time_seconds(1e10, 4.0, scaling_exponent=1.0)
-        sublinear = compute_time_seconds(1e10, 4.0, scaling_exponent=0.5)
-        assert sublinear > linear
-
-
 class TestThroughput:
     def test_monotone_in_share(self):
         assert cpu_share_to_throughput(2.0) > cpu_share_to_throughput(1.0)
+
+    def test_baseline_calibration(self):
+        assert cpu_share_to_throughput(1.0) == BASELINE_FLOPS_PER_SECOND
+
+    def test_linear_in_share(self):
+        assert cpu_share_to_throughput(0.25) == 0.25 * BASELINE_FLOPS_PER_SECOND
 
     def test_rejects_zero_share(self):
         with pytest.raises(ValueError):
@@ -50,14 +27,14 @@ class TestThroughput:
 
 class TestTransferTime:
     def test_includes_latency(self):
-        time = transfer_time_seconds(0.0, 1e6, latency_seconds=0.01)
+        time = transfer_time_seconds(0.0, 1e6)
         assert time == 0.0  # zero bytes short-circuits
-        time = transfer_time_seconds(1e6, 1e6, latency_seconds=0.01)
-        assert time == pytest.approx(1.01)
+        time = transfer_time_seconds(1e6, 1e6)
+        assert time == 1.0 + DEFAULT_LINK_LATENCY_SECONDS
 
     def test_scales_with_bytes(self):
-        small = transfer_time_seconds(1e6, 1e6, latency_seconds=0.0)
-        large = transfer_time_seconds(3e6, 1e6, latency_seconds=0.0)
+        small = transfer_time_seconds(1e6, 1e6) - DEFAULT_LINK_LATENCY_SECONDS
+        large = transfer_time_seconds(3e6, 1e6) - DEFAULT_LINK_LATENCY_SECONDS
         assert large == pytest.approx(3 * small)
 
     def test_disconnected_link_rejected(self):

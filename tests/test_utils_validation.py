@@ -23,6 +23,10 @@ class TestCheckPositive:
         with pytest.raises(ValueError):
             check_positive(-1, "x")
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="x must be positive, got nan"):
+            check_positive(float("nan"), "x")
+
 
 class TestCheckNonNegative:
     def test_accepts_zero(self):
@@ -31,6 +35,10 @@ class TestCheckNonNegative:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             check_non_negative(-0.1, "x")
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="x must be non-negative, got nan"):
+            check_non_negative(float("nan"), "x")
 
 
 class TestCheckProbability:
