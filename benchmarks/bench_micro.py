@@ -234,12 +234,16 @@ def test_planner_round_speed(benchmark, kind, n):
     the exponent of median-vs-n on the random-k column and CI fails if
     planning cost grows super-linearly beyond tolerance, or if the 5000-
     agent round is slower than the dense kernel's 500-agent round.
+    ``extra_info`` records the mean greedy-scan matching rounds per timed
+    plan (``scan_rounds``), read outside the timer.
     """
     profile = profile_architecture(resnet56_spec(), granularity=9)
     agents = _planner_population(n)
     link_model = _planner_link_model(agents, kind)
     planner = PrunedPlanner(profile, link_model, top_k=PLANNER_TOP_K)
     planner.plan(agents)  # first-round build happens outside the timer
+    stats = planner.stats
+    before = (stats.rounds, stats.scan_rounds)
     churned = max(1, n // 100)
     rng = np.random.default_rng(99)
 
@@ -255,6 +259,9 @@ def test_planner_round_speed(benchmark, kind, n):
         return planner.plan(agents)
 
     plan = benchmark(dynamics_round)
+    benchmark.extra_info["scan_rounds"] = (stats.scan_rounds - before[1]) / (
+        stats.rounds - before[0]
+    )
     attach_peak_memory(benchmark, dynamics_round)
     assert sorted(plan.agent_ids()) == [agent.agent_id for agent in agents]
 
@@ -276,9 +283,10 @@ def test_planner_dynamics_round_speed(benchmark):
     10 000 agents on random-k(6) with ``top_k=32``.  Before each timed
     plan the untimed setup applies 20 random-k arrivals, 20 departures and
     1 % churn, so every plan re-costs by cause and moves rows in and out
-    of the planner state.  ``extra_info`` records the mean rows re-costed
-    and pair options evaluated per timed plan, so trajectory snapshots
-    show if re-costing grows again.  No gate reads this bench.
+    of the planner state.  ``extra_info`` records the mean rows re-costed,
+    pair options evaluated and greedy-scan matching rounds per timed
+    plan, so trajectory snapshots show if re-costing or the scan's
+    dependency depth grows again.  No gate reads this bench.
     """
     profile = profile_architecture(resnet56_spec(), granularity=9)
     agents = _planner_population(DYNAMICS_POPULATION)
@@ -319,13 +327,16 @@ def test_planner_dynamics_round_speed(benchmark):
         return (list(agents),), {}
 
     stats = planner.stats
-    before = (stats.rounds, stats.rows_recomputed, stats.pairs_evaluated)
+    before = (
+        stats.rounds, stats.rows_recomputed, stats.pairs_evaluated, stats.scan_rounds
+    )
     plan = benchmark.pedantic(
         planner.plan, setup=dynamics, rounds=DYNAMICS_ROUNDS, iterations=1
     )
     plans = stats.rounds - before[0]
     benchmark.extra_info["rows_recomputed"] = (stats.rows_recomputed - before[1]) / plans
     benchmark.extra_info["pairs_evaluated"] = (stats.pairs_evaluated - before[2]) / plans
+    benchmark.extra_info["scan_rounds"] = (stats.scan_rounds - before[3]) / plans
     assert sorted(plan.agent_ids()) == sorted(agent.agent_id for agent in agents)
 
 

@@ -13,8 +13,8 @@ from typing import Sequence
 
 from repro.agents.agent import Agent
 from repro.baselines.base import BaselineTrainer
+from repro.core.timing import bottleneck_bandwidth
 from repro.network.allreduce import allreduce_time
-from repro.utils.units import mbps_to_bytes_per_second
 
 
 class AllReduceDML(BaselineTrainer):
@@ -27,15 +27,9 @@ class AllReduceDML(BaselineTrainer):
         if not participants:
             return 0.0, 0.0, 0.0
         compute = max(self.full_model_training_time(agent) for agent in participants)
-        connected = [
-            agent.profile.bandwidth_bytes_per_second
-            for agent in participants
-            if agent.is_connected
-        ]
-        bottleneck = min(connected) if connected else mbps_to_bytes_per_second(10.0)
         aggregation = allreduce_time(
             model_bytes=self.model_bytes(),
             num_agents=len(participants),
-            bottleneck_bandwidth_bytes_per_second=bottleneck,
+            bottleneck_bandwidth_bytes_per_second=bottleneck_bandwidth(participants),
         )
         return compute + aggregation, compute, aggregation

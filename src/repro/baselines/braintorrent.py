@@ -15,6 +15,7 @@ from typing import Sequence
 
 from repro.agents.agent import Agent
 from repro.baselines.base import BaselineTrainer
+from repro.core.timing import FALLBACK_BANDWIDTH_MBPS
 from repro.sim.costs import DEFAULT_LINK_LATENCY_SECONDS
 from repro.utils.units import mbps_to_bytes_per_second
 
@@ -36,7 +37,7 @@ class BrainTorrent(BaselineTrainer):
         ]
         aggregator_bandwidth = aggregator.profile.bandwidth_bytes_per_second
         if aggregator_bandwidth <= 0:
-            aggregator_bandwidth = mbps_to_bytes_per_second(10.0)
+            aggregator_bandwidth = mbps_to_bytes_per_second(FALLBACK_BANDWIDTH_MBPS)
 
         other_count = max(0, len(participants) - 1)
         # Receive every other agent's model, then broadcast the average back.

@@ -84,7 +84,7 @@ from repro.network.link import LinkModel
 from repro.sim.costs import DEFAULT_LINK_LATENCY_SECONDS
 from repro.utils.validation import check_positive
 
-__all__ = ["PlannerState", "PlannerStats", "PrunedPlanner"]
+__all__ = ["PlannerState", "PlannerStats", "PrunedPlanner", "greedy_scan"]
 
 #: Tombstoned rows, as a fraction of the rows handed out, past which the
 #: next membership change compacts the state (``IncrementalCsr``'s default).
@@ -93,6 +93,16 @@ _COMPACT_FRACTION = 0.25
 #: Row count under which tombstones never trigger a compaction.
 _COMPACT_FLOOR = 256
 
+#: A matching round of :func:`greedy_scan` that commits fewer pairs than
+#: this hands the rest of the scan to one sequential pass.  Rounds alone
+#: are exact too, but their number is the input's dependency depth, which
+#: is large where every slow agent wants the same helpers: the
+#: 100-participant rounds of a 500-agent Table III cell (``k = n − 1``)
+#: took 37–46 rounds of about one pair each, four times as long as the
+#: sequential pass.  A 20 000-agent ring commits thousands of pairs in its
+#: first round.
+_MIN_ROUND_PAIRS = 64
+
 
 @dataclass
 class PlannerStats:
@@ -100,10 +110,12 @@ class PlannerStats:
 
     ``pairs_evaluated`` counts (slow, candidate, split) cost evaluations —
     the quantity the incremental-replanning bound O(d·k·s) is stated in.
-    The ``csr_*`` counters observe the incremental topology engine
-    (:mod:`repro.core.csr`): ``csr_edits`` is the number of journal events
-    applied as O(Δ) edits, ``csr_rebuilds`` the O(E) from-graph builds, and
-    ``csr_compactions`` the lazy delta/tombstone fold-backs.
+    ``scan_rounds`` counts the greedy scan's matching rounds
+    (:func:`greedy_scan`).  The ``csr_*`` counters observe the incremental
+    topology engine (:mod:`repro.core.csr`): ``csr_edits`` is the number of
+    journal events applied as O(Δ) edits, ``csr_rebuilds`` the O(E)
+    from-graph builds, and ``csr_compactions`` the lazy delta/tombstone
+    fold-backs.
     """
 
     rounds: int = 0
@@ -111,9 +123,11 @@ class PlannerStats:
     rows_recomputed: int = 0
     rows_reused: int = 0
     pairs_evaluated: int = 0
+    scan_rounds: int = 0
     last_rows_recomputed: int = 0
     last_rows_reused: int = 0
     last_pairs_evaluated: int = 0
+    last_scan_rounds: int = 0
     csr_edits: int = 0
     csr_rebuilds: int = 0
     csr_compactions: int = 0
@@ -126,6 +140,7 @@ class PlannerStats:
             "rows_recomputed": self.rows_recomputed,
             "rows_reused": self.rows_reused,
             "pairs_evaluated": self.pairs_evaluated,
+            "scan_rounds": self.scan_rounds,
             "csr_edits": self.csr_edits,
             "csr_rebuilds": self.csr_rebuilds,
             "csr_compactions": self.csr_compactions,
@@ -147,10 +162,12 @@ class PlannerState:
     ascending by (pair time, participant position), padded past the last
     finite time with time ``+inf`` and row −1.  ``scan_rows`` are the
     candidates' rows, ``scan_split`` the best split index and ``scan_bw``
-    the pair bandwidth.  ``ids``, ``ids_array`` and the ``(n, 5)``
-    signature matrix ``sig`` (cpu share, bandwidth, samples, batch size,
-    local epochs as float64) are this round's, by position; the next plan
-    diffs against them.
+    the pair bandwidth.  ``scan_count`` is the number of candidates the
+    scan may walk in each row: its columns before the first row −1 (a
+    compaction can leave a −1 ahead of the padding; see :func:`_compact`).
+    ``ids``, ``ids_array`` and the ``(n, 5)`` signature matrix ``sig`` (cpu
+    share, bandwidth, samples, batch size, local epochs as float64) are
+    this round's, by position; the next plan diffs against them.
     """
 
     ids: tuple[int, ...]
@@ -165,6 +182,7 @@ class PlannerState:
     scan_rows: np.ndarray
     scan_split: np.ndarray
     scan_bw: np.ndarray
+    scan_count: np.ndarray
 
 
 class PrunedPlanner:
@@ -612,6 +630,7 @@ class PrunedPlanner:
         rows = state.row_of_pos[positions]
         state.scan_times[rows] = np.inf
         state.scan_rows[rows] = -1
+        state.scan_count[rows] = 0
         pos_flat, cols_flat, bw_flat = self._candidate_rows(
             state, access, vectors.individual_times, positions
         )
@@ -640,66 +659,25 @@ class PrunedPlanner:
     ) -> PairingPlan:
         """Algorithm 1's greedy pairing over the pruned candidate blocks.
 
-        Visits rows in ``order`` (positions by descending τ̂) and walks each
-        row's candidates in scan order — ascending by (pair time,
-        participant position) — so the first alive candidate *is* the
-        row's first minimum, the dense tie-break.  The loop first tries
-        scan column 0 through two precomputed column-0 lists and falls
-        back to the full row walk when that fastest candidate was already
-        claimed.  That fallback is the common case on random-k graphs: at
-        50k agents with ``top_k = 8``, 20 975 of the 27 466 visited rows
-        (76 %) found their first candidate claimed, against 5 312 of
-        29 457 (18 %) on a ring.  The loop records rows and scan columns
-        only; :meth:`_plan_columns` turns them into the plan's columns in
-        one vectorized pass.
+        Visits rows in ``order`` (positions by descending τ̂); each row no
+        earlier row claimed takes the first unclaimed candidate in its
+        scan order — ascending by (pair time, participant position), the
+        dense tie-break — and pairs with it when the pair time is below
+        its τ̂.  :func:`greedy_scan` computes those decisions as a matching
+        over the rows' stored candidates, in a few vectorized rounds
+        instead of one Python step per participant, and
+        :meth:`_plan_columns` turns its rows and scan columns into the
+        plan's columns in one vectorized pass.
         """
-        k = state.k
-        infinity = float("inf")
-        first_row = state.scan_rows[:, 0].tolist()
-        first_time = state.scan_times[:, 0].tolist()
-        scan_rows = state.scan_rows
-        scan_times = state.scan_times
-        alive = (state.pos_of_row >= 0).tolist()
-        # Per decision, in decision order: the slow row and the helper row
-        # (-1 when training alone); per pair: the chosen scan column.
-        slow_rows: list[int] = []
-        fast_rows: list[int] = []
-        pair_columns: list[int] = []
-
-        for i, own_time in zip(
-            state.row_of_pos[order].tolist(), taus[order].tolist()
-        ):
-            if not alive[i]:
-                continue
-            best_time = infinity
-            best_column = -1
-            j = first_row[i]
-            if j >= 0:
-                if alive[j]:
-                    best_time = first_time[i]
-                    best_column = 0
-                else:
-                    # Fastest candidate already claimed: walk the rest of
-                    # the row's scan order.
-                    row_rows = scan_rows[i].tolist()
-                    row_times = scan_times[i].tolist()
-                    for column in range(1, k):
-                        j = row_rows[column]
-                        if j < 0:
-                            break
-                        if alive[j]:
-                            best_time = row_times[column]
-                            best_column = column
-                            break
-            slow_rows.append(i)
-            alive[i] = False
-            if best_time < own_time:
-                fast_rows.append(j)
-                pair_columns.append(best_column)
-                alive[j] = False
-            else:
-                fast_rows.append(-1)
-
+        slow_rows, fast_rows, pair_columns, rounds = greedy_scan(
+            state.scan_rows,
+            state.scan_times,
+            state.scan_count,
+            state.row_of_pos[order],
+            taus[order],
+        )
+        self.stats.scan_rounds += rounds
+        self.stats.last_scan_rounds = rounds
         return self._plan_columns(
             state, taus, vectors, slow_rows, fast_rows, pair_columns
         )
@@ -709,11 +687,11 @@ class PrunedPlanner:
         state: PlannerState,
         taus: np.ndarray,
         vectors: AgentVectors,
-        slow_rows: list[int],
-        fast_rows: list[int],
-        pair_columns: list[int],
+        slow_rows: np.ndarray,
+        fast_rows: np.ndarray,
+        pair_columns: np.ndarray,
     ) -> PairingPlan:
-        """The plan's columns from the scan's row lists.
+        """The plan's columns from the scan's rows and scan columns.
 
         Solo rows carry their τ̂ as slow and pair time.  The pairs'
         estimates are a vectorized
@@ -724,11 +702,9 @@ class PrunedPlanner:
         always offload (> 0 layers), so only the oracle's offloading branch
         is mirrored.
         """
-        slow_row_all = np.asarray(slow_rows, dtype=np.int64)
-        fast_row_all = np.asarray(fast_rows, dtype=np.int64)
-        slow_all = state.pos_of_row[slow_row_all]
+        slow_all = state.pos_of_row[slow_rows]
         count = len(slow_all)
-        paired = fast_row_all >= 0
+        paired = fast_rows >= 0
         fast_id = np.full(count, -1, dtype=np.int64)
         layers = np.zeros(count, dtype=np.int64)
         slow_time = taus[slow_all]
@@ -737,14 +713,13 @@ class PrunedPlanner:
         fast_offload_time = np.zeros(count)
         pair_time = slow_time.copy()
 
-        if pair_columns:
+        if pair_columns.size:
             profile = self.profile
-            columns = np.asarray(pair_columns, dtype=np.int64)
-            pair_rows = slow_row_all[paired]
+            pair_rows = slow_rows[paired]
             slow_idx = slow_all[paired]
-            fast_idx = state.pos_of_row[fast_row_all[paired]]
-            split_idx = state.scan_split[pair_rows, columns]
-            bandwidth = state.scan_bw[pair_rows, columns]
+            fast_idx = state.pos_of_row[fast_rows[paired]]
+            split_idx = state.scan_split[pair_rows, pair_columns]
+            bandwidth = state.scan_bw[pair_rows, pair_columns]
             busy = taus[fast_idx]
 
             slow_batches = vectors.batches[slow_idx]
@@ -789,6 +764,127 @@ class PrunedPlanner:
 
 
 # ----------------------------------------------------------------------
+# Greedy scan as a matching
+# ----------------------------------------------------------------------
+
+def greedy_scan(
+    scan_rows: np.ndarray,
+    scan_times: np.ndarray,
+    scan_count: np.ndarray,
+    visit_rows: np.ndarray,
+    visit_taus: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Algorithm 1's Pairing over the rows' scan orders, computed as a matching.
+
+    The sequential scan visits ``visit_rows`` in order.  A row no earlier
+    row has claimed walks the first ``scan_count`` candidates of its scan
+    order (``scan_rows``, with ascending ``scan_times``), takes the first
+    unclaimed one, and pairs with it when the pair time is below the row's
+    τ̂ (``visit_taus``); otherwise it trains alone.
+
+    An *edge* is a (row, scan column) whose candidate is visited later
+    than the row and whose pair time is below the row's τ̂.  A candidate
+    visited earlier is claimed by the row's turn (so is a row not visited
+    at all, a tombstone), and a row whose first unclaimed candidate is not
+    below its τ̂ has no later one that is, since its times ascend.  The
+    scan's pairs are therefore exactly the lexicographically-first maximal
+    matching of the edges in (visit rank, scan column) order, and greedy
+    matching in a fixed order is parallel in few rounds (Blelloch, Fineman
+    & Shun, SPAA 2012).  Each round commits every edge that is its row's
+    first remaining edge, has no remaining edge into its row, and is the
+    smallest remaining edge into its candidate, so no smaller edge touches
+    it; then it drops the edges that touch a matched row.  Once a round
+    commits fewer than :data:`_MIN_ROUND_PAIRS` pairs, one sequential pass
+    over the remaining edges finishes the match, each row in visit order
+    taking its first unclaimed candidate.
+
+    A row never lists itself (the topology has no self-loops, and the
+    complete-graph pool drops the member).
+
+    Returns, per decision in visit order, the slow row and the helper row
+    (−1 when training alone); the scan column of each pair; and the number
+    of matching rounds.
+    """
+    n = visit_rows.size
+    k = scan_rows.shape[1]
+    counts = scan_count[visit_rows]
+    total = int(counts.sum())
+    starts = np.cumsum(counts) - counts
+    # Each edge's flat index into the (rows, k) arrays, in (visit rank,
+    # scan column) order; ranks stand for rows from here on.
+    flat = np.repeat(visit_rows * k - starts, counts) + np.arange(total)
+    source = np.repeat(np.arange(n), counts)
+    rank_of_row = np.full(scan_rows.shape[0], -1, dtype=np.int64)
+    rank_of_row[visit_rows] = np.arange(n)
+    target = rank_of_row.take(scan_rows.ravel().take(flat))
+    edges = target > source
+    edges &= scan_times.ravel().take(flat) < visit_taus.take(source)
+    if not edges.all():
+        # Real pricing drops no edge; when a filter does, compress through
+        # indices, which beats a scattered boolean mask (so do the rounds).
+        kept = np.flatnonzero(edges)
+        source, target, flat = source.take(kept), target.take(kept), flat.take(kept)
+
+    partner = np.full(n, -1, dtype=np.int64)
+    pair_flat = np.zeros(n, dtype=np.int64)
+    matched = np.zeros(n, dtype=bool)
+    rounds = 0
+    while source.size:
+        rounds += 1
+        heads = np.flatnonzero(np.concatenate(([True], source[1:] != source[:-1])))
+        # The lowest rank with a remaining edge into each row (n: none).
+        # A head is the smallest edge into its candidate exactly when its
+        # row is that lowest rank: a row's edges start at its head.
+        lowest = np.full(n, n, dtype=np.int64)
+        np.minimum.at(lowest, target, source)
+        head_source = source.take(heads)
+        commit = heads[
+            (lowest.take(head_source) == n)
+            & (lowest.take(target.take(heads)) == head_source)
+        ]
+        slow = source.take(commit)
+        fast = target.take(commit)
+        partner[slow] = fast
+        pair_flat[slow] = flat.take(commit)
+        matched[slow] = True
+        matched[fast] = True
+        kept = np.flatnonzero(~(matched.take(source) | matched.take(target)))
+        source, target, flat = source.take(kept), target.take(kept), flat.take(kept)
+        if commit.size < _MIN_ROUND_PAIRS:
+            break
+
+    if source.size:
+        sources = source.tolist()
+        targets = target.tolist()
+        bounds = (np.flatnonzero(source[1:] != source[:-1]) + 1).tolist()
+        claimed = [False] * n
+        chosen = []
+        for start, end in zip([0, *bounds], [*bounds, len(sources)]):
+            i = sources[start]
+            if claimed[i]:
+                continue
+            for edge in range(start, end):
+                j = targets[edge]
+                if not claimed[j]:
+                    claimed[i] = claimed[j] = True
+                    chosen.append(edge)
+                    break
+        chosen = np.asarray(chosen, dtype=np.int64)
+        partner[source[chosen]] = target[chosen]
+        pair_flat[source[chosen]] = flat[chosen]
+
+    helper = np.zeros(n, dtype=bool)
+    helper[partner[partner >= 0]] = True
+    decisions = np.flatnonzero(~helper)
+    fast = partner[decisions]
+    paired = fast >= 0
+    slow_rows = visit_rows[decisions]
+    fast_rows = np.where(paired, visit_rows[fast], -1)
+    pair_columns = pair_flat[decisions[paired]] - slow_rows[paired] * k
+    return slow_rows, fast_rows, pair_columns, rounds
+
+
+# ----------------------------------------------------------------------
 # Internals
 # ----------------------------------------------------------------------
 
@@ -798,12 +894,13 @@ def _headroom(rows: int) -> int:
 
 
 def _row_arrays(capacity: int, k: int) -> dict:
-    """Padding-filled ``(capacity, k)`` scan arrays."""
+    """Padding-filled ``(capacity, k)`` scan arrays and their row counts."""
     return {
         "scan_times": np.full((capacity, k), np.inf),
         "scan_rows": np.full((capacity, k), -1, dtype=np.int64),
         "scan_split": np.zeros((capacity, k), dtype=np.int64),
         "scan_bw": np.zeros((capacity, k)),
+        "scan_count": np.zeros(capacity, dtype=np.int64),
     }
 
 
@@ -834,7 +931,8 @@ def _compact(state: PlannerState, retained_rows: np.ndarray, arrivals: int) -> n
     Copies the live rows, in row order, to the front of new arrays sized
     with headroom, and remaps candidate rows.  A live row that lists a
     tombstoned row re-costs this plan, so that reference simply becomes
-    −1.  Returns the new rows of ``retained_rows``.
+    −1, and the row's count stops there, as the scan does at its first −1.
+    Returns the new rows of ``retained_rows``.
     """
     live = np.nonzero(state.pos_of_row[: state.used] >= 0)[0]
     new_of_old = np.full(state.scan_times.shape[0] + 1, -1, dtype=np.int64)
@@ -845,7 +943,14 @@ def _compact(state: PlannerState, retained_rows: np.ndarray, arrivals: int) -> n
     for name, array in arrays.items():
         array[: live.size] = getattr(state, name)[live]
     # Index -1 (padding) reads the table's extra last slot, which is -1.
-    arrays["scan_rows"][: live.size] = new_of_old[arrays["scan_rows"][: live.size]]
+    remapped = new_of_old[arrays["scan_rows"][: live.size]]
+    arrays["scan_rows"][: live.size] = remapped
+    # Every column past a row's count is padding (−1), so the first −1 of
+    # the remapped row is the count cut at the first tombstone.
+    cut = remapped < 0
+    arrays["scan_count"][: live.size] = np.where(
+        cut.any(axis=1), cut.argmax(axis=1), state.k
+    )
     for name, array in arrays.items():
         setattr(state, name, array)
     state.pos_of_row = np.full(capacity, -1, dtype=np.int64)
@@ -926,16 +1031,22 @@ def _store_scan_order(
     order = np.lexsort((times, pos_flat))
     pos_sorted = pos_flat[order]
     times = times[order]
-    counts = np.bincount(pos_sorted, minlength=len(state.row_of_pos))
+    n = len(state.row_of_pos)
+    counts = np.bincount(pos_sorted, minlength=n)
     starts = np.cumsum(counts) - counts
     offsets = np.arange(pos_sorted.size) - starts[pos_sorted]
     rows = state.row_of_pos[pos_sorted]
+    finite = np.isfinite(times)
     state.scan_times[rows, offsets] = times
     state.scan_rows[rows, offsets] = np.where(
-        np.isfinite(times), state.row_of_pos[cols_flat[order]], -1
+        finite, state.row_of_pos[cols_flat[order]], -1
     )
     state.scan_split[rows, offsets] = best_index[order]
     state.scan_bw[rows, offsets] = bw_flat[order]
+    # Finite times sort first, so each row's candidates are its finite ones.
+    finite_counts = np.bincount(pos_sorted[finite], minlength=n)
+    listed = np.flatnonzero(finite_counts)
+    state.scan_count[state.row_of_pos[listed]] = finite_counts[listed]
 
 
 def _complete_graph_candidates(

@@ -1,7 +1,10 @@
 """Tests for the baseline training methods."""
 
+import numpy as np
 import pytest
 
+from repro.agents.registry import AgentRegistry
+from repro.agents.resources import ResourceProfile
 from repro.baselines import (
     AllReduceDML,
     BrainTorrent,
@@ -11,9 +14,11 @@ from repro.baselines import (
     baseline_by_name,
 )
 from repro.core.config import ComDMLConfig
-from repro.core.timing import bottleneck_bandwidth
+from repro.core.timing import FALLBACK_BANDWIDTH_MBPS, bottleneck_bandwidth
 from repro.models.resnet import resnet56_spec
 from repro.network.allreduce import halving_doubling_allreduce
+from repro.sim.costs import DEFAULT_LINK_LATENCY_SECONDS
+from repro.utils.units import mbps_to_bytes_per_second
 
 ALL_BASELINES = [FedAvg, FedProx, AllReduceDML, GossipLearning, BrainTorrent]
 
@@ -116,6 +121,28 @@ class TestBaselineSpecifics:
         assert communication == halving_doubling_allreduce(
             trainer.model_bytes(), len(agents), bottleneck_bandwidth(agents)
         ).time_seconds
+
+    def test_disconnected_rounds_price_at_the_fallback_bandwidth(self):
+        """With no participant connected, AllReduce and BrainTorrent both
+        aggregate at ``FALLBACK_BANDWIDTH_MBPS``."""
+        registry = AgentRegistry.build(
+            num_agents=4,
+            rng=np.random.default_rng(0),
+            profiles=[ResourceProfile(cpu, 0.0) for cpu in (2.0, 1.0, 0.5, 0.2)],
+        )
+        agents = registry.agents
+        fallback = mbps_to_bytes_per_second(FALLBACK_BANDWIDTH_MBPS)
+
+        allreduce = build(AllReduceDML, registry)
+        _, _, communication = allreduce.round_timing(agents)
+        assert communication == halving_doubling_allreduce(
+            allreduce.model_bytes(), len(agents), fallback
+        ).time_seconds
+
+        braintorrent = build(BrainTorrent, registry)
+        _, _, communication = braintorrent.round_timing(agents)
+        per_transfer = DEFAULT_LINK_LATENCY_SECONDS + braintorrent.model_bytes() / fallback
+        assert communication == 2.0 * (len(agents) - 1) * per_transfer
 
     @pytest.mark.parametrize("cls", ALL_BASELINES)
     def test_no_pairs_reported(self, cls, small_registry):

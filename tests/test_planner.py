@@ -1,17 +1,20 @@
 """Tests for the scalable round planner (`repro.core.planner`).
 
-Two contracts are enforced.  First, *exactness under full candidate
+Three contracts are enforced.  First, *exactness under full candidate
 budget*: with ``k ≥ n − 1`` the pruned planner must be decision-identical
 to the dense kernel and the scalar oracle for any population and topology.
 Second, *incremental soundness*: replaying dynamics events against a
 persistent planner must yield the same plan a from-scratch planner would
 produce, while recomputing only the dirtied rows (the O(d·k·s) bound,
-checked through the planner's operation counters).
+checked through the planner's operation counters).  Third, *scan
+exactness*: the greedy scan, computed as a matching, takes the decisions
+of the sequential loop in ``tests/scan_reference.py`` on any scan state.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import hypothesis
 import numpy as np
@@ -21,11 +24,12 @@ from hypothesis import given, settings, strategies as st
 from repro.agents.agent import Agent
 from repro.agents.registry import AgentRegistry
 from repro.agents.resources import ResourceProfile
+from repro.core import planner as planner_module
 from repro.core.comdml import ComDML
 from repro.core.config import ComDMLConfig
 from repro.core.fastpath import agent_attrs, agent_vectors_from_attrs
 from repro.core.pairing import PairingPlan, greedy_pairing, greedy_pairing_reference
-from repro.core.planner import PrunedPlanner
+from repro.core.planner import PrunedPlanner, greedy_scan
 from repro.core.profiling import profile_architecture
 from repro.core.scheduler import DecentralizedPairingScheduler
 from repro.core.workload import individual_training_time
@@ -37,6 +41,7 @@ from repro.network.topology import (
     random_topology,
     ring_topology,
 )
+from scan_reference import greedy_scan_reference
 from strategies import DETERMINISM_SETTINGS
 
 PROFILE = profile_architecture(resnet56_spec(), granularity=9)
@@ -552,6 +557,25 @@ class TestInvalidationByCause:
             assert planner.state.dead == 0
         assert planner.stats.last_rows_recomputed < len(agents)
 
+    def test_compaction_cuts_a_count_at_a_tombstoned_candidate(self):
+        """A candidate row that compacts away becomes −1 where it stood,
+        and the row's count stops there, as the sequential scan does."""
+        rng = np.random.default_rng(4)
+        agents = [_random_agent(agent_id, rng) for agent_id in range(300)]
+        planner = PrunedPlanner(PROFILE, _link_model(agents, "random-k", 0), top_k=8)
+        planner.plan(agents)
+        state = planner.state
+        row = int(np.flatnonzero(state.scan_count >= 3)[0])
+        gone = state.scan_rows[row, 1]
+        state.pos_of_row[gone] = -1
+        state.dead += 1
+        live = np.flatnonzero(state.pos_of_row[: state.used] >= 0)
+        new_rows = planner_module._compact(state, live, arrivals=0)
+        moved = int(new_rows[live == row][0])
+        assert state.scan_count[moved] == 1
+        assert state.scan_rows[moved, 1] == -1
+        assert state.scan_rows[moved, 2] >= 0
+
 
 class TestCarriedExactBudget:
     """One planner carried through resampled rounds, as a Table III cell
@@ -660,6 +684,24 @@ class TestRecostCounts:
         planner.plan(agents)
         assert planner.stats.last_rows_recomputed == 6
 
+    def test_counts_end_at_each_rows_first_gap(self, planned):
+        """Every live row's ``scan_count`` is the number of its candidates,
+        after a full build and after a churn that leaves a row with none."""
+        planner, _, agents = planned
+
+        def assert_counts(state):
+            listed = state.scan_rows[state.row_of_pos] >= 0
+            first_gap = np.where(listed.all(axis=1), state.k, (~listed).argmax(axis=1))
+            assert (state.scan_count[state.row_of_pos] == first_gap).all()
+
+        assert_counts(planner.state)
+        victim = agents[7]
+        assert planner.state.scan_count[planner.state.row_of_pos[7]] > 0
+        victim.update_profile(ResourceProfile(victim.profile.cpu_share, 0.0))
+        planner.plan(agents)
+        assert_counts(planner.state)
+        assert planner.state.scan_count[planner.state.row_of_pos[7]] == 0
+
     def test_rows_stay_in_place_across_an_arrival_and_a_departure(self, planned):
         planner, topology, agents = planned
         state = planner.state
@@ -680,6 +722,174 @@ class TestRecostCounts:
         )
         fresh = PrunedPlanner(PROFILE, planner.link_model, top_k=32)
         _assert_same_plan(planner.plan(agents), fresh.plan(agents))
+
+
+# ----------------------------------------------------------------------
+# Greedy scan: the matching against the sequential loop
+# ----------------------------------------------------------------------
+#: Pair times and τ̂ values the scan states draw from, with their weights.
+#: Few distinct values, so ties are common in both, and times fall below,
+#: at and above τ̂; most rows keep a time below τ̂, so most states pair.
+SCAN_TIMES = np.array([0.5, 1.0, 2.0, 3.0, np.inf])
+SCAN_TIME_WEIGHTS = [0.3, 0.3, 0.2, 0.15, 0.05]
+SCAN_TAUS = np.array([0.5, 1.0, 2.0, 3.0, 4.0, np.inf, -np.inf, np.nan])
+SCAN_TAU_WEIGHTS = [0.05, 0.1, 0.2, 0.2, 0.25, 0.1, 0.05, 0.05]
+
+
+@st.composite
+def scan_states(draw):
+    """A planner state's scan arrays and visit order, built directly.
+
+    Draws what the pricing never produces: candidates the scan visits
+    earlier, pair times at or above τ̂, NaN and infinite τ̂, ties in τ̂ and
+    in pair time, candidates that are tombstoned rows, duplicate
+    candidates, and a −1 cut mid-row (what a compaction leaves) with
+    candidates after it.  Dense states list every other row at
+    ``k = n − 1``, each row the same helpers in the same order.  Each
+    row's times ascend, as ``_store_scan_order`` writes them.
+
+    No row lists itself.  The topology has no self-loops and the
+    complete-graph pool drops the member itself, so the planner never
+    stores one; the sequential scan would pair such a row with itself,
+    because it tests the candidate before it marks the row claimed.
+
+    Returns ``(scan_rows, scan_times, scan_count, pos_of_row, visit_rows,
+    visit_taus)``; the visit order is the planner's, by descending τ̂.
+    """
+    n = draw(st.integers(min_value=2, max_value=40))
+    dead = draw(st.integers(min_value=0, max_value=5))
+    spare = draw(st.integers(min_value=0, max_value=3))
+    dense = draw(st.booleans())
+    k = n - 1 if dense else draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    used = n + dead
+    capacity = used + spare
+    row_of_pos = rng.permutation(used)[:n]
+    pos_of_row = np.full(capacity, -1, dtype=np.int64)
+    pos_of_row[row_of_pos] = np.arange(n)
+    helpers = rng.permutation(row_of_pos)
+
+    scan_rows = np.full((capacity, k), -1, dtype=np.int64)
+    scan_times = np.full((capacity, k), np.inf)
+    scan_count = np.zeros(capacity, dtype=np.int64)
+    for row in range(used):
+        if dense:
+            listed = helpers[helpers != row][:k]
+        else:
+            others = np.delete(np.arange(used), row)
+            size = int(rng.integers(0, k + 1)) if others.size else 0
+            listed = rng.choice(others, size=size)
+        count = len(listed)
+        scan_rows[row, :count] = listed
+        scan_times[row, :count] = np.sort(
+            rng.choice(SCAN_TIMES, size=count, p=SCAN_TIME_WEIGHTS)
+        )
+        if count and rng.random() < 0.2:
+            count = int(rng.integers(0, count))
+            scan_rows[row, count] = -1
+        scan_count[row] = count
+
+    taus = rng.choice(SCAN_TAUS, size=n, p=SCAN_TAU_WEIGHTS)
+    order = np.argsort(-taus, kind="stable")
+    return (
+        scan_rows,
+        scan_times,
+        scan_count,
+        pos_of_row,
+        row_of_pos[order],
+        taus[order],
+    )
+
+
+class TestGreedyScanMatching:
+    """``greedy_scan`` takes the sequential scan's decisions, on any state."""
+
+    #: Switch points the property runs at: 0 never hands off, so the
+    #: rounds alone finish the match; larger values hand off after the
+    #: first round that commits fewer pairs.
+    SWITCH_POINTS = (0, 1, 2, 3, planner_module._MIN_ROUND_PAIRS)
+
+    @hypothesis.seed(20261034)
+    @settings(DETERMINISM_SETTINGS, max_examples=400)
+    @given(state=scan_states())
+    def test_matching_equals_the_sequential_scan(self, state):
+        scan_rows, scan_times, scan_count, pos_of_row, visit_rows, visit_taus = state
+        expected = greedy_scan_reference(
+            scan_rows, scan_times, pos_of_row, visit_rows, visit_taus
+        )
+        for switch in self.SWITCH_POINTS:
+            with mock.patch.object(planner_module, "_MIN_ROUND_PAIRS", switch):
+                slow_rows, fast_rows, pair_columns, _ = greedy_scan(
+                    scan_rows, scan_times, scan_count, visit_rows, visit_taus
+                )
+            got = (slow_rows.tolist(), fast_rows.tolist(), pair_columns.tolist())
+            assert got == expected, f"switch point {switch}"
+
+    @staticmethod
+    def _reference_pairs(planner, agents) -> list[tuple[int, int]]:
+        """(slow id, helper id or −1) per decision, by the sequential scan
+        over the planner's stored state."""
+        state = planner.state
+        taus = agent_vectors_from_attrs(agent_attrs(agents), PROFILE).individual_times
+        order = np.argsort(-taus, kind="stable")
+        slow_rows, fast_rows, _ = greedy_scan_reference(
+            state.scan_rows,
+            state.scan_times,
+            state.pos_of_row,
+            state.row_of_pos[order],
+            taus[order],
+        )
+        ids = state.ids_array[state.pos_of_row]
+        return [
+            (int(ids[slow]), int(ids[fast]) if fast >= 0 else -1)
+            for slow, fast in zip(slow_rows, fast_rows)
+        ]
+
+    def test_ring_plan_matches_in_rounds(self):
+        """A sparse round commits many pairs per matching round: a
+        1 000-agent ring's first round commits at least
+        ``_MIN_ROUND_PAIRS``, so the rounds carry on past it."""
+        rng = np.random.default_rng(5)
+        agents = _build_agents(
+            [
+                (
+                    float(rng.choice([4.0, 2.0, 1.0, 0.5, 0.2])),
+                    float(rng.choice([10.0, 20.0, 50.0, 100.0])),
+                    int(rng.integers(200, 3_000)),
+                    100,
+                )
+                for _ in range(1_000)
+            ]
+        )
+        planner = PrunedPlanner(PROFILE, _link_model(agents, "ring", 0), top_k=32)
+        plan = planner.plan(agents)
+        assert planner.stats.last_scan_rounds >= 2
+        assert planner.stats.report()["scan_rounds"] == planner.stats.last_scan_rounds
+        pairs = list(zip(plan.slow_id.tolist(), plan.fast_id.tolist()))
+        assert pairs == self._reference_pairs(planner, agents)
+
+    def test_dense_plan_hands_off_after_its_first_round(self):
+        """At ``k = n − 1`` every slow agent wants the same helpers, so the
+        first round commits a handful of pairs and the sequential pass
+        finishes the match."""
+        rng = np.random.default_rng(6)
+        agents = _build_agents(
+            [
+                (
+                    float(rng.choice([4.0, 2.0, 1.0, 0.5, 0.2])),
+                    float(rng.choice([10.0, 20.0, 50.0, 100.0])),
+                    int(rng.integers(200, 3_000)),
+                    100,
+                )
+                for _ in range(100)
+            ]
+        )
+        link_model = _link_model(agents, "full", 0)
+        planner = _full_budget_planner(agents, link_model)
+        plan = planner.plan(agents)
+        assert planner.state.k == len(agents) - 1
+        assert planner.stats.last_scan_rounds == 1
+        assert list(plan) == greedy_pairing(agents, link_model, PROFILE)
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,7 @@ PROFILE = profile_architecture(RESNET56, granularity=9)
 # ----------------------------------------------------------------------
 # Units
 # ----------------------------------------------------------------------
+@hypothesis.seed(20261035)
 @given(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
 def test_bandwidth_roundtrip(mbps):
     assert bytes_per_second_to_mbps(mbps_to_bytes_per_second(mbps)) == pytest.approx(mbps)
@@ -45,6 +46,7 @@ def test_bandwidth_roundtrip(mbps):
 # ----------------------------------------------------------------------
 # Partitioning invariants
 # ----------------------------------------------------------------------
+@hypothesis.seed(20261036)
 @given(
     total=st.integers(min_value=10, max_value=2_000),
     agents=st.integers(min_value=1, max_value=10),
@@ -57,6 +59,7 @@ def test_partition_sizes_sum_to_total(total, agents):
     assert all(size >= 1 for size in sizes)
 
 
+@hypothesis.seed(20261037)
 @given(
     num_samples=st.integers(min_value=20, max_value=400),
     num_agents=st.integers(min_value=2, max_value=8),
@@ -73,6 +76,7 @@ def test_iid_partition_is_a_partition(num_samples, num_agents, num_classes, seed
     assert len(np.unique(combined)) == num_samples
 
 
+@hypothesis.seed(20261038)
 @given(
     num_samples=st.integers(min_value=30, max_value=300),
     num_agents=st.integers(min_value=2, max_value=6),
@@ -93,6 +97,7 @@ def test_dirichlet_partition_is_a_partition(num_samples, num_agents, alpha, seed
 # ----------------------------------------------------------------------
 # AllReduce invariants
 # ----------------------------------------------------------------------
+@hypothesis.seed(20261039)
 @given(
     num_vectors=st.integers(min_value=1, max_value=6),
     dimension=st.integers(min_value=1, max_value=20),
@@ -109,6 +114,7 @@ def test_allreduce_average_bounded_by_extremes(num_vectors, dimension, seed):
     assert np.all(average <= stacked.max(axis=0) + 1e-9)
 
 
+@hypothesis.seed(20261040)
 @given(
     model_bytes=st.floats(min_value=1e3, max_value=1e8),
     num_agents=st.integers(min_value=2, max_value=256),
@@ -125,6 +131,7 @@ def test_allreduce_algorithms_move_same_volume(model_bytes, num_agents, bandwidt
 # ----------------------------------------------------------------------
 # Compression invariants
 # ----------------------------------------------------------------------
+@hypothesis.seed(20261041)
 @given(
     bits=st.integers(min_value=2, max_value=16),
     seed=st.integers(min_value=0, max_value=500),
@@ -143,6 +150,7 @@ def test_quantization_error_bounded(bits, seed):
 # ----------------------------------------------------------------------
 # Softmax / one-hot invariants
 # ----------------------------------------------------------------------
+@hypothesis.seed(20261042)
 @given(
     rows=st.integers(min_value=1, max_value=8),
     cols=st.integers(min_value=2, max_value=12),
@@ -156,6 +164,7 @@ def test_softmax_is_a_distribution(rows, cols, seed):
     assert np.allclose(probs.sum(axis=1), 1.0)
 
 
+@hypothesis.seed(20261043)
 @given(
     count=st.integers(min_value=1, max_value=50),
     classes=st.integers(min_value=2, max_value=20),
@@ -173,6 +182,7 @@ def test_one_hot_rows_sum_to_one(count, classes, seed):
 # ----------------------------------------------------------------------
 # Privacy invariants
 # ----------------------------------------------------------------------
+@hypothesis.seed(20261044)
 @given(
     clip_norm=st.floats(min_value=0.1, max_value=100.0),
     seed=st.integers(min_value=0, max_value=500),
@@ -185,6 +195,7 @@ def test_dp_clipping_never_exceeds_norm(clip_norm, seed):
     assert np.linalg.norm(mechanism.clip(vector)) <= clip_norm + 1e-9
 
 
+@hypothesis.seed(20261045)
 @given(
     num_patches=st.integers(min_value=1, max_value=32),
     features=st.integers(min_value=1, max_value=64),
@@ -209,6 +220,7 @@ AGENT_STRATEGY = st.tuples(
 )
 
 
+@hypothesis.seed(20261046)
 @given(
     slow=AGENT_STRATEGY,
     fast=AGENT_STRATEGY,
@@ -229,6 +241,7 @@ def test_offload_estimate_invariants(slow, fast, offload):
     assert estimate.idle_time >= 0
 
 
+@hypothesis.seed(20261047)
 @given(
     population=st.lists(AGENT_STRATEGY, min_size=2, max_size=8),
 )
@@ -259,6 +272,7 @@ def test_greedy_pairing_invariants(population):
 # ----------------------------------------------------------------------
 # Pairing-plan invariants through the scheduler and the runtime
 # ----------------------------------------------------------------------
+@hypothesis.seed(20261048)
 @given(
     population=st.lists(AGENT_STRATEGY, min_size=2, max_size=8),
     seed=st.integers(min_value=0, max_value=200),
@@ -329,6 +343,7 @@ def test_scheduler_plan_covers_participants_exactly_once(
 # ----------------------------------------------------------------------
 # Quorum-policy invariants
 # ----------------------------------------------------------------------
+@hypothesis.seed(20261049)
 @given(
     durations=st.lists(
         st.floats(min_value=0.1, max_value=1e4), min_size=1, max_size=12
@@ -353,6 +368,7 @@ def test_resolve_quorum_invariants(durations, target, deadline):
     assert close <= latest + 1e-9
 
 
+@hypothesis.seed(20261050)
 @given(
     fraction=st.floats(min_value=0.05, max_value=1.0),
     makespans=st.lists(
@@ -395,6 +411,7 @@ def test_quorum_policies_always_yield_executable_decisions(
 # ----------------------------------------------------------------------
 # Arrival/departure invariants through the dynamic runtime
 # ----------------------------------------------------------------------
+@hypothesis.seed(20261051)
 @given(
     seed=st.integers(min_value=0, max_value=30),
     num_arrivals=st.integers(min_value=0, max_value=2),
@@ -475,6 +492,7 @@ def test_dynamic_population_bookkeeping_invariants(
                 assert event.timestamp <= departures[agent_id] + 1e-9
 
 
+@hypothesis.seed(20261052)
 @given(
     seed=st.integers(min_value=0, max_value=50),
     num_agents=st.integers(min_value=2, max_value=6),

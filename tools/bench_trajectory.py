@@ -53,6 +53,10 @@ SCALING_BENCH = "test_planner_round_speed"
 SCALING_TOPOLOGY = "random-k"
 SCALING_POPULATIONS = (50, 500, 5_000, 50_000)
 
+#: The ungated planner dynamics bench; ci prints its mean matching rounds
+#: per plan with the scaling column's.
+DYNAMICS_BENCH = "test_planner_dynamics_round_speed"
+
 #: Same-run pair gated by --planner-dense-ratio: the pruned planner's
 #: 5 000-agent steady-state round must stay under this multiple of the
 #: dense kernel's 500-agent round (the ISSUE 6 acceptance bar is 1.0).
@@ -121,6 +125,24 @@ def scaling_exponent(benches: dict) -> float | None:
     mean_y = sum(y for _, y in points) / len(points)
     denominator = sum((x - mean_x) ** 2 for x, _ in points)
     return sum((x - mean_x) * (y - mean_y) for x, y in points) / denominator
+
+
+def scan_rounds_per_plan(benches: dict) -> list[tuple[str, float]]:
+    """Mean greedy-scan matching rounds per plan, by planner bench.
+
+    The scaling column's points in population order, then the dynamics
+    bench; benches that did not run or record the count are left out.
+    """
+    names = [
+        f"{SCALING_BENCH}[{SCALING_TOPOLOGY}-{population}]"
+        for population in SCALING_POPULATIONS
+    ]
+    names.append(DYNAMICS_BENCH)
+    return [
+        (name, benches[name]["extra"]["scan_rounds"])
+        for name in names
+        if "scan_rounds" in benches.get(name, {}).get("extra", {})
+    ]
 
 
 def event_overhead_exponents(benches: dict) -> dict[str, float | None] | None:
@@ -387,6 +409,8 @@ def main(argv: list[str] | None = None) -> int:
             f"planner scaling exponent ({SCALING_TOPOLOGY}, "
             f"n={'/'.join(map(str, SCALING_POPULATIONS))}): {exponent:.2f}"
         )
+    for name, rounds in scan_rounds_per_plan(snap["benches"]):
+        print(f"greedy-scan matching rounds per plan, {name}: {rounds:.1f}")
     if args.max_exponent is not None:
         if exponent is None:
             print("check: scaling-curve benches missing from the suite")
