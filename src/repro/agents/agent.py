@@ -33,10 +33,7 @@ class Agent:
     profile:
         Current :class:`~repro.agents.resources.ResourceProfile`.
     num_samples:
-        Number of local training samples (the paper's ``N_i``).  Fixed
-        once the agent is registered: an
-        :class:`~repro.agents.registry.AgentRegistry` keeps a running
-        total of it.
+        Number of local training samples (the paper's ``N_i``).
     batch_size:
         Local mini-batch size (the paper uses 100).
     local_epochs:
@@ -46,6 +43,13 @@ class Agent:
     model_state:
         Learning-plane state (parameters of the local model); opaque to the
         timing plane.
+
+    An :class:`~repro.agents.registry.AgentRegistry` keeps a copy of the
+    timing-plane attributes in its columns while it holds the agent.
+    ``num_samples``, ``batch_size`` and ``local_epochs`` are therefore fixed
+    once the agent is registered (the registry also keeps a running total
+    of ``num_samples``), and a registered agent's profile changes only
+    through :meth:`update_profile`, which writes the registry's cells too.
     """
 
     agent_id: int
@@ -55,6 +59,10 @@ class Agent:
     local_epochs: int = 1
     data_indices: Optional[Any] = None
     model_state: Optional[Any] = field(default=None, repr=False)
+
+    #: The registry holding this agent, if any.  Not a field, so it takes
+    #: no part in equality or ``repr``; copies and pickles leave it out.
+    _registry = None
 
     def __post_init__(self) -> None:
         check_non_negative(self.num_samples, "num_samples")
@@ -100,6 +108,8 @@ class Agent:
     def update_profile(self, profile: ResourceProfile) -> None:
         """Replace the agent's resource profile (dynamic churn)."""
         self.profile = profile
+        if self._registry is not None:
+            self._registry._store_profile(self)
 
     @property
     def is_connected(self) -> bool:
@@ -108,3 +118,8 @@ class Agent:
 
     def __hash__(self) -> int:
         return hash(self.agent_id)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_registry", None)
+        return state

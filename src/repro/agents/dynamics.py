@@ -41,15 +41,22 @@ def churn_agent_profiles(
     Unknown ids are skipped (the agent may have departed before the churn
     event fired).  Returns the ids whose profile actually changed, in the
     order given.
+
+    Each profile entry is drawn as ``rng.integers(len(pool))``: that is the
+    index ``rng.choice(pool)`` draws from a 1-D pool, so the profiles and
+    the generator's state equal those of ``choice``, which first converts
+    the pool to an array on every call.
     """
     changed: list[int] = []
+    draw = rng.integers
+    cpu_count, bandwidth_count = len(cpu_profiles), len(bandwidth_profiles)
     for agent_id in agent_ids:
         if agent_id not in registry:
             continue
         agent = registry.get(agent_id)
         new_profile = ResourceProfile(
-            cpu_share=float(rng.choice(cpu_profiles)),
-            bandwidth_mbps=float(rng.choice(bandwidth_profiles)),
+            cpu_share=float(cpu_profiles[draw(cpu_count)]),
+            bandwidth_mbps=float(bandwidth_profiles[draw(bandwidth_count)]),
         )
         agent.update_profile(new_profile)
         changed.append(agent_id)
@@ -90,14 +97,14 @@ class ResourceChurn:
 
         Returns the ids of agents whose profile changed.
         """
-        agents = registry.agents
-        count = int(round(self.fraction * len(agents)))
+        ids = registry.id_column()
+        count = int(round(self.fraction * len(ids)))
         if count == 0:
             return []
-        chosen = rng.choice(len(agents), size=count, replace=False)
+        chosen = rng.choice(len(ids), size=count, replace=False)
         return churn_agent_profiles(
             registry,
-            [agents[int(index)].agent_id for index in chosen],
+            ids[chosen].tolist(),
             rng,
             cpu_profiles=self.cpu_profiles,
             bandwidth_profiles=self.bandwidth_profiles,

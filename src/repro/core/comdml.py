@@ -33,7 +33,7 @@ from repro.core.profiling import SplitProfile, profile_architecture
 from repro.core.scheduler import DecentralizedPairingScheduler
 from repro.core.timing import (
     FALLBACK_BANDWIDTH_MBPS,
-    bottleneck_bandwidth,
+    bottleneck_of_mbps,
     compute_round_timing,
 )
 from repro.core.workload import estimate_offload_time, individual_training_time
@@ -140,25 +140,23 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
             num_pairs=timing.num_pairs,
         )
 
-    def _registered_agents(self, agent_ids) -> list[Agent]:
-        return [
-            self.registry.get(agent_id)
-            for agent_id in agent_ids
-            if agent_id in self.registry
-        ]
-
     def semi_sync_aggregation_seconds(
         self, plan: RoundPlan, kept: PairingPlan
     ) -> float:
-        """Re-price the AllReduce over only the agents that made the quorum."""
+        """Re-price the AllReduce over only the agents that made the quorum.
+
+        The bottleneck is :func:`~repro.core.timing.bottleneck_of_mbps` of
+        the registered members' link speeds; with no registered member the
+        AllReduce costs nothing.
+        """
         involved = set(kept.agent_ids())
-        agents = self._registered_agents(involved)
-        if not agents:
+        mbps = self.registry.bandwidth_mbps_column(involved)
+        if np.isnan(mbps).all():
             return 0.0
         return allreduce_time(
             model_bytes=self.profile.full_model_bytes,
             num_agents=max(1, len(involved)),
-            bottleneck_bandwidth_bytes_per_second=bottleneck_bandwidth(agents),
+            bottleneck_bandwidth_bytes_per_second=bottleneck_of_mbps(mbps),
         )
 
     def async_unit_aggregation_seconds(

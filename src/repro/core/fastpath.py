@@ -43,6 +43,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.agents.agent import Agent
+from repro.agents.registry import COLUMNS, gather_columns
 from repro.core.profiling import SplitProfile
 from repro.core.workload import OffloadEstimate, estimate_offload_time
 from repro.sim.costs import BASELINE_FLOPS_PER_SECOND, DEFAULT_LINK_LATENCY_SECONDS
@@ -122,16 +123,18 @@ class AgentVectors:
 
 @dataclass(frozen=True)
 class AgentAttrs:
-    """Raw per-agent attribute columns, extracted in one pass per round.
+    """Raw per-agent attribute columns, extracted once per round.
 
-    One Python sweep over the agents yields every input the planner needs
-    — the planning vectors (:func:`agent_vectors_from_attrs`), the change
-    -detection signature matrix, and the access-bandwidth vector — so the
-    per-round Python cost is a handful of attribute list comprehensions
-    instead of one pass per derived quantity.
+    They hold every input the planner needs — the participant ids, the
+    planning vectors (:func:`agent_vectors_from_attrs`), the change
+    -detection signature matrix, and the access-bandwidth vector.  The
+    fields follow the order of the registry's
+    :data:`~repro.agents.registry.COLUMNS`.
 
     Attributes
     ----------
+    agent_id:
+        The agents' ids (int64).
     cpu_share / bandwidth_mbps:
         The :class:`~repro.agents.resources.ResourceProfile` columns
         (float64).
@@ -139,6 +142,7 @@ class AgentAttrs:
         The workload columns (int64).
     """
 
+    agent_id: np.ndarray
     cpu_share: np.ndarray
     bandwidth_mbps: np.ndarray
     num_samples: np.ndarray
@@ -174,10 +178,26 @@ class AgentAttrs:
 
 
 def agent_attrs(agents: Sequence[Agent]) -> AgentAttrs:
-    """Extract the raw per-agent attribute columns for one round."""
+    """Extract the raw per-agent attribute columns for one round.
+
+    A registry's :class:`~repro.agents.registry.AgentSelection` is read as
+    one gather per column over its rows; any other sequence one agent at a
+    time.
+    """
+    columns = gather_columns(agents, *(name for name, _, _ in COLUMNS))
+    if columns is None:
+        return _read_agent_attrs(agents)
+    return AgentAttrs(*columns)
+
+
+def _read_agent_attrs(agents: Sequence[Agent]) -> AgentAttrs:
+    """:func:`agent_attrs` of agents that are not a registry selection."""
     n = len(agents)
     profiles = [agent.profile for agent in agents]
     return AgentAttrs(
+        agent_id=np.fromiter(
+            (agent.agent_id for agent in agents), dtype=np.int64, count=n
+        ),
         cpu_share=np.fromiter(
             (profile.cpu_share for profile in profiles),
             dtype=np.float64,

@@ -314,18 +314,17 @@ class PrunedPlanner:
     # ------------------------------------------------------------------
     def plan(self, participants: Sequence[Agent]) -> PairingPlan:
         """Plan one round; returns the pairing decisions as columns."""
-        agents = list(participants)
-        n = len(agents)
+        n = len(participants)
         if n == 0:
             return PairingPlan.empty()
         self._drain_journal()
-        attrs = agent_attrs(agents)
+        attrs = agent_attrs(participants)
         vectors = agent_vectors_from_attrs(attrs, self.profile)
         taus = vectors.individual_times
         sig = attrs.signature_matrix()
         access = attrs.access_bandwidth()
-        ids = tuple(agent.agent_id for agent in agents)
-        ids_array = np.fromiter(ids, dtype=np.int64, count=n)
+        ids_array = attrs.agent_id
+        ids = tuple(ids_array.tolist())
         threshold = self.prune_threshold
         budget = self.top_k if threshold is None or n >= threshold else n - 1
         k = max(min(budget, n - 1), 1)

@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.agents.agent import Agent
+from repro.agents.registry import gather_columns
 from repro.core.pairing import PairingPlan
 from repro.core.profiling import SplitProfile
 from repro.network.allreduce import allreduce_time
@@ -52,15 +55,35 @@ class RoundTiming:
 def bottleneck_bandwidth(agents: Sequence[Agent]) -> float:
     """Slowest connected agent's link speed (bytes/s) among the participants.
 
-    The minimum is taken in Mbps and converted once: the correctly rounded
-    ``x * 10**6 / 8`` is monotone in ``x``, so this equals the minimum of
-    the converted speeds.
+    A registry selection is read as a gather of its ``bandwidth_mbps``
+    cells; any other sequence one agent at a time.
     """
-    speeds = (agent.profile.bandwidth_mbps for agent in agents)
-    slowest = min(
-        (mbps for mbps in speeds if mbps > 0), default=FALLBACK_BANDWIDTH_MBPS
-    )
+    columns = gather_columns(agents, "bandwidth_mbps")
+    mbps = columns[0] if columns is not None else _link_speeds(agents)
+    return bottleneck_of_mbps(mbps)
+
+
+def bottleneck_of_mbps(mbps: np.ndarray) -> float:
+    """:func:`bottleneck_bandwidth` of a column of link speeds in Mbps.
+
+    Only positive speeds are links: 0 is a disconnected agent and NaN an
+    unregistered one.  With no link, the aggregation runs at
+    ``FALLBACK_BANDWIDTH_MBPS``.  The minimum is taken in Mbps and
+    converted once: the correctly rounded ``x * 10**6 / 8`` is monotone in
+    ``x``, so this equals the minimum of the converted speeds.
+    """
+    links = mbps[mbps > 0]
+    slowest = float(links.min()) if links.size else FALLBACK_BANDWIDTH_MBPS
     return mbps_to_bytes_per_second(slowest)
+
+
+def _link_speeds(agents: Sequence[Agent]) -> np.ndarray:
+    """The agents' ``bandwidth_mbps``, read one agent at a time."""
+    return np.fromiter(
+        (agent.profile.bandwidth_mbps for agent in agents),
+        dtype=np.float64,
+        count=len(agents),
+    )
 
 
 def compute_round_timing(

@@ -238,14 +238,20 @@ def participation_fraction(
     if total == 0:
         return 1.0
     if isinstance(decisions, PairingPlan):
-        involved = set(decisions.agent_ids())
+        involved = decisions.agent_ids()
     else:
-        involved = set()
-        for decision in decisions:
-            involved.add(decision.slow_id)
-            if decision.fast_id is not None:
-                involved.add(decision.fast_id)
+        involved = _decision_agent_ids(decisions)
     return min(1.0, registry.samples_of(involved) / total)
+
+
+def _decision_agent_ids(decisions: Sequence[PairingDecision]) -> list[int]:
+    """Every agent a list of decisions involves, one decision at a time."""
+    involved = []
+    for decision in decisions:
+        involved.append(decision.slow_id)
+        if decision.fast_id is not None:
+            involved.append(decision.fast_id)
+    return involved
 
 
 def solo_decisions(

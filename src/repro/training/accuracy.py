@@ -101,9 +101,6 @@ class ProxyAccuracyTracker:
         agent_datasets: dict[int, Dataset],
         test_dataset: Dataset,
         batch_size: int = 100,
-        local_epochs: int = 1,
-        momentum: float = 0.9,
-        weight_decay: float = 0.0,
         seed: int = 0,
         activation_transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         parameter_transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
@@ -118,17 +115,10 @@ class ProxyAccuracyTracker:
         self.global_model: Sequential = factory.build(self._init_rng)
         self.global_parameters = get_flat_parameters(self.global_model)
         self.local_trainer = LocalTrainer(
-            batch_size=batch_size,
-            local_epochs=local_epochs,
-            momentum=momentum,
-            weight_decay=weight_decay,
-            rng=np.random.default_rng(seed + 2),
+            batch_size=batch_size, rng=np.random.default_rng(seed + 2)
         )
         self.split_trainer = LocalLossSplitTrainer(
             batch_size=batch_size,
-            local_epochs=local_epochs,
-            momentum=momentum,
-            weight_decay=weight_decay,
             rng=np.random.default_rng(seed + 3),
             activation_transform=activation_transform,
         )

@@ -59,8 +59,6 @@ class LocalLossSplitTrainer:
     def __init__(
         self,
         learning_rate: float = 0.001,
-        momentum: float = 0.9,
-        weight_decay: float = 0.0,
         batch_size: int = 100,
         local_epochs: int = 1,
         rng: Optional[np.random.Generator] = None,
@@ -69,8 +67,6 @@ class LocalLossSplitTrainer:
         check_positive(batch_size, "batch_size")
         check_positive(local_epochs, "local_epochs")
         self.learning_rate = learning_rate
-        self.momentum = momentum
-        self.weight_decay = weight_decay
         self.batch_size = int(batch_size)
         self.local_epochs = int(local_epochs)
         self._rng = rng if rng is not None else np.random.default_rng(0)
@@ -97,18 +93,8 @@ class LocalLossSplitTrainer:
 
         slow_loss_fn = CrossEntropyLoss()
         fast_loss_fn = CrossEntropyLoss()
-        slow_optimizer = SGD(
-            split_model.slow_parameters(),
-            learning_rate=learning_rate,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-        )
-        fast_optimizer = SGD(
-            split_model.fast_parameters(),
-            learning_rate=learning_rate,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-        )
+        slow_optimizer = SGD(split_model.slow_parameters(), learning_rate=learning_rate)
+        fast_optimizer = SGD(split_model.fast_parameters(), learning_rate=learning_rate)
         loader = BatchLoader(
             dataset, batch_size=self.batch_size, shuffle=True, rng=self._rng
         )
@@ -162,12 +148,7 @@ class LocalLossSplitTrainer:
     ) -> SplitTrainingResult:
         """Full-model training when ``offloaded_layers == 0``."""
         loss_fn = CrossEntropyLoss()
-        optimizer = SGD(
-            split_model.slow_side.parameters(),
-            learning_rate=learning_rate,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-        )
+        optimizer = SGD(split_model.slow_side.parameters(), learning_rate=learning_rate)
         loader = BatchLoader(
             dataset, batch_size=self.batch_size, shuffle=True, rng=self._rng
         )

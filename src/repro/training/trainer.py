@@ -2,7 +2,7 @@
 
 Used by every baseline and by the fast agent's own task in ComDML: the agent
 trains the full model on its local shard for ``local_epochs`` epochs with
-SGD + momentum.
+SGD at its defaults (momentum 0.9, no weight decay).
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ class LocalTrainer:
     def __init__(
         self,
         learning_rate: float = 0.001,
-        momentum: float = 0.9,
-        weight_decay: float = 0.0,
         batch_size: int = 100,
         local_epochs: int = 1,
         proximal_mu: float = 0.0,
@@ -52,8 +50,6 @@ class LocalTrainer:
         if proximal_mu < 0:
             raise ValueError(f"proximal_mu must be non-negative, got {proximal_mu}")
         self.learning_rate = learning_rate
-        self.momentum = momentum
-        self.weight_decay = weight_decay
         self.batch_size = int(batch_size)
         self.local_epochs = int(local_epochs)
         self.proximal_mu = proximal_mu
@@ -76,12 +72,7 @@ class LocalTrainer:
             return 0.0
         learning_rate = learning_rate if learning_rate is not None else self.learning_rate
         loss_fn = CrossEntropyLoss()
-        optimizer = SGD(
-            model.parameters(),
-            learning_rate=learning_rate,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-        )
+        optimizer = SGD(model.parameters(), learning_rate=learning_rate)
         loader = BatchLoader(
             dataset, batch_size=self.batch_size, shuffle=True, rng=self._rng
         )

@@ -31,7 +31,12 @@ from repro.sim.events import Event
 def unit_aggregation_seconds(strategy, plan, unit: WorkUnit) -> float:
     """Cost of one unit's gossip aggregation, priced when the unit completes."""
     if isinstance(strategy, ComDML):
-        agents = strategy._registered_agents(unit.agent_ids)
+        registry = strategy.registry
+        agents = [
+            registry.get(agent_id)
+            for agent_id in unit.agent_ids
+            if agent_id in registry
+        ]
         if not agents:
             return 0.0
         return transfer_time_seconds(

@@ -8,6 +8,7 @@ Test modules import the package as ``strategies``: the suite has no
 ``tests/__init__.py``, so pytest puts ``tests/`` itself on ``sys.path``.
 """
 
+from strategies.registry import registry_ops
 from strategies.runs import (
     AGENT_COUNTS,
     async_scenarios,
@@ -23,4 +24,5 @@ __all__ = [
     "async_scenarios",
     "build_schedule",
     "dynamics_recipes",
+    "registry_ops",
 ]

@@ -3,8 +3,35 @@
 import numpy as np
 import pytest
 
-from repro.agents.dynamics import ResourceChurn
+from repro.agents.dynamics import ResourceChurn, churn_agent_profiles
 from repro.agents.registry import AgentRegistry
+from repro.agents.resources import (
+    CONNECTED_BANDWIDTH_PROFILES_MBPS,
+    CPU_PROFILES,
+    ResourceProfile,
+)
+
+
+def churn_with_choice(
+    registry,
+    agent_ids,
+    rng,
+    cpu_profiles=CPU_PROFILES,
+    bandwidth_profiles=CONNECTED_BANDWIDTH_PROFILES_MBPS,
+):
+    """``churn_agent_profiles`` as it drew through ``rng.choice``: the oracle."""
+    changed = []
+    for agent_id in agent_ids:
+        if agent_id not in registry:
+            continue
+        agent = registry.get(agent_id)
+        new_profile = ResourceProfile(
+            cpu_share=float(rng.choice(cpu_profiles)),
+            bandwidth_mbps=float(rng.choice(bandwidth_profiles)),
+        )
+        agent.update_profile(new_profile)
+        changed.append(agent_id)
+    return changed
 
 
 class TestChurnTrigger:
@@ -59,3 +86,35 @@ class TestChurnApplication:
         churn = ResourceChurn(fraction=1.0, interval_rounds=1)
         churn.apply(registry, np.random.default_rng(4))
         assert all(agent.is_connected for agent in registry)
+
+
+class TestChurnDraws:
+    @pytest.mark.parametrize(
+        "pools",
+        [
+            (CPU_PROFILES, CONNECTED_BANDWIDTH_PROFILES_MBPS),
+            ((1.0,), (10.0, 20.0)),
+            ((4.0, 0.5, 0.2), (0.0, 100.0, 10.0)),
+        ],
+        ids=["paper", "one-cpu", "custom"],
+    )
+    def test_draws_what_rng_choice_drew(self, pools):
+        cpu_profiles, bandwidth_profiles = pools
+        for seed in range(50):
+            ids = [3, 17, 0, 3, -1, 11, 5]
+            registries, generators, changed = [], [], []
+            for churn in (churn_agent_profiles, churn_with_choice):
+                registry = AgentRegistry.build(12, np.random.default_rng(seed))
+                rng = np.random.default_rng(seed + 1_000)
+                changed.append(
+                    churn(registry, ids, rng, cpu_profiles, bandwidth_profiles)
+                )
+                registries.append(registry)
+                generators.append(rng)
+            assert changed[0] == changed[1] == [3, 0, 3, 11, 5]
+            assert [agent.profile for agent in registries[0]] == [
+                agent.profile for agent in registries[1]
+            ]
+            assert (
+                generators[0].bit_generator.state == generators[1].bit_generator.state
+            )

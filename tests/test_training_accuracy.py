@@ -11,6 +11,8 @@ from repro.models.proxy import ProxyModelFactory
 from repro.models.resnet import resnet56_spec
 from repro.training.accuracy import CurveAccuracyTracker, ProxyAccuracyTracker
 from repro.training.curves import LearningCurveModel, curve_preset_for
+from repro.training.local_loss import LocalLossSplitTrainer
+from repro.training.trainer import LocalTrainer
 
 
 def solo_decision(agent_id, time=10.0):
@@ -50,6 +52,17 @@ def proxy_setup():
 
 
 class TestProxyAccuracyTracker:
+    @pytest.mark.parametrize("knob", ["local_epochs", "momentum", "weight_decay"])
+    def test_unset_training_knobs_are_gone(self, proxy_setup, knob):
+        """Every run trained at SGD's defaults and one local epoch."""
+        factory, datasets, test = proxy_setup
+        with pytest.raises(TypeError):
+            ProxyAccuracyTracker(factory, datasets, test, **{knob: 1})
+        for trainer in (LocalTrainer, LocalLossSplitTrainer):
+            if knob != "local_epochs":
+                with pytest.raises(TypeError):
+                    trainer(**{knob: 0.5})
+
     def test_solo_training_improves_accuracy(self, proxy_setup):
         factory, datasets, test = proxy_setup
         tracker = ProxyAccuracyTracker(factory, datasets, test, batch_size=50, seed=0)
