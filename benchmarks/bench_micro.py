@@ -499,7 +499,9 @@ def _steady_runtime_rounds(benchmark, mode: str, population: int) -> None:
     departures mid-round from a seeded dynamics schedule instead, so its
     flight table re-costs and abandons units.  ``tools/bench_trajectory.py``
     fits the growth of the semi-sync and async medians over the sync one
-    across the populations (``--event-exponent``).
+    across the populations (``--event-exponent``).  ``extra_info`` records
+    the mean batch rows per engine run of the timed rounds
+    (``rows_per_batch_run``), where they fire batches.
     """
     agents = _planner_population(population)
     ids = [agent.agent_id for agent in agents]
@@ -522,6 +524,8 @@ def _steady_runtime_rounds(benchmark, mode: str, population: int) -> None:
     )
     trainer.run_round(0)  # cold planner build, outside the timer
     rounds = iter(range(1, RUNTIME_ROUNDS + 1))
+    engine = trainer.runtime.engine
+    before = (engine.batch_runs, engine.batch_rows)
 
     def steady_round():
         return trainer.run_round(next(rounds))
@@ -529,6 +533,11 @@ def _steady_runtime_rounds(benchmark, mode: str, population: int) -> None:
     record = benchmark.pedantic(steady_round, rounds=RUNTIME_ROUNDS, iterations=1)
     assert record.duration_seconds > 0
     trainer.trace.check_conservation()
+    runs = engine.batch_runs - before[0]
+    if runs:
+        benchmark.extra_info["rows_per_batch_run"] = (
+            engine.batch_rows - before[1]
+        ) / runs
 
 
 @pytest.mark.parametrize(
@@ -541,10 +550,10 @@ def _steady_runtime_rounds(benchmark, mode: str, population: int) -> None:
 )
 def test_runtime_round_speed(benchmark, population, mode):
     """Steady ComDML rounds: closed-form sync, and semi-sync and async on
-    the flight table (a round's completions one engine batch, one engine
-    step per unit; async prices its gossip as one column and adds its
-    aggregations as a second batch, one engine step per unit, and steps
-    the learning plane once per trace flush).
+    the flight table (a round's completions one engine batch, fired a run
+    of due rows per engine step; async prices its gossip as one column and
+    adds its aggregations as a second batch, which interleaves with the
+    first, and steps the learning plane once per trace flush).
 
     Population is the outer loop, so the three modes of one population
     run back to back and a drift in the host's speed shifts all three.

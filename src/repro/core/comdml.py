@@ -32,8 +32,8 @@ from repro.core.planner import PrunedPlanner
 from repro.core.profiling import SplitProfile, profile_architecture
 from repro.core.scheduler import DecentralizedPairingScheduler
 from repro.core.timing import (
-    FALLBACK_BANDWIDTH_MBPS,
     bottleneck_of_mbps,
+    bottleneck_of_mbps_rows,
     compute_round_timing,
 )
 from repro.core.workload import estimate_offload_time, individual_training_time
@@ -49,7 +49,6 @@ from repro.sim.costs import DEFAULT_LINK_LATENCY_SECONDS
 from repro.training.accuracy import AccuracyTracker, CurveAccuracyTracker
 from repro.training.curves import LearningCurveModel
 from repro.utils.seeding import SeedSequenceFactory
-from repro.utils.units import BITS_PER_BYTE
 
 
 class ComDML(StrategyDefaults, RuntimeDelegate):
@@ -166,10 +165,9 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
 
         Per row, :func:`~repro.sim.costs.transfer_time_seconds` of the
         model over :func:`~repro.core.timing.bottleneck_bandwidth`
-        of the unit's registered members, as columns: the slowest connected
-        member's link, or ``FALLBACK_BANDWIDTH_MBPS`` when none is connected.
-        A unit with no registered member costs nothing, and so does a
-        zero-byte model.
+        of the unit's registered members, as columns
+        (:func:`~repro.core.timing.bottleneck_of_mbps_rows`).  A unit with
+        no registered member costs nothing, and so does a zero-byte model.
         """
         decisions = plan.decisions
         slow = self.registry.bandwidth_mbps_column(decisions.slow_id[rows])
@@ -177,13 +175,8 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
         model_bytes = self.profile.full_model_bytes
         if model_bytes == 0:
             return np.zeros(len(rows))
-        # Unregistered members read NaN and disconnected ones 0: not links.
-        slowest = np.minimum(
-            np.where(slow > 0, slow, np.inf), np.where(fast > 0, fast, np.inf)
-        )
-        slowest[slowest == np.inf] = FALLBACK_BANDWIDTH_MBPS
-        costs = DEFAULT_LINK_LATENCY_SECONDS + model_bytes / (
-            slowest * 1_000_000 / BITS_PER_BYTE
+        costs = DEFAULT_LINK_LATENCY_SECONDS + model_bytes / bottleneck_of_mbps_rows(
+            slow, fast
         )
         costs[np.isnan(slow) & np.isnan(fast)] = 0.0
         return costs

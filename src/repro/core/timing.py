@@ -11,7 +11,7 @@ the Table I decomposition and the Figure 1 illustration read the per-pair
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from repro.agents.registry import gather_columns
 from repro.core.pairing import PairingPlan
 from repro.core.profiling import SplitProfile
 from repro.network.allreduce import allreduce_time
-from repro.utils.units import mbps_to_bytes_per_second
+from repro.utils.units import BITS_PER_BYTE, mbps_to_bytes_per_second
 
 #: Link speed an aggregation is priced at when no participant has a usable
 #: link: the slowest nominal profile, so the aggregation still completes.
@@ -63,18 +63,35 @@ def bottleneck_bandwidth(agents: Sequence[Agent]) -> float:
     return bottleneck_of_mbps(mbps)
 
 
-def bottleneck_of_mbps(mbps: np.ndarray) -> float:
-    """:func:`bottleneck_bandwidth` of a column of link speeds in Mbps.
+def _slowest_link_mbps(mbps: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
+    """The bottleneck policy: the slowest link along ``axis``, in Mbps.
 
     Only positive speeds are links: 0 is a disconnected agent and NaN an
     unregistered one.  With no link, the aggregation runs at
-    ``FALLBACK_BANDWIDTH_MBPS``.  The minimum is taken in Mbps and
-    converted once: the correctly rounded ``x * 10**6 / 8`` is monotone in
-    ``x``, so this equals the minimum of the converted speeds.
+    ``FALLBACK_BANDWIDTH_MBPS``.
     """
-    links = mbps[mbps > 0]
-    slowest = float(links.min()) if links.size else FALLBACK_BANDWIDTH_MBPS
-    return mbps_to_bytes_per_second(slowest)
+    slowest = np.where(mbps > 0, mbps, np.inf).min(axis=axis, initial=np.inf)
+    return np.where(slowest < np.inf, slowest, FALLBACK_BANDWIDTH_MBPS)
+
+
+def bottleneck_of_mbps(mbps: np.ndarray) -> float:
+    """:func:`bottleneck_bandwidth` of a column of link speeds in Mbps.
+
+    The minimum is taken in Mbps and converted once: the correctly rounded
+    ``x * 10**6 / 8`` is monotone in ``x``, so this equals the minimum of
+    the converted speeds.
+    """
+    return mbps_to_bytes_per_second(float(_slowest_link_mbps(mbps)))
+
+
+def bottleneck_of_mbps_rows(*columns: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`bottleneck_of_mbps`: row ``i`` over each column's row ``i``.
+
+    In bytes/s, converted as :func:`~repro.utils.units.mbps_to_bytes_per_second`
+    converts, so a row gives the float its one-row column would.
+    """
+    slowest = _slowest_link_mbps(np.stack(columns), axis=0)
+    return slowest * 1_000_000 / BITS_PER_BYTE
 
 
 def _link_speeds(agents: Sequence[Agent]) -> np.ndarray:

@@ -95,12 +95,15 @@ class _Flight:
     ``accuracy``, the learning plane's accuracy after the latest recorded
     aggregation.
 
-    The round's batch fires each row's completion under version 0.
-    Mid-round churn re-costs a unit by folding elapsed time into
-    ``progress``, re-pricing it through the strategy's ``reprice_unit`` hook
-    and scheduling a completion event under a bumped ``version``; a
-    departure abandons it and bumps the version too.  A completion whose
-    version is not the row's current one is stale and ignored when it fires.
+    The round's batch fires each row's completion under version 0, a run
+    of rows per engine call.  Mid-round churn re-costs a unit by folding
+    elapsed time into ``progress``, re-pricing it through the strategy's
+    ``reprice_unit`` hook and scheduling a completion event under a bumped
+    ``version``; a departure abandons it and bumps the version too.  A
+    completion whose version is not the row's current one is stale and
+    ignored when it fires.  ``on_done(row, at)`` runs for each counted
+    completion and returns True when the run must end there: the round
+    closed, or the hook scheduled an event.
 
     ``row_of`` maps each participant to its row: every participant is in
     exactly one unit.  ``log`` lists the done rows in completion order; in
@@ -144,7 +147,7 @@ class _Flight:
         self.closed = not count
         self.close_time = start
         self.close_elapsed = 0.0
-        self.on_done: Optional[Callable[[int, float], None]] = None
+        self.on_done: Optional[Callable[[int, float], bool]] = None
         self.on_abandon: Optional[Callable[[int], None]] = None
         self.on_recost: Optional[Callable[[int], None]] = None
 
@@ -629,30 +632,48 @@ class TrainingRuntime:
                 detail={"old_completion": old_completion, "new_completion": due},
             )
 
-    def _on_completion(
-        self, flight: _Flight, version: int, timestamp: float, row: int
-    ) -> None:
-        """A unit's completion fired; it counts if the unit is pending at ``version``.
+    def _on_completions(
+        self,
+        flight: _Flight,
+        version: int,
+        times: list[float],
+        rows: list[int],
+        lo: int,
+        hi: int,
+    ) -> int:
+        """Units' completions fired; each counts if its unit is pending at ``version``.
 
-        The round's batch fires every row at version 0; a re-costed unit's
-        own event carries its bumped version.  Anything else is stale: the
-        unit was re-costed, abandoned, or belongs to a closed round.
+        A run of the round's batch (see
+        :meth:`~repro.sim.engine.SimulationEngine.schedule_batch`): rows
+        ``rows[lo:hi]`` completed at ``times[lo:hi]``.  The batch fires
+        every row at version 0; a re-costed unit's own event carries its
+        bumped version.  Anything else is stale: the unit was re-costed,
+        abandoned, or belongs to a closed round, whose whole run is stale.
+        Returns how many rows fired: the run ends at the row whose
+        ``on_done`` asks for it.
         """
-        if (
-            flight is not self._flight
-            or flight.version[row] != version
-            or flight.state[row] != _PENDING
-        ):
-            return
-        flight.state[row] = _DONE
-        flight.log.append(row)
-        if flight.on_done is not None:
-            flight.on_done(row, timestamp)
+        if flight is not self._flight:
+            return hi - lo
+        current, state, log, on_done = (
+            flight.version,
+            flight.state,
+            flight.log,
+            flight.on_done,
+        )
+        for index in range(lo, hi):
+            row = rows[index]
+            if current[row] != version or state[row] != _PENDING:
+                continue
+            state[row] = _DONE
+            log.append(row)
+            if on_done is not None and on_done(row, times[index]):
+                return index - lo + 1
+        return hi - lo
 
     def _on_repriced_completion(self, event: Event) -> None:
         """The completion event a re-cost scheduled fired."""
         flight, row, version = event.payload
-        self._on_completion(flight, version, event.timestamp, row)
+        self._on_completions(flight, version, [event.timestamp], [row], 0, 1)
 
     def _start_dynamic_round(self, round_index: int) -> _Flight:
         """Shared prologue of the flight-table execution paths.
@@ -675,7 +696,7 @@ class TrainingRuntime:
         # Bound to this round's flight: rows still queued when the round
         # closes fire later as no-ops instead of landing in the next flight.
         self.engine.schedule_batch(
-            due, "unit_complete", functools.partial(self._on_completion, flight, 0)
+            due, "unit_complete", functools.partial(self._on_completions, flight, 0)
         )
         return flight
 
@@ -705,10 +726,11 @@ class TrainingRuntime:
         # when the two counters meet.
         state = {"completed": 0, "live": len(flight)}
 
-        def _on_done(row: int, at: float) -> None:
+        def _on_done(row: int, at: float) -> bool:
             state["completed"] += 1
             if state["completed"] == state["live"]:
                 flight.close(at, flight.elapsed[row])
+            return flight.closed
 
         def _on_abandon(row: int) -> None:
             state["live"] -= 1
@@ -839,9 +861,10 @@ class TrainingRuntime:
             ):
                 _close(at, elapsed)
 
-        def _on_done(row: int, at: float) -> None:
+        def _on_done(row: int, at: float) -> bool:
             state["completed"] += 1
             _maybe_close(at, flight.elapsed[row])
+            return flight.closed
 
         def _on_abandon(row: int) -> None:
             state["live"] -= 1
@@ -919,20 +942,30 @@ class TrainingRuntime:
         displaced: set[int] = set()
         state = {"outstanding": len(flight)}
 
-        def _aggregated(row: int, at: float) -> None:
+        def _aggregated(row: int, at: float) -> bool:
+            """Log the unit's aggregation; True when it closed the round."""
             flight.log.append(~row)
             state["outstanding"] -= 1
             if state["outstanding"] <= 0:
                 flight.close(at)
+            return flight.closed
 
-        def _on_batch_row(at: float, index: int) -> None:
-            row = unit_of[index]
-            if (
-                flight is self._flight
-                and not flight.version[row]
-                and row not in displaced
-            ):
-                _aggregated(row, at)
+        def _on_batch_run(
+            times: list[float], indices: list[int], lo: int, hi: int
+        ) -> int:
+            # A run of aggregations, version-0 undisplaced units' only; it
+            # ends at the one that closes the round.
+            if flight is self._flight:
+                version = flight.version
+                for index in range(lo, hi):
+                    row = unit_of[indices[index]]
+                    if (
+                        not version[row]
+                        and row not in displaced
+                        and _aggregated(row, times[index])
+                    ):
+                        return index - lo + 1
+            return hi - lo
 
         def _on_aggregation(event: Event) -> None:
             _aggregated(event.payload, event.timestamp)
@@ -947,7 +980,8 @@ class TrainingRuntime:
                 if flight.state[row] == _PENDING and not flight.version[row]:
                     displaced.add(row)
 
-        def _on_done(row: int, at: float) -> None:
+        def _on_done(row: int, at: float) -> bool:
+            # True when the unit's aggregation became an event of its own.
             if flight.version[row]:
                 cost = self.strategy.async_unit_aggregation_seconds(
                     plan, np.array([row])
@@ -955,8 +989,11 @@ class TrainingRuntime:
                 at = flight.aggregate_at[row] = at + max(0.0, float(cost[0]))
                 _schedule(row, at)
                 _displace(at)
-            elif row in displaced:
+                return True
+            if row in displaced:
                 _schedule(row, float(flight.aggregate_at[row]))
+                return True
+            return False
 
         def _on_recost(row: int) -> None:
             _displace(flight.due[row])
@@ -968,7 +1005,7 @@ class TrainingRuntime:
 
         # Bound to this round's flight, like the completions: rows still
         # queued when the round closes fire later as no-ops.
-        self.engine.schedule_batch(aggregate_at, "aggregation", _on_batch_row)
+        self.engine.schedule_batch(aggregate_at, "aggregation", _on_batch_run)
         flight.on_done = _on_done
         flight.on_abandon = _on_abandon
         flight.on_recost = _on_recost

@@ -37,9 +37,9 @@ class SimClock:
         ------
         ValueError
             If ``timestamp`` is earlier than the current time (the clock
-            never moves backwards).
+            never moves backwards), or NaN.
         """
-        if timestamp < self._now:
+        if not timestamp >= self._now:
             raise ValueError(
                 f"cannot move clock backwards: now={self._now}, target={timestamp}"
             )

@@ -19,10 +19,11 @@ time, which is what lets them land *mid-round* while work is in flight.
 Two driving styles coexist: :meth:`SimulationEngine.run_until` processes
 everything up to a known horizon (a sync round without a schedule, and
 every round's aggregation window), while :meth:`SimulationEngine.step`
-advances one event at a time until a caller's closure condition fires
-(the flight-table rounds, whose end a quorum, a deadline, the last gossip
-aggregation or mid-round churn decides as the round runs).  Both rely on the queue's total
-event order for bit-for-bit deterministic runs.
+advances one event or batch run at a time until a caller's closure
+condition fires (the flight-table rounds, whose end a quorum, a deadline,
+the last gossip aggregation or mid-round churn decides as the round runs).
+Both rely on the queue's total event order for bit-for-bit deterministic
+runs.  Timestamps must be finite: NaN has no place in that order.
 
 A batch changes none of that order: each of its rows fires under the key
 its own :meth:`SimulationEngine.schedule_at` call would have had, counts in
@@ -30,10 +31,19 @@ its own :meth:`SimulationEngine.schedule_at` call would have had, counts in
 observers as an :class:`~repro.sim.events.Event` built for them.  A row
 whose unit has since been re-costed or abandoned fires like any stale
 event: its callback recognises it and does nothing.
+
+The engine fires a batch a *run* at a time: the rows due before the next
+heap entry, in one callback call (the run contract is on
+:meth:`SimulationEngine.schedule_batch`).  The clock rule that comes with
+it: during the call the clock reads the run's first row, so per-row code
+takes its time from the row, never from :attr:`SimulationEngine.now`, and
+schedules at absolute times.  When the batch's kind has a handler or the
+engine an observer, every run is one row, fired as before.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Optional, Union
 
 import numpy as np
@@ -55,6 +65,8 @@ class SimulationEngine:
         self._handlers: dict[str, list[Callable[[Event], None]]] = {}
         self._observers: list[Callable[[Event], None]] = []
         self._processed = 0
+        self._batch_runs = 0
+        self._batch_rows = 0
 
     @property
     def now(self) -> float:
@@ -63,8 +75,18 @@ class SimulationEngine:
 
     @property
     def processed_events(self) -> int:
-        """Number of events executed so far."""
+        """Number of events executed so far; a batch row counts as one."""
         return self._processed
+
+    @property
+    def batch_runs(self) -> int:
+        """Number of batch runs fired so far: one callback call each."""
+        return self._batch_runs
+
+    @property
+    def batch_rows(self) -> int:
+        """Number of batch rows fired so far, over :attr:`batch_runs` runs."""
+        return self._batch_rows
 
     def schedule_at(
         self,
@@ -74,7 +96,9 @@ class SimulationEngine:
         priority: int = 0,
         callback: Optional[Callable[[Event], None]] = None,
     ) -> Event:
-        """Schedule an event at an absolute simulated time."""
+        """Schedule an event at an absolute, finite simulated time."""
+        if not math.isfinite(timestamp):
+            raise ValueError(f"event time must be finite, got {timestamp}")
         if timestamp < self.clock.now:
             raise ValueError(
                 f"cannot schedule in the past: now={self.clock.now}, at={timestamp}"
@@ -100,23 +124,41 @@ class SimulationEngine:
         self,
         timestamps: ArrayLike,
         kind: str,
-        callback: Callable[[float, int], None],
+        callback: Callable[[list[float], list[int], int, int], int],
     ) -> EventBatch:
         """Schedule one priority-0 event per row of ``timestamps`` at once.
 
         Row ``r`` fires exactly where ``schedule_at(timestamps[r], kind,
-        callback=...)`` calls made now in row order would fire it, and the
-        engine calls ``callback(timestamp, r)``.  The batch takes one heap
-        entry however many rows it has.
+        callback=...)`` calls made now in row order would fire it.  The
+        batch takes one heap entry however many rows it has, and fires in
+        runs: the rows due before the next heap entry (and by a
+        :meth:`run_until` horizon or within a :meth:`run` budget).  For a
+        run the engine calls ``callback(times, rows, lo, hi)``: rows
+        ``rows[lo:hi]`` are due, at ``times[lo:hi]``, in firing order.  The
+        callback fires rows from ``lo`` on, in order, and returns how many
+        it fired, at least 1.  It ends the run right after a row that
+        scheduled an event or that ends the caller's stepping (closes a
+        round): the new event may be due before the next row.
+
+        The engine advances the clock to ``times[lo]`` before the call, so
+        per-row code reads its time from ``times``, never from
+        :attr:`now`, and schedules at absolute times.  After the call it
+        advances the clock to the last fired row's time, queues the batch
+        under its next row and adds the count to
+        :attr:`processed_events`.  When a kind handler or an observer needs
+        each row as an :class:`Event`, every run is one row.
         """
         times = np.array(timestamps, dtype=np.float64)
         if times.ndim != 1:
             raise ValueError(f"batch timestamps must be 1-D, got shape {times.shape}")
-        if len(times) and times.min() < self.clock.now:
-            raise ValueError(
-                f"cannot schedule in the past: now={self.clock.now}, "
-                f"at={times.min()}"
-            )
+        if len(times):
+            if not np.isfinite(times).all():
+                raise ValueError("batch event times must be finite")
+            if times.min() < self.clock.now:
+                raise ValueError(
+                    f"cannot schedule in the past: now={self.clock.now}, "
+                    f"at={times.min()}"
+                )
         return self.queue.schedule_batch(times, kind, callback)
 
     def on(self, kind: str, handler: Callable[[Event], None]) -> None:
@@ -133,16 +175,26 @@ class SimulationEngine:
         self._observers.append(observer)
 
     def step(self) -> Optional[Union[Event, EventBatch]]:
-        """Process the next event (advancing the clock); ``None`` if empty.
+        """Process the next event or batch run (advancing the clock).
 
-        Returns the processed event.  For a batch row that no handler or
-        observer needed as an :class:`Event`, it returns the batch.
+        Returns the processed event, or ``None`` if the queue is empty.
+        For a batch run that no handler or observer needed as an
+        :class:`Event`, it returns the batch.
         """
         if not self.queue:
             return None
+        return self._fire(math.inf, math.inf)[0]
+
+    def _fire(
+        self, until: float, budget: float
+    ) -> tuple[Union[Event, EventBatch], int]:
+        """Process the next event, or a run of at most ``budget`` rows due by ``until``.
+
+        Returns what :meth:`step` returns and the number of events processed.
+        """
         event = self.queue.pop()
         if type(event) is EventBatch:
-            return self._fire_row(event)
+            return self._fire_run(event, until, budget)
         self.clock.advance_to(event.timestamp)
         if event.callback is not None:
             event.callback(event)
@@ -151,45 +203,63 @@ class SimulationEngine:
         for observer in self._observers:
             observer(event)
         self._processed += 1
-        return event
+        return event, 1
 
-    def _fire_row(self, batch: EventBatch) -> Union[Event, EventBatch]:
-        """Process a popped batch's next row and queue the batch for the one after."""
-        timestamp, row = self.queue.pop_row(batch)
-        self.clock.advance_to(timestamp)
-        batch.callback(timestamp, row)
+    def _fire_run(
+        self, batch: EventBatch, until: float, budget: float
+    ) -> tuple[Union[Event, EventBatch], int]:
+        """Fire a popped batch's run and queue the batch under its next row."""
+        lo, hi = self.queue.pop_run(batch, until)
         handlers = self._handlers.get(batch.kind)
-        if handlers or self._observers:
-            event = Event(timestamp, 0, batch.base + row, batch.kind, row)
-            for handler in handlers or ():
-                handler(event)
-            for observer in self._observers:
-                observer(event)
-            self._processed += 1
-            return event
-        self._processed += 1
-        return batch
+        observed = handlers or self._observers
+        if observed:
+            hi = lo + 1
+        elif hi - lo > budget:
+            hi = lo + budget
+        times, rows = batch.times, batch.rows
+        self.clock.advance_to(times[lo])
+        taken = batch.callback(times, rows, lo, hi)
+        if not 0 < taken <= hi - lo:
+            raise ValueError(
+                f"a batch callback fired {taken!r} of its {hi - lo} due rows"
+            )
+        last = lo + taken
+        self.clock.advance_to(times[last - 1])
+        self.queue.requeue(batch, last)
+        self._batch_runs += 1
+        self._batch_rows += taken
+        self._processed += taken
+        if not observed:
+            return batch, taken
+        row = rows[lo]
+        event = Event(times[lo], 0, batch.base + row, batch.kind, row)
+        for handler in handlers or ():
+            handler(event)
+        for observer in self._observers:
+            observer(event)
+        return event, 1
 
     def run_until(self, timestamp: float) -> int:
         """Process all events with ``event.timestamp <= timestamp``.
 
-        Returns the number of events processed.  The clock ends at
-        ``timestamp`` even if the last event fired earlier.
+        Returns the number of events processed, a batch row counting as
+        one.  The clock ends at ``timestamp`` even if the last event fired
+        earlier.
         """
         count = 0
         while self.queue and self.queue.peek().timestamp <= timestamp:
-            self.step()
-            count += 1
+            count += self._fire(timestamp, math.inf)[1]
         if timestamp > self.clock.now:
             self.clock.advance_to(timestamp)
         return count
 
     def run(self, max_events: Optional[int] = None) -> int:
-        """Drain the queue (optionally bounded); returns events processed."""
+        """Drain the queue (optionally bounded); returns events processed.
+
+        A batch row counts as one event, so a run stops at the budget.
+        """
         count = 0
-        while self.queue:
-            if max_events is not None and count >= max_events:
-                break
-            self.step()
-            count += 1
+        budget = math.inf if max_events is None else max_events
+        while self.queue and count < budget:
+            count += self._fire(math.inf, budget - count)[1]
         return count

@@ -3,7 +3,8 @@
 Events fire in ``(timestamp, priority, sequence)`` order.  The sequence
 number is a monotonically increasing tiebreaker assigned by the queue so
 that events scheduled at the same instant fire in insertion order — this
-keeps runs deterministic regardless of payload contents.
+keeps runs deterministic regardless of payload contents.  Timestamps are
+finite (the engine rejects NaN and infinities), so the order is total.
 
 The runtime leans on that total order in two ways worth knowing about:
 
@@ -22,13 +23,22 @@ An :class:`EventBatch` holds many same-kind events — a round's initial unit
 completions — as columns behind a single heap entry.  It reserves one
 sequence number per row, so every row fires under exactly the key its own
 :meth:`EventQueue.schedule` call would have given it, and the total order
-above is unchanged.
+above is unchanged.  Its rows are sorted by that key, so the rows due
+before everything else queued are a prefix of what is left, a *run*:
+:meth:`EventQueue.pop_run` bounds it with a bisection over the batch's
+times, and :meth:`EventQueue.requeue` puts the batch back under the first
+row its callback did not fire.  The engine fires a run with one
+``callback(times, rows, lo, hi)`` call that returns how many rows it
+fired; during the call the clock reads the run's first row, so per-row
+code takes its time from ``times`` (the contract is on
+:meth:`~repro.sim.engine.SimulationEngine.schedule_batch`).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Union
 
@@ -71,9 +81,10 @@ class EventBatch:
     queue reserves the block of sequences when the batch is scheduled.
     Rows fire in ``(timestamp, row)`` order: ``times`` and ``rows`` hold
     them in that order, ``position`` indexes the next one, and the queue
-    keys the batch's entry by it.  When a row fires, the engine calls
-    ``callback(timestamp, row)``; it builds no :class:`Event` unless a kind
-    handler or an observer needs one.
+    keys the batch's entry by it.  The engine fires a run of them with one
+    ``callback(times, rows, lo, hi)`` call (see
+    :meth:`~repro.sim.engine.SimulationEngine.schedule_batch`); it builds no
+    :class:`Event` unless a kind handler or an observer needs one.
     """
 
     __slots__ = ("kind", "callback", "base", "times", "rows", "position")
@@ -82,7 +93,7 @@ class EventBatch:
         self,
         timestamps: np.ndarray,
         kind: str,
-        callback: Callable[[float, int], None],
+        callback: Callable[[list[float], list[int], int, int], int],
         base: int,
     ) -> None:
         order = np.argsort(timestamps, kind="stable")
@@ -153,7 +164,7 @@ class EventQueue:
         self,
         timestamps: np.ndarray,
         kind: str,
-        callback: Callable[[float, int], None],
+        callback: Callable[[list[float], list[int], int, int], int],
     ) -> EventBatch:
         """Queue one priority-0 event per row, under consecutive sequences.
 
@@ -172,8 +183,8 @@ class EventQueue:
     def pop(self) -> Union[Event, EventBatch]:
         """Remove and return the earliest event, or the batch whose row is next.
 
-        A popped batch is out of the queue until :meth:`pop_row` takes its
-        due row and puts it back under the following one.
+        A popped batch is out of the queue until :meth:`requeue` puts it
+        back; :meth:`pop_run` says how far its due rows reach.
 
         Raises
         ------
@@ -184,20 +195,45 @@ class EventQueue:
             raise IndexError("pop from empty EventQueue")
         return heapq.heappop(self._heap)[3]
 
-    def pop_row(self, batch: EventBatch) -> tuple[float, int]:
-        """The due ``(timestamp, row)`` of a batch :meth:`pop` just returned.
+    def pop_run(self, batch: EventBatch, until: float) -> tuple[int, int]:
+        """The run ``(lo, hi)`` of a batch :meth:`pop` just returned.
 
-        The batch moves past that row and goes back in the queue, keyed by
-        its next row, unless it has none left.
+        ``lo`` is the batch's position, and rows ``lo..hi-1`` of its
+        ``times`` / ``rows`` are those whose key ``(time, 0, base + row)`` is
+        below the key ``(t, p, s)`` of the next heap entry and whose time is
+        at most ``until``: every row before ``t``; at ``t``, every row if
+        ``p > 0``, the rows with ``base + row < s`` if ``p == 0``, none if
+        ``p < 0``.  The batch's next row must be due by ``until``, so the
+        run holds at least that row.
         """
-        position = batch.position
-        batch.position = following = position + 1
-        times, rows = batch.times, batch.rows
-        if following < len(rows):
+        times = batch.times
+        lo = batch.position
+        end = len(times) if until >= times[-1] else bisect_right(times, until, lo)
+        if not self._heap:
+            return lo, end
+        t, p, s, _ = self._heap[0]
+        if t > times[end - 1]:
+            return lo, end
+        if p > 0:
+            return lo, bisect_right(times, t, lo, end)
+        hi = bisect_left(times, t, lo, end)
+        if not p:
+            rows, base = batch.rows, batch.base
+            while hi < end and times[hi] == t and base + rows[hi] < s:
+                hi += 1
+        return lo, hi
+
+    def requeue(self, batch: EventBatch, position: int) -> None:
+        """Move a popped batch to ``position`` and queue it under that row.
+
+        A batch with no row left stays out of the queue.
+        """
+        batch.position = position
+        if position < len(batch.rows):
             heapq.heappush(
-                self._heap, (times[following], 0, batch.base + rows[following], batch)
+                self._heap,
+                (batch.times[position], 0, batch.base + batch.rows[position], batch),
             )
-        return times[position], rows[position]
 
     def peek(self) -> Union[Event, EventBatch]:
         """Return (without removing) the earliest event or batch."""

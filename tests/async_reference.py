@@ -71,12 +71,14 @@ def run_round_async_reference(runtime, round_index: int):
         if state["outstanding"] <= 0:
             flight.close(event.timestamp)
 
-    def _on_done(row: int, at: float) -> None:
+    def _on_done(row: int, at: float) -> bool:
         unit = plan.unit(row)
         cost = max(0.0, unit_aggregation_seconds(runtime.strategy, plan, unit))
-        runtime.engine.schedule_after(
-            cost, kind="aggregation", payload=unit, callback=_aggregate
+        runtime.engine.schedule_at(
+            at + cost, kind="aggregation", payload=unit, callback=_aggregate
         )
+        # The aggregation may be due before the batch's next row.
+        return True
 
     def _on_abandon(row: int) -> None:
         state["outstanding"] -= 1

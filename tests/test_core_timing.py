@@ -1,11 +1,19 @@
 """Tests for round-timing assembly."""
 
+import numpy as np
 import pytest
 
 from repro.core.pairing import PairingPlan, greedy_pairing
-from repro.core.timing import bottleneck_bandwidth, compute_round_timing
+from repro.core.timing import (
+    FALLBACK_BANDWIDTH_MBPS,
+    bottleneck_bandwidth,
+    bottleneck_of_mbps,
+    bottleneck_of_mbps_rows,
+    compute_round_timing,
+)
 from repro.core.workload import individual_training_time
 from repro.network.allreduce import halving_doubling_allreduce
+from repro.utils.units import mbps_to_bytes_per_second
 
 
 class TestComputeRoundTiming:
@@ -78,3 +86,17 @@ class TestComputeRoundTiming:
         assert timing.makespan == 0.0
         assert timing.num_pairs == 0
         assert timing.aggregation_time == timing.total_time == 0.0
+
+
+class TestBottleneckPolicy:
+    def test_a_row_is_its_own_column(self):
+        """Links, disconnected (0) and unregistered (NaN) members, and no link."""
+        slow = np.array([100.0, 0.0, np.nan, 10.0, 0.0, np.nan, 5.5, 0.1])
+        fast = np.array([10.0, 50.0, 20.0, np.nan, 0.0, np.nan, 5.5, 80.0])
+        expected = [
+            bottleneck_of_mbps(np.array([a, b])) for a, b in zip(slow, fast)
+        ]
+        assert bottleneck_of_mbps_rows(slow, fast).tolist() == expected
+        fallback = mbps_to_bytes_per_second(FALLBACK_BANDWIDTH_MBPS)
+        assert expected[4] == expected[5] == fallback
+        assert bottleneck_of_mbps(np.array([])) == fallback

@@ -47,3 +47,9 @@ class TestSimClock:
 
     def test_repr_contains_time(self):
         assert "2.000" in repr(SimClock(start=2.0))
+
+    def test_advance_to_nan_rejected(self):
+        clock = SimClock(start=1.0)
+        with pytest.raises(ValueError):
+            clock.advance_to(float("nan"))
+        assert clock.now == 1.0

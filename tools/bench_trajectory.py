@@ -147,6 +147,24 @@ def scan_rounds_per_plan(benches: dict) -> list[tuple[str, float]]:
     ]
 
 
+def rows_per_batch_run(benches: dict) -> list[tuple[str, float]]:
+    """Mean batch rows per engine run of the event-driven round benches.
+
+    By mode, then population; benches that did not run or record the
+    count are left out.
+    """
+    names = [
+        f"{EVENT_BENCH}[{mode}-{population}]"
+        for mode in EVENT_MODES
+        for population in EVENT_POPULATIONS
+    ]
+    return [
+        (name, benches[name]["extra"]["rows_per_batch_run"])
+        for name in names
+        if "rows_per_batch_run" in benches.get(name, {}).get("extra", {})
+    ]
+
+
 def event_overhead_exponents(benches: dict) -> dict[str, float | None] | None:
     """Log-log slope of (mode min - sync min) between the two populations.
 
@@ -478,6 +496,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{mode} round overhead over the sync round, exponent "
             f"(n={'/'.join(map(str, EVENT_POPULATIONS))}): {shown}"
         )
+    for name, rows in rows_per_batch_run(snap["benches"]):
+        print(f"batch rows per engine run, {name}: {rows:.1f}")
     if args.event_exponent is not None:
         if exponents is None:
             print("check: runtime round benches missing from the suite")
