@@ -29,7 +29,7 @@ from repro.core.config import ComDMLConfig
 from repro.core.csr import IncrementalCsr
 from repro.core.fastpath import PairCostModel
 from repro.core.pairing import PairingPlan, greedy_pairing, greedy_pairing_reference
-from repro.core.planner import PlannerStats, PrunedPlanner
+from repro.core.planner import PrunedPlanner
 from repro.core.profiling import profile_architecture
 from repro.core.timing import compute_round_timing
 from repro.core.workload import best_offload
@@ -357,21 +357,19 @@ def test_planner_cold_build_speed(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Incremental CSR engine (PR 9): arrival-wave edit vs full rebuild
+# The topology's CSR: arrival-wave edits vs a rebuild from edges
 # ----------------------------------------------------------------------
 #: Base population of the arrival-wave CSR benches.
 CSR_WAVE_POPULATION = 50_000
 
 #: Agents arriving per timed wave.  Small relative to the population so
 #: the incremental bench measures the O(Δ) edit path; the rebuild bench
-#: applies the *same* wave but pays the O(E) from-scratch price, and
-#: ``tools/bench_trajectory.py`` gates on the same-run ratio
+#: applies the *same* wave and also pays the O(E) build of the whole
+#: graph, and ``tools/bench_trajectory.py`` gates on the same-run ratio
 #: (``--csr-ratio``).
 CSR_WAVE_ARRIVALS = 500
 
-#: Timed waves per bench.  Bounded so the journal window
-#: (``MAX_JOURNAL_EVENTS``) never overflows mid-bench — an overflow would
-#: silently degrade the incremental path to a rebuild and void the ratio.
+#: Timed waves per bench.
 CSR_WAVE_ROUNDS = 5
 
 
@@ -381,7 +379,7 @@ def _csr_wave_topology():
 
 
 def _apply_arrival_wave(topology, rng, next_id):
-    """Journal ``CSR_WAVE_ARRIVALS`` arrivals, each wired to 3 peers."""
+    """``CSR_WAVE_ARRIVALS`` arrivals, each wired to 3 peers."""
     for offset in range(CSR_WAVE_ARRIVALS):
         neighbors = rng.integers(0, CSR_WAVE_POPULATION, size=3)
         topology.add_agent(
@@ -392,63 +390,57 @@ def _apply_arrival_wave(topology, rng, next_id):
 
 
 def test_csr_arrival_wave_incremental_speed(benchmark):
-    """O(Δ) path: absorbing a 500-agent arrival wave as journal edits.
+    """O(Δ) path: a 500-agent arrival wave edited into the CSR, then synced.
 
-    Each timed round syncs one wave the untimed ``setup`` journalled —
-    the engine appends rows and stages neighbour-column inserts in its
-    delta lists, cost proportional to the wave, not the graph.  The
-    topology mutation itself is deliberately outside the timer: both
-    benches of the pair pay it identically, and the ``--csr-ratio`` gate
-    compares the *engine* paths, not ``add_agent`` bookkeeping.  The
-    assertions pin that the timed rounds really took the edit path: no
-    rebuild beyond the initial build and no journal truncation.
+    Each timed round applies one wave — the topology appends slots and
+    stages the new links in per-slot delta lists, cost proportional to
+    the wave, not the graph — and then runs the planner's per-plan
+    :meth:`~repro.core.csr.IncrementalCsr.sync`, which reads the touched
+    nodes from the topology's stamps and translates the wave's arrivals
+    as the participants.  The assertions pin that the sync saw the wave.
     """
     topology = _csr_wave_topology()
-    stats = PlannerStats()
-    csr = IncrementalCsr(topology, stats=stats)
-    assert csr.sync() is None  # initial O(E) build, outside the timer
+    sync = IncrementalCsr(topology)
     rng = np.random.default_rng(23)
     state = {"next_id": CSR_WAVE_POPULATION}
 
-    def journal_wave():
-        state["next_id"] = _apply_arrival_wave(topology, rng, state["next_id"])
-        return (), {}
+    def wave_and_sync():
+        first = state["next_id"]
+        state["next_id"] = _apply_arrival_wave(topology, rng, first)
+        return sync.sync(tuple(range(first, state["next_id"])))
 
-    affected = benchmark.pedantic(
-        csr.sync, setup=journal_wave, rounds=CSR_WAVE_ROUNDS, iterations=1
+    touched = benchmark.pedantic(
+        wave_and_sync, rounds=CSR_WAVE_ROUNDS, iterations=1
     )
-    benchmark.extra_info["csr_edits"] = stats.csr_edits
-    benchmark.extra_info["csr_compactions"] = stats.csr_compactions
-    assert affected is not None and len(affected) >= CSR_WAVE_ARRIVALS
-    assert stats.csr_rebuilds == 1  # the initial build only
+    assert len(touched) >= CSR_WAVE_ARRIVALS
+    assert (sync.translation.slots >= 0).all()
 
 
 def test_csr_arrival_wave_rebuild_speed(benchmark):
-    """O(E) reference: absorbing the same wave via a full rebuild.
+    """O(E) reference: the same wave plus a build of the whole graph.
 
-    This is what every wave cost before the incremental engine — a
-    from-scratch rescan of all ~300k links.  The trajectory tool divides
-    this median by the incremental one and fails CI below 3×.
+    Each timed round applies the wave and then builds the 50 000-agent
+    graph afresh from its edge arrays (:func:`random_k_topology`), the
+    price of a wave that dropped the structure.  The trajectory tool
+    divides this median by the incremental one and fails CI below 3×.
     """
     topology = _csr_wave_topology()
-    csr = IncrementalCsr(topology)
-    csr.rebuild()
     rng = np.random.default_rng(23)
     state = {"next_id": CSR_WAVE_POPULATION}
 
-    def journal_wave():
+    def wave_and_build():
         state["next_id"] = _apply_arrival_wave(topology, rng, state["next_id"])
-        return (), {}
+        return _csr_wave_topology()
 
-    benchmark.pedantic(
-        csr.rebuild, setup=journal_wave, rounds=CSR_WAVE_ROUNDS, iterations=1
+    rebuilt = benchmark.pedantic(
+        wave_and_build, rounds=CSR_WAVE_ROUNDS, iterations=1
     )
-    nodes, links = csr.counts()
     # Under --benchmark-disable pedantic runs a single round, so assert
     # on whole waves applied rather than the full round count.
+    nodes = topology.num_nodes
     assert nodes >= CSR_WAVE_POPULATION + CSR_WAVE_ARRIVALS
     assert (nodes - CSR_WAVE_POPULATION) % CSR_WAVE_ARRIVALS == 0
-    assert links > 0
+    assert rebuilt.num_nodes == CSR_WAVE_POPULATION and rebuilt.num_edges > 0
 
 
 # ----------------------------------------------------------------------

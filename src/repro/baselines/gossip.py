@@ -30,30 +30,26 @@ class GossipLearning(BaselineTrainer):
     method_name = "Gossip Learning"
     curve_method_key = "gossip"
 
-    def _peers(self, participants: Sequence[Agent]) -> list[list[int]]:
+    def _peers(self, participants: Sequence[Agent]) -> tuple[np.ndarray, np.ndarray]:
         """Each participant's connected peers, as positions in participant order.
 
         A peer is another connected participant the topology links to it,
-        so the round reads each participant's adjacency once, intersected
-        with the round's connected participants at C speed (no all-pairs
-        scan).  Participants missing from the topology get no peers.
+        so one link query over the round's participants finds them all (no
+        all-pairs scan).  Participants missing from the topology get no
+        peers.  Returns each participant's peer count and the peers,
+        grouped by participant and ascending within each group.
         """
-        position = {
-            agent.agent_id: index
-            for index, agent in enumerate(participants)
-            if agent.is_connected
-        }
-        adjacency = self.link_model.topology.adjacency()
-        peers: list[list[int]] = []
-        for agent in participants:
-            links = adjacency.get(agent.agent_id)
-            if links is None or not agent.is_connected:
-                peers.append([])
-                continue
-            common = position.keys() & links.keys()
-            common.discard(agent.agent_id)
-            peers.append(sorted(map(position.__getitem__, common)))
-        return peers
+        topology = self.link_model.topology
+        rows, cols = topology.links_for(
+            topology.translation([agent.agent_id for agent in participants])
+        )
+        connected = np.fromiter(
+            (agent.is_connected for agent in participants),
+            dtype=bool,
+            count=len(participants),
+        )
+        linked = connected[rows] & connected[cols]
+        return np.bincount(rows[linked], minlength=len(participants)), cols[linked]
 
     def _exchange_times(self, participants: Sequence[Agent]) -> np.ndarray:
         """Each participant's model push to a random peer (0.0 without one).
@@ -63,17 +59,17 @@ class GossipLearning(BaselineTrainer):
         one scalar draw per participant.  Peers are linked and connected,
         so a push runs at the slower access link.
         """
-        peers = self._peers(participants)
-        counts = np.fromiter(map(len, peers), dtype=np.int64, count=len(peers))
+        counts, peers = self._peers(participants)
         senders = np.nonzero(counts)[0]
         exchange = np.zeros(len(participants))
         if senders.size == 0:
             return exchange
         draws = self._method_rng.integers(0, counts[senders])
+        chosen = peers[(np.cumsum(counts) - counts)[senders] + draws]
         bandwidth = np.array(
             [
-                pairwise_bandwidth(participants[i], participants[peers[i][draw]])
-                for i, draw in zip(senders.tolist(), draws.tolist())
+                pairwise_bandwidth(participants[i], participants[peer])
+                for i, peer in zip(senders.tolist(), chosen.tolist())
             ],
             dtype=np.float64,
         )

@@ -215,8 +215,8 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
     def on_agent_arrival(self, agent, neighbors=None, attachment=None) -> None:
         """Wire a mid-run arrival into the communication topology.
 
-        The planner needs no call: its next plan reads the wiring change
-        from the topology's journal.
+        The planner needs no call: its next plan reads which nodes the
+        wiring change touched from the topology.
         """
         if attachment is None:
             self.topology.add_agent(agent.agent_id, neighbors)
@@ -237,7 +237,7 @@ class ComDML(StrategyDefaults, RuntimeDelegate):
         """Operation counters of this run's planner.
 
         The :class:`~repro.core.planner.PlannerStats` counters (rows
-        recomputed/reused, CSR edits/rebuilds/compactions).  Campaign cells
+        recomputed/reused, pair options evaluated, scan rounds).  Campaign cells
         attach this to their payload so
         :func:`repro.experiments.reporting.execution_report` can aggregate
         planner behaviour across the sweep.

@@ -60,28 +60,19 @@ def bandwidth_matrix(agents: Sequence[Agent], link_model: LinkModel) -> np.ndarr
     adjacency among the participants it holds.  A participant the topology
     lacks has no links.
     """
-    import networkx as nx
-
     n = len(agents)
-    graph = link_model.topology.graph
-    ids = [agent.agent_id for agent in agents]
-    members = np.fromiter(
-        (position for position, agent_id in enumerate(ids) if agent_id in graph),
-        dtype=np.int64,
+    topology = link_model.topology
+    rows, cols = topology.links_for(
+        topology.translation([agent.agent_id for agent in agents])
     )
-    adjacency = np.zeros((n, n), dtype=bool)
-    adjacency[np.ix_(members, members)] = nx.to_numpy_array(
-        graph, nodelist=[ids[position] for position in members.tolist()], weight=None
-    ).astype(bool)
     access = np.array(
         [agent.profile.bandwidth_bytes_per_second for agent in agents],
         dtype=np.float64,
     )
     # min(access_i, access_j) is 0 whenever either side is disconnected:
     # a disconnected agent has no link.
-    matrix = np.minimum(access[:, None], access[None, :])
-    matrix[~adjacency] = 0.0
-    np.fill_diagonal(matrix, 0.0)
+    matrix = np.zeros((n, n))
+    matrix[rows, cols] = np.minimum(access[rows], access[cols])
     return matrix
 
 

@@ -27,8 +27,9 @@ bit.  The plan comes out as one :class:`~repro.core.pairing.PairingPlan`
 of columns.
 
 **Sparse / blocked bandwidth.**  Adjacency is consumed as neighbor lists
-(the :class:`~repro.core.csr.IncrementalCsr` link index) instead of the
-dense ``n × n`` :func:`~repro.core.fastpath.bandwidth_matrix`, and a
+(the topology's CSR, :meth:`~repro.network.topology.Topology.links_for`)
+instead of the dense ``n × n``
+:func:`~repro.core.fastpath.bandwidth_matrix`, and a
 pair's bandwidth is the slower of its two access links, so ring and
 random-k topologies cost O(E), not O(n²).  Complete graphs — where a
 neighbor list *is* O(n²) — short-circuit to a shared pool of the k+1
@@ -43,14 +44,16 @@ profiles, so each plan re-costs a row only when one of those changed:
 * a *profile seed* — a participant whose signature changed, an id passed
   to :meth:`PrunedPlanner.invalidate`, or a participant new this round —
   re-costs its own row and its neighbours' rows;
-* a *journal endpoint* — an agent the topology's edge-delta journal names
-  because an edge or node was added or removed next to it — re-costs its
-  own row only;
+* a *touched node* — an agent whose links the topology changed since the
+  last plan (its per-node stamps say which), or an id passed to
+  :meth:`PrunedPlanner.invalidate_topology` — re-costs its own row only,
+  and so does a participant that joined or left the topology;
 * a participant that left the round re-costs the rows that list it: its
-  graph neighbours if it only left the sample, the journal endpoints if
+  topology neighbours if it only left the sample, the touched nodes if
   it left the topology.
 
-Every plan drains the journal itself, so wiring changes need no call.
+Every plan reads the topology's changes itself, through
+:class:`~repro.core.csr.IncrementalCsr`, so wiring changes need no call.
 Rows stay in place: arrivals append rows, participants that leave
 tombstone theirs, and tombstones compact lazily.  A round with ``d``
 changed agents therefore evaluates O(d·k·s) pair times —
@@ -71,12 +74,12 @@ and so is any change of ``n`` below it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.agents.agent import Agent
-from repro.core.csr import CsrTranslation, IncrementalCsr
+from repro.core.csr import IncrementalCsr
 from repro.core.fastpath import AgentVectors, agent_attrs, agent_vectors_from_attrs
 from repro.core.pairing import PairingPlan
 from repro.core.profiling import SplitProfile
@@ -87,7 +90,7 @@ from repro.utils.validation import check_positive
 __all__ = ["PlannerState", "PlannerStats", "PrunedPlanner", "greedy_scan"]
 
 #: Tombstoned rows, as a fraction of the rows handed out, past which the
-#: next membership change compacts the state (``IncrementalCsr``'s default).
+#: next membership change compacts the state (the topology's fraction too).
 _COMPACT_FRACTION = 0.25
 
 #: Row count under which tombstones never trigger a compaction.
@@ -111,11 +114,7 @@ class PlannerStats:
     ``pairs_evaluated`` counts (slow, candidate, split) cost evaluations —
     the quantity the incremental-replanning bound O(d·k·s) is stated in.
     ``scan_rounds`` counts the greedy scan's matching rounds
-    (:func:`greedy_scan`).  The ``csr_*`` counters observe the incremental
-    topology engine (:mod:`repro.core.csr`): ``csr_edits`` is the number of
-    journal events applied as O(Δ) edits, ``csr_rebuilds`` the O(E)
-    from-graph builds, and ``csr_compactions`` the lazy delta/tombstone
-    fold-backs.
+    (:func:`greedy_scan`).
     """
 
     rounds: int = 0
@@ -128,9 +127,6 @@ class PlannerStats:
     last_rows_reused: int = 0
     last_pairs_evaluated: int = 0
     last_scan_rounds: int = 0
-    csr_edits: int = 0
-    csr_rebuilds: int = 0
-    csr_compactions: int = 0
 
     def report(self) -> dict:
         """Plain-dict view (campaign ``execution_report`` serialisation)."""
@@ -141,9 +137,6 @@ class PlannerStats:
             "rows_reused": self.rows_reused,
             "pairs_evaluated": self.pairs_evaluated,
             "scan_rounds": self.scan_rounds,
-            "csr_edits": self.csr_edits,
-            "csr_rebuilds": self.csr_rebuilds,
-            "csr_compactions": self.csr_compactions,
         }
 
 
@@ -165,15 +158,17 @@ class PlannerState:
     the pair bandwidth.  ``scan_count`` is the number of candidates the
     scan may walk in each row: its columns before the first row −1 (a
     compaction can leave a −1 ahead of the padding; see :func:`_compact`).
-    ``ids``, ``ids_array`` and the ``(n, 5)`` signature matrix ``sig`` (cpu
-    share, bandwidth, samples, batch size, local epochs as float64) are
-    this round's, by position; the next plan diffs against them.
+    ``ids``, ``ids_array``, the ``(n, 5)`` signature matrix ``sig`` (cpu
+    share, bandwidth, samples, batch size, local epochs as float64) and
+    ``member`` (whether each participant is a topology node) are this
+    round's, by position; the next plan diffs against them.
     """
 
     ids: tuple[int, ...]
     ids_array: np.ndarray
     k: int
     sig: np.ndarray
+    member: np.ndarray
     row_of_pos: np.ndarray
     pos_of_row: np.ndarray
     used: int
@@ -232,22 +227,11 @@ class PrunedPlanner:
         self.state: Optional[PlannerState] = None
         #: Profile seeds named by :meth:`invalidate` since the last plan.
         self._seed_ids: set[int] = set()
-        #: Journal endpoints (and :meth:`invalidate_topology` ids) since
-        #: the last plan.
+        #: Ids named by :meth:`invalidate_topology` since the last plan.
         self._endpoint_ids: set[int] = set()
-        self._pending_all = False
-        #: Set when the journal was truncated past the planner's cursor —
-        #: every row must re-cost.
-        self._pending_all_rows = False
-        #: Topology journal version the planner has drained to.
-        self._cursor = link_model.topology.version
-        #: Incremental topology engine (built lazily on the first plan
-        #: that takes the CSR path) and its cached participant translation.
-        self._csr: Optional[IncrementalCsr] = None
-        self._translation: Optional[CsrTranslation] = None
-        #: (topology version, nodes, edges) — caches the complete-graph
-        #: check when the CSR engine is not engaged.
-        self._counts_cache: Optional[tuple[int, int, int]] = None
+        #: What changed in the topology since the last plan, and the
+        #: participants' translation.
+        self._csr = IncrementalCsr(link_model.topology)
         #: (ids tuple, sorted ids, argsort order) — id → position lookup cache.
         self._ids_sort_cache: Optional[tuple] = None
 
@@ -260,54 +244,18 @@ class PrunedPlanner:
         Each named participant re-costs its own row and its neighbours'
         rows.  The planner also diffs per-agent signatures on every plan,
         so churn that changes a profile value is caught without this call.
-        Wiring changes need no call either: every plan drains the
-        topology's edge-delta journal.
+        Wiring changes need no call either: every plan reads which nodes
+        the topology changed since the last one.
         """
         self._seed_ids.update(int(agent_id) for agent_id in agent_ids)
 
     def invalidate_topology(self, agent_ids: Sequence[int] = ()) -> None:
-        """Apply the topology journal now, and re-cost the named agents' rows.
+        """Re-cost the named agents' own rows at the next plan.
 
-        Drains the edge-delta journal into the CSR structure (O(Δ) edits)
-        ahead of the next plan, which would otherwise drain it itself.
-        The named agents are treated like journal endpoints: each named
-        participant re-costs its own row only.
+        The named agents are treated like the nodes whose links the
+        topology changed: each named participant re-costs its own row only.
         """
         self._endpoint_ids.update(int(agent_id) for agent_id in agent_ids)
-        self._drain_journal()
-
-    def _drain_journal(self) -> None:
-        """Collect the journal's endpoints since the last drain.
-
-        The CSR applies the events as O(Δ) edits when it is built; without
-        it (the complete-graph pool) the planner reads the journal itself.
-        A journal truncated past the cursor re-costs every row.
-        """
-        topology = self.link_model.topology
-        if topology.version == self._cursor:
-            return
-        csr = self._csr
-        if csr is not None and csr.built:
-            affected = csr.sync()
-        else:
-            events = topology.events_since(self._cursor)
-            affected = None if events is None else _journal_endpoints(events)
-        self._cursor = topology.version
-        if affected is None:
-            self._pending_all_rows = True
-        else:
-            self._endpoint_ids.update(affected)
-
-    def invalidate_all(self) -> None:
-        """Drop the entire cache (next plan is a full rebuild).
-
-        Also the escape hatch for wiring changes made directly on the
-        ``networkx`` graph, which bypass the topology journal.
-        """
-        self._pending_all = True
-        self._csr = None
-        self._translation = None
-        self._counts_cache = None
 
     # ------------------------------------------------------------------
     # Planning
@@ -317,7 +265,6 @@ class PrunedPlanner:
         n = len(participants)
         if n == 0:
             return PairingPlan.empty()
-        self._drain_journal()
         attrs = agent_attrs(participants)
         vectors = agent_vectors_from_attrs(attrs, self.profile)
         taus = vectors.individual_times
@@ -362,46 +309,52 @@ class PrunedPlanner:
         An unchanged participant tuple keeps every row where it is; a
         membership change tombstones the rows of participants that left
         and appends rows for new ones (:meth:`_move_rows`).  A fresh state
-        is built on the first plan, after :meth:`invalidate_all`, when the
-        candidate budget or the retained participants' order changed, and
-        when the journal was truncated.
+        is built on the first plan and when the candidate budget or the
+        retained participants' order changed.
         """
         n = len(ids)
         state = self.state
+        touched = self._csr.sync(ids)
+        member = self._csr.translation.slots >= 0
         seed_ids, self._seed_ids = self._seed_ids, set()
         endpoint_ids, self._endpoint_ids = self._endpoint_ids, set()
-        rebuild = (
-            self._pending_all
-            or self._pending_all_rows
-            or state is None
-            or state.k != k
-        )
+        rebuild = state is None or state.k != k
         if not rebuild:
             if ids == state.ids:
                 seeds = (sig != state.sig).any(axis=1)
+                flipped = member != state.member
                 left = np.empty(0, dtype=np.int64)
             else:
-                moved = self._move_rows(state, ids_array, sig)
+                moved = self._move_rows(state, ids_array, sig, member)
                 rebuild = moved is None
                 if not rebuild:
-                    seeds, left = moved
+                    seeds, flipped, left = moved
         if rebuild:
-            self._pending_all = False
-            self._pending_all_rows = False
-            self.state = _fresh_state(ids, ids_array, k, sig)
+            self.state = _fresh_state(ids, ids_array, k, sig, member)
             return self.state, np.arange(n, dtype=np.int64)
 
         state.ids = ids
         state.ids_array = ids_array
         state.sig = sig
+        state.member = member
         if seed_ids:
-            seeds[self._positions_of(state, seed_ids)] = True
-        endpoints = self._positions_of(state, endpoint_ids)
+            named_seeds = np.fromiter(seed_ids, dtype=np.int64)
+            seeds[self._positions_of(state, named_seeds)] = True
+        named = np.concatenate([touched, np.fromiter(endpoint_ids, dtype=np.int64)])
+        # A participant that joined or left the topology re-costs its own
+        # row; the rows of its neighbours were touched.
+        endpoints = np.concatenate(
+            [self._positions_of(state, named), np.flatnonzero(flipped)]
+        )
         return state, self._dirty_closure(state, seeds, endpoints, left)
 
     def _move_rows(
-        self, state: PlannerState, ids_array: np.ndarray, sig: np.ndarray
-    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        self,
+        state: PlannerState,
+        ids_array: np.ndarray,
+        sig: np.ndarray,
+        member: np.ndarray,
+    ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Membership change, rows in place.
 
         Retained participants keep their rows; the rows of participants
@@ -411,9 +364,10 @@ class PrunedPlanner:
         Candidate rows stay valid, so nothing is remapped outside a
         compaction.
 
-        Returns the profile-seed mask by new position (new participants
-        and retained ones whose signature changed) and the ids of the
-        participants that left, or ``None`` when the retained participants
+        Returns, by new position, the profile-seed mask (new participants
+        and retained ones whose signature changed) and the mask of retained
+        participants whose topology membership flipped, plus the ids of the
+        participants that left; or ``None`` when the retained participants
         changed their relative order: every cached row's candidate order
         follows participant positions, so that takes a fresh state.
         """
@@ -436,6 +390,8 @@ class PrunedPlanner:
 
         seeds = ~retained
         seeds[retained] = (sig[retained] != state.sig[old_pos]).any(axis=1)
+        flipped = np.zeros(n, dtype=bool)
+        flipped[retained] = member[retained] != state.member[old_pos]
         rows = np.empty(n, dtype=np.int64)
         rows[retained] = state.row_of_pos[old_pos]
         arrivals = n - int(old_pos.size)
@@ -448,7 +404,7 @@ class PrunedPlanner:
         state.used += arrivals
         state.row_of_pos = rows
         state.pos_of_row[rows] = np.arange(n)
-        return seeds, previous_ids[~kept]
+        return seeds, flipped, previous_ids[~kept]
 
     def _sorted_ids(
         self, ids: tuple[int, ...], ids_array: np.ndarray
@@ -462,9 +418,8 @@ class PrunedPlanner:
         self._ids_sort_cache = (ids, sorted_ids, order)
         return sorted_ids, order
 
-    def _positions_of(self, state: PlannerState, agent_ids: Iterable[int]) -> np.ndarray:
+    def _positions_of(self, state: PlannerState, query: np.ndarray) -> np.ndarray:
         """This round's positions of the given ids (absent ids dropped)."""
-        query = np.fromiter(agent_ids, dtype=np.int64)
         if query.size == 0:
             return query
         sorted_ids, order = self._sorted_ids(state.ids, state.ids_array)
@@ -481,13 +436,13 @@ class PrunedPlanner:
         """Ascending positions whose rows re-cost, by cause.
 
         Profile seeds (``seeds``, a mask by position) re-cost their own
-        rows and their neighbours' rows; journal endpoints (``endpoints``,
-        positions) their own rows only; participants that left the round
-        (``left``, ids) the rows of their graph neighbours.  One that left
-        the topology has no neighbours left, and the rows that listed it
-        are journal endpoints already.  On a complete graph every row
-        neighbours every seed, so a seed or a participant that left marks
-        every row without a walk.
+        rows and their neighbours' rows; endpoints (``endpoints``,
+        positions: touched topology nodes, named agents, membership flips)
+        their own rows only; participants that left the round (``left``,
+        ids) the rows of their topology neighbours.  One that left the
+        topology has no neighbours left, and the rows that listed it were
+        touched.  On a complete graph every row neighbours every seed, so a
+        seed or a participant that left marks every row without a walk.
         """
         seed_positions = np.nonzero(seeds)[0]
         dirty = seeds
@@ -496,85 +451,35 @@ class PrunedPlanner:
             if self._complete_graph():
                 dirty[:] = True
             else:
-                dirty[self._neighbor_positions(state, seed_positions, left)] = True
+                dirty[self._neighbor_positions(seed_positions, left)] = True
         return np.nonzero(dirty)[0]
 
     def _neighbor_positions(
-        self, state: PlannerState, seed_positions: np.ndarray, left: np.ndarray
+        self, seed_positions: np.ndarray, left: np.ndarray
     ) -> np.ndarray:
         """Positions of the seeds' and the leavers' participating neighbours.
 
-        The seeds' neighbours come from the CSR.  The leavers' come from
-        the graph: they are not participants, so the CSR's participant
-        translation has no position for them.
+        The leavers are not participants, so their rows come from a
+        translation of the leavers whose columns are the participants'.
         """
+        topology = self.link_model.topology
+        translation = self._csr.translation
         found = [np.empty(0, dtype=np.int64)]
         if seed_positions.size:
-            csr = self._live_csr()
-            _, columns = csr.links_for(
-                self._participant_translation(state), seed_positions
-            )
-            found.append(columns)
+            found.append(topology.links_for(translation, seed_positions)[1])
         if left.size:
-            graph = self.link_model.topology.graph
-            neighbours = [
-                neighbour
-                for agent_id in left.tolist()
-                if graph.has_node(agent_id)
-                for neighbour in graph.neighbors(agent_id)
-            ]
-            found.append(self._positions_of(state, neighbours))
+            leavers = topology.translation(left.tolist(), columns=translation)
+            found.append(topology.links_for(leavers)[1])
         return np.concatenate(found)
 
     # ------------------------------------------------------------------
     # Candidate selection + pruned block costing
     # ------------------------------------------------------------------
-    def _topology_counts(self) -> tuple[int, int]:
-        """(nodes, edges) of the topology — O(1) in the steady state.
-
-        Served by the CSR engine when it is live, else cached against the
-        topology's journal version (mutations made directly on the
-        ``networkx`` graph bypass both, which is why they require
-        :meth:`invalidate_all`).
-        """
-        if self._csr is not None and self._csr.built:
-            return self._csr.counts()
-        version = self.link_model.topology.version
-        cached = self._counts_cache
-        if cached is not None and cached[0] == version:
-            return cached[1], cached[2]
-        graph = self.link_model.topology.graph
-        nodes = graph.number_of_nodes()
-        edges = graph.number_of_edges()
-        self._counts_cache = (version, nodes, edges)
-        return nodes, edges
-
     def _complete_graph(self) -> bool:
         """Whether the topology is a complete graph on at least two nodes."""
-        nodes, edges = self._topology_counts()
-        return nodes >= 2 and edges == nodes * (nodes - 1) // 2
-
-    def _live_csr(self) -> IncrementalCsr:
-        """The incremental topology engine, built from the graph on first use."""
-        if self._csr is None:
-            csr = IncrementalCsr(self.link_model.topology, stats=self.stats)
-            csr.rebuild()
-            self._csr = csr
-            self._translation = None
-        return self._csr
-
-    def _participant_translation(self, state: PlannerState) -> CsrTranslation:
-        """Cached slot ↔ position translation for the current participants."""
-        csr = self._csr
-        translation = self._translation
-        if (
-            csr.translation_current(translation)
-            and translation.ids == state.ids
-        ):
-            return translation
-        translation = csr.translation(state.ids)
-        self._translation = translation
-        return translation
+        topology = self.link_model.topology
+        nodes = topology.num_nodes
+        return nodes >= 2 and topology.num_edges == nodes * (nodes - 1) // 2
 
     def _candidate_rows(
         self,
@@ -593,20 +498,14 @@ class PrunedPlanner:
         k = state.k
         n = len(state.ids)
         if self._complete_graph():
-            # Complete graph: a neighbor structure would be O(n²); use the
-            # shared pool instead (never builds the CSR).  Only topology
-            # nodes are reachable, as on the CSR path.
-            nodes = self.link_model.topology.adjacency()
-            reachable = np.fromiter(
-                map(nodes.__contains__, state.ids), dtype=bool, count=n
-            )
-            reachable &= access > 0.0
+            # Complete graph: a neighbor walk would be O(n²); use the
+            # shared pool instead.  Only topology nodes are reachable, as
+            # on the walk.
+            reachable = state.member & (access > 0.0)
             return _complete_graph_candidates(taus, access, reachable, positions, k)
 
-        csr = self._live_csr()
-        sel_rows, sel_cols = csr.links_for(
-            self._participant_translation(state),
-            None if positions.size == n else positions,
+        sel_rows, sel_cols = self.link_model.topology.links_for(
+            self._csr.translation, None if positions.size == n else positions
         )
         bandwidth = np.minimum(access[sel_rows], access[sel_cols])
         return _top_k_by_tau(sel_rows, sel_cols, bandwidth, taus, n, k)
@@ -904,7 +803,11 @@ def _row_arrays(capacity: int, k: int) -> dict:
 
 
 def _fresh_state(
-    ids: tuple[int, ...], ids_array: np.ndarray, k: int, sig: np.ndarray
+    ids: tuple[int, ...],
+    ids_array: np.ndarray,
+    k: int,
+    sig: np.ndarray,
+    member: np.ndarray,
 ) -> PlannerState:
     """A state whose row ``r`` is participant ``r``; every row re-costs."""
     n = len(ids)
@@ -916,6 +819,7 @@ def _fresh_state(
         ids_array=ids_array,
         k=k,
         sig=sig,
+        member=member,
         row_of_pos=np.arange(n, dtype=np.int64),
         pos_of_row=pos_of_row,
         used=n,
@@ -956,18 +860,6 @@ def _compact(state: PlannerState, retained_rows: np.ndarray, arrivals: int) -> n
     state.used = int(live.size)
     state.dead = 0
     return new_of_old[retained_rows]
-
-
-def _journal_endpoints(events: list[tuple]) -> set[int]:
-    """Every agent a topology journal event names (``IncrementalCsr.sync``'s set)."""
-    affected: set[int] = set()
-    for event in events:
-        if event[0] == "remove_node":
-            affected.add(event[1])
-            affected.update(event[2])
-        else:
-            affected.update(event[1:])
-    return affected
 
 
 def _top_k_by_tau(

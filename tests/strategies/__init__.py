@@ -16,13 +16,17 @@ from strategies.runs import (
     dynamics_recipes,
 )
 from strategies.settings import DETERMINISM_SETTINGS, STANDARD_SETTINGS
+from strategies.topology import EVENT_SEQUENCES, apply_event, make_agent
 
 __all__ = [
     "AGENT_COUNTS",
     "DETERMINISM_SETTINGS",
+    "EVENT_SEQUENCES",
     "STANDARD_SETTINGS",
+    "apply_event",
     "async_scenarios",
     "build_schedule",
     "dynamics_recipes",
+    "make_agent",
     "registry_ops",
 ]

@@ -413,7 +413,7 @@ class TestComDMLRound:
 
 
 class TestDynamicsReachThePlanner:
-    """Arrivals and departures reach the planner through the topology journal."""
+    """Arrivals and departures reach the planner through the topology's stamps."""
 
     def test_burst_between_plans_matches_a_fresh_plan(self, small_registry):
         comdml = ComDML(
@@ -428,7 +428,7 @@ class TestDynamicsReachThePlanner:
         comdml.plan_round(0, agents)
 
         calls = []
-        for name in ("invalidate", "invalidate_topology", "invalidate_all"):
+        for name in ("invalidate", "invalidate_topology"):
             original = getattr(comdml.planner, name)
 
             def recording(*args, _name=name, _original=original):
@@ -450,11 +450,12 @@ class TestDynamicsReachThePlanner:
         comdml.on_agent_departure(departed_two)
         assert calls == []
 
-        # The next plan drains the burst from the journal: four CSR edits
-        # (two node removals, one node and one edge added), no rebuild.
+        # The next plan reads the burst from the topology's stamps: it
+        # re-costs the arrival and the two rows the burst touched, the ring
+        # neighbours of the departures (agents[0], which also links to the
+        # arrival, and agents[-3]), and no other row.
         participants = agents[:-2] + [arriving]
         plan = comdml.plan_round(1, participants)
-        stats = comdml.planner.stats
-        assert (stats.csr_edits, stats.csr_rebuilds) == (4, 1)
+        assert comdml.planner.stats.last_rows_recomputed == 3
         fresh = PrunedPlanner(comdml.profile, comdml.link_model, top_k=2)
         assert list(plan.decisions) == list(fresh.plan(participants))

@@ -1,12 +1,14 @@
-"""Tests for the incremental CSR topology engine (`repro.core.csr`).
+"""Tests for the topology's editable CSR and the planner's topology sync.
 
-The engine's contract is *structural equivalence*: however a topology was
-reached — arrivals appending rows, departures tombstoning them, rewires
-patching columns in place, compactions folding deltas back — the links it
-serves must be byte-identical to a from-scratch build of the same graph.
-The Hypothesis property here drives random arrival/departure/rewire event
-sequences against that contract, both on the raw structure and through
-the pruned planner at every invalidation batching the runtime can produce.
+The topology's contract is *structural equivalence*: however it was
+reached — arrivals appending slots, departures tombstoning them, rewires
+staging links, compactions folding everything back — every query answers
+like a networkx graph built by the same edits (``tests/topology_oracle.py``).
+Its per-node stamps must name every node whose links changed, because the
+planner reads them instead of an event log: the Hypothesis properties here
+drive random arrival/departure/rewire sequences against both contracts, on
+the raw structure and through the pruned planner at every batching of
+edits between plans.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ from __future__ import annotations
 import hypothesis
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
+from strategies import DETERMINISM_SETTINGS, EVENT_SEQUENCES, apply_event, make_agent
+from topology_oracle import assert_matches, oracle_of
 
-from repro.agents.agent import Agent
-from repro.agents.resources import ResourceProfile
 from repro.core.csr import IncrementalCsr
-from repro.core.planner import PlannerStats, PrunedPlanner
+from repro.core.planner import PrunedPlanner
 from repro.core.profiling import profile_architecture
 from repro.models.resnet import resnet56_spec
 from repro.network.link import LinkModel
@@ -27,94 +29,18 @@ from repro.network.topology import Topology, random_k_topology, ring_topology
 
 PROFILE = profile_architecture(resnet56_spec(), granularity=9)
 
-#: Resource palette the event generator draws arriving agents from.
-AGENT_PALETTE = (
-    (4.0, 50.0, 1_200, 100),
-    (2.0, 20.0, 900, 100),
-    (1.0, 100.0, 1_500, 50),
-    (0.5, 10.0, 600, 128),
-)
-
-EVENT_SEQUENCES = st.lists(
-    st.tuples(
-        st.sampled_from(["arrive", "depart", "rewire"]),
-        st.integers(min_value=0, max_value=2**31 - 1),
-    ),
-    min_size=1,
-    max_size=8,
-)
-
-
-def _make_agent(agent_id: int, rng: np.random.Generator) -> Agent:
-    cpu, bandwidth, samples, batch = AGENT_PALETTE[
-        int(rng.integers(len(AGENT_PALETTE)))
-    ]
-    return Agent(
-        agent_id=agent_id,
-        profile=ResourceProfile(cpu, bandwidth),
-        num_samples=samples,
-        batch_size=batch,
-    )
-
-
-def _apply_event(
-    topology: Topology,
-    agents: dict[int, Agent],
-    next_id: int,
-    event: tuple[str, int],
-) -> tuple[int, list[int]]:
-    """Mutate the topology (journaling as real dynamics do).
-
-    Returns ``(next_id, touched_ids)``.  Rewires are expressed as the
-    runtime expresses them — departure plus re-arrival under the same id
-    with a fresh neighbour set — so the journal sees remove_node /
-    add_node / add_edge interleavings, not just clean arrivals.
-    """
-    kind, seed = event
-    rng = np.random.default_rng(seed)
-    nodes = sorted(topology.nodes)
-    if kind == "arrive":
-        count = int(rng.integers(1, min(3, len(nodes)) + 1))
-        chosen = rng.choice(len(nodes), size=count, replace=False)
-        neighbors = [nodes[int(index)] for index in chosen]
-        topology.add_agent(next_id, neighbors)
-        agents[next_id] = _make_agent(next_id, rng)
-        return next_id + 1, [next_id]
-    if kind == "depart" and len(nodes) > 3:
-        victim = nodes[int(rng.integers(len(nodes)))]
-        topology.remove_agent(victim)
-        agents.pop(victim, None)
-        return next_id, [victim]
-    # Rewire (also the fallback when the graph is too small to shrink).
-    target = nodes[int(rng.integers(len(nodes)))]
-    others = [node for node in nodes if node != target]
-    count = int(rng.integers(1, min(3, len(others)) + 1))
-    chosen = rng.choice(len(others), size=count, replace=False)
-    topology.remove_agent(target)
-    topology.add_agent(target, [others[int(index)] for index in chosen])
-    return next_id, [target]
-
-
-def _structure(csr: IncrementalCsr, ids: list[int]) -> tuple:
-    rows, cols = csr.links_for(csr.translation(ids))
-    return csr.counts(), rows.tolist(), cols.tolist()
-
 
 class TestIncrementalStructure:
-    """Edited structure ≡ from-scratch build, after every single event."""
+    """Edited structure ≡ the networkx oracle, after every single event."""
 
     @hypothesis.seed(20261029)
-    @settings(
-        max_examples=25,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
+    @settings(DETERMINISM_SETTINGS, max_examples=25)
     @given(
         events=EVENT_SEQUENCES,
         topology_seed=st.integers(min_value=0, max_value=50),
         ring=st.booleans(),
     )
-    def test_edits_match_fresh_rebuild(self, events, topology_seed, ring):
+    def test_edits_match_the_networkx_oracle(self, events, topology_seed, ring):
         ids = list(range(6))
         if ring:
             topology = ring_topology(ids)
@@ -122,111 +48,105 @@ class TestIncrementalStructure:
             topology = random_k_topology(
                 ids, 2, np.random.default_rng(topology_seed)
             )
-        agents: dict[int, Agent] = {}
-        csr = IncrementalCsr(topology)
-        assert csr.sync() is None  # first sync is the initial build
+        oracle = oracle_of(topology)
+        sync = IncrementalCsr(topology)
         next_id = len(ids)
         for event in events:
-            next_id, _ = _apply_event(topology, agents, next_id, event)
-            affected = csr.sync()
-            current = sorted(topology.nodes)
-            fresh = IncrementalCsr(topology)
-            fresh.rebuild()
-            assert _structure(csr, current) == _structure(fresh, current)
-            if affected is not None:
-                # Edits never report nodes that no longer exist *and*
-                # never miss one whose row changed: a second sync sees
-                # nothing new.
-                assert csr.sync() == set()
+            before = {node: oracle.neighbors(node) for node in oracle.nodes}
+            apply_event(oracle, {}, next_id, event)
+            next_id = apply_event(topology, {}, next_id, event)
+            nodes = oracle.nodes
+            assert_matches(topology, oracle)
+            # Unordered participants, one the topology lacks, and a
+            # subset of rows: the translation's sorting and filtering.
+            participants = [-1, *reversed(nodes)]
+            assert_matches(topology, oracle, participants)
+            translation = topology.translation(participants)
+            rows, cols = topology.links_for(translation)
+            subset = np.arange(1, len(participants), 2)
+            sub_rows, sub_cols = topology.links_for(translation, subset)
+            keep = np.isin(rows, subset)
+            assert (sub_rows.tolist(), sub_cols.tolist()) == (
+                rows[keep].tolist(),
+                cols[keep].tolist(),
+            )
+            # The stamps name every node whose links changed, and only
+            # live nodes; a second sync sees nothing new.
+            changed = {
+                node for node in nodes if before.get(node) != oracle.neighbors(node)
+            }
+            touched = set(sync.sync(tuple(nodes)).tolist())
+            assert changed <= touched <= set(nodes)
+            assert sync.sync(tuple(nodes)).size == 0
 
-    def test_journal_truncation_forces_rebuild(self):
-        ids = list(range(4))
-        topology = ring_topology(ids)
-        stats = PlannerStats()
-        csr = IncrementalCsr(topology, stats=stats)
-        csr.sync()
-        from repro.network import topology as topology_module
+    def test_an_isolated_arrival_is_touched(self):
+        topology = ring_topology(range(5))
+        version = topology.version
+        topology.add_agent(9, [])
+        assert topology.touched_since(version).tolist() == [9]
 
-        events = (topology_module.MAX_JOURNAL_EVENTS // 2) + 1
-        for index in range(events):
-            topology.add_agent(100 + index, [0])
-            topology.remove_agent(100 + index)
-        # Overflow the journal window past the cursor.
-        assert topology.events_since(csr.cursor) is None
-        assert csr.sync() is None
-        assert stats.csr_rebuilds >= 2
-        fresh = IncrementalCsr(topology)
-        fresh.rebuild()
-        current = sorted(topology.nodes)
-        assert _structure(csr, current) == _structure(fresh, current)
+    def test_stale_translation_is_rejected(self):
+        topology = ring_topology(range(5))
+        translation = topology.translation(range(5))
+        topology.add_agent(9, [0])
+        with pytest.raises(ValueError, match="translation"):
+            topology.links_for(translation)
 
 
 class TestCompaction:
-    """Lazy delta/tombstone fold-back: trigger, accounting, equivalence."""
+    """Lazy delta/tombstone fold-back: trigger, stamps, equivalence."""
 
-    def _staged_topology(self):
-        topology = random_k_topology(
-            list(range(24)), 3, np.random.default_rng(7)
-        )
-        return topology
+    def _staged_topology(self) -> Topology:
+        return random_k_topology(list(range(24)), 3, np.random.default_rng(7))
 
     def test_deltas_stay_staged_below_threshold(self):
         topology = self._staged_topology()
-        stats = PlannerStats()
-        csr = IncrementalCsr(topology, compaction_threshold=100.0, stats=stats)
-        csr.sync()
-        epoch = csr.epoch
-        topology.add_agent(500, [0, 1, 2])
-        csr.sync()
-        assert csr.staged_deltas > 0
-        assert csr.epoch == epoch  # no compaction, no rebuild
-        assert stats.csr_compactions == 0
+        oracle = oracle_of(topology)
+        for edit in (topology, oracle):
+            edit.add_agent(500, [0, 1, 2])
+            edit.remove_agent(3)
+        assert topology._added and topology._slot_count > topology.num_nodes
+        assert_matches(topology, oracle)
 
     def test_compaction_triggers_at_threshold_and_preserves_structure(self):
         topology = self._staged_topology()
-        stats = PlannerStats()
-        csr = IncrementalCsr(topology, compaction_threshold=0.01, stats=stats)
-        csr.sync()
-        epoch = csr.epoch
-        for arrival in range(6):
-            topology.add_agent(500 + arrival, [0, 1, 2])
-        csr.sync()
-        assert stats.csr_compactions >= 1
-        assert csr.staged_deltas == 0
-        assert csr.epoch > epoch
-        fresh = IncrementalCsr(topology)
-        fresh.rebuild()
-        current = sorted(topology.nodes)
-        assert _structure(csr, current) == _structure(fresh, current)
-        # Compaction must not have gone through the O(E) rebuild path.
-        assert stats.csr_rebuilds == 1
+        oracle = oracle_of(topology)
+        sync = IncrementalCsr(topology)
+        for edit in (topology, oracle):
+            edit.remove_agent(3)
+            for arrival in range(12):
+                edit.add_agent(500 + arrival, [0, 1, 2, 4, 5])
+        # The wave's 120 staged links passed a quarter of the base's floor
+        # of 256, so an edit folded the deltas and the tombstone back.
+        assert topology._base_slots > 24
+        assert topology._slot_count == topology.num_nodes
+        assert_matches(topology, oracle)
+        # Stamps move with their slots through the compaction.
+        touched = set(sync.sync(tuple(oracle.nodes)).tolist())
+        arrivals = set(range(500, 512))
+        assert arrivals | {0, 1, 2, 4, 5} <= touched
+        assert 3 not in touched
 
 
-def _participants(agents: dict[int, Agent], topology: Topology) -> list[Agent]:
+def _participants(agents: dict, topology: Topology) -> list:
     return [agents[agent_id] for agent_id in sorted(topology.nodes)]
 
 
 class TestPlannerTiersUnderEvents:
-    """An incremental planner over edited CSR ≡ a from-scratch planner.
+    """An incremental planner over the edited CSR ≡ a from-scratch planner.
 
-    The persistent planner applies every wiring change as journal edits
-    (drained early through ``invalidate_topology``); the reference planner
-    is built from scratch on the mutated graph each round.  Decisions and
-    broadcast τ̂ maps must be byte-identical at full candidate budget.
+    The persistent planner learns of every wiring change from the
+    topology's stamps alone (no invalidation call); the reference planner
+    is built from scratch on the edited topology each round.  Decisions
+    must be byte-identical at full candidate budget.
 
-    The tiers are invalidation batchings: a burst of arrivals and
-    departures reaches the planner as one journal drain, so the planner is
-    driven with a drain and plan after every 1, 2 or 4 events, and
-    (``None``) once after the whole sequence.
+    The batchings drive the planner with a plan after every 1, 2 or 4
+    events, and (``None``) once after the whole sequence.
     """
 
     @pytest.mark.parametrize("events_per_plan", [None, 1, 2, 4])
     @hypothesis.seed(20261030)
-    @settings(
-        max_examples=5,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
+    @settings(DETERMINISM_SETTINGS, max_examples=5)
     @given(
         events=EVENT_SEQUENCES,
         topology_seed=st.integers(min_value=0, max_value=20),
@@ -239,21 +159,40 @@ class TestPlannerTiersUnderEvents:
             ids, 2, np.random.default_rng(topology_seed)
         )
         rng = np.random.default_rng(topology_seed + 1)
-        agents = {agent_id: _make_agent(agent_id, rng) for agent_id in ids}
+        agents = {agent_id: make_agent(agent_id, rng) for agent_id in ids}
         link_model = LinkModel(topology)
         planner = PrunedPlanner(PROFILE, link_model, top_k=32)
         planner.plan(_participants(agents, topology))
         batch = events_per_plan or len(events)
         next_id = len(ids)
         for start in range(0, len(events), batch):
-            touched: set[int] = set()
             for event in events[start : start + batch]:
-                next_id, event_touched = _apply_event(
-                    topology, agents, next_id, event
-                )
-                touched.update(event_touched)
-            planner.invalidate_topology(sorted(touched))
+                next_id = apply_event(topology, agents, next_id, event)
             participants = _participants(agents, topology)
             decisions = planner.plan(participants)
             reference = PrunedPlanner(PROFILE, link_model, top_k=32)
             assert list(decisions) == list(reference.plan(participants))
+
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_agent_removed_from_topology_but_still_planned(self, compact):
+        """A participant the topology dropped re-costs its own row, even
+        once compaction has dropped its tombstone and its stamp."""
+        ids = list(range(8))
+        topology = ring_topology(ids)
+        rng = np.random.default_rng(3)
+        agents = [make_agent(agent_id, rng) for agent_id in ids]
+        planner = PrunedPlanner(PROFILE, LinkModel(topology), top_k=32)
+        planner.plan(agents)
+        counts = planner.state.scan_count[planner.state.row_of_pos]
+        victim = int(np.argmax(counts))
+        assert counts[victim] > 0
+        row = int(planner.state.row_of_pos[victim])
+        topology.remove_agent(victim)
+        if compact:
+            for arrival in range(60):
+                topology.add_agent(100 + arrival, [(victim + 1) % 8])
+            assert topology._slot_count == topology.num_nodes
+        decisions = planner.plan(agents)
+        assert planner.state.scan_count[row] == 0
+        fresh = PrunedPlanner(PROFILE, LinkModel(topology), top_k=32)
+        assert list(decisions) == list(fresh.plan(agents))

@@ -328,7 +328,7 @@ class TestPlannerReporting:
         assert "planner" in by_method["ComDML"]
         planner = by_method["ComDML"]["planner"]
         assert planner["rounds"] >= 0
-        assert {"csr_edits", "csr_rebuilds", "csr_compactions"} <= set(planner)
+        assert {"rows_recomputed", "rows_reused", "pairs_evaluated"} <= set(planner)
         # Baselines have no planner and must not grow the key.
         assert "planner" not in by_method["AllReduce"]
         report = execution_report(result)
@@ -339,15 +339,15 @@ class TestPlannerReporting:
         from repro.experiments.reporting import aggregate_planner_reports
 
         payloads = [
-            {"planner": {"rounds": 2, "csr_edits": 3, "label": "a", "ok": True}},
-            {"planner": {"rounds": 4, "csr_edits": 0, "rows_reused": 7}},
+            {"planner": {"rounds": 2, "scan_rounds": 3, "label": "a", "ok": True}},
+            {"planner": {"rounds": 4, "scan_rounds": 0, "rows_reused": 7}},
             {"method": "AllReduce"},
             "not-a-dict",
         ]
         aggregate = aggregate_planner_reports(payloads)
         assert aggregate == {
             "rounds": 6,
-            "csr_edits": 3,
+            "scan_rounds": 3,
             "rows_reused": 7,
             "cells_reporting": 2,
         }

@@ -309,24 +309,24 @@ class TestIncrementalReplanning:
         ]
         agents = _build_agents(population)
         link_model = _link_model(agents, "full", 0)
-        graph = link_model.topology.graph
+        topology = link_model.topology
         order = rng.permutation(len(agents))
         planner = PrunedPlanner(PROFILE, link_model, top_k=8)
         planner.plan([agents[i] for i in sorted(order[:300])])
 
         participants = [agents[i] for i in sorted(order[150:])]
         walked = []
-        original_neighbors = graph.neighbors
+        original_links_for = topology.links_for
 
-        def counting_neighbors(node):
-            walked.append(node)
-            return original_neighbors(node)
+        def counting_links_for(*args, **kwargs):
+            walked.append(args)
+            return original_links_for(*args, **kwargs)
 
-        graph.neighbors = counting_neighbors
+        topology.links_for = counting_links_for
         try:
             decisions = planner.plan(participants)
         finally:
-            del graph.neighbors
+            del topology.links_for
         assert walked == []
         assert planner.stats.last_rows_recomputed == len(participants)
         fresh = PrunedPlanner(PROFILE, link_model, top_k=8)
@@ -345,16 +345,6 @@ class TestIncrementalReplanning:
         planner.invalidate_topology([gone.agent_id])
         fresh = PrunedPlanner(PROFILE, link_model, top_k=2)
         assert list(planner.plan(agents)) == list(fresh.plan(agents))
-
-    def test_invalidate_all_forces_full_rebuild(self):
-        agents = _build_agents([(0.5, 50.0, 1_000, 100)] * 5)
-        link_model = _link_model(agents, "full", 0)
-        planner = _full_budget_planner(agents, link_model)
-        planner.plan(agents)
-        rebuilds = planner.stats.full_rebuilds
-        planner.invalidate_all()
-        planner.plan(agents)
-        assert planner.stats.full_rebuilds == rebuilds + 1
 
     def test_departure_without_invalidate_still_matches(self):
         """Membership diffing alone (no explicit event) must stay sound."""

@@ -65,11 +65,11 @@ PLANNER_DENSE_PAIR = (
     "test_dense_round_speed_500",
 )
 
-#: Same-run pair gated by --csr-ratio: the incremental CSR engine
-#: absorbing a 50k-population arrival wave as O(Δ) journal edits against
-#: the O(E) full rebuild of the same graph.  Unlike the other gates this
-#: one fails when the ratio falls BELOW the bound (the acceptance bar is
-#: 3.0: edits at least 3x faster than rescanning every link).
+#: Same-run pair gated by --csr-ratio: a 500-agent arrival wave edited
+#: into the 50k-agent topology's CSR in O(Δ) and synced, against the same
+#: wave plus an O(E) build of the whole graph from edge arrays.  Unlike the
+#: other gates this one fails when the ratio falls BELOW the bound (the
+#: acceptance bar is 3.0: edits at least 3x faster than rebuilding).
 CSR_PAIR = (
     "test_csr_arrival_wave_rebuild_speed",
     "test_csr_arrival_wave_incremental_speed",
@@ -363,10 +363,10 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=None,
         help=(
-            "fail when the incremental CSR engine's arrival-wave edit is "
-            "less than this many times faster than the full O(E) rebuild "
-            "of the same graph in THIS run (the acceptance bar is 3.0); "
-            "machine-independent, both medians come from one process"
+            "fail when an arrival wave's O(Δ) CSR edits and sync are "
+            "less than this many times faster than the same wave plus an "
+            "O(E) build of the whole graph in THIS run (the acceptance bar "
+            "is 3.0); machine-independent, both medians come from one process"
         ),
     )
     parser.add_argument(
@@ -473,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
             / snap["benches"][incremental]["median_seconds"]
         )
         print(
-            f"incremental CSR arrival-wave edit vs full rebuild: "
+            f"CSR arrival-wave edits vs rebuild from edges: "
             f"{csr_ratio:.1f}x faster"
         )
     if args.csr_ratio is not None:
