@@ -593,11 +593,14 @@ def _baseline_trainer(method: str, population: int):
 def test_baseline_round_speed(benchmark, method):
     """Steady sync rounds of one baseline on a ring, every agent taking part.
 
-    A baseline's round prices one solo unit per participant, so its cost
-    should grow linearly with the population; ``tools/bench_trajectory.py``
-    fits each method's exponent between the two populations
-    (``--baseline-exponent``).  Gossip's neighbour search used to ask
-    every participant pair for a link, which fits an exponent near 2.
+    A baseline prices its participants as columns, so its round's cost
+    grows at most linearly with the population; at 1 000 agents the
+    round's fixed costs are a third to a half of it, and the exponent
+    ``tools/bench_trajectory.py`` fits between the two populations
+    (``--baseline-exponent``) reads 0.7 to 0.85.  Gossip's
+    neighbour search used to ask every participant pair for a link, which
+    fits an exponent near 2.  The tool also prints the fastest rounds in
+    ms, where a constant-factor regression shows.
     Both populations' trainers are built and run round 0 outside the
     timer; each timed round then runs one steady round of each, so a slow
     stretch of the host hits both populations alike.  ``extra_info``

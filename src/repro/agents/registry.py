@@ -281,6 +281,14 @@ class AgentRegistry:
         """All agents in insertion order."""
         return AgentSelection(self._agents.values(), self, self._live())
 
+    def select(self, agent_ids: Sequence[int]) -> AgentSelection:
+        """The given registered agents, in that order."""
+        return AgentSelection(
+            [self.get(agent_id) for agent_id in agent_ids],
+            self,
+            self._rows_for(agent_ids),
+        )
+
     def id_column(self) -> np.ndarray:
         """All agent ids in insertion order, as an ``int64`` array."""
         return self._columns["agent_id"][self._live()]

@@ -16,18 +16,3 @@ __all__ = [
     "BrainTorrent",
 ]
 
-
-def baseline_by_name(name: str):
-    """Look up a baseline class by (case-insensitive) name."""
-    mapping = {
-        "fedavg": FedAvg,
-        "fedprox": FedProx,
-        "allreduce": AllReduceDML,
-        "gossip": GossipLearning,
-        "gossip learning": GossipLearning,
-        "braintorrent": BrainTorrent,
-    }
-    key = name.lower().strip()
-    if key not in mapping:
-        raise KeyError(f"unknown baseline {name!r}; expected one of {sorted(mapping)}")
-    return mapping[key]

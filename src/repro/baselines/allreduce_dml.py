@@ -9,11 +9,11 @@ followed by the collective aggregation.
 
 from __future__ import annotations
 
-from typing import Sequence
+import numpy as np
 
-from repro.agents.agent import Agent
 from repro.baselines.base import BaselineTrainer
-from repro.core.timing import bottleneck_bandwidth
+from repro.core.fastpath import AgentAttrs
+from repro.core.timing import bottleneck_of_mbps
 from repro.network.allreduce import allreduce_time
 
 
@@ -23,13 +23,13 @@ class AllReduceDML(BaselineTrainer):
     method_name = "AllReduce"
     curve_method_key = "allreduce"
 
-    def round_timing(self, participants: Sequence[Agent]) -> tuple[float, float, float]:
-        if not participants:
-            return 0.0, 0.0, 0.0
-        compute = max(self.full_model_training_time(agent) for agent in participants)
+    def round_timing(self, attrs: AgentAttrs, times: np.ndarray) -> tuple[float, float, float]:
+        compute = float(times.max())
         aggregation = allreduce_time(
             model_bytes=self.model_bytes(),
-            num_agents=len(participants),
-            bottleneck_bandwidth_bytes_per_second=bottleneck_bandwidth(participants),
+            num_agents=len(times),
+            bottleneck_bandwidth_bytes_per_second=bottleneck_of_mbps(
+                attrs.bandwidth_mbps
+            ),
         )
         return compute + aggregation, compute, aggregation

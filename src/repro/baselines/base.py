@@ -5,13 +5,16 @@ the baselines share with ComDML — participation sampling, dynamic churn,
 the learning-rate schedule, accuracy tracking, the run history, and the
 event-driven execution modes — is owned by
 :class:`~repro.runtime.TrainingRuntime`.  A baseline contributes only its
-**round-timing/aggregation pattern** through the :meth:`BaselineTrainer.round_timing`
-hook (and, optionally, a per-agent :meth:`BaselineTrainer.unit_duration`),
-which this base class packages as a
-:class:`~repro.runtime.strategy.RoundPlan` of one solo work unit per
-participant (no workload balancing — every agent trains the full model):
-an all-solo :class:`~repro.core.pairing.PairingPlan` plus the units'
-durations.
+**round-timing/aggregation pattern**, priced from columns: each round
+gathers its participants' attribute columns once
+(:func:`~repro.core.fastpath.agent_attrs`) and their full-model training
+times as one column (``τ̂``, the planner's ``individual_times``), and hands
+both to the :meth:`BaselineTrainer.round_timing` hook (and, optionally, to
+:meth:`BaselineTrainer.unit_durations`).  This base class packages the
+result as a :class:`~repro.runtime.strategy.RoundPlan` of one solo work
+unit per participant (no workload balancing — every agent trains the full
+model): an all-solo :class:`~repro.core.pairing.PairingPlan` plus the
+units' durations.
 """
 
 from __future__ import annotations
@@ -23,14 +26,15 @@ import numpy as np
 from repro.agents.agent import Agent
 from repro.agents.registry import AgentRegistry
 from repro.core.config import ComDMLConfig
+from repro.core.fastpath import AgentAttrs, agent_attrs, agent_vectors_from_attrs
+from repro.core.pairing import PairingPlan
 from repro.core.profiling import SplitProfile, profile_architecture
-from repro.core.workload import individual_training_time
 from repro.models.spec import ArchitectureSpec
 from repro.network.link import LinkModel
 from repro.network.topology import Topology, full_topology
 from repro.runtime.dynamics import DynamicsSchedule
 from repro.runtime.runtime import RuntimeDelegate, TrainingRuntime
-from repro.runtime.strategy import RoundPlan, StrategyDefaults, WorkUnit, solo_decisions
+from repro.runtime.strategy import RoundPlan, StrategyDefaults, WorkUnit
 from repro.runtime.trace import EventTrace
 from repro.training.accuracy import AccuracyTracker, CurveAccuracyTracker
 from repro.training.curves import LearningCurveModel, curve_preset_for
@@ -95,19 +99,24 @@ class BaselineTrainer(StrategyDefaults, RuntimeDelegate):
     # ------------------------------------------------------------------
     # Hooks for subclasses
     # ------------------------------------------------------------------
-    def round_timing(self, participants: Sequence[Agent]) -> tuple[float, float, float]:
-        """Return ``(total, compute, communication)`` seconds for one round."""
+    def round_timing(self, attrs: AgentAttrs, times: np.ndarray) -> tuple[float, float, float]:
+        """Return ``(total, compute, communication)`` seconds for one round.
+
+        ``attrs`` are the participants' columns and ``times`` their
+        full-model training times, one row per participant; a round has
+        at least one participant.
+        """
         raise NotImplementedError
 
-    def unit_duration(self, agent: Agent, training_time: float) -> float:
-        """How long one participant's unit of local work takes.
+    def unit_durations(self, attrs: AgentAttrs, times: np.ndarray) -> np.ndarray:
+        """How long each participant's unit of local work takes.
 
-        Defaults to the agent's already-computed full-model
-        ``training_time``; methods whose agents also block on per-agent
-        communication (e.g. FedAvg's download/upload chain) override this
-        so the ``semi-sync``/``async`` modes see the real completion times.
+        Defaults to the full-model training ``times``; methods whose agents
+        also block on per-agent communication (e.g. FedAvg's
+        download/upload chain) override this so the ``semi-sync``/``async``
+        modes see the real completion times.
         """
-        return training_time
+        return times
 
     # ------------------------------------------------------------------
     # Mid-round dynamics hooks
@@ -115,15 +124,16 @@ class BaselineTrainer(StrategyDefaults, RuntimeDelegate):
     def reprice_unit(self, plan: RoundPlan, unit: WorkUnit) -> float:
         """Fresh price of one participant's unit under its present profile.
 
-        Re-prices the agent's training time from its *current* resources and
-        runs it back through :meth:`unit_duration`, so methods that chain
+        Reads the agent's row from the registry's columns as they are now
+        and prices it through :meth:`unit_durations`, so methods that chain
         per-agent communication (FedAvg) see churned bandwidths too.
         """
         agent_id = unit.agent_ids[0]
         if agent_id not in self.registry:
             return unit.duration
-        agent = self.registry.get(agent_id)
-        return self.unit_duration(agent, self.full_model_training_time(agent))
+        attrs = agent_attrs(self.registry.select([agent_id]))
+        times = agent_vectors_from_attrs(attrs, self.profile).individual_times
+        return float(self.unit_durations(attrs, times)[0])
 
     def on_agent_arrival(self, agent: Agent, neighbors=None, attachment=None) -> None:
         """Wire a mid-run arrival into the communication topology."""
@@ -153,10 +163,6 @@ class BaselineTrainer(StrategyDefaults, RuntimeDelegate):
             self.config.participation_fraction, self._participation_rng
         )
 
-    def full_model_training_time(self, agent: Agent) -> float:
-        """Time for an agent to train the full model on its shard."""
-        return individual_training_time(agent, self.profile, agent.batch_size)
-
     def model_bytes(self) -> float:
         """Serialized full-model size in bytes."""
         return self.profile.full_model_bytes
@@ -167,17 +173,22 @@ class BaselineTrainer(StrategyDefaults, RuntimeDelegate):
     def plan_round(
         self, round_index: int, participants: Sequence[Agent]
     ) -> RoundPlan:
-        """Price the round with the baseline's timing pattern, one solo unit per agent."""
-        total, compute, communication = self.round_timing(participants)
-        decisions = solo_decisions(participants, self.profile)
-        durations = [
-            self.unit_duration(agent, training_time)
-            for agent, training_time in zip(participants, decisions.pair_time.tolist())
-        ]
+        """Price the round with the baseline's timing pattern, one solo unit per agent.
+
+        The participants' columns are gathered once, and their full-model
+        training times are one column (the planner's ``τ̂``, equal to
+        :func:`~repro.core.workload.individual_training_time` bit for bit).
+        A round without participants costs nothing.
+        """
+        attrs = agent_attrs(participants)
+        times = agent_vectors_from_attrs(attrs, self.profile).individual_times
+        total = compute = communication = 0.0
+        if len(times):
+            total, compute, communication = self.round_timing(attrs, times)
         return RoundPlan(
             round_index=round_index,
-            decisions=decisions,
-            durations=np.array(durations, dtype=np.float64),
+            decisions=PairingPlan.solo(attrs.agent_id, times),
+            durations=self.unit_durations(attrs, times),
             aggregation_seconds=max(0.0, total - compute),
             duration_seconds=total,
             compute_seconds=compute,

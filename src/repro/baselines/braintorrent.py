@@ -11,10 +11,10 @@ slow link.
 
 from __future__ import annotations
 
-from typing import Sequence
+import numpy as np
 
-from repro.agents.agent import Agent
 from repro.baselines.base import BaselineTrainer
+from repro.core.fastpath import AgentAttrs
 from repro.core.timing import FALLBACK_BANDWIDTH_MBPS
 from repro.sim.costs import DEFAULT_LINK_LATENCY_SECONDS
 from repro.utils.units import mbps_to_bytes_per_second
@@ -26,22 +26,20 @@ class BrainTorrent(BaselineTrainer):
     method_name = "BrainTorrent"
     curve_method_key = "braintorrent"
 
-    def round_timing(self, participants: Sequence[Agent]) -> tuple[float, float, float]:
-        if not participants:
-            return 0.0, 0.0, 0.0
-        compute = max(self.full_model_training_time(agent) for agent in participants)
+    def round_timing(self, attrs: AgentAttrs, times: np.ndarray) -> tuple[float, float, float]:
+        compute = float(times.max())
 
         # A random participant becomes this round's aggregator.
-        aggregator: Agent = participants[
-            int(self._method_rng.integers(0, len(participants)))
-        ]
-        aggregator_bandwidth = aggregator.profile.bandwidth_bytes_per_second
-        if aggregator_bandwidth <= 0:
-            aggregator_bandwidth = mbps_to_bytes_per_second(FALLBACK_BANDWIDTH_MBPS)
+        count = len(times)
+        aggregator_mbps = float(
+            attrs.bandwidth_mbps[int(self._method_rng.integers(0, count))]
+        )
+        if aggregator_mbps <= 0:
+            aggregator_mbps = FALLBACK_BANDWIDTH_MBPS
+        aggregator_bandwidth = mbps_to_bytes_per_second(aggregator_mbps)
 
-        other_count = max(0, len(participants) - 1)
         # Receive every other agent's model, then broadcast the average back.
         # The aggregator's access link serialises both directions.
         per_transfer = DEFAULT_LINK_LATENCY_SECONDS + self.model_bytes() / aggregator_bandwidth
-        aggregation = 2.0 * other_count * per_transfer
+        aggregation = 2.0 * (count - 1) * per_transfer
         return compute + aggregation, compute, aggregation

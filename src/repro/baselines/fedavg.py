@@ -11,12 +11,10 @@ most favourable to FedAvg.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.agents.agent import Agent
 from repro.baselines.base import BaselineTrainer
+from repro.core.fastpath import AgentAttrs
 from repro.sim.costs import DEFAULT_LINK_LATENCY_SECONDS
 
 
@@ -26,21 +24,23 @@ class FedAvg(BaselineTrainer):
     method_name = "FedAvg"
     curve_method_key = "fedavg"
 
-    def agent_round_time(self, agent: Agent) -> tuple[float, float, float]:
-        """(total, compute, communication) chain for one agent's round."""
-        compute = self.full_model_training_time(agent)
-        bandwidth = agent.profile.bandwidth_bytes_per_second
-        if bandwidth <= 0:
-            # Disconnected agents cannot interact with the server this round;
-            # they contribute no time (the server simply skips them).
-            return 0.0, 0.0, 0.0
+    def _chains(
+        self, attrs: AgentAttrs, times: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each agent's (total, compute, communication) chain, as columns."""
+        bandwidth = attrs.access_bandwidth()
+        connected = bandwidth > 0
         # Download the global model, then upload the update.
-        communication = 2.0 * (
-            DEFAULT_LINK_LATENCY_SECONDS + self.model_bytes() / bandwidth
+        communication = np.zeros(len(times))
+        communication[connected] = 2.0 * (
+            DEFAULT_LINK_LATENCY_SECONDS + self.model_bytes() / bandwidth[connected]
         )
+        # Disconnected agents cannot interact with the server this round;
+        # they contribute no time (the server simply skips them).
+        compute = np.where(connected, times, 0.0)
         return compute + communication, compute, communication
 
-    def unit_duration(self, agent: Agent, training_time: float) -> float:
+    def unit_durations(self, attrs: AgentAttrs, times: np.ndarray) -> np.ndarray:
         """An agent's unit completes after its full download+train+upload chain.
 
         Disconnected agents contribute a zero-cost chain (the server skips
@@ -48,11 +48,11 @@ class FedAvg(BaselineTrainer):
         duration would let idle agents instantly fill a semi-sync quorum and
         crowd out agents that are actually training.
         """
-        total = self.agent_round_time(agent)[0]
-        return total if total > 0 else training_time
+        total = self._chains(attrs, times)[0]
+        return np.where(total > 0, total, times)
 
     # FedAvg's communication is priced inside each agent's chain (and thus in
-    # unit_duration); the server's averaging itself is free.  Without these
+    # unit_durations); the server's averaging itself is free.  Without these
     # overrides the default mode pricing would re-add the round-level
     # communication on top of the chains, double-counting it.
     def semi_sync_aggregation_seconds(self, plan, kept) -> float:
@@ -61,11 +61,6 @@ class FedAvg(BaselineTrainer):
     def async_unit_aggregation_seconds(self, plan, rows) -> np.ndarray:
         return np.zeros(len(rows))
 
-    def round_timing(self, participants: Sequence[Agent]) -> tuple[float, float, float]:
-        chains = [self.agent_round_time(agent) for agent in participants]
-        if not chains:
-            return 0.0, 0.0, 0.0
-        total = max(chain[0] for chain in chains)
-        compute = max(chain[1] for chain in chains)
-        communication = max(chain[2] for chain in chains)
-        return total, compute, communication
+    def round_timing(self, attrs: AgentAttrs, times: np.ndarray) -> tuple[float, float, float]:
+        total, compute, communication = self._chains(attrs, times)
+        return float(total.max()), float(compute.max()), float(communication.max())

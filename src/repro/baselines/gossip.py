@@ -14,13 +14,10 @@ compared methods, matching its longer time-to-accuracy in the paper.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.agents.agent import Agent
 from repro.baselines.base import BaselineTrainer
-from repro.network.link import pairwise_bandwidth
+from repro.core.fastpath import AgentAttrs
 from repro.sim.costs import DEFAULT_LINK_LATENCY_SECONDS
 
 
@@ -30,7 +27,7 @@ class GossipLearning(BaselineTrainer):
     method_name = "Gossip Learning"
     curve_method_key = "gossip"
 
-    def _peers(self, participants: Sequence[Agent]) -> tuple[np.ndarray, np.ndarray]:
+    def _peers(self, attrs: AgentAttrs) -> tuple[np.ndarray, np.ndarray]:
         """Each participant's connected peers, as positions in participant order.
 
         A peer is another connected participant the topology links to it,
@@ -40,51 +37,35 @@ class GossipLearning(BaselineTrainer):
         grouped by participant and ascending within each group.
         """
         topology = self.link_model.topology
-        rows, cols = topology.links_for(
-            topology.translation([agent.agent_id for agent in participants])
-        )
-        connected = np.fromiter(
-            (agent.is_connected for agent in participants),
-            dtype=bool,
-            count=len(participants),
-        )
+        rows, cols = topology.links_for(topology.translation(attrs.agent_id.tolist()))
+        connected = attrs.bandwidth_mbps > 0
         linked = connected[rows] & connected[cols]
-        return np.bincount(rows[linked], minlength=len(participants)), cols[linked]
+        return np.bincount(rows[linked], minlength=len(connected)), cols[linked]
 
-    def _exchange_times(self, participants: Sequence[Agent]) -> np.ndarray:
+    def _exchange_times(self, attrs: AgentAttrs) -> np.ndarray:
         """Each participant's model push to a random peer (0.0 without one).
 
         ``_method_rng`` draws one index per participant that has peers, in
         participant order; one vectorised draw takes the same values as
         one scalar draw per participant.  Peers are linked and connected,
-        so a push runs at the slower access link.
+        so a push runs at the slower of the two access links.
         """
-        counts, peers = self._peers(participants)
+        counts, peers = self._peers(attrs)
         senders = np.nonzero(counts)[0]
-        exchange = np.zeros(len(participants))
+        exchange = np.zeros(len(counts))
         if senders.size == 0:
             return exchange
         draws = self._method_rng.integers(0, counts[senders])
         chosen = peers[(np.cumsum(counts) - counts)[senders] + draws]
-        bandwidth = np.array(
-            [
-                pairwise_bandwidth(participants[i], participants[peer])
-                for i, peer in zip(senders.tolist(), chosen.tolist())
-            ],
-            dtype=np.float64,
-        )
+        access = attrs.access_bandwidth()
+        bandwidth = np.minimum(access[senders], access[chosen])
         exchange[senders] = DEFAULT_LINK_LATENCY_SECONDS + self.model_bytes() / bandwidth
         return exchange
 
-    def round_timing(self, participants: Sequence[Agent]) -> tuple[float, float, float]:
-        if not participants:
-            return 0.0, 0.0, 0.0
-        compute = np.array(
-            [self.full_model_training_time(agent) for agent in participants]
-        )
-        exchange = self._exchange_times(participants)
+    def round_timing(self, attrs: AgentAttrs, times: np.ndarray) -> tuple[float, float, float]:
+        exchange = self._exchange_times(attrs)
         return (
-            max((compute + exchange).tolist()),
-            max(compute.tolist()),
-            max(exchange.tolist()),
+            float((times + exchange).max()),
+            float(times.max()),
+            float(exchange.max()),
         )

@@ -132,7 +132,7 @@ class PairingPlan(Sequence[PairingDecision]):
         count = len(agent_ids)
         zeros = np.zeros(count)
         return cls(
-            slow_id=np.fromiter(agent_ids, dtype=np.int64, count=count),
+            slow_id=np.array(agent_ids, dtype=np.int64),
             fast_id=np.full(count, -1, dtype=np.int64),
             offloaded_layers=np.zeros(count, dtype=np.int64),
             slow_time=times,

@@ -42,7 +42,6 @@ from repro.runtime.strategy import (
     StrategyDefaults,
     WorkUnit,
     participation_fraction,
-    solo_decisions,
 )
 from repro.runtime.sinks import CallbackSink, JSONLSink, MemorySink, TraceSink
 from repro.runtime.trace import EventTrace, PipelineStats, TraceEvent
@@ -65,7 +64,6 @@ __all__ = [
     "StrategyDefaults",
     "WorkUnit",
     "participation_fraction",
-    "solo_decisions",
     "EventTrace",
     "TraceEvent",
     "PipelineStats",

@@ -22,9 +22,8 @@ after churn), ``on_agent_arrival`` and ``on_agent_departure`` (topology
 wiring).  :class:`StrategyDefaults` provides inert fallbacks, so a
 strategy can opt into dynamics incrementally.
 
-This module also hosts the round helpers that were previously duplicated
-between ``core/comdml.py`` and ``baselines/base.py``:
-:func:`participation_fraction` and :func:`solo_decisions`.
+This module also hosts :func:`participation_fraction`, the learning-plane
+share of a round that every method reports.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ import numpy as np
 from repro.agents.agent import Agent
 from repro.agents.registry import AgentRegistry
 from repro.core.pairing import PairingDecision, PairingPlan
-from repro.core.profiling import SplitProfile
-from repro.core.workload import individual_training_time
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.runtime.dynamics import ArrivalAttachment
@@ -253,15 +250,3 @@ def _decision_agent_ids(decisions: Sequence[PairingDecision]) -> list[int]:
             involved.append(decision.fast_id)
     return involved
 
-
-def solo_decisions(
-    participants: Sequence[Agent], profile: SplitProfile
-) -> PairingPlan:
-    """Every participant trains the full model alone (no offloading)."""
-    times = [
-        individual_training_time(agent, profile, agent.batch_size)
-        for agent in participants
-    ]
-    return PairingPlan.solo(
-        [agent.agent_id for agent in participants], np.array(times, dtype=np.float64)
-    )

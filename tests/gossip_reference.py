@@ -3,15 +3,16 @@
 The Gossip exchange as it ran before it read each participant's adjacency:
 every participant asks ``can_communicate`` of every other participant, in
 participant order, draws one of the peers it found from the trainer's
-``_method_rng`` and pushes the model over ``bandwidth``.
+``_method_rng`` and pushes the model to it.
 :func:`round_timing_reference` prices a round this way on a built
-``GossipLearning`` trainer, so a property can compare it with
-``GossipLearning.round_timing`` on the same input.
+``GossipLearning`` trainer, so a property can compare it with the
+trainer's column pricing on the same input.  Training times and pushes
+are priced by the scalar oracle in ``tests/baseline_reference.py``.
 """
 
 from __future__ import annotations
 
-from repro.sim.costs import DEFAULT_LINK_LATENCY_SECONDS
+from baseline_reference import maxima, push_time, solo_time
 
 
 def exchange_time_reference(trainer, agent, participants) -> float:
@@ -25,10 +26,7 @@ def exchange_time_reference(trainer, agent, participants) -> float:
     if not neighbors:
         return 0.0
     choice = neighbors[int(trainer._method_rng.integers(0, len(neighbors)))]
-    bandwidth = trainer.link_model.bandwidth(agent, choice)
-    if bandwidth <= 0:
-        return 0.0
-    return DEFAULT_LINK_LATENCY_SECONDS + trainer.model_bytes() / bandwidth
+    return push_time(trainer, agent, choice)
 
 
 def round_timing_reference(trainer, participants) -> tuple[float, float, float]:
@@ -37,10 +35,7 @@ def round_timing_reference(trainer, participants) -> tuple[float, float, float]:
         return 0.0, 0.0, 0.0
     chains = []
     for agent in participants:
-        compute = trainer.full_model_training_time(agent)
+        compute = solo_time(trainer, agent)
         exchange = exchange_time_reference(trainer, agent, participants)
         chains.append((compute + exchange, compute, exchange))
-    total = max(chain[0] for chain in chains)
-    compute = max(chain[1] for chain in chains)
-    communication = max(chain[2] for chain in chains)
-    return total, compute, communication
+    return maxima(chains)

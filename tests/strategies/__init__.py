@@ -8,7 +8,7 @@ Test modules import the package as ``strategies``: the suite has no
 ``tests/__init__.py``, so pytest puts ``tests/`` itself on ``sys.path``.
 """
 
-from strategies.registry import registry_ops
+from strategies.registry import AGENT_FIELDS, registry_ops
 from strategies.runs import (
     AGENT_COUNTS,
     async_scenarios,
@@ -20,6 +20,7 @@ from strategies.topology import EVENT_SEQUENCES, apply_event, make_agent
 
 __all__ = [
     "AGENT_COUNTS",
+    "AGENT_FIELDS",
     "DETERMINISM_SETTINGS",
     "EVENT_SEQUENCES",
     "STANDARD_SETTINGS",

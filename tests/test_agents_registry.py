@@ -65,6 +65,14 @@ class TestRegistryAccess:
     def test_agents_property(self, small_registry):
         assert len(small_registry.agents) == len(small_registry)
 
+    def test_select_hands_out_the_given_agents_in_order(self, small_registry):
+        selection = small_registry.select([4, 0, 2])
+        assert [agent.agent_id for agent in selection] == [4, 0, 2]
+        assert gather_columns(selection, "agent_id")[0].tolist() == [4, 0, 2]
+        assert small_registry.select([]) == []
+        with pytest.raises(KeyError):
+            small_registry.select([1, 999])
+
 
 class TestColumns:
     def test_columns_read_each_id_and_a_default_for_unregistered_ones(self):
@@ -229,6 +237,10 @@ def _check_registry(registry, taken):
     _assert_reads_its_agents(selection, agents)
 
     by_id = {agent.agent_id: agent for agent in agents}
+    chosen = registry.ids[::-2]
+    selected = registry.select(chosen)
+    assert gather_columns(selected, "agent_id") is not None
+    _assert_reads_its_agents(selected, [by_id[agent_id] for agent_id in chosen])
     assert registry.total_samples == sum(agent.num_samples for agent in agents)
     queries = registry.ids + [-1, 16, 10**9 + 7, 10**12] + registry.ids[:2]
     assert registry.samples_of(queries) == sum(

@@ -1,8 +1,10 @@
 """Gossip Learning's exchange against its per-pair reference.
 
 ``tests/gossip_reference.py`` keeps the round as it ran when every
-participant asked ``can_communicate`` of every other one.  The property
-prices the same rounds both ways on two trainers with equal seeds: the
+participant asked ``can_communicate`` of every other one, priced by the
+scalar oracle in ``tests/baseline_reference.py``.  The property prices the
+same rounds both ways on two trainers with equal seeds, the trainer
+through its ``round_timing`` hook over the participants' columns: the
 timing triples and the ``_method_rng`` states must match exactly.  The
 count test pins how many link checks a round makes.
 """
@@ -23,6 +25,7 @@ from repro.agents.resources import (
 )
 from repro.baselines.gossip import GossipLearning
 from repro.core.config import ComDMLConfig
+from repro.core.fastpath import agent_attrs, agent_vectors_from_attrs
 from repro.models.resnet import resnet56_spec
 from repro.network.link import LinkModel
 from repro.network.topology import (
@@ -43,6 +46,13 @@ def _topology(kind: str, ids: list[int], seed: int):
     if kind == "random":
         return random_topology(ids, 0.4, rng)
     return full_topology(ids)
+
+
+def _round_timing(trainer, participants) -> tuple[float, float, float]:
+    """The trainer's ``round_timing`` hook over the participants' columns."""
+    attrs = agent_attrs(participants)
+    times = agent_vectors_from_attrs(attrs, trainer.profile).individual_times
+    return trainer.round_timing(attrs, times)
 
 
 def _trainer(registry, topology, seed: int) -> GossipLearning:
@@ -90,7 +100,7 @@ def test_round_timing_matches_the_per_pair_reference(
     reference = _trainer(registry, topology, seed)
     for _ in range(3):
         participants = registry.sample_participants(participation, sampler)
-        assert fast.round_timing(participants) == round_timing_reference(
+        assert _round_timing(fast, participants) == round_timing_reference(
             reference, participants
         )
         assert (
@@ -122,6 +132,6 @@ def test_default_links_round_on_a_ring_makes_no_pairwise_calls(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)
-    total, _, communication = trainer.round_timing(trainer.registry.agents)
+    total, _, communication = _round_timing(trainer, trainer.registry.agents)
     assert calls["link"] <= RING_AGENTS
     assert communication > 0 and total > communication

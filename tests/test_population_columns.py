@@ -5,7 +5,9 @@ learning plane registry selections and plans, so no per-agent branch of
 ``agent_attrs``, ``bottleneck_bandwidth`` or the participation count runs
 in any mode or method.  These tests patch those branches to fail, which
 pins the column path with a count rather than a timing: a change that
-copies the participants into a plain list fails them.
+copies the participants into a plain list fails them.  Every method
+gathers its participants' six columns once per round; a baseline gathers
+nothing else, except one six-column row for each unit it re-prices.
 """
 
 import pytest
@@ -14,7 +16,7 @@ import repro.core.fastpath as fastpath
 import repro.core.timing as timing
 import repro.runtime.strategy as strategy
 from repro.agents.agent import Agent
-from repro.agents.registry import AgentSelection
+from repro.agents.registry import COLUMNS, AgentSelection
 from repro.agents.resources import ResourceProfile
 from repro.experiments.runner import METHOD_REGISTRY, ExperimentRunner
 from repro.experiments.scenarios import ScenarioConfig
@@ -29,6 +31,11 @@ PER_AGENT_BRANCHES = (
 
 ROUNDS = 3
 AGENTS = 40
+
+#: The names of one ``agent_attrs`` gather: every registry column.
+ALL_COLUMNS = tuple(name for name, _, _ in COLUMNS)
+
+BASELINES = sorted(set(METHOD_REGISTRY) - {"ComDML"})
 
 
 @pytest.fixture
@@ -77,7 +84,8 @@ def test_sync_rounds_with_churn(column_gathers):
     assert sum(len(names) == 6 for names in column_gathers) == ROUNDS
 
 
-def test_semi_sync_rounds_under_a_schedule(column_gathers):
+def _schedule() -> DynamicsSchedule:
+    """Arrivals, departures and churn inside the first rounds."""
     schedule = DynamicsSchedule()
     for index, time in enumerate((5.0, 40.0, 90.0)):
         schedule.arrival(
@@ -89,10 +97,14 @@ def test_semi_sync_rounds_under_a_schedule(column_gathers):
         schedule.departure(time, agent_id=agent_id)
     schedule.churn(20.0, fraction=0.3)
     schedule.churn(60.0, agent_ids=[1, 2, AGENTS + 1])
+    return schedule
+
+
+def test_semi_sync_rounds_under_a_schedule(column_gathers):
     trainer = _run(
         "ComDML",
         _config(execution_mode="semi-sync", quorum_fraction=0.8),
-        dynamics=schedule,
+        dynamics=_schedule(),
     )
     kinds = {event.kind for event in trainer.runtime.trace.events}
     assert {"arrival", "departure", "churn", "quorum_reached"} <= kinds
@@ -110,5 +122,24 @@ def test_async_rounds(column_gathers):
 @pytest.mark.parametrize("method", sorted(METHOD_REGISTRY))
 def test_sampled_rounds_of_every_method(column_gathers, method):
     _run(method, _config(participation_fraction=0.2))
-    if method in ("ComDML", "AllReduce"):
+    assert column_gathers.count(ALL_COLUMNS) == ROUNDS
+    if method == "ComDML":
         assert ("bandwidth_mbps",) in column_gathers
+    else:
+        assert len(column_gathers) == ROUNDS
+
+
+@pytest.mark.parametrize("mode", ["semi-sync", "async"])
+@pytest.mark.parametrize("method", BASELINES)
+def test_baseline_rounds_under_a_schedule(column_gathers, method, mode):
+    """A churned unit is re-priced from its registry row: one more gather
+    of every column, never a read of the agent one attribute at a time."""
+    overrides = {"quorum_fraction": 0.8} if mode == "semi-sync" else {}
+    trainer = _run(
+        method, _config(execution_mode=mode, **overrides), dynamics=_schedule()
+    )
+    events = trainer.runtime.trace.events
+    assert {"arrival", "departure", "churn"} <= {event.kind for event in events}
+    repriced = sum(event.kind == "unit_repriced" for event in events)
+    assert repriced > 0
+    assert column_gathers == [ALL_COLUMNS] * (ROUNDS + repriced)

@@ -19,7 +19,7 @@ from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import ScenarioConfig
 from repro.models.resnet import resnet56_spec
 from repro.runtime import EventTrace, TrainingRuntime, participation_fraction
-from repro.runtime.strategy import RoundPlan, solo_decisions
+from repro.runtime.strategy import RoundPlan
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "runtime_sync_golden.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -186,11 +186,11 @@ class TestSyncTrace:
 
 class TestSharedHelpers:
     def test_participation_fraction_full(self, small_registry):
-        decisions = solo_decisions(small_registry.agents, _profile())
+        decisions = _solo_decisions(small_registry, small_registry.agents)
         assert participation_fraction(small_registry, decisions) == pytest.approx(1.0)
 
     def test_participation_fraction_partial(self, small_registry):
-        decisions = solo_decisions(small_registry.agents[:3], _profile())
+        decisions = _solo_decisions(small_registry, small_registry.agents[:3])
         fraction = participation_fraction(small_registry, decisions)
         assert 0.0 < fraction < 1.0
         expected = sum(a.num_samples for a in small_registry.agents[:3])
@@ -234,13 +234,13 @@ class TestSharedHelpers:
         assert plan.communication_seconds == 1e16
 
     def test_solo_decisions_cover_everyone_once(self, small_registry):
-        decisions = solo_decisions(small_registry.agents, _profile())
+        decisions = _solo_decisions(small_registry, small_registry.agents)
         assert [d.slow_id for d in decisions] == list(small_registry.ids)
         assert all(d.fast_id is None and d.offloaded_layers == 0 for d in decisions)
         assert all(d.estimate.pair_time > 0 for d in decisions)
 
 
-def _profile():
-    from repro.core.profiling import profile_architecture
-
-    return profile_architecture(resnet56_spec(), granularity=9)
+def _solo_decisions(registry, agents) -> PairingPlan:
+    """A baseline round's decisions: every agent trains the full model alone."""
+    trainer = AllReduceDML(registry, resnet56_spec(), ComDMLConfig(offload_granularity=9))
+    return trainer.plan_round(0, agents).decisions

@@ -92,12 +92,16 @@ EVENT_POPULATIONS = (1_000, 8_000)
 
 #: Benches gated by --baseline-exponent: steady rounds of the four
 #: baselines of a Table III cell on a ring, at two populations 8x apart.
-#: A baseline prices one solo unit per participant, so per-participant
-#: work fits an exponent near 1 and a scan of every participant pair (the
-#: Gossip neighbour search once did this) near 2.  One bench per method
-#: alternates the two populations' rounds, so a slow stretch of the host
-#: hits both, and records each population's fastest round in its
-#: ``extra`` (``fastest_round_seconds_<n>``); the fit uses those.
+#: A baseline prices its participants as columns, so at 1 000 agents a
+#: round's fixed costs (the runtime, the trace, a handful of NumPy calls)
+#: are a third to a half of it, and the exponent reads 0.7 to 0.85; a scan of every participant pair (the Gossip
+#: neighbour search once did this) fits near 2.  A return to scalar
+#: pricing per participant slows both populations alike and barely moves
+#: the exponent, so the tool prints each method's fastest rounds in ms
+#: next to it.  One bench per method alternates the two populations'
+#: rounds, so a slow stretch of the host hits both, and records each
+#: population's fastest round in its ``extra``
+#: (``fastest_round_seconds_<n>``); the fit uses those.
 BASELINE_BENCH = "test_baseline_round_speed"
 BASELINE_METHODS = ("Gossip", "BrainTorrent", "AllReduce", "FedAvg")
 BASELINE_POPULATIONS = (1_000, 8_000)
@@ -192,15 +196,19 @@ def event_overhead_exponents(benches: dict) -> dict[str, float | None] | None:
     return exponents
 
 
-def baseline_exponents(benches: dict) -> dict[str, float] | None:
-    """Log-log slope of each baseline's fastest round between the populations.
+def baseline_exponents(
+    benches: dict,
+) -> dict[str, tuple[float, list[float]]] | None:
+    """Each baseline's fastest rounds and their log-log slope between the populations.
 
-    ``None`` when a bench or one of its readings is missing.
+    Maps a method to ``(exponent, fastest rounds in seconds)``, the rounds
+    in :data:`BASELINE_POPULATIONS` order.  ``None`` when a bench or one of
+    its readings is missing.
     """
     import math
 
     small, large = BASELINE_POPULATIONS
-    exponents: dict[str, float] = {}
+    exponents: dict[str, tuple[float, list[float]]] = {}
     for method in BASELINE_METHODS:
         extra = benches.get(f"{BASELINE_BENCH}[{method}]", {}).get("extra", {})
         rounds = [
@@ -209,7 +217,8 @@ def baseline_exponents(benches: dict) -> dict[str, float] | None:
         ]
         if None in rounds:
             return None
-        exponents[method] = math.log(rounds[1] / rounds[0]) / math.log(large / small)
+        exponent = math.log(rounds[1] / rounds[0]) / math.log(large / small)
+        exponents[method] = exponent, rounds
     return exponents
 
 
@@ -514,16 +523,17 @@ def main(argv: list[str] | None = None) -> int:
                 status = 2
 
     baselines = baseline_exponents(snap["benches"])
-    for method, exponent in (baselines or {}).items():
+    for method, (exponent, rounds) in (baselines or {}).items():
         print(
             f"{method} ring round exponent "
-            f"(n={'/'.join(map(str, BASELINE_POPULATIONS))}): {exponent:.2f}"
+            f"(n={'/'.join(map(str, BASELINE_POPULATIONS))}): {exponent:.2f}, "
+            f"fastest rounds {' / '.join(f'{seconds * 1e3:.2f}' for seconds in rounds)} ms"
         )
     if args.baseline_exponent is not None:
         if baselines is None:
             print("check: baseline round benches missing from the suite")
             status = 2
-        for method, exponent in (baselines or {}).items():
+        for method, (exponent, _) in (baselines or {}).items():
             if exponent > args.baseline_exponent:
                 print(
                     f"check: {method} round exponent {exponent:.2f} above the "
